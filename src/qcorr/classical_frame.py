@@ -10,11 +10,13 @@ construction with phase-space points in the role of pure components.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
+import numpy as np
+
+from .correlation import CorrelationReport, split_report
 from .errors import SpaceMismatch, UnknownLabel, ValidationError
 from .measure import (
     DensityFunction,
@@ -22,7 +24,6 @@ from .measure import (
     OutcomeSpace,
     ProductSpace,
     density,
-    marginal,
     product,
 )
 from .tolerance import validation_eps
@@ -38,6 +39,7 @@ __all__ = [
     "classical_rho_t",
     "classical_rho_c",
     "classical_rho_e",
+    "classical_report",
 ]
 
 
@@ -53,7 +55,7 @@ class ClassicalObservable:
     codomain (given either as a DiscreteMeasure or as a plain mapping).
     """
 
-    __slots__ = ("_domain", "_codomain", "_kernel")
+    __slots__ = ("_domain", "_codomain", "_kernel", "_matrix")
 
     def __init__(self, domain: PhaseSpace, codomain, kernel: Mapping):
         rows = {}
@@ -72,6 +74,8 @@ class ClassicalObservable:
         self._domain = domain
         self._codomain = codomain
         self._kernel = {p: rows[p] for p in domain.labels}
+        self._matrix = np.array([rows[p].as_array() for p in domain.labels])
+        self._matrix.setflags(write=False)
 
     @property
     def domain(self) -> PhaseSpace:
@@ -84,6 +88,11 @@ class ClassicalObservable:
     @property
     def kernel(self) -> Mapping[str, DiscreteMeasure]:
         return MappingProxyType(self._kernel)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Kernel rows stacked in phase-space order: points x outcomes."""
+        return self._matrix
 
     def row(self, point) -> DiscreteMeasure:
         if point not in self._kernel:
@@ -113,23 +122,12 @@ def apply(observable: ClassicalObservable, state: DiscreteMeasure) -> DiscreteMe
     """
     if state.space != observable.domain:
         raise SpaceMismatch("state does not live on the observable's phase space")
-    weights = {
-        outcome: math.fsum(
-            state.weight(point) * observable.row(point).weight(outcome)
-            for point in observable.domain.labels
-        )
-        for outcome in observable.codomain.outcomes
-    }
-    return DiscreteMeasure(observable.codomain, weights)
+    return DiscreteMeasure.from_array(observable.codomain, state.as_array() @ observable.matrix)
 
 
 def is_deterministic(observable: ClassicalObservable) -> bool:
     """Whether every kernel row is a point mass (within validation tolerance)."""
-    eps = validation_eps()
-    return all(
-        max(row.weights.values()) >= 1.0 - eps
-        for row in observable.kernel.values()
-    )
+    return bool((observable.matrix.max(axis=1) >= 1.0 - validation_eps()).all())
 
 
 def classical_joint(a1: ClassicalObservable, a2: ClassicalObservable) -> ClassicalJoint:
@@ -159,19 +157,9 @@ def is_marginally_consistent(
         return False
     if joint.codomain.left != a1.codomain or joint.codomain.right != a2.codomain:
         return False
-    eps = validation_eps()
-    for point in joint.domain.labels:
-        row = joint.row(point)
-        for side, observable in (("left", a1), ("right", a2)):
-            reduced = marginal(row, side)
-            expected = observable.row(point)
-            gap = max(
-                abs(reduced.weight(o) - expected.weight(o))
-                for o in observable.codomain.outcomes
-            )
-            if gap > eps:
-                return False
-    return True
+    rows = joint.matrix.reshape(len(joint.domain), len(a1.codomain), len(a2.codomain))
+    gaps = np.abs(rows.sum(axis=2) - a1.matrix), np.abs(rows.sum(axis=1) - a2.matrix)
+    return bool(max(gap.max() for gap in gaps) <= validation_eps())
 
 
 def _require_product_codomain(
@@ -228,3 +216,19 @@ def classical_rho_e(
     numerator = apply(joint, state)
     denominator = apply(classical_joint(a1, a2), state)
     return density(numerator, denominator)
+
+
+def classical_report(
+    joint: ClassicalJoint,
+    a1: ClassicalObservable,
+    a2: ClassicalObservable,
+    state: DiscreteMeasure,
+) -> CorrelationReport:
+    """The full classical split at `state`, the one `run_scenario` reports.
+
+    Phase-space points play the pure components: the state's weights mix the
+    kernel rows into the classical product, the canonical joint's statistics.
+    """
+    _require_product_codomain(joint, a1, a2)
+    measures = apply(joint, state), apply(a1, state), apply(a2, state)
+    return split_report(*measures, state.as_array(), a1.matrix, a2.matrix, "canonical")

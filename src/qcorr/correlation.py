@@ -14,14 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AbsoluteContinuityViolation, DimensionMismatch, JointMarginalMismatch
+import numpy as np
+
+from .errors import DimensionMismatch, JointMarginalMismatch
 from .hilbert import ConvexDecomposition, DensityOperator, spectral_decompose
 from .measure import (
     DensityFunction,
     DiscreteMeasure,
+    ProductSpace,
+    correlation_split,
     density,
-    density_product,
-    mix,
+    mix_rows,
     product,
 )
 from .observable import Povm, check_joint, outcome_measure
@@ -34,7 +37,21 @@ __all__ = [
     "classical_correlation",
     "entanglement",
     "correlation_report",
+    "split_report",
 ]
+
+
+def _component_rows(
+    a1: Povm, a2: Povm, decomposition: ConvexDecomposition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixing weights and the per-component outcome rows of both observables."""
+    target = decomposition.target
+    if a1.dim != target.dim or a2.dim != target.dim:
+        raise DimensionMismatch(
+            f"observable dimensions ({a1.dim}, {a2.dim}) do not match state dimension {target.dim}"
+        )
+    vectors = np.array([state.vector for _, state in decomposition.components])
+    return np.array(decomposition.weights), a1.born_rows(vectors), a2.born_rows(vectors)
 
 
 def classical_product_measure(
@@ -46,18 +63,8 @@ def classical_product_measure(
     component state fed both observables independently; it carries exactly
     the correlation injected by the mixing weights.
     """
-    target = decomposition.target
-    if a1.dim != target.dim or a2.dim != target.dim:
-        raise DimensionMismatch(
-            f"observable dimensions ({a1.dim}, {a2.dim}) do not match state dimension {target.dim}"
-        )
-    parts = []
-    for weight, state in decomposition.components:
-        component = DensityOperator.from_pure(state)
-        parts.append(
-            (weight, product(outcome_measure(a1, component), outcome_measure(a2, component)))
-        )
-    return mix(parts)
+    table = mix_rows(*_component_rows(a1, a2, decomposition))
+    return DiscreteMeasure.from_array(ProductSpace(a1.space, a2.space), table)
 
 
 def _require_joint(joint: Povm, a1: Povm, a2: Povm) -> None:
@@ -155,37 +162,44 @@ def correlation_report(
     joint_measure = outcome_measure(joint, state)
     marginal_1 = outcome_measure(a1, state)
     marginal_2 = outcome_measure(a2, state)
-    product_measure = product(marginal_1, marginal_2)
-    classical_product = classical_product_measure(a1, a2, decomposition)
+    mixing = _component_rows(a1, a2, decomposition)
+    return split_report(joint_measure, marginal_1, marginal_2, *mixing, source)
 
-    rho_t = density(joint_measure, product_measure)
-    rho_c = rho_e = None
-    rho_c_error = rho_e_error = None
-    try:
-        rho_c = density(classical_product, product_measure)
-    except AbsoluteContinuityViolation as exc:
-        rho_c_error = str(exc)
-    try:
-        rho_e = density(joint_measure, classical_product)
-    except AbsoluteContinuityViolation as exc:
-        rho_e_error = str(exc)
 
-    residual = None
-    if rho_c is not None and rho_e is not None:
-        residual = density_product(rho_c, rho_e).max_difference(rho_t)
+def split_report(
+    joint_measure: DiscreteMeasure,
+    marginal_1: DiscreteMeasure,
+    marginal_2: DiscreteMeasure,
+    weights: np.ndarray,
+    rows_1: np.ndarray,
+    rows_2: np.ndarray,
+    source: str,
+) -> CorrelationReport:
+    """Run `correlation_split` on the measures' arrays and wrap the result.
+
+    Both frames report through here: the rows are the components' Born-rule
+    statistics (quantum) or the kernel rows at each phase point (classical).
+    """
+    space = joint_measure.space
+    joint = joint_measure.as_array().reshape(len(space.left), len(space.right))
+    margins = marginal_1.as_array(), marginal_2.as_array()
+    split = correlation_split(space, joint, *margins, weights, rows_1, rows_2)
+
+    def view(values):
+        return None if values is None else DensityFunction.from_array(space, values)
 
     return CorrelationReport(
         joint_measure=joint_measure,
         marginal_1=marginal_1,
         marginal_2=marginal_2,
-        product_measure=product_measure,
-        classical_product=classical_product,
-        rho_t=rho_t,
-        rho_c=rho_c,
-        rho_e=rho_e,
-        rho_c_error=rho_c_error,
-        rho_e_error=rho_e_error,
-        product_rule_residual=residual,
+        product_measure=DiscreteMeasure.from_array(space, split.product),
+        classical_product=DiscreteMeasure.from_array(space, split.classical),
+        rho_t=view(split.rho_t),
+        rho_c=view(split.rho_c),
+        rho_e=view(split.rho_e),
+        rho_c_error=split.rho_c_error,
+        rho_e_error=split.rho_e_error,
+        product_rule_residual=split.residual,
         decomposition_source=source,
-        decomposition_size=len(decomposition),
+        decomposition_size=len(weights),
     )

@@ -34,7 +34,7 @@ from .classical_frame import ClassicalJoint, ClassicalObservable, PhaseSpace
 from .errors import UnknownExample, ValidationError
 from .hilbert import ConvexDecomposition, DensityOperator, PureState
 from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace
-from .observable import SPIN_LABELS, Povm
+from .observable import spin_z_pair
 from .report import ReportDocument
 from .scenario import ClassicalScenario, QuantumScenario, Scenario, run_scenario
 from .tolerance import validation_eps
@@ -73,6 +73,12 @@ def _product_state(left: np.ndarray, right: np.ndarray) -> PureState:
     return PureState(np.kron(left, right))
 
 
+def _product_basis() -> tuple[PureState, PureState, PureState, PureState]:
+    """Spin product basis: (up,up), (down,down), (up,down), (down,up)."""
+    pairs = ((_UP, _UP), (_DOWN, _DOWN), (_UP, _DOWN), (_DOWN, _UP))
+    return tuple(_product_state(left, right) for left, right in pairs)
+
+
 def _bell_states() -> tuple[PureState, PureState, PureState, PureState]:
     """Maximally entangled basis: Phi+, Phi-, Psi+, Psi-."""
     uu = np.kron(_UP, _UP)
@@ -94,22 +100,12 @@ def _bloch_state(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def _spin_observables() -> tuple[Povm, Povm]:
-    up = np.diag([1.0, 0.0]).astype(complex)
-    down = np.diag([0.0, 1.0]).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    space = OutcomeSpace(SPIN_LABELS)
-    a1 = Povm(space, {"+1/2": np.kron(up, eye), "-1/2": np.kron(down, eye)})
-    a2 = Povm(space, {"+1/2": np.kron(eye, up), "-1/2": np.kron(eye, down)})
-    return a1, a2
-
-
 def _nonzero(components) -> list:
     return [(w, s) for w, s in components if w > 0.0]
 
 
 def _spin_scenario(name: str, state: DensityOperator, decompositions: dict) -> QuantumScenario:
-    a1, a2 = _spin_observables()
+    a1, a2, _ = spin_z_pair()
     return QuantumScenario(
         name=name,
         state=state,
@@ -137,14 +133,7 @@ def _check_weights(weights, count: int = 4) -> tuple[float, ...]:
 def build_separable_mixture(weights=(0.4, 0.3, 0.2, 0.1)) -> QuantumScenario:
     """Mixture of the four spin product states, weighted w1..w4 on
     (up,up), (down,down), (up,down), (down,up)."""
-    w1, w2, w3, w4 = _check_weights(weights)
-    states = [
-        _product_state(_UP, _UP),
-        _product_state(_DOWN, _DOWN),
-        _product_state(_UP, _DOWN),
-        _product_state(_DOWN, _UP),
-    ]
-    components = _nonzero(zip((w1, w2, w3, w4), states))
+    components = _nonzero(zip(_check_weights(weights), _product_basis()))
     state = DensityOperator.from_mixture(components)
     dec = ConvexDecomposition(components, state)
     return _spin_scenario("separable-mixture", state, {"product-basis": dec})
@@ -168,12 +157,7 @@ def _degenerate_parts(a: float, b: float):
             raise ValidationError(f"parameter {name} = {value!r} must be nonnegative")
     if abs((a + b) - 0.5) > validation_eps():
         raise ValidationError(f"parameters must satisfy a + b = 1/2, got a + b = {a + b!r}")
-    products = [
-        _product_state(_UP, _UP),
-        _product_state(_DOWN, _DOWN),
-        _product_state(_UP, _DOWN),
-        _product_state(_DOWN, _UP),
-    ]
+    products = _product_basis()
     phi_plus, phi_minus, psi_plus, psi_minus = _bell_states()
     product_dec = _nonzero(zip((a, a, b, b), products))
     bell_dec = _nonzero(zip((a, a, b, b), (phi_plus, phi_minus, psi_plus, psi_minus)))

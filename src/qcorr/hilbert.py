@@ -302,14 +302,16 @@ def spectral_decompose(state: DensityOperator) -> ConvexDecomposition:
     """Eigen-decomposition of a density operator as a pure-state mixture.
 
     Eigenvalues at or below the support epsilon are dropped, the rest are
-    sorted descending. This is one convex decomposition among many; for a
-    degenerate spectrum even the eigenbasis itself is not unique.
+    sorted descending. The dropped mass is spread over the kept components in
+    proportion, so the weights still sum to the trace. This is one convex
+    decomposition among many; for a degenerate spectrum even the eigenbasis
+    itself is not unique.
     """
     values, vectors = hermitian_eigensystem(state.matrix)
+    kept = values > EPS
+    weights = values[kept] * (values.sum() / values[kept].sum())
     components = [
-        (float(value), PureState(vectors[:, index]))
-        for index, value in enumerate(values)
-        if value > EPS
+        (float(weight), PureState(vector)) for weight, vector in zip(weights, vectors.T[kept])
     ]
     return ConvexDecomposition(components, state)
 

@@ -3,6 +3,9 @@
 Provides the product, marginal, and mixture constructions, plus pointwise
 density functions (likelihood ratios) between measures on the same space.
 Product-space points are ordered row-major: the right factor varies fastest.
+
+`correlation_split` is the one array kernel of both frames: it mixes
+per-component outcome rows and divides the measures into rho_t, rho_c, rho_e.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ __all__ = [
     "mix",
     "density",
     "density_product",
+    "Split",
+    "mix_rows",
+    "correlation_split",
 ]
 
 Outcome = Union[str, tuple[str, str]]
@@ -142,6 +148,12 @@ class DiscreteMeasure:
         self._space = space
         self._weights = table
 
+    @classmethod
+    def from_array(cls, space: Space, values) -> "DiscreteMeasure":
+        """Measure whose weights are `values`, aligned with the space's
+        outcome order (row-major for product spaces)."""
+        return cls(space, dict(zip(space.outcomes, np.ravel(values).tolist())))
+
     @property
     def space(self) -> Space:
         return self._space
@@ -179,12 +191,7 @@ def product(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> DiscreteMeasure:
         if isinstance(nu.space, ProductSpace):
             raise ValidationError("product expects measures on simple outcome spaces")
     space = ProductSpace(nu1.space, nu2.space)
-    weights = {
-        (l, r): nu1.weight(l) * nu2.weight(r)
-        for l in nu1.space.labels
-        for r in nu2.space.labels
-    }
-    return DiscreteMeasure(space, weights)
+    return DiscreteMeasure.from_array(space, np.multiply.outer(nu1.as_array(), nu2.as_array()))
 
 
 def marginal(nu: DiscreteMeasure, side: Literal["left", "right"]) -> DiscreteMeasure:
@@ -193,12 +200,10 @@ def marginal(nu: DiscreteMeasure, side: Literal["left", "right"]) -> DiscreteMea
         raise NotAProductSpace("marginal requires a measure on a product space")
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    index = 0 if side == "left" else 1
-    target = nu.space.left if side == "left" else nu.space.right
-    sums = {label: [] for label in target.labels}
-    for point, value in nu.items():
-        sums[point[index]].append(value)
-    return DiscreteMeasure(target, {label: math.fsum(vals) for label, vals in sums.items()})
+    grid = nu.as_array().reshape(len(nu.space.left), len(nu.space.right))
+    if side == "left":
+        return DiscreteMeasure.from_array(nu.space.left, grid.sum(axis=1))
+    return DiscreteMeasure.from_array(nu.space.right, grid.sum(axis=0))
 
 
 def mix(components: Iterable[tuple[float, DiscreteMeasure]]) -> DiscreteMeasure:
@@ -217,11 +222,8 @@ def mix(components: Iterable[tuple[float, DiscreteMeasure]]) -> DiscreteMeasure:
     for _, nu in comps:
         if nu.space != space:
             raise SpaceMismatch("mixture components live on different spaces")
-    weights = {
-        outcome: math.fsum(w * nu.weight(outcome) for w, nu in comps)
-        for outcome in space.outcomes
-    }
-    return DiscreteMeasure(space, weights)
+    table = np.array([w for w, _ in comps]) @ np.array([nu.as_array() for _, nu in comps])
+    return DiscreteMeasure.from_array(space, table)
 
 
 class DensityFunction:
@@ -244,6 +246,13 @@ class DensityFunction:
         # iteration follows the space's outcome order
         self._space = space
         self._values = {o: table[o] for o in space.outcomes if o in table}
+
+    @classmethod
+    def from_array(cls, space: Space, values) -> "DensityFunction":
+        """Density whose values are `values` in the space's outcome order;
+        NaN entries lie off the support."""
+        flat = np.ravel(values).tolist()
+        return cls(space, {o: v for o, v in zip(space.outcomes, flat) if not math.isnan(v)})
 
     @property
     def space(self) -> Space:
@@ -291,17 +300,22 @@ def density(num: DiscreteMeasure, den: DiscreteMeasure) -> DensityFunction:
     """
     if num.space != den.space:
         raise SpaceMismatch("numerator and denominator live on different spaces")
-    values = {}
-    for outcome in num.space.outcomes:
-        d = den.weight(outcome)
-        n = num.weight(outcome)
-        if d > EPS:
-            values[outcome] = max(n, 0.0) / d
-        elif n > EPS:
-            raise AbsoluteContinuityViolation(
-                f"numerator has mass {n!r} at {outcome!r} where the denominator vanishes"
-            )
-    return DensityFunction(num.space, values)
+    values = _quotient(num.as_array(), den.as_array(), num.space.outcomes)
+    return DensityFunction.from_array(num.space, values)
+
+
+def _quotient(num: np.ndarray, den: np.ndarray, outcomes: Sequence) -> np.ndarray:
+    """num / den where den exceeds EPS, NaN elsewhere; `outcomes` labels the
+    flat entries for the error at the first point where num escapes den."""
+    support = den > EPS
+    escaped = np.flatnonzero(~support & (num > EPS))
+    if escaped.size:
+        index = escaped[0]
+        raise AbsoluteContinuityViolation(
+            f"numerator has mass {float(num.flat[index])!r} at {outcomes[index]!r} "
+            "where the denominator vanishes"
+        )
+    return np.divide(np.maximum(num, 0.0), den, out=np.full(den.shape, np.nan), where=support)
 
 
 def density_product(a: DensityFunction, b: DensityFunction) -> DensityFunction:
@@ -310,3 +324,55 @@ def density_product(a: DensityFunction, b: DensityFunction) -> DensityFunction:
         raise SpaceMismatch("densities live on different spaces")
     common = a.support & b.support
     return DensityFunction(a.space, {o: a.values[o] * b.values[o] for o in common})
+
+
+@dataclass(frozen=True)
+class Split:
+    """The correlation split over a k1 x k2 outcome grid; densities are NaN off
+    their support, and a factor that does not exist is None with its error."""
+
+    product: np.ndarray
+    classical: np.ndarray
+    rho_t: np.ndarray
+    rho_c: np.ndarray | None
+    rho_e: np.ndarray | None
+    rho_c_error: str | None
+    rho_e_error: str | None
+    residual: float | None
+
+
+def mix_rows(weights: np.ndarray, rows_1: np.ndarray, rows_2: np.ndarray) -> np.ndarray:
+    """Classical product sum_i w_i rows_1[i] (x) rows_2[i] of the per-component
+    outcome rows (n x k1 and n x k2), as a k1 x k2 table."""
+    pairs = rows_1[:, :, None] * rows_2[:, None, :]
+    return (weights @ pairs.reshape(len(weights), -1)).reshape(pairs.shape[1:])
+
+
+def correlation_split(
+    space: ProductSpace, joint, marginal_1, marginal_2, weights, rows_1, rows_2
+) -> Split:
+    """Split rho_t = joint / product of marginals (a k1 x k2 grid labeled by
+    `space`) into rho_c = classical / product and rho_e = joint / classical,
+    with classical = `mix_rows(weights, rows_1, rows_2)`.
+
+    A joint escaping the product's support raises AbsoluteContinuityViolation;
+    a factor that does not exist is recorded instead. The residual is the
+    largest |rho_c * rho_e - rho_t| on the common support.
+    """
+    independent = np.multiply.outer(marginal_1, marginal_2)
+    classical = mix_rows(weights, rows_1, rows_2)
+    points = space.points
+    rho_t = _quotient(joint, independent, points)
+    factors = []
+    for num, den in ((classical, independent), (joint, classical)):
+        try:
+            factors.append((_quotient(num, den, points), None))
+        except AbsoluteContinuityViolation as exc:
+            factors.append((None, str(exc)))
+    (rho_c, rho_c_error), (rho_e, rho_e_error) = factors
+    residual = None
+    if rho_c is not None and rho_e is not None:
+        gap = np.abs(rho_c * rho_e - rho_t)
+        gap = gap[~np.isnan(gap)]
+        residual = float(gap.max()) if gap.size else 0.0
+    return Split(independent, classical, rho_t, rho_c, rho_e, rho_c_error, rho_e_error, residual)

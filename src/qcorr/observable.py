@@ -25,8 +25,6 @@ from .hilbert import (
     _as_complex_matrix,
     _hermitian_deviation,
     _max_abs,
-    _readonly,
-    expectation,
     hermitian_eigensystem,
     hermitian_eigenvalues,
 )
@@ -62,7 +60,7 @@ class Povm:
     effects must annihilate each other, all within tolerance.
     """
 
-    __slots__ = ("_space", "_effects", "_dim", "_is_projective")
+    __slots__ = ("_space", "_stack", "_index", "_dim", "_is_projective")
 
     def __init__(self, space, effects: Mapping):
         eps = validation_eps()
@@ -103,12 +101,14 @@ class Povm:
                 f"effects do not sum to the identity (max deviation {completeness:.3e})"
             )
         self._space = space
-        self._effects = {o: _readonly(table[o]) for o in outcomes}
+        self._stack = np.stack([table[o] for o in outcomes])
+        self._stack.setflags(write=False)
+        self._index = {o: i for i, o in enumerate(outcomes)}
         self._dim = dim
         self._is_projective = self._detect_projective(eps)
 
     def _detect_projective(self, eps: float) -> bool:
-        effects = list(self._effects.values())
+        effects = self._stack
         for effect in effects:
             if _max_abs(effect @ effect - effect) > eps:
                 return False
@@ -173,14 +173,20 @@ class Povm:
 
     @property
     def effects(self) -> Mapping:
-        return dict(self._effects)
+        return dict(zip(self._space.outcomes, self._stack))
 
     def effect(self, outcome) -> np.ndarray:
-        return self._effects[_normalize_outcome(self._space, outcome)]
+        return self._stack[self._index[_normalize_outcome(self._space, outcome)]]
+
+    def born_rows(self, vectors: np.ndarray) -> np.ndarray:
+        """Outcome statistics <v|E(x)|v> (n x k) of the unit vectors stacked
+        as the rows of `vectors` (n x dim)."""
+        applied = self._stack @ vectors.T  # k x dim x n
+        return np.einsum("na,kan->nk", vectors.conj(), applied).real
 
     def __repr__(self) -> str:
         kind = "PVM" if self._is_projective else "POVM"
-        return f"Povm({kind}, dim={self._dim}, outcomes={len(self._effects)})"
+        return f"Povm({kind}, dim={self._dim}, outcomes={len(self._stack)})"
 
 
 def outcome_measure(observable: Povm, state: DensityOperator) -> DiscreteMeasure:
@@ -194,11 +200,8 @@ def outcome_measure(observable: Povm, state: DensityOperator) -> DiscreteMeasure
         raise DimensionMismatch(
             f"observable dimension {observable.dim} does not match state dimension {state.dim}"
         )
-    weights = {
-        outcome: expectation(observable.effect(outcome), state)
-        for outcome in observable.space.outcomes
-    }
-    return DiscreteMeasure(observable.space, weights)
+    weights = np.einsum("kab,ba->k", observable._stack, state.matrix).real
+    return DiscreteMeasure.from_array(observable.space, weights)
 
 
 def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
@@ -242,17 +245,15 @@ def marginal_observable(joint: Povm, side) -> Povm:
         raise NotAProductSpace("marginal requires a joint on a product space")
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    index = 0 if side == "left" else 1
-    target = joint.space.left if side == "left" else joint.space.right
-    dim = joint.dim
-    effects = {}
-    for label in target.labels:
-        total = np.zeros((dim, dim), dtype=complex)
-        for point in joint.space.points:
-            if point[index] == label:
-                total += joint.effect(point)
-        effects[label] = total
-    return Povm(target, effects)
+    if side == "left":
+        return Povm(joint.space.left, dict(zip(joint.space.left.labels, _grid(joint).sum(axis=1))))
+    return Povm(joint.space.right, dict(zip(joint.space.right.labels, _grid(joint).sum(axis=0))))
+
+
+def _grid(joint: Povm) -> np.ndarray:
+    """A joint's effects as a k1 x k2 x dim x dim array."""
+    shape = (len(joint.space.left), len(joint.space.right), joint.dim, joint.dim)
+    return joint._stack.reshape(shape)
 
 
 def check_joint(joint: Povm, a1: Povm, a2: Povm) -> bool:
@@ -268,13 +269,9 @@ def check_joint(joint: Povm, a1: Povm, a2: Povm) -> bool:
         return False
     if joint.dim != a1.dim or joint.dim != a2.dim:
         return False
-    eps = validation_eps()
-    for side, observable in (("left", a1), ("right", a2)):
-        reduced = marginal_observable(joint, side)
-        for label in observable.space.labels:
-            if _max_abs(reduced.effect(label) - observable.effect(label)) > eps:
-                return False
-    return True
+    grid = _grid(joint)
+    gap = max(_max_abs(grid.sum(axis=1) - a1._stack), _max_abs(grid.sum(axis=0) - a2._stack))
+    return gap <= validation_eps()
 
 
 def spin_z_pair() -> tuple[Povm, Povm, Povm]:

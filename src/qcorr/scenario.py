@@ -49,22 +49,15 @@ from .classical_frame import (
     ClassicalJoint,
     ClassicalObservable,
     PhaseSpace,
-    apply,
     classical_joint,
+    classical_report,
     is_deterministic,
     is_marginally_consistent,
 )
-from .correlation import correlation_report
-from .errors import AbsoluteContinuityViolation, ParseError, ValidationError
+from .correlation import CorrelationReport, correlation_report
+from .errors import ParseError, ValidationError
 from .hilbert import ConvexDecomposition, DensityOperator, PureState
-from .measure import (
-    DiscreteMeasure,
-    OutcomeSpace,
-    ProductSpace,
-    density,
-    density_product,
-    product,
-)
+from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace
 from .observable import Povm, joint_from_commuting
 from .report import DecompositionBlock, ReportDocument
 from .tolerance import EPS
@@ -444,37 +437,20 @@ def _quantum_to_jsonable(scenario: QuantumScenario) -> dict:
     }
 
 
-def _kernel_jsonable(observable: ClassicalObservable) -> dict:
-    outcomes = observable.codomain.outcomes
-    return {
-        "labels": [list(o) if isinstance(o, tuple) else o for o in outcomes],
-        "kernel": [
-            [observable.row(point).weight(o) for o in outcomes]
-            for point in observable.domain.labels
-        ],
-    }
-
-
 def _classical_to_jsonable(scenario: ClassicalScenario) -> dict:
     if scenario.joint is None:
         joint = "classical-product"
     else:
-        joint = {"kernel": _kernel_jsonable(scenario.joint)["kernel"]}
+        joint = {"kernel": scenario.joint.matrix.tolist()}
     return {
         "schema": SCHEMA,
         "name": scenario.name,
         "mode": "classical",
         "phase_space": list(scenario.phase_space.labels),
-        "state": [scenario.state.weight(p) for p in scenario.phase_space.labels],
+        "state": scenario.state.as_array().tolist(),
         "observables": [
-            {
-                "labels": list(scenario.observable_1.codomain.labels),
-                "kernel": _kernel_jsonable(scenario.observable_1)["kernel"],
-            },
-            {
-                "labels": list(scenario.observable_2.codomain.labels),
-                "kernel": _kernel_jsonable(scenario.observable_2)["kernel"],
-            },
+            {"labels": list(o.codomain.labels), "kernel": o.matrix.tolist()}
+            for o in (scenario.observable_1, scenario.observable_2)
         ],
         "joint": joint,
     }
@@ -524,19 +500,7 @@ def _run_quantum(scenario: QuantumScenario, requested: str | None) -> ReportDocu
     for name, dec in selected:
         result = correlation_report(joint, a1, a2, dec)
         shared = shared or result
-        blocks.append(
-            DecompositionBlock(
-                name=name,
-                source=result.decomposition_source,
-                size=result.decomposition_size,
-                classical_product=result.classical_product,
-                rho_c=result.rho_c,
-                rho_e=result.rho_e,
-                rho_c_error=result.rho_c_error,
-                rho_e_error=result.rho_e_error,
-                product_rule_residual=result.product_rule_residual,
-            )
-        )
+        blocks.append(_block(name, result, result.decomposition_size))
 
     purity = scenario.state.purity()
     pure = purity >= 1.0 - EPS
@@ -548,9 +512,29 @@ def _run_quantum(scenario: QuantumScenario, requested: str | None) -> ReportDocu
         "spectral_decomposition_used": any(b.source == "spectral" for b in blocks),
     }
     notes = _quantum_notes(shared, blocks, pure)
+    return _document(scenario, shared, blocks, flags, notes)
+
+
+def _block(name: str, result: CorrelationReport, size: int | None) -> DecompositionBlock:
+    return DecompositionBlock(
+        name=name,
+        source=result.decomposition_source,
+        size=size,
+        classical_product=result.classical_product,
+        rho_c=result.rho_c,
+        rho_e=result.rho_e,
+        rho_c_error=result.rho_c_error,
+        rho_e_error=result.rho_e_error,
+        product_rule_residual=result.product_rule_residual,
+    )
+
+
+def _document(
+    scenario: Scenario, shared: CorrelationReport, blocks, flags: dict, notes: list[str]
+) -> ReportDocument:
     return ReportDocument(
         scenario=scenario_to_jsonable(scenario),
-        mode="quantum",
+        mode=scenario.mode,
         space=shared.joint_measure.space,
         joint_measure=shared.joint_measure,
         marginal_1=shared.marginal_1,
@@ -594,42 +578,10 @@ def _quantum_notes(shared, blocks, pure: bool) -> list[str]:
 
 def _run_classical(scenario: ClassicalScenario) -> ReportDocument:
     a1, a2 = scenario.observable_1, scenario.observable_2
-    canonical = classical_joint(a1, a2)
-    joint = scenario.joint if scenario.joint is not None else canonical
+    joint = scenario.joint if scenario.joint is not None else classical_joint(a1, a2)
     state = scenario.state
-
-    joint_measure = apply(joint, state)
-    marginal_1 = apply(a1, state)
-    marginal_2 = apply(a2, state)
-    product_measure = product(marginal_1, marginal_2)
-    classical_product = apply(canonical, state)
-
-    rho_t = density(joint_measure, product_measure)
-    rho_c = rho_e = None
-    rho_c_error = rho_e_error = None
-    try:
-        rho_c = density(classical_product, product_measure)
-    except AbsoluteContinuityViolation as exc:
-        rho_c_error = str(exc)
-    try:
-        rho_e = density(joint_measure, classical_product)
-    except AbsoluteContinuityViolation as exc:
-        rho_e_error = str(exc)
-    residual = None
-    if rho_c is not None and rho_e is not None:
-        residual = density_product(rho_c, rho_e).max_difference(rho_t)
-
-    block = DecompositionBlock(
-        name="classical-product",
-        source="canonical",
-        size=None,
-        classical_product=classical_product,
-        rho_c=rho_c,
-        rho_e=rho_e,
-        rho_c_error=rho_c_error,
-        rho_e_error=rho_e_error,
-        product_rule_residual=residual,
-    )
+    result = classical_report(joint, a1, a2, state)
+    block = _block("classical-product", result, None)
     state_is_dirac = max(state.weights.values()) >= 1.0 - EPS
     flags = {
         "joint_mode": "explicit" if scenario.joint is not None else "classical-product",
@@ -639,21 +591,9 @@ def _run_classical(scenario: ClassicalScenario) -> ReportDocument:
         "state_dirac": state_is_dirac,
     }
     notes = []
-    if state_is_dirac and rho_e is not None and rho_e.deviation_from(1.0) > 1e-6:
+    if state_is_dirac and result.rho_e is not None and result.rho_e.deviation_from(1.0) > 1e-6:
         notes.append(
             "entanglement-type correlation at a pure (Dirac) state: the chosen "
             "joint correlates outcomes beyond the product coupling"
         )
-    return ReportDocument(
-        scenario=scenario_to_jsonable(scenario),
-        mode="classical",
-        space=joint.codomain,
-        joint_measure=joint_measure,
-        marginal_1=marginal_1,
-        marginal_2=marginal_2,
-        product_measure=product_measure,
-        rho_t=rho_t,
-        blocks=[block],
-        flags=flags,
-        notes=notes,
-    )
+    return _document(scenario, result, [block], flags, notes)

@@ -146,6 +146,16 @@ def test_spectral_decompose_drops_null_eigenvalues():
     assert dec.weights[0] == pytest.approx(1.0)
 
 
+def test_spectral_decompose_keeps_mass_of_dropped_eigenvalues():
+    """Eigenvalues at or below EPS are dropped, but their mass must not push
+    the weight sum out of tolerance for a valid state."""
+    state = DensityOperator(np.diag([1 - 1.8e-9, 0.9e-9, 0.9e-9, 0.0]))
+    dec = spectral_decompose(state)
+    assert len(dec) == 1
+    assert dec.weights[0] == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(dec.reconstruction(), state.matrix, atol=2e-9)
+
+
 def test_random_decomposition_rebuilds_state_differently():
     rng = np.random.default_rng(17)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -1,0 +1,284 @@
+"""The array split kernel against the outcome-by-outcome reference oracle.
+
+Both frames report through `qcorr.measure.correlation_split`. These checks
+hold it to the dict-based split in `split_oracle` on the bundled scenarios,
+the paper examples, seeded random draws in each frame, and a case whose
+entanglement density does not exist.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from qcorr import (
+    AbsoluteContinuityViolation,
+    ClassicalJoint,
+    ClassicalObservable,
+    ConvexDecomposition,
+    DensityOperator,
+    DiscreteMeasure,
+    OutcomeSpace,
+    PhaseSpace,
+    ProductSpace,
+    PureState,
+    bundled_scenario_names,
+    bundled_scenario_text,
+    build_paper_example,
+    classical_joint,
+    correlation_report,
+    entanglement,
+    random_decomposition,
+    spectral_decompose,
+)
+from qcorr.classical_frame import classical_report
+from qcorr.measure import correlation_split
+from qcorr.observable import Povm, joint_from_commuting
+from qcorr.scenario import ClassicalScenario, loads_scenario
+from qcorr.tolerance import EPS
+from conftest import DOWN, UP
+import split_oracle
+
+TOL = 1e-12
+RANDOM_DRAWS = 200
+_NUMBER = re.compile(r"-?\d+\.?\d*(?:e[-+]?\d+)?")
+
+
+def _close(a: float, b: float) -> bool:
+    """Equal within TOL, relative to the value once it exceeds one."""
+    return abs(a - b) <= TOL * max(1.0, abs(b))
+
+
+def _same_message(actual: str, expected: str) -> bool:
+    """Equal text, with the numbers it quotes equal within TOL."""
+    if _NUMBER.sub("#", actual) != _NUMBER.sub("#", expected):
+        return False
+    pairs = zip(_NUMBER.findall(actual), _NUMBER.findall(expected))
+    return all(_close(float(a), float(b)) for a, b in pairs)
+
+
+def _assert_measure(measure, expected: dict) -> None:
+    assert measure.space.outcomes == tuple(expected)
+    for outcome, value in expected.items():
+        assert _close(measure.weight(outcome), value), outcome
+
+
+def _assert_density(rho, expected: dict | None) -> None:
+    if expected is None:
+        assert rho is None
+        return
+    assert rho.support == frozenset(expected)
+    for outcome, value in expected.items():
+        assert _close(rho.value(outcome), value), outcome
+
+
+def assert_matches(report, oracle: dict) -> None:
+    """Every field of a CorrelationReport agrees with the oracle's split."""
+    _assert_measure(report.joint_measure, oracle["joint"])
+    _assert_measure(report.marginal_1, oracle["marginal_1"])
+    _assert_measure(report.marginal_2, oracle["marginal_2"])
+    _assert_measure(report.product_measure, oracle["product"])
+    _assert_measure(report.classical_product, oracle["classical"])
+    for name in ("rho_t", "rho_c", "rho_e"):
+        _assert_density(getattr(report, name), oracle[name])
+    for name in ("rho_c_error", "rho_e_error"):
+        actual, expected = getattr(report, name), oracle[name]
+        assert (actual is None) == (expected is None)
+        if expected is not None:
+            assert _same_message(actual, expected), (actual, expected)
+    if oracle["residual"] is None:
+        assert report.product_rule_residual is None
+    else:
+        # rounding in rho_c * rho_e - rho_t scales with the densities' size
+        scale = max(1.0, *oracle["rho_t"].values())
+        assert abs(report.product_rule_residual - oracle["residual"]) <= TOL * scale
+
+
+def check_quantum(joint, a1, a2, decomposition) -> None:
+    try:
+        expected = split_oracle.quantum_split(joint, a1, a2, decomposition)
+    except AbsoluteContinuityViolation as exc:
+        with pytest.raises(AbsoluteContinuityViolation) as raised:
+            correlation_report(joint, a1, a2, decomposition)
+        assert _same_message(str(raised.value), str(exc))
+        return
+    assert_matches(correlation_report(joint, a1, a2, decomposition), expected)
+
+
+def check_classical(joint, a1, a2, state) -> None:
+    try:
+        expected = split_oracle.classical_split(joint, a1, a2, state)
+    except AbsoluteContinuityViolation as exc:
+        with pytest.raises(AbsoluteContinuityViolation) as raised:
+            classical_report(joint, a1, a2, state)
+        assert _same_message(str(raised.value), str(exc))
+        return
+    assert_matches(classical_report(joint, a1, a2, state), expected)
+
+
+def check_scenario(scenario) -> None:
+    a1, a2 = scenario.observable_1, scenario.observable_2
+    if isinstance(scenario, ClassicalScenario):
+        joint = scenario.joint if scenario.joint is not None else classical_joint(a1, a2)
+        check_classical(joint, a1, a2, scenario.state)
+        return
+    joint = scenario.joint if scenario.joint is not None else joint_from_commuting(a1, a2)
+    decompositions = [*scenario.decompositions.values(), spectral_decompose(scenario.state)]
+    for decomposition in decompositions:
+        check_quantum(joint, a1, a2, decomposition)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenarios_match_oracle(name):
+    check_scenario(loads_scenario(bundled_scenario_text(name)))
+
+
+@pytest.mark.parametrize("example_id", ["i", "ii", "iii", "iii-mixed", "appendix", "appendix-px"])
+def test_paper_examples_match_oracle(example_id):
+    check_scenario(build_paper_example(example_id))
+
+
+def test_kernel_support_threshold_is_eps():
+    """A denominator just above EPS carries a value; one at EPS does not, and
+    a numerator above EPS there is an absolute-continuity failure."""
+    space = ProductSpace(OutcomeSpace(("a", "b")), OutcomeSpace(("x",)))
+    one = np.array([1.0])
+
+    def split(mass, joint_mass):
+        marginal = np.array([1.0 - mass, mass])
+        joint = np.array([[1.0 - joint_mass], [joint_mass]])
+        return correlation_split(space, joint, marginal, one, one, marginal[None, :], one[None, :])
+
+    above = split(2 * EPS, 2 * EPS)
+    np.testing.assert_allclose(above.rho_t.ravel(), [1.0, 1.0])
+    at = split(EPS, EPS)
+    assert np.isnan(at.rho_t[1, 0]) and np.isnan(at.rho_c[1, 0])
+    with pytest.raises(AbsoluteContinuityViolation, match=r"at \('b', 'x'\)"):
+        split(EPS, 2 * EPS)
+
+
+# random draws ---------------------------------------------------------------
+
+
+def _random_unit(rng, dim):
+    vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return vector / np.linalg.norm(vector)
+
+
+def _random_factor_pvm(rng, left: bool) -> Povm:
+    """A random qubit basis measured on one factor of C^2 (x) C^2."""
+    eye = np.eye(2, dtype=complex)
+    vector = _random_unit(rng, 2)
+    p = np.outer(vector, vector.conj())
+    lifted = [np.kron(e, eye) if left else np.kron(eye, e) for e in (p, eye - p)]
+    return Povm(OutcomeSpace(("0", "1")), dict(zip(("0", "1"), lifted)))
+
+
+def _random_quantum_case(rng):
+    a1, a2 = _random_factor_pvm(rng, True), _random_factor_pvm(rng, False)
+    rank = int(rng.integers(1, 5))
+    weights = rng.random(rank) + 0.05
+    components = [
+        (float(w), PureState(_random_unit(rng, 4))) for w in weights / weights.sum()
+    ]
+    state = DensityOperator.from_mixture(components)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        decomposition = ConvexDecomposition(components, state)
+    elif kind == 1:
+        decomposition = random_decomposition(state, int(rng.integers(rank, 8)), rng)
+    else:
+        decomposition = spectral_decompose(state)
+    return joint_from_commuting(a1, a2), a1, a2, decomposition
+
+
+@pytest.mark.parametrize("seed", range(RANDOM_DRAWS))
+def test_random_quantum_draws_match_oracle(seed):
+    check_quantum(*_random_quantum_case(np.random.default_rng([11, seed])))
+
+
+def _random_row(rng, size: int) -> np.ndarray:
+    """A probability row, sometimes with exact zeros."""
+    row = rng.random(size) * (rng.random(size) > 0.3)
+    if not row.any():
+        row[int(rng.integers(size))] = 1.0
+    return row / row.sum()
+
+
+def _random_classical_case(rng):
+    phase = PhaseSpace(tuple(f"p{i}" for i in range(int(rng.integers(1, 5)))))
+    spaces = [
+        OutcomeSpace(tuple(f"{name}{i}" for i in range(int(rng.integers(2, 4)))))
+        for name in ("x", "y")
+    ]
+
+    def kernel(space):
+        return {p: dict(zip(space.outcomes, _random_row(rng, len(space)))) for p in phase.labels}
+
+    a1, a2 = (ClassicalObservable(phase, space, kernel(space)) for space in spaces)
+    if rng.random() < 0.5:
+        joint = classical_joint(a1, a2)
+    else:
+        codomain = ProductSpace(*spaces)
+        joint = ClassicalJoint(phase, codomain, kernel(codomain))
+    state = DiscreteMeasure(phase, dict(zip(phase.labels, _random_row(rng, len(phase)))))
+    return joint, a1, a2, state
+
+
+@pytest.mark.parametrize("seed", range(RANDOM_DRAWS))
+def test_random_classical_draws_match_oracle(seed):
+    check_classical(*_random_classical_case(np.random.default_rng([13, seed])))
+
+
+def test_random_classical_draws_reach_the_failure_paths():
+    """The classical draws exercise missing densities, not only clean splits."""
+    seen = set()
+    for seed in range(RANDOM_DRAWS):
+        case = _random_classical_case(np.random.default_rng([13, seed]))
+        try:
+            expected = split_oracle.classical_split(*case)
+        except AbsoluteContinuityViolation:
+            seen.add("rho_t missing")
+            continue
+        seen.add("rho_e missing" if expected["rho_e"] is None else "split")
+    assert seen == {"rho_t missing", "rho_e missing", "split"}
+
+
+# absolute continuity -------------------------------------------------------
+
+
+def _tilted():
+    eps = 1e-3
+    return PureState(np.sqrt(1 - eps**2) * np.kron(UP, UP) + eps * np.kron(DOWN, DOWN))
+
+
+def test_tilted_product_state_message_is_unchanged(spin_pair):
+    """The tilted product state of test_correlation: the joint has mass at
+    the far corner where the classical product is below the support. The
+    literal is the message the dict-based split raised there."""
+    a1, a2, joint = spin_pair
+    psi = _tilted()
+    dec = ConvexDecomposition([(1.0, psi)], DensityOperator.from_pure(psi))
+    with pytest.raises(AbsoluteContinuityViolation) as expected:
+        split_oracle.quantum_split(joint, a1, a2, dec)
+    with pytest.raises(AbsoluteContinuityViolation) as raised:
+        entanglement(joint, a1, a2, dec)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == (
+        "numerator has mass 1e-06 at ('-1/2', '-1/2') "
+        "where the denominator vanishes"
+    )
+    # the pure state's marginals vanish there too, so rho_t itself fails
+    with pytest.raises(AbsoluteContinuityViolation) as raised:
+        correlation_report(joint, a1, a2, dec)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_tilted_mixture_records_the_same_error(spin_pair):
+    a1, a2, joint = spin_pair
+    components = [(0.5, _tilted()), (0.5, PureState(np.kron(DOWN, UP)))]
+    dec = ConvexDecomposition(components, DensityOperator.from_mixture(components))
+    expected = split_oracle.quantum_split(joint, a1, a2, dec)
+    report = correlation_report(joint, a1, a2, dec)
+    assert report.rho_e_error == expected["rho_e_error"]
+    assert_matches(report, expected)
