@@ -9,10 +9,12 @@ built-in examples.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NonCommuting,
     NonHermitianInput,
@@ -26,7 +28,6 @@ from .hilbert import (
     _hermitian_deviation,
     _max_abs,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
 )
 from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, _normalize_outcome
 from .tolerance import DEGENERACY_TOL, validation_eps
@@ -75,48 +76,42 @@ class Povm:
             raise ValidationError(
                 f"effects must cover the space exactly (missing {missing!r}, extra {extra!r})"
             )
-        dim = table[outcomes[0]].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for outcome in outcomes:
-            effect = table[outcome]
-            if effect.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"effect at {outcome!r} has dimension {effect.shape[0]}, expected {dim}"
-                )
-            deviation = _hermitian_deviation(effect)
-            if deviation > eps:
+        matrices = [table[o] for o in outcomes]
+        dim = matrices[0].shape[0]
+        # Outcome by outcome, the checks run dimension, Hermitian, PSD; the
+        # first offending outcome is reported.
+        fitting = next((i for i, m in enumerate(matrices) if m.shape[0] != dim), len(matrices))
+        stack = np.stack(matrices[:fitting])
+        spectra = _effect_spectra(stack)
+        smallest = spectra.values[:, 0]
+        offending = np.flatnonzero((spectra.deviation > eps) | (smallest < -eps))
+        if offending.size:
+            index = offending[0]
+            if spectra.deviation[index] > eps:
                 raise ValidationError(
-                    f"effect at {outcome!r} is not Hermitian (max deviation {deviation:.3e})"
+                    f"effect at {outcomes[index]!r} is not Hermitian "
+                    f"(max deviation {spectra.deviation[index]:.3e})"
                 )
-            smallest = float(np.min(hermitian_eigenvalues(effect)))
-            if smallest < -eps:
-                raise ValidationError(
-                    f"effect at {outcome!r} is not positive semidefinite "
-                    f"(eigenvalue {smallest:.3e})"
-                )
-            total += effect
-        completeness = _max_abs(total - np.eye(dim))
+            raise ValidationError(
+                f"effect at {outcomes[index]!r} is not positive semidefinite "
+                f"(eigenvalue {smallest[index]:.3e})"
+            )
+        if fitting < len(matrices):
+            raise DimensionMismatch(
+                f"effect at {outcomes[fitting]!r} has dimension "
+                f"{matrices[fitting].shape[0]}, expected {dim}"
+            )
+        completeness = _max_abs(stack.sum(axis=0) - np.eye(dim))
         if completeness > eps:
             raise ValidationError(
                 f"effects do not sum to the identity (max deviation {completeness:.3e})"
             )
+        stack.setflags(write=False)
         self._space = space
-        self._stack = np.stack([table[o] for o in outcomes])
-        self._stack.setflags(write=False)
+        self._stack = stack
         self._index = {o: i for i, o in enumerate(outcomes)}
         self._dim = dim
-        self._is_projective = self._detect_projective(eps)
-
-    def _detect_projective(self, eps: float) -> bool:
-        effects = self._stack
-        for effect in effects:
-            if _max_abs(effect @ effect - effect) > eps:
-                return False
-        for i, left in enumerate(effects):
-            for right in effects[i + 1 :]:
-                if _max_abs(left @ right) > eps:
-                    return False
-        return True
+        self._is_projective = _detect_projective(stack, spectra, eps)
 
     @classmethod
     def from_operator(cls, operator, labels=None) -> "Povm":
@@ -189,6 +184,84 @@ class Povm:
         return f"Povm({kind}, dim={self._dim}, outcomes={len(self._stack)})"
 
 
+_CHUNK_ENTRIES = 1 << 14  # entries per batched temporary: 256 KB of complex128
+
+
+class _Spectra(NamedTuple):
+    """Batched per-effect quantities of a stack of square matrices."""
+
+    deviation: np.ndarray  # (k,) max |E - E^H|
+    values: np.ndarray  # (k, d) eigenvalues, ascending
+    residual: np.ndarray  # (k,) max |E E - E|
+    kept: np.ndarray  # (m, d) eigenvectors with eigenvalue > 1/2, as rows scaled by it
+    owner: np.ndarray  # (m,) index of the effect each kept row belongs to
+
+
+def _effect_spectra(stack: np.ndarray) -> _Spectra:
+    """Hermiticity deviations, eigenvalues, idempotence residuals and the
+    eigenpairs above 1/2 of a (k, d, d) stack, in chunks of at most
+    `_CHUNK_ENTRIES` entries so that no temporary is stack-sized."""
+    count, dim, _ = stack.shape
+    step = max(1, _CHUNK_ENTRIES // max(dim * dim, 1))
+    deviation = np.empty(count)
+    residual = np.empty(count)
+    values = np.empty((count, dim))
+    kept, owner = [], []
+    for start in range(0, count, step):
+        chunk = stack[start : start + step]
+        part = slice(start, start + len(chunk))
+        deviation[part] = np.abs(chunk - chunk.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        residual[part] = np.abs(chunk @ chunk - chunk).max(axis=(1, 2))
+        try:
+            lam, vec = np.linalg.eigh(chunk)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+        values[part] = lam
+        rows, columns = np.nonzero(lam > 0.5)
+        kept.append(vec[rows, :, columns] * lam[rows, columns, None])
+        owner.append(rows + start)
+    return _Spectra(deviation, values, residual, np.concatenate(kept), np.concatenate(owner))
+
+
+def _cleared_pairs(spectra: _Spectra, eps: float) -> np.ndarray:
+    """(k, k) mask of effect pairs whose product is certified within eps/2.
+
+    Each effect splits as E_i = Ẽ_i + R_i, where Ẽ_i = V_i Λ_i V_iᴴ holds the
+    eigenpairs above 1/2 and ‖R_i‖ = r_i, the largest |λ| of the rest. With
+    n_i the largest |λ| overall,
+    max|E_i E_j| ≤ ‖Λ_i V_iᴴ V_j Λ_j‖_F + n_i r_j + r_i n_j + r_i r_j.
+    All blocks come from one Gram matrix of the kept rows; a pair is cleared
+    when its bound plus a rounding allowance of order d·u is at most eps/2.
+    """
+    values = spectra.values
+    count, dim = values.shape
+    magnitude = np.abs(values)
+    largest = magnitude.max(axis=1)
+    rest = np.where(values > 0.5, 0.0, magnitude).max(axis=1)
+    gram = spectra.kept.conj() @ spectra.kept.T
+    owner = spectra.owner
+    blocks = np.bincount(
+        (owner[:, None] * count + owner).ravel(),
+        weights=(np.abs(gram) ** 2).ravel(),
+        minlength=count * count,
+    ).reshape(count, count)
+    slack = 16 * dim * np.finfo(float).eps  # rounding allowance, relative to n_i n_j
+    # n_i r_j + r_i n_j + r_i r_j + slack n_i n_j, grouped
+    spill = largest[:, None] * (rest + slack * largest) + rest[:, None] * (largest + rest)
+    return np.sqrt(blocks) + spill <= eps / 2
+
+
+def _detect_projective(stack: np.ndarray, spectra: _Spectra, eps: float) -> bool:
+    """Every effect idempotent and distinct effects annihilating each other,
+    all within eps. Pairs the certificate does not clear get the exact test."""
+    if spectra.residual.max() > eps:
+        return False
+    for i, j in zip(*np.nonzero(~_cleared_pairs(spectra, eps))):
+        if i < j and _max_abs(stack[i] @ stack[j]) > eps:
+            return False
+    return True
+
+
 def outcome_measure(observable: Povm, state: DensityOperator) -> DiscreteMeasure:
     """Outcome statistics of `observable` at `state` via the trace rule.
 
@@ -221,22 +294,17 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
             f"observable dimensions differ: {a1.dim} vs {a2.dim}"
         )
     eps = validation_eps()
-    for l1 in a1.space.labels:
-        for l2 in a2.space.labels:
-            left = a1.effect(l1)
-            right = a2.effect(l2)
-            gap = _max_abs(left @ right - right @ left)
+    effects = {}
+    for l1, left in zip(a1.space.labels, a1._stack):
+        products = left @ a2._stack  # one row of the grid: E1(l1) E2(y) for every y
+        gaps = np.abs(products - a2._stack @ left).max(axis=(1, 2))
+        for l2, product, gap in zip(a2.space.labels, products, gaps):
             if gap > eps:
                 raise NonCommuting(
                     f"effects at {l1!r} and {l2!r} do not commute (max deviation {gap:.3e})"
                 )
-    space = ProductSpace(a1.space, a2.space)
-    effects = {
-        (l1, l2): a1.effect(l1) @ a2.effect(l2)
-        for l1 in a1.space.labels
-        for l2 in a2.space.labels
-    }
-    return Povm(space, effects)
+            effects[(l1, l2)] = product
+    return Povm(ProductSpace(a1.space, a2.space), effects)
 
 
 def marginal_observable(joint: Povm, side) -> Povm:
