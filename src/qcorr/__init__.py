@@ -19,20 +19,11 @@ from .classical_frame import (
     ClassicalObservable,
     PhaseSpace,
     classical_joint,
-    classical_rho_c,
-    classical_rho_e,
-    classical_rho_t,
+    classical_report,
     is_deterministic,
     is_marginally_consistent,
 )
-from .correlation import (
-    CorrelationReport,
-    classical_correlation,
-    classical_product_measure,
-    correlation_report,
-    entanglement,
-    total_correlation,
-)
+from .correlation import CorrelationReport, correlation_report
 from .errors import (
     AbsoluteContinuityViolation,
     ConvergenceFailure,
@@ -73,8 +64,6 @@ from .measure import (
     DiscreteMeasure,
     OutcomeSpace,
     ProductSpace,
-    density,
-    density_product,
     dirac,
     marginal,
     mix,
@@ -122,8 +111,6 @@ __all__ = [
     "product",
     "marginal",
     "mix",
-    "density",
-    "density_product",
     # quantum states and observables
     "PureState",
     "DensityOperator",
@@ -142,10 +129,6 @@ __all__ = [
     "check_joint",
     "spin_z_pair",
     # correlation engine
-    "classical_product_measure",
-    "total_correlation",
-    "classical_correlation",
-    "entanglement",
     "CorrelationReport",
     "correlation_report",
     # classical frame
@@ -155,9 +138,7 @@ __all__ = [
     "classical_joint",
     "is_deterministic",
     "is_marginally_consistent",
-    "classical_rho_t",
-    "classical_rho_c",
-    "classical_rho_e",
+    "classical_report",
     # scenarios and reports
     "QuantumScenario",
     "ClassicalScenario",

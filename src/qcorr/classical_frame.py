@@ -18,14 +18,7 @@ import numpy as np
 
 from .correlation import CorrelationReport, split_report
 from .errors import SpaceMismatch, UnknownLabel, ValidationError
-from .measure import (
-    DensityFunction,
-    DiscreteMeasure,
-    OutcomeSpace,
-    ProductSpace,
-    density,
-    product,
-)
+from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, product
 from .tolerance import validation_eps
 
 __all__ = [
@@ -36,9 +29,6 @@ __all__ = [
     "is_deterministic",
     "classical_joint",
     "is_marginally_consistent",
-    "classical_rho_t",
-    "classical_rho_c",
-    "classical_rho_e",
     "classical_report",
 ]
 
@@ -171,53 +161,6 @@ def _require_product_codomain(
         raise SpaceMismatch("joint codomain is not the product of the observable codomains")
 
 
-def classical_rho_t(
-    joint: ClassicalJoint,
-    a1: ClassicalObservable,
-    a2: ClassicalObservable,
-    state: DiscreteMeasure,
-) -> DensityFunction:
-    """Total correlation of the joint statistics at `state` against the
-    product of the single-observable statistics.
-
-    Marginal consistency of the joint is not required; an inconsistent joint
-    can escape the product's support, in which case the density fails with
-    AbsoluteContinuityViolation.
-    """
-    _require_product_codomain(joint, a1, a2)
-    numerator = apply(joint, state)
-    denominator = product(apply(a1, state), apply(a2, state))
-    return density(numerator, denominator)
-
-
-def classical_rho_c(
-    a1: ClassicalObservable, a2: ClassicalObservable, state: DiscreteMeasure
-) -> DensityFunction:
-    """Classical correlation: the canonical product joint's statistics against
-    the product of the marginals. Constant 1 at every Dirac state."""
-    numerator = apply(classical_joint(a1, a2), state)
-    denominator = product(apply(a1, state), apply(a2, state))
-    return density(numerator, denominator)
-
-
-def classical_rho_e(
-    joint: ClassicalJoint,
-    a1: ClassicalObservable,
-    a2: ClassicalObservable,
-    state: DiscreteMeasure,
-) -> DensityFunction:
-    """Entanglement-type correlation: the joint's statistics against the
-    canonical product joint's statistics.
-
-    Can differ from 1 even at a Dirac state, when the chosen joint correlates
-    outcomes beyond the product coupling.
-    """
-    _require_product_codomain(joint, a1, a2)
-    numerator = apply(joint, state)
-    denominator = apply(classical_joint(a1, a2), state)
-    return density(numerator, denominator)
-
-
 def classical_report(
     joint: ClassicalJoint,
     a1: ClassicalObservable,
@@ -228,6 +171,11 @@ def classical_report(
 
     Phase-space points play the pure components: the state's weights mix the
     kernel rows into the classical product, the canonical joint's statistics.
+    rho_c is constant 1 at every Dirac state; rho_e can still differ from 1
+    there, when the chosen joint correlates outcomes beyond the product
+    coupling. Marginal consistency of the joint is not required; an
+    inconsistent joint can escape the product's support, in which case rho_t
+    fails with AbsoluteContinuityViolation.
     """
     _require_product_codomain(joint, a1, a2)
     measures = apply(joint, state), apply(a1, state), apply(a2, state)

@@ -18,24 +18,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, JointMarginalMismatch
 from .hilbert import ConvexDecomposition, DensityOperator, spectral_decompose
-from .measure import (
-    DensityFunction,
-    DiscreteMeasure,
-    ProductSpace,
-    correlation_split,
-    density,
-    mix_rows,
-    product,
-)
+from .measure import DensityFunction, DiscreteMeasure, correlation_split
 from .observable import Povm, check_joint, outcome_measure
 
 __all__ = [
     "ConvexDecomposition",
     "CorrelationReport",
-    "classical_product_measure",
-    "total_correlation",
-    "classical_correlation",
-    "entanglement",
     "correlation_report",
     "split_report",
 ]
@@ -54,64 +42,11 @@ def _component_rows(
     return np.array(decomposition.weights), a1.born_rows(vectors), a2.born_rows(vectors)
 
 
-def classical_product_measure(
-    a1: Povm, a2: Povm, decomposition: ConvexDecomposition
-) -> DiscreteMeasure:
-    """Mixture of per-component product statistics, sum(w_i A1(P_i) x A2(P_i)).
-
-    This is the joint measure a classical mixing device would produce if each
-    component state fed both observables independently; it carries exactly
-    the correlation injected by the mixing weights.
-    """
-    table = mix_rows(*_component_rows(a1, a2, decomposition))
-    return DiscreteMeasure.from_array(ProductSpace(a1.space, a2.space), table)
-
-
 def _require_joint(joint: Povm, a1: Povm, a2: Povm) -> None:
     if not check_joint(joint, a1, a2):
         raise JointMarginalMismatch(
             "joint observable's marginals do not reproduce the given pair"
         )
-
-
-def total_correlation(
-    joint: Povm, a1: Povm, a2: Povm, state: DensityOperator
-) -> DensityFunction:
-    """Density of the joint statistics against the product of the marginals.
-
-    Constant 1 exactly when the joint statistics factorize. Depends only on
-    the state, not on any decomposition of it.
-    """
-    _require_joint(joint, a1, a2)
-    joint_measure = outcome_measure(joint, state)
-    marginals = product(outcome_measure(a1, state), outcome_measure(a2, state))
-    return density(joint_measure, marginals)
-
-
-def classical_correlation(
-    a1: Povm, a2: Povm, decomposition: ConvexDecomposition
-) -> DensityFunction:
-    """Density of the decomposition's classical product measure against the
-    product of the state's marginal statistics."""
-    state = decomposition.target
-    numerator = classical_product_measure(a1, a2, decomposition)
-    denominator = product(outcome_measure(a1, state), outcome_measure(a2, state))
-    return density(numerator, denominator)
-
-
-def entanglement(
-    joint: Povm, a1: Povm, a2: Povm, decomposition: ConvexDecomposition
-) -> DensityFunction:
-    """Density of the joint statistics against the classical product measure.
-
-    Constant 1 means every correlation in the joint statistics is accounted
-    for by the mixing; deviations are correlation carried by the components.
-    Raises AbsoluteContinuityViolation when the joint statistics put mass
-    where the classical product measure has none.
-    """
-    _require_joint(joint, a1, a2)
-    joint_measure = outcome_measure(joint, decomposition.target)
-    return density(joint_measure, classical_product_measure(a1, a2, decomposition))
 
 
 @dataclass

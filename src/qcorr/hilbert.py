@@ -38,6 +38,8 @@ def _as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValidationError(f"{name} must not be empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
@@ -258,14 +260,13 @@ class ConvexDecomposition:
         total = math.fsum(w for w, _ in comps)
         if abs(total - 1.0) > validation_eps():
             raise ValidationError(f"decomposition weights sum to {total!r}, expected 1")
-        rebuilt = sum(w * s.projector() for w, s in comps)
-        error = _max_abs(rebuilt - target.matrix)
+        self._components = tuple(comps)
+        self._target = target
+        error = _max_abs(self.reconstruction() - target.matrix)
         if error > RECONSTRUCTION_TOL:
             raise ValidationError(
                 f"decomposition does not reconstruct the target state (max entry error {error:.3e})"
             )
-        self._components = tuple(comps)
-        self._target = target
 
     @classmethod
     def from_components(
@@ -289,7 +290,8 @@ class ConvexDecomposition:
 
     def reconstruction(self) -> np.ndarray:
         """sum(w_i |psi_i><psi_i|) as a fresh matrix."""
-        return sum(w * s.projector() for w, s in self._components)
+        vectors = np.array([s.vector for _, s in self._components])
+        return (vectors.T * self.weights) @ vectors.conj()
 
     def __len__(self) -> int:
         return len(self._components)

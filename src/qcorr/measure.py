@@ -3,6 +3,7 @@
 Provides the product, marginal, and mixture constructions, plus pointwise
 density functions (likelihood ratios) between measures on the same space.
 Product-space points are ordered row-major: the right factor varies fastest.
+Measures and densities each hold one read-only float array in that order.
 
 `correlation_split` is the one array kernel of both frames: it mixes
 per-component outcome rows and divides the measures into rho_t, rho_c, rho_e.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Literal, Union
 
@@ -37,8 +39,6 @@ __all__ = [
     "product",
     "marginal",
     "mix",
-    "density",
-    "density_product",
     "Split",
     "mix_rows",
     "correlation_split",
@@ -67,6 +67,11 @@ class OutcomeSpace:
     def outcomes(self) -> tuple[str, ...]:
         return self.labels
 
+    @cached_property
+    def index(self) -> Mapping[str, int]:
+        """Position of each outcome in the space's order."""
+        return MappingProxyType({label: i for i, label in enumerate(self.labels)})
+
     def __contains__(self, label) -> bool:
         return label in self.labels
 
@@ -86,13 +91,18 @@ class ProductSpace:
             if isinstance(factor, ProductSpace) or not isinstance(factor, OutcomeSpace):
                 raise ValidationError(f"{name} factor must be a simple outcome space")
 
-    @property
+    @cached_property
     def points(self) -> tuple[tuple[str, str], ...]:
         return tuple((l, r) for l in self.left.labels for r in self.right.labels)
 
     @property
     def outcomes(self) -> tuple[tuple[str, str], ...]:
         return self.points
+
+    @cached_property
+    def index(self) -> Mapping[tuple[str, str], int]:
+        """Position of each point in the row-major order."""
+        return MappingProxyType({point: i for i, point in enumerate(self.points)})
 
     def __contains__(self, point) -> bool:
         return (
@@ -109,16 +119,25 @@ class ProductSpace:
 Space = Union[OutcomeSpace, ProductSpace]
 
 
-def _normalize_outcome(space: Space, outcome) -> Outcome:
+def _position(space: Space, outcome) -> int:
+    """Index of `outcome` in the space's order; a product point may be given
+    as any pair."""
+    try:
+        return space.index[tuple(outcome) if isinstance(outcome, list) else outcome]
+    except (KeyError, TypeError):
+        pass
     if isinstance(space, ProductSpace):
-        if isinstance(outcome, (tuple, list)) and len(outcome) == 2:
-            candidate = (outcome[0], outcome[1])
-            if candidate in space:
-                return candidate
         raise UnknownLabel(f"outcome {outcome!r} is not a point of the product space")
-    if outcome in space:
-        return outcome
     raise UnknownLabel(f"outcome {outcome!r} is not in the space {space.labels!r}")
+
+
+def _readonly_row(space: Space, values) -> np.ndarray:
+    """`values` as a fresh read-only float array of one entry per outcome."""
+    array = np.array(values, dtype=float).ravel()
+    if array.size != len(space):
+        raise ValidationError(f"expected {len(space)} values, got {array.size}")
+    array.setflags(write=False)
+    return array
 
 
 class DiscreteMeasure:
@@ -129,30 +148,23 @@ class DiscreteMeasure:
     validation tolerance (rounding noise), and must sum to one.
     """
 
-    __slots__ = ("_space", "_weights")
+    __slots__ = ("_space", "_array")
 
     def __init__(self, space: Space, weights: Mapping):
-        eps = validation_eps()
-        table = dict.fromkeys(space.outcomes, 0.0)
+        values = np.zeros(len(space))
         for outcome, value in dict(weights).items():
-            key = _normalize_outcome(space, outcome)
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValidationError(f"weight at {outcome!r} is not finite")
-            if value < -eps:
-                raise ValidationError(f"negative weight {value!r} at {outcome!r}")
-            table[key] = value
-        total = math.fsum(table.values())
-        if abs(total - 1.0) > eps:
-            raise ValidationError(f"weights sum to {total!r}, expected 1")
+            values[_position(space, outcome)] = float(value)
         self._space = space
-        self._weights = table
+        self._array = _checked_weights(space, values)
 
     @classmethod
     def from_array(cls, space: Space, values) -> "DiscreteMeasure":
         """Measure whose weights are `values`, aligned with the space's
         outcome order (row-major for product spaces)."""
-        return cls(space, dict(zip(space.outcomes, np.ravel(values).tolist())))
+        measure = cls.__new__(cls)
+        measure._space = space
+        measure._array = _checked_weights(space, values)
+        return measure
 
     @property
     def space(self) -> Space:
@@ -160,29 +172,47 @@ class DiscreteMeasure:
 
     @property
     def weights(self) -> Mapping[Outcome, float]:
-        return MappingProxyType(self._weights)
+        return MappingProxyType(dict(zip(self._space.outcomes, self._array.tolist())))
 
     def weight(self, outcome) -> float:
-        return self._weights[_normalize_outcome(self._space, outcome)]
+        return float(self._array[_position(self._space, outcome)])
 
     def as_array(self) -> np.ndarray:
-        """Weights aligned with the space's outcome order (row-major)."""
-        return np.array([self._weights[o] for o in self._space.outcomes], dtype=float)
+        """Weights aligned with the space's outcome order (row-major), read-only."""
+        return self._array
 
     def support(self, threshold: float = EPS) -> tuple[Outcome, ...]:
-        return tuple(o for o in self._space.outcomes if self._weights[o] > threshold)
+        outcomes = self._space.outcomes
+        return tuple(outcomes[i] for i in np.flatnonzero(self._array > threshold))
 
     def items(self):
-        return self._weights.items()
+        return self.weights.items()
 
     def __repr__(self) -> str:
-        return f"DiscreteMeasure({len(self._weights)} outcomes)"
+        return f"DiscreteMeasure({len(self._array)} outcomes)"
+
+
+def _checked_weights(space: Space, values) -> np.ndarray:
+    """Validated read-only weights: finite, not below -eps, summing to one."""
+    array = _readonly_row(space, values)
+    eps = validation_eps()
+    for index in (array.argmin(), array.argmax()):  # the extremes; both find a NaN
+        value, outcome = float(array[index]), space.outcomes[index]
+        if not math.isfinite(value):
+            raise ValidationError(f"weight at {outcome!r} is not finite")
+        if value < -eps:
+            raise ValidationError(f"negative weight {value!r} at {outcome!r}")
+    total = math.fsum(array.tolist())
+    if abs(total - 1.0) > eps:
+        raise ValidationError(f"weights sum to {total!r}, expected 1")
+    return array
 
 
 def dirac(space: Space, outcome) -> DiscreteMeasure:
     """Point mass at `outcome`."""
-    key = _normalize_outcome(space, outcome)
-    return DiscreteMeasure(space, {key: 1.0})
+    values = np.zeros(len(space))
+    values[_position(space, outcome)] = 1.0
+    return DiscreteMeasure.from_array(space, values)
 
 
 def product(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> DiscreteMeasure:
@@ -230,29 +260,29 @@ class DensityFunction:
     """Pointwise quotient of two measures, defined on the denominator support.
 
     Values exist exactly on the support; everything else is genuinely
-    undefined (reported as a dash in tables, null in JSON), not zero.
+    undefined (NaN in the array, a dash in tables, null in JSON), not zero.
     """
 
-    __slots__ = ("_space", "_values")
+    __slots__ = ("_space", "_array")
 
     def __init__(self, space: Space, values: Mapping):
-        table = {}
+        array = np.full(len(space), np.nan)
+        given = np.zeros(len(space), dtype=bool)
         for outcome, value in dict(values).items():
-            key = _normalize_outcome(space, outcome)
-            value = float(value)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(f"density value {value!r} at {outcome!r} is invalid")
-            table[key] = value
-        # iteration follows the space's outcome order
+            position = _position(space, outcome)
+            array[position], given[position] = float(value), True
         self._space = space
-        self._values = {o: table[o] for o in space.outcomes if o in table}
+        self._array = _checked_density(space, _readonly_row(space, array), given)
 
     @classmethod
     def from_array(cls, space: Space, values) -> "DensityFunction":
         """Density whose values are `values` in the space's outcome order;
         NaN entries lie off the support."""
-        flat = np.ravel(values).tolist()
-        return cls(space, {o: v for o, v in zip(space.outcomes, flat) if not math.isnan(v)})
+        array = _readonly_row(space, values)
+        density = cls.__new__(cls)
+        density._space = space
+        density._array = _checked_density(space, array, array == array)  # False at NaN
+        return density
 
     @property
     def space(self) -> Space:
@@ -260,70 +290,72 @@ class DensityFunction:
 
     @property
     def values(self) -> Mapping[Outcome, float]:
-        return MappingProxyType(self._values)
+        pairs = zip(self._space.outcomes, self._array.tolist())
+        return MappingProxyType({o: v for o, v in pairs if not math.isnan(v)})
 
     @property
     def support(self) -> frozenset:
-        return frozenset(self._values)
+        outcomes = self._space.outcomes
+        return frozenset(outcomes[i] for i in np.flatnonzero(~np.isnan(self._array)))
+
+    def as_array(self) -> np.ndarray:
+        """Values in the space's outcome order, NaN off the support, read-only."""
+        return self._array
 
     def value(self, outcome) -> float:
-        key = _normalize_outcome(self._space, outcome)
-        if key not in self._values:
+        value = self._array[_position(self._space, outcome)]
+        if math.isnan(value):
             raise UnknownLabel(f"outcome {outcome!r} is outside the support")
-        return self._values[key]
+        return float(value)
 
     def get(self, outcome) -> float | None:
-        key = _normalize_outcome(self._space, outcome)
-        return self._values.get(key)
+        value = self._array[_position(self._space, outcome)]
+        return None if math.isnan(value) else float(value)
 
     def deviation_from(self, constant: float) -> float:
         """Largest |value - constant| over the support; 0.0 if support is empty."""
-        return max((abs(v - constant) for v in self._values.values()), default=0.0)
+        return _nanmax(np.abs(self._array - constant))
 
     def max_difference(self, other: "DensityFunction") -> float:
         """Largest pointwise gap to `other` over the shared support."""
         if self._space != other.space:
             raise SpaceMismatch("densities live on different spaces")
-        common = self.support & other.support
-        return max((abs(self._values[o] - other._values[o]) for o in common), default=0.0)
+        return _nanmax(np.abs(self._array - other._array))
 
     def __repr__(self) -> str:
-        return f"DensityFunction(support={len(self._values)}/{len(self._space.outcomes)})"
+        count = int(np.count_nonzero(~np.isnan(self._array)))
+        return f"DensityFunction(support={count}/{len(self._space.outcomes)})"
 
 
-def density(num: DiscreteMeasure, den: DiscreteMeasure) -> DensityFunction:
-    """Density of `num` with respect to `den` on `den`'s support.
+def _checked_density(space: Space, array: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """`array` (NaN off the support) once every `defined` entry is checked
+    finite and nonnegative."""
+    invalid = defined > ((array >= 0.0) & (array < math.inf))
+    index = int(invalid.argmax())  # the first invalid entry, if any
+    if invalid[index]:
+        value, outcome = float(array[index]), space.outcomes[index]
+        raise ValidationError(f"density value {value!r} at {outcome!r} is invalid")
+    return array
 
-    Raises AbsoluteContinuityViolation when `num` carries mass at a point
-    where `den` vanishes; the density does not exist there and no partial
-    answer is returned.
-    """
-    if num.space != den.space:
-        raise SpaceMismatch("numerator and denominator live on different spaces")
-    values = _quotient(num.as_array(), den.as_array(), num.space.outcomes)
-    return DensityFunction.from_array(num.space, values)
+
+def _nanmax(values: np.ndarray) -> float:
+    """Largest non-NaN entry; 0.0 when there is none."""
+    values = values[~np.isnan(values)]
+    return float(values.max()) if values.size else 0.0
 
 
 def _quotient(num: np.ndarray, den: np.ndarray, outcomes: Sequence) -> np.ndarray:
     """num / den where den exceeds EPS, NaN elsewhere; `outcomes` labels the
     flat entries for the error at the first point where num escapes den."""
     support = den > EPS
-    escaped = np.flatnonzero(~support & (num > EPS))
-    if escaped.size:
-        index = escaped[0]
+    escaped = (num > EPS) > support
+    index = escaped.argmax()  # the first escaped point, if any
+    if escaped.flat[index]:
         raise AbsoluteContinuityViolation(
             f"numerator has mass {float(num.flat[index])!r} at {outcomes[index]!r} "
             "where the denominator vanishes"
         )
-    return np.divide(np.maximum(num, 0.0), den, out=np.full(den.shape, np.nan), where=support)
-
-
-def density_product(a: DensityFunction, b: DensityFunction) -> DensityFunction:
-    """Pointwise product of two densities on the intersection of supports."""
-    if a.space != b.space:
-        raise SpaceMismatch("densities live on different spaces")
-    common = a.support & b.support
-    return DensityFunction(a.space, {o: a.values[o] * b.values[o] for o in common})
+    return np.maximum(num, 0.0) / np.where(support, den, np.nan)
 
 
 @dataclass(frozen=True)
@@ -372,7 +404,5 @@ def correlation_split(
     (rho_c, rho_c_error), (rho_e, rho_e_error) = factors
     residual = None
     if rho_c is not None and rho_e is not None:
-        gap = np.abs(rho_c * rho_e - rho_t)
-        gap = gap[~np.isnan(gap)]
-        residual = float(gap.max()) if gap.size else 0.0
+        residual = _nanmax(np.abs(rho_c * rho_e - rho_t))
     return Split(independent, classical, rho_t, rho_c, rho_e, rho_c_error, rho_e_error, residual)

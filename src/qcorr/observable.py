@@ -29,7 +29,7 @@ from .hilbert import (
     _max_abs,
     hermitian_eigensystem,
 )
-from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, _normalize_outcome
+from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, _position
 from .tolerance import DEGENERACY_TOL, validation_eps
 
 __all__ = [
@@ -61,14 +61,14 @@ class Povm:
     effects must annihilate each other, all within tolerance.
     """
 
-    __slots__ = ("_space", "_stack", "_index", "_dim", "_is_projective")
+    __slots__ = ("_space", "_stack", "_dim", "_is_projective")
 
     def __init__(self, space, effects: Mapping):
         eps = validation_eps()
         outcomes = tuple(space.outcomes)
         table = {}
         for outcome, matrix in dict(effects).items():
-            key = _normalize_outcome(space, outcome)
+            key = outcomes[_position(space, outcome)]
             table[key] = _as_complex_matrix(matrix, name=f"effect at {outcome!r}")
         missing = [o for o in outcomes if o not in table]
         extra = [o for o in table if o not in outcomes]
@@ -109,7 +109,6 @@ class Povm:
         stack.setflags(write=False)
         self._space = space
         self._stack = stack
-        self._index = {o: i for i, o in enumerate(outcomes)}
         self._dim = dim
         self._is_projective = _detect_projective(stack, spectra, eps)
 
@@ -171,7 +170,7 @@ class Povm:
         return dict(zip(self._space.outcomes, self._stack))
 
     def effect(self, outcome) -> np.ndarray:
-        return self._stack[self._index[_normalize_outcome(self._space, outcome)]]
+        return self._stack[_position(self._space, outcome)]
 
     def born_rows(self, vectors: np.ndarray) -> np.ndarray:
         """Outcome statistics <v|E(x)|v> (n x k) of the unit vectors stacked

@@ -9,6 +9,7 @@ precision so reports round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -91,19 +92,26 @@ class ReportDocument:
 
 
 def _measure_values(measure: DiscreteMeasure) -> list[float]:
-    return [measure.weight(o) for o in measure.space.outcomes]
+    return measure.as_array().tolist()
 
 
 def _density_values(rho: DensityFunction | None) -> list[float | None] | None:
     if rho is None:
         return None
-    return [rho.get(o) for o in rho.space.outcomes]
+    return [None if math.isnan(v) else v for v in rho.as_array().tolist()]
 
 
 def _fmt(value: float | None) -> str:
     if value is None:
         return OFF_SUPPORT
     return f"{value:.6g}"
+
+
+def _cells(values: list[float | None] | None, count: int) -> list[str]:
+    """Formatted table cells; a density that does not exist is all dashes."""
+    if values is None:
+        return [OFF_SUPPORT] * count
+    return [_fmt(v) for v in values]
 
 
 def _point_header(point: tuple[str, str]) -> str:
@@ -123,29 +131,20 @@ def _emit_table(report: ReportDocument) -> str:
     points = report.space.points
     headers = [_point_header(p) for p in points]
 
-    rows: list[tuple[str, list[str]]] = []
-    rows.append(("joint measure", [_fmt(report.joint_measure.weight(p)) for p in points]))
-    rows.append(
-        ("product of marginals", [_fmt(report.product_measure.weight(p)) for p in points])
-    )
-    rows.append(("rho_t (total)", [_fmt(report.rho_t.get(p)) for p in points]))
-    block_rows: list[list[tuple[str, list[str]]]] = []
-    for block in report.blocks:
-        entries = [
-            (
-                "classical product",
-                [_fmt(block.classical_product.weight(p)) for p in points],
-            ),
-            (
-                "rho_c (classical)",
-                [_fmt(block.rho_c.get(p)) if block.rho_c else OFF_SUPPORT for p in points],
-            ),
-            (
-                "rho_e (entanglement)",
-                [_fmt(block.rho_e.get(p)) if block.rho_e else OFF_SUPPORT for p in points],
-            ),
+    count = len(points)
+    rows: list[tuple[str, list[str]]] = [
+        ("joint measure", _cells(_measure_values(report.joint_measure), count)),
+        ("product of marginals", _cells(_measure_values(report.product_measure), count)),
+        ("rho_t (total)", _cells(_density_values(report.rho_t), count)),
+    ]
+    block_rows = [
+        [
+            ("classical product", _cells(_measure_values(block.classical_product), count)),
+            ("rho_c (classical)", _cells(_density_values(block.rho_c), count)),
+            ("rho_e (entanglement)", _cells(_density_values(block.rho_e), count)),
         ]
-        block_rows.append(entries)
+        for block in report.blocks
+    ]
 
     label_width = max(
         [len(label) for label, _ in rows]
@@ -175,20 +174,11 @@ def _emit_table(report: ReportDocument) -> str:
     for label, cells in rows:
         lines.append(line(label, cells))
     lines.append("")
-    lines.append(
-        "marginal 1: "
-        + "  ".join(
-            f"{label}={_fmt(report.marginal_1.weight(label))}"
-            for label in report.space.left.labels
+    for index, marginal in ((1, report.marginal_1), (2, report.marginal_2)):
+        pairs = zip(marginal.space.labels, _measure_values(marginal))
+        lines.append(
+            f"marginal {index}: " + "  ".join(f"{label}={_fmt(v)}" for label, v in pairs)
         )
-    )
-    lines.append(
-        "marginal 2: "
-        + "  ".join(
-            f"{label}={_fmt(report.marginal_2.weight(label))}"
-            for label in report.space.right.labels
-        )
-    )
     for block, entries in zip(report.blocks, block_rows):
         lines.append("")
         size = f", {block.size} components" if block.size is not None else ""

@@ -582,7 +582,7 @@ def _run_classical(scenario: ClassicalScenario) -> ReportDocument:
     state = scenario.state
     result = classical_report(joint, a1, a2, state)
     block = _block("classical-product", result, None)
-    state_is_dirac = max(state.weights.values()) >= 1.0 - EPS
+    state_is_dirac = bool(state.as_array().max() >= 1.0 - EPS)
     flags = {
         "joint_mode": "explicit" if scenario.joint is not None else "classical-product",
         "joint_marginally_consistent": is_marginally_consistent(joint, a1, a2),

@@ -16,10 +16,10 @@ from .classical_frame import (
     ClassicalJoint,
     ClassicalObservable,
     PhaseSpace,
+    classical_joint,
     classical_report,
-    classical_rho_c,
 )
-from .correlation import CorrelationReport, correlation_report, entanglement, total_correlation
+from .correlation import CorrelationReport, correlation_report
 from .hilbert import (
     ConvexDecomposition,
     DensityOperator,
@@ -27,7 +27,7 @@ from .hilbert import (
     random_decomposition,
     spectral_decompose,
 )
-from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, dirac, marginal
+from .measure import DensityFunction, DiscreteMeasure, OutcomeSpace, ProductSpace, dirac, marginal
 from .observable import Povm, joint_from_commuting, outcome_measure, spin_z_pair
 from .tolerance import PRODUCT_RULE_TOL
 
@@ -138,6 +138,11 @@ def _residual(report: CorrelationReport) -> float:
     return math.inf if residual is None else residual
 
 
+def _deviation_from_one(rho: DensityFunction | None) -> float:
+    """Largest |rho - 1| on the support; a missing density is an infinite miss."""
+    return math.inf if rho is None else rho.deviation_from(1.0)
+
+
 def _suite_quantum_product_rule(rng: np.random.Generator, trials: int) -> SuiteResult:
     """rho_c * rho_e recovers rho_t for random states, product projective
     observable pairs, and random decompositions."""
@@ -191,10 +196,12 @@ def _suite_invariance(rng: np.random.Generator, trials: int) -> SuiteResult:
         state = _random_density(rng, 4)
         spectral = spectral_decompose(state)
         shuffled = random_decomposition(state, int(rng.integers(4, 8)), rng)
-        rebuilt_1 = DensityOperator(spectral.reconstruction())
-        rebuilt_2 = DensityOperator(shuffled.reconstruction())
-        rho_1 = total_correlation(joint, a1, a2, rebuilt_1)
-        rho_2 = total_correlation(joint, a1, a2, rebuilt_2)
+        rho_1, rho_2 = (
+            correlation_report(
+                joint, a1, a2, ConvexDecomposition.from_components(dec.components)
+            ).rho_t
+            for dec in (spectral, shuffled)
+        )
         deviation = rho_1.max_difference(rho_2)
         worst = max(worst, deviation)
         if deviation >= INVARIANCE_TOL:
@@ -220,7 +227,7 @@ def _suite_separable(rng: np.random.Generator, trials: int) -> SuiteResult:
         ]
         state = DensityOperator.from_mixture(components)
         dec = ConvexDecomposition(components, state)
-        deviation = entanglement(joint, a1, a2, dec).deviation_from(1.0)
+        deviation = _deviation_from_one(correlation_report(joint, a1, a2, dec).rho_e)
         worst = max(worst, deviation)
         if deviation >= SEPARABLE_TOL:
             failures += 1
@@ -266,8 +273,8 @@ def _suite_classical_dirac(rng: np.random.Generator, trials: int) -> SuiteResult
         a1 = _random_kernel(rng, phase, codomain_1)
         a2 = _random_kernel(rng, phase, codomain_2)
         point = phase.labels[int(rng.integers(0, len(phase)))]
-        rho_c = classical_rho_c(a1, a2, dirac(phase, point))
-        deviation = rho_c.deviation_from(1.0)
+        report = classical_report(classical_joint(a1, a2), a1, a2, dirac(phase, point))
+        deviation = _deviation_from_one(report.rho_c)
         worst = max(worst, deviation)
         if deviation >= DIRAC_TOL:
             failures += 1

@@ -24,7 +24,7 @@ from qcorr.hilbert import (
     _max_abs,
     hermitian_eigenvalues,
 )
-from qcorr.measure import _normalize_outcome
+from qcorr.measure import _position
 from qcorr.tolerance import validation_eps
 
 
@@ -34,7 +34,7 @@ def povm_verdict(space, effects) -> bool:
     outcomes = tuple(space.outcomes)
     table = {}
     for outcome, matrix in dict(effects).items():
-        key = _normalize_outcome(space, outcome)
+        key = outcomes[_position(space, outcome)]
         table[key] = _as_complex_matrix(matrix, name=f"effect at {outcome!r}")
     missing = [o for o in outcomes if o not in table]
     extra = [o for o in table if o not in outcomes]

@@ -14,10 +14,7 @@ from qcorr import (
     UnknownLabel,
     ValidationError,
     classical_joint,
-    classical_rho_c,
-    classical_rho_e,
-    classical_rho_t,
-    density_product,
+    classical_report,
     dirac,
     is_deterministic,
     is_marginally_consistent,
@@ -117,22 +114,22 @@ def test_rho_t_accepts_inconsistent_joint_until_support_escapes():
         "beta": {("1", "1"): 1.0},
     }
     joint = ClassicalJoint(PHASE, ProductSpace(BITS, BITS), kernel)
-    with pytest.raises(AbsoluteContinuityViolation):
-        classical_rho_t(joint, a1, a2, dirac(PHASE, "alpha"))
+    with pytest.raises(AbsoluteContinuityViolation, match=r"at \('1', '1'\)"):
+        classical_report(joint, a1, a2, dirac(PHASE, "alpha"))
 
 
 def test_rho_c_is_one_at_dirac_states():
     a1 = fuzzy()
     a2 = readout({"alpha": "0", "beta": "1"})
     for point in PHASE.labels:
-        rho = classical_rho_c(a1, a2, dirac(PHASE, point))
-        assert rho.deviation_from(1.0) < 1e-12
+        report = classical_report(classical_joint(a1, a2), a1, a2, dirac(PHASE, point))
+        assert report.rho_c.deviation_from(1.0) < 1e-12
 
 
 def test_rho_c_nontrivial_at_mixed_state_with_sharp_readout():
     a1 = readout({"alpha": "0", "beta": "1"})
     joint_stats_state = DiscreteMeasure(PHASE, {"alpha": 0.5, "beta": 0.5})
-    rho = classical_rho_c(a1, a1, joint_stats_state)
+    rho = classical_report(classical_joint(a1, a1), a1, a1, joint_stats_state).rho_c
     assert rho.value(("0", "0")) == pytest.approx(2.0)
     assert rho.value(("1", "1")) == pytest.approx(2.0)
     assert rho.value(("0", "1")) == pytest.approx(0.0, abs=1e-15)
@@ -147,16 +144,15 @@ def test_rho_e_sees_joint_beyond_product_coupling():
         "beta": {("0", "0"): 0.3, ("1", "1"): 0.7},
     }
     joint = ClassicalJoint(PHASE, ProductSpace(BITS, BITS), kernel)
-    state = dirac(PHASE, "alpha")
-    rho_e = classical_rho_e(joint, a1, a1, state)
+    report = classical_report(joint, a1, a1, dirac(PHASE, "alpha"))
+    rho_e = report.rho_e
     assert rho_e.value(("0", "0")) == pytest.approx(0.7 / 0.49)
     assert rho_e.value(("1", "1")) == pytest.approx(0.3 / 0.09)
     assert rho_e.value(("0", "1")) == pytest.approx(0.0, abs=1e-15)
 
     # and the product rule still closes
-    rho_t = classical_rho_t(joint, a1, a1, state)
-    rho_c = classical_rho_c(a1, a1, state)
-    assert density_product(rho_c, rho_e).max_difference(rho_t) < 1e-12
+    assert report.rho_c.deviation_from(1.0) < 1e-12
+    assert report.product_rule_residual < 1e-12
 
 
 def test_every_deterministic_pair_is_consistent_and_classical():
@@ -173,9 +169,8 @@ def test_every_deterministic_pair_is_consistent_and_classical():
         joint = classical_joint(a1, a2)
         assert is_deterministic(joint)
         assert is_marginally_consistent(joint, a1, a2)
-        rho_t = classical_rho_t(joint, a1, a2, state)
-        rho_c = classical_rho_c(a1, a2, state)
-        rho_e = classical_rho_e(joint, a1, a2, state)
+        report = classical_report(joint, a1, a2, state)
         # relative to its own canonical joint everything is classical
-        assert rho_e.deviation_from(1.0) < 1e-12
-        assert density_product(rho_c, rho_e).max_difference(rho_t) < 1e-12
+        assert report.rho_e.deviation_from(1.0) < 1e-12
+        assert report.rho_c.max_difference(report.rho_t) < 1e-12
+        assert report.product_rule_residual < 1e-12

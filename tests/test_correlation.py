@@ -13,12 +13,8 @@ from qcorr import (
     DensityOperator,
     JointMarginalMismatch,
     PureState,
-    classical_correlation,
-    classical_product_measure,
     correlation_report,
-    entanglement,
     spectral_decompose,
-    total_correlation,
 )
 from conftest import DOWN, SQRT2, UP
 
@@ -51,18 +47,16 @@ def test_separable_mixture_closed_form(spin_pair):
     components = product_components((w1, w2, w3, w4))
     state = DensityOperator.from_mixture(components)
     dec = ConvexDecomposition(components, state)
+    report = correlation_report(joint, a1, a2, dec)
 
-    rho_t = total_correlation(joint, a1, a2, state)
+    rho_t = report.rho_t
     assert rho_t.value(("+1/2", "+1/2")) == pytest.approx(w1 / ((w1 + w3) * (w1 + w4)), abs=1e-12)
     assert rho_t.value(("-1/2", "-1/2")) == pytest.approx(w2 / ((w2 + w4) * (w2 + w3)), abs=1e-12)
     assert rho_t.value(("+1/2", "-1/2")) == pytest.approx(w3 / ((w1 + w3) * (w2 + w3)), abs=1e-12)
     assert rho_t.value(("-1/2", "+1/2")) == pytest.approx(w4 / ((w2 + w4) * (w1 + w4)), abs=1e-12)
 
-    rho_e = entanglement(joint, a1, a2, dec)
-    assert rho_e.deviation_from(1.0) < 1e-12
-
-    rho_c = classical_correlation(a1, a2, dec)
-    assert rho_c.max_difference(rho_t) < 1e-12
+    assert report.rho_e.deviation_from(1.0) < 1e-12
+    assert report.rho_c.max_difference(rho_t) < 1e-12
 
 
 def test_bell_diagonal_closed_form(spin_pair):
@@ -73,8 +67,9 @@ def test_bell_diagonal_closed_form(spin_pair):
     components = bell_components(w)
     state = DensityOperator.from_mixture(components)
     dec = ConvexDecomposition(components, state)
+    report = correlation_report(joint, a1, a2, dec)
 
-    rho_t = total_correlation(joint, a1, a2, state)
+    rho_t = report.rho_t
     diag = 2.0 * (w[0] + w[1])
     off = 2.0 * (w[2] + w[3])
     assert rho_t.value(("+1/2", "+1/2")) == pytest.approx(diag, abs=1e-12)
@@ -82,8 +77,8 @@ def test_bell_diagonal_closed_form(spin_pair):
     assert rho_t.value(("+1/2", "-1/2")) == pytest.approx(off, abs=1e-12)
     assert rho_t.value(("-1/2", "+1/2")) == pytest.approx(off, abs=1e-12)
 
-    assert classical_correlation(a1, a2, dec).deviation_from(1.0) < 1e-12
-    assert entanglement(joint, a1, a2, dec).max_difference(rho_t) < 1e-12
+    assert report.rho_c.deviation_from(1.0) < 1e-12
+    assert report.rho_e.max_difference(rho_t) < 1e-12
 
 
 @pytest.mark.parametrize("a,b", [(0.3, 0.2), (0.45, 0.05), (0.25, 0.25)])
@@ -95,7 +90,7 @@ def test_degenerate_state_three_splits(spin_pair, a, b):
     bell_dec = bell_components((a, a, b, b))
     state = DensityOperator.from_mixture(product_dec)
 
-    rho_t = total_correlation(joint, a1, a2, state)
+    rho_t = correlation_report(joint, a1, a2, state).rho_t
     for point, expected in [
         (("+1/2", "+1/2"), 4 * a),
         (("+1/2", "-1/2"), 4 * b),
@@ -105,20 +100,21 @@ def test_degenerate_state_three_splits(spin_pair, a, b):
         assert rho_t.value(point) == pytest.approx(expected, abs=1e-12)
 
     # split one: all classical
-    dec_p = ConvexDecomposition(product_dec, state)
-    assert entanglement(joint, a1, a2, dec_p).deviation_from(1.0) < 1e-12
-    assert classical_correlation(a1, a2, dec_p).max_difference(rho_t) < 1e-12
+    split_p = correlation_report(joint, a1, a2, ConvexDecomposition(product_dec, state))
+    assert split_p.rho_t.max_difference(rho_t) < 1e-12
+    assert split_p.rho_e.deviation_from(1.0) < 1e-12
+    assert split_p.rho_c.max_difference(rho_t) < 1e-12
 
     # split two: all entanglement
-    dec_b = ConvexDecomposition(bell_dec, state)
-    assert classical_correlation(a1, a2, dec_b).deviation_from(1.0) < 1e-12
-    assert entanglement(joint, a1, a2, dec_b).max_difference(rho_t) < 1e-12
+    split_b = correlation_report(joint, a1, a2, ConvexDecomposition(bell_dec, state))
+    assert split_b.rho_t.max_difference(rho_t) < 1e-12
+    assert split_b.rho_c.deviation_from(1.0) < 1e-12
+    assert split_b.rho_e.max_difference(rho_t) < 1e-12
 
     # split three: mixed components, both factors nontrivial
     mixed = product_dec[:2] + bell_dec[2:]
-    dec_m = ConvexDecomposition(mixed, state)
-    rho_c = classical_correlation(a1, a2, dec_m)
-    rho_e = entanglement(joint, a1, a2, dec_m)
+    split_m = correlation_report(joint, a1, a2, ConvexDecomposition(mixed, state))
+    rho_c, rho_e = split_m.rho_c, split_m.rho_e
     assert rho_c.value(("+1/2", "+1/2")) == pytest.approx(2 * (2 * a + b), abs=1e-12)
     assert rho_c.value(("+1/2", "-1/2")) == pytest.approx(2 * b, abs=1e-12)
     assert rho_e.value(("+1/2", "+1/2")) == pytest.approx(2 * a / (2 * a + b), abs=1e-12)
@@ -134,9 +130,9 @@ def test_most_mixed_compensation(spin_pair):
     state = DensityOperator.from_mixture(product_dec)
     mixed = ConvexDecomposition(product_dec[:2] + bell_dec[2:], state)
 
-    assert total_correlation(joint, a1, a2, state).deviation_from(1.0) < 1e-12
-    rho_c = classical_correlation(a1, a2, mixed)
-    rho_e = entanglement(joint, a1, a2, mixed)
+    report = correlation_report(joint, a1, a2, mixed)
+    assert report.rho_t.deviation_from(1.0) < 1e-12
+    rho_c, rho_e = report.rho_c, report.rho_e
     for point, c, e in [
         (("+1/2", "+1/2"), 1.5, 2.0 / 3.0),
         (("+1/2", "-1/2"), 0.5, 2.0),
@@ -148,10 +144,10 @@ def test_most_mixed_compensation(spin_pair):
 
 
 def test_classical_product_measure_mixes_componentwise(spin_pair):
-    a1, a2, _ = spin_pair
+    a1, a2, joint = spin_pair
     components = product_components((0.5, 0.5, 0.0, 0.0))
     dec = ConvexDecomposition.from_components(components)
-    cpm = classical_product_measure(a1, a2, dec)
+    cpm = correlation_report(joint, a1, a2, dec).classical_product
     assert cpm.weight(("+1/2", "+1/2")) == pytest.approx(0.5)
     assert cpm.weight(("-1/2", "-1/2")) == pytest.approx(0.5)
     assert cpm.weight(("+1/2", "-1/2")) == pytest.approx(0.0, abs=1e-12)
@@ -163,7 +159,7 @@ def test_bell_state_entanglement_factor(spin_pair, bell_phi_plus):
     a1, a2, joint = spin_pair
     state = DensityOperator.from_pure(bell_phi_plus)
     dec = ConvexDecomposition([(1.0, bell_phi_plus)], state)
-    rho_e = entanglement(joint, a1, a2, dec)
+    rho_e = correlation_report(joint, a1, a2, dec).rho_e
     assert rho_e.value(("+1/2", "+1/2")) == pytest.approx(2.0)
     assert rho_e.value(("-1/2", "-1/2")) == pytest.approx(2.0)
     assert rho_e.value(("+1/2", "-1/2")) == pytest.approx(0.0, abs=1e-12)
@@ -172,7 +168,9 @@ def test_bell_state_entanglement_factor(spin_pair, bell_phi_plus):
 def test_entanglement_absolute_continuity_violation(spin_pair):
     """A slightly tilted product state puts joint mass ~eps^2 at the far
     corner while the classical product weight there is eps^4, which sits
-    below the support threshold: the density must refuse, not clip."""
+    below the support threshold: the density must refuse, not clip. The
+    pure state's marginal product vanishes there too, so the report fails
+    already at rho_t."""
     a1, a2, joint = spin_pair
     eps = 1e-3
     psi = PureState(
@@ -180,8 +178,8 @@ def test_entanglement_absolute_continuity_violation(spin_pair):
     )
     state = DensityOperator.from_pure(psi)
     dec = ConvexDecomposition([(1.0, psi)], state)
-    with pytest.raises(AbsoluteContinuityViolation):
-        entanglement(joint, a1, a2, dec)
+    with pytest.raises(AbsoluteContinuityViolation, match=r"at \('-1/2', '-1/2'\)"):
+        correlation_report(joint, a1, a2, dec)
 
 
 def test_pure_state_trivial_decomposition_all_ones(spin_pair):
@@ -230,4 +228,4 @@ def test_total_correlation_rejects_mismatched_joint(spin_pair):
     a1, a2, _ = spin_pair
     state = DensityOperator(np.eye(4) / 4)
     with pytest.raises(JointMarginalMismatch):
-        total_correlation(a1, a1, a2, state)
+        correlation_report(a1, a1, a2, state)

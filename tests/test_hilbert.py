@@ -53,6 +53,11 @@ def test_density_operator_validation():
         DensityOperator(np.diag([1.5, -0.5]))
 
 
+def test_density_operator_rejects_empty_matrix():
+    with pytest.raises(ValidationError, match=r"density matrix must not be empty, got shape \(0, 0\)"):
+        DensityOperator(np.zeros((0, 0)))
+
+
 def test_density_operator_purity():
     pure = DensityOperator.from_pure(PureState(UP))
     assert pure.purity() == pytest.approx(1.0)

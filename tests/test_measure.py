@@ -16,16 +16,16 @@ from qcorr import (
     UnknownLabel,
     ValidationError,
     WeightSumInvalid,
-    density,
-    density_product,
     dirac,
     marginal,
     mix,
     product,
 )
+from qcorr.measure import correlation_split
 
 BITS = OutcomeSpace(("0", "1"))
 TRITS = OutcomeSpace(("a", "b", "c"))
+ONE = OutcomeSpace(("x",))
 
 
 def measures(space):
@@ -122,55 +122,55 @@ def test_mix_is_pointwise_affine(nu1, nu2, t):
         assert mixed.weight(label) == pytest.approx(expected, abs=1e-12)
 
 
+def quotient(num, den):
+    """rho_t of `correlation_split` on a k x 1 grid: the density num / den."""
+    space = ProductSpace(num.space, ONE)
+    one = np.ones(1)
+    joint, denominator = num.as_array()[:, None], den.as_array()
+    split = correlation_split(
+        space, joint, denominator, one, one, denominator[None, :], one[None, :]
+    )
+    return DensityFunction.from_array(space, split.rho_t)
+
+
 @given(measures(TRITS), measures(TRITS))
 @settings(max_examples=50)
 def test_density_reproduces_numerator(num, den):
-    rho = density(num, den)
+    rho = quotient(num, den)
     for label in den.support():
-        assert rho.value(label) * den.weight(label) == pytest.approx(
+        assert rho.value((label, "x")) * den.weight(label) == pytest.approx(
             num.weight(label), abs=1e-12
         )
 
 
 def test_density_of_measure_against_itself_is_one():
     nu = DiscreteMeasure(TRITS, {"a": 0.2, "b": 0.3, "c": 0.5})
-    rho = density(nu, nu)
+    rho = quotient(nu, nu)
     assert rho.deviation_from(1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_density_absolute_continuity_violation_names_the_point():
     num = DiscreteMeasure(BITS, {"0": 0.5, "1": 0.5})
     den = dirac(BITS, "0")
-    with pytest.raises(AbsoluteContinuityViolation, match="'1'"):
-        density(num, den)
+    with pytest.raises(AbsoluteContinuityViolation, match=r"at \('1', 'x'\)"):
+        quotient(num, den)
 
 
 def test_density_undefined_off_support():
     num = dirac(BITS, "0")
     den = dirac(BITS, "0")
-    rho = density(num, den)
-    assert rho.get("1") is None
+    rho = quotient(num, den)
+    assert rho.get(("1", "x")) is None
     with pytest.raises(UnknownLabel):
-        rho.value("1")
-
-
-def test_density_space_mismatch():
-    with pytest.raises(SpaceMismatch):
-        density(dirac(BITS, "0"), dirac(TRITS, "a"))
-
-
-def test_density_product_intersects_supports():
-    rho1 = DensityFunction(BITS, {"0": 2.0, "1": 0.5})
-    rho2 = DensityFunction(BITS, {"0": 3.0})
-    combined = density_product(rho1, rho2)
-    assert combined.support == frozenset({"0"})
-    assert combined.value("0") == pytest.approx(6.0)
+        rho.value(("1", "x"))
 
 
 def test_max_difference_over_shared_support():
     rho1 = DensityFunction(BITS, {"0": 2.0, "1": 1.0})
     rho2 = DensityFunction(BITS, {"0": 2.5})
     assert rho1.max_difference(rho2) == pytest.approx(0.5)
+    with pytest.raises(SpaceMismatch):
+        rho1.max_difference(DensityFunction(TRITS, {"a": 1.0}))
 
 
 def test_measure_as_array_row_major():
@@ -180,3 +180,73 @@ def test_measure_as_array_row_major():
         {("0", "0"): 0.4, ("0", "1"): 0.3, ("1", "0"): 0.2, ("1", "1"): 0.1},
     )
     np.testing.assert_allclose(nu.as_array(), [0.4, 0.3, 0.2, 0.1])
+
+
+def test_measure_as_array_is_read_only_and_shared():
+    nu = DiscreteMeasure(BITS, {"0": 0.25, "1": 0.75})
+    assert nu.as_array() is nu.as_array()
+    with pytest.raises(ValueError):
+        nu.as_array()[0] = 1.0
+    rho = DensityFunction(BITS, {"1": 2.0})
+    np.testing.assert_array_equal(rho.as_array(), [np.nan, 2.0])
+    assert not rho.as_array().flags.writeable
+
+
+def test_from_array_copies_its_input():
+    values = np.array([0.25, 0.75])
+    nu = DiscreteMeasure.from_array(BITS, values)
+    values[0] = 0.5
+    assert nu.weight("0") == 0.25
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (0.5, 0.5),
+        (1.0, -1e-10),
+        (math.nan, 1.0),
+        (math.inf, 0.0),
+        (1.2, -0.2),
+        (0.4, 0.4),
+        (-0.5, math.nan),
+    ],
+)
+def test_measure_constructors_agree(values):
+    """The mapping constructor and `from_array` keep the same array and
+    raise the same error, type and message, on the same weights."""
+    outcomes = {"0": values[0], "1": values[1]}
+    try:
+        expected = DiscreteMeasure(BITS, outcomes).as_array()
+    except ValidationError as exc:
+        with pytest.raises(type(exc)) as raised:
+            DiscreteMeasure.from_array(BITS, values)
+        assert str(raised.value) == str(exc)
+        return
+    np.testing.assert_array_equal(DiscreteMeasure.from_array(BITS, values).as_array(), expected)
+
+
+@pytest.mark.parametrize(
+    "values", [(2.0, 0.0), (math.nan, 0.5), (math.inf, 1.0), (1.0, -1e-300), (-0.5, 1.0)]
+)
+def test_density_constructors_agree(values):
+    """As for measures; NaN in the array marks a point off the support, which
+    the mapping form expresses by leaving the point out."""
+    given = {label: v for label, v in zip(BITS.labels, values) if not math.isnan(v)}
+    try:
+        expected = DensityFunction(BITS, given).as_array()
+    except ValidationError as exc:
+        with pytest.raises(type(exc)) as raised:
+            DensityFunction.from_array(BITS, values)
+        assert str(raised.value) == str(exc)
+        return
+    np.testing.assert_array_equal(DensityFunction.from_array(BITS, values).as_array(), expected)
+
+
+def test_density_mapping_rejects_nan():
+    with pytest.raises(ValidationError, match="density value nan at '0' is invalid"):
+        DensityFunction(BITS, {"0": math.nan})
+
+
+def test_from_array_rejects_wrong_length():
+    with pytest.raises(ValidationError, match="expected 2 values, got 3"):
+        DiscreteMeasure.from_array(BITS, [0.2, 0.3, 0.5])

@@ -47,6 +47,11 @@ def test_povm_rejects_mixed_dimensions():
         Povm(BITS, {"0": np.eye(2), "1": np.zeros((3, 3))})
 
 
+def test_povm_rejects_empty_effects():
+    with pytest.raises(ValidationError, match="effect at 'a' must not be empty"):
+        Povm(OutcomeSpace(("a",)), {"a": np.zeros((0, 0))})
+
+
 def test_projectivity_is_detected_not_declared():
     assert qubit_pvm(UP).is_projective
     smeared = 0.6 * np.diag([1.0, 0.0]) + 0.2 * np.eye(2)

@@ -27,7 +27,6 @@ from qcorr import (
     build_paper_example,
     classical_joint,
     correlation_report,
-    entanglement,
     random_decomposition,
     spectral_decompose,
 )
@@ -254,24 +253,21 @@ def _tilted():
 
 def test_tilted_product_state_message_is_unchanged(spin_pair):
     """The tilted product state of test_correlation: the joint has mass at
-    the far corner where the classical product is below the support. The
-    literal is the message the dict-based split raised there."""
+    the far corner where the product of the marginals, like the classical
+    product, is below the support, so rho_t itself fails. The literal is the
+    message the dict-based split raised there."""
     a1, a2, joint = spin_pair
     psi = _tilted()
     dec = ConvexDecomposition([(1.0, psi)], DensityOperator.from_pure(psi))
     with pytest.raises(AbsoluteContinuityViolation) as expected:
         split_oracle.quantum_split(joint, a1, a2, dec)
     with pytest.raises(AbsoluteContinuityViolation) as raised:
-        entanglement(joint, a1, a2, dec)
+        correlation_report(joint, a1, a2, dec)
     assert str(raised.value) == str(expected.value)
     assert str(raised.value) == (
         "numerator has mass 1e-06 at ('-1/2', '-1/2') "
         "where the denominator vanishes"
     )
-    # the pure state's marginals vanish there too, so rho_t itself fails
-    with pytest.raises(AbsoluteContinuityViolation) as raised:
-        correlation_report(joint, a1, a2, dec)
-    assert str(raised.value) == str(expected.value)
 
 
 def test_tilted_mixture_records_the_same_error(spin_pair):
