@@ -281,12 +281,6 @@ def build_classical_uniform() -> ClassicalScenario:
     )
 
 
-_EXTRA_BUILDERS = {
-    "classical_fuzzy.json": build_classical_fuzzy,
-    "classical_uniform.json": build_classical_uniform,
-}
-
-
 def _params_to_weights(params: Mapping, defaults) -> tuple[float, ...]:
     weights = list(defaults)
     for key, value in params.items():

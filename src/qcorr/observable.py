@@ -9,7 +9,6 @@ built-in examples.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,10 +57,11 @@ class Povm:
 
     Whether the measure is projective (a PVM) is detected numerically from
     the effects, never declared: every effect must be idempotent and distinct
-    effects must annihilate each other, all within tolerance.
+    effects must annihilate each other, all within the validation tolerance
+    in force when the observable was built.
     """
 
-    __slots__ = ("_space", "_stack", "_dim", "_is_projective")
+    __slots__ = ("_space", "_stack", "_dim", "_eps")
 
     def __init__(self, space, effects: Mapping):
         eps = validation_eps()
@@ -71,26 +71,22 @@ class Povm:
             key = outcomes[_position(space, outcome)]
             table[key] = _as_complex_matrix(matrix, name=f"effect at {outcome!r}")
         missing = [o for o in outcomes if o not in table]
-        extra = [o for o in table if o not in outcomes]
-        if missing or extra:
-            raise ValidationError(
-                f"effects must cover the space exactly (missing {missing!r}, extra {extra!r})"
-            )
+        if missing:
+            raise ValidationError(f"effects must cover the space exactly (missing {missing!r})")
         matrices = [table[o] for o in outcomes]
         dim = matrices[0].shape[0]
         # Outcome by outcome, the checks run dimension, Hermitian, PSD; the
         # first offending outcome is reported.
         fitting = next((i for i, m in enumerate(matrices) if m.shape[0] != dim), len(matrices))
         stack = np.stack(matrices[:fitting])
-        spectra = _effect_spectra(stack)
-        smallest = spectra.values[:, 0]
-        offending = np.flatnonzero((spectra.deviation > eps) | (smallest < -eps))
+        deviation, smallest = _effect_spectra(stack)
+        offending = np.flatnonzero((deviation > eps) | (smallest < -eps))
         if offending.size:
             index = offending[0]
-            if spectra.deviation[index] > eps:
+            if deviation[index] > eps:
                 raise ValidationError(
                     f"effect at {outcomes[index]!r} is not Hermitian "
-                    f"(max deviation {spectra.deviation[index]:.3e})"
+                    f"(max deviation {deviation[index]:.3e})"
                 )
             raise ValidationError(
                 f"effect at {outcomes[index]!r} is not positive semidefinite "
@@ -110,7 +106,7 @@ class Povm:
         self._space = space
         self._stack = stack
         self._dim = dim
-        self._is_projective = _detect_projective(stack, spectra, eps)
+        self._eps = eps
 
     @classmethod
     def from_operator(cls, operator, labels=None) -> "Povm":
@@ -163,7 +159,9 @@ class Povm:
 
     @property
     def is_projective(self) -> bool:
-        return self._is_projective
+        """Decided from the effects on each read; only the factors of a
+        product joint need the verdict."""
+        return _pairwise_projective(self._stack, self._eps)
 
     @property
     def effects(self) -> Mapping:
@@ -179,84 +177,39 @@ class Povm:
         return np.einsum("na,kan->nk", vectors.conj(), applied).real
 
     def __repr__(self) -> str:
-        kind = "PVM" if self._is_projective else "POVM"
+        kind = "PVM" if self.is_projective else "POVM"
         return f"Povm({kind}, dim={self._dim}, outcomes={len(self._stack)})"
 
 
 _CHUNK_ENTRIES = 1 << 14  # entries per batched temporary: 256 KB of complex128
 
 
-class _Spectra(NamedTuple):
-    """Batched per-effect quantities of a stack of square matrices."""
-
-    deviation: np.ndarray  # (k,) max |E - E^H|
-    values: np.ndarray  # (k, d) eigenvalues, ascending
-    residual: np.ndarray  # (k,) max |E E - E|
-    kept: np.ndarray  # (m, d) eigenvectors with eigenvalue > 1/2, as rows scaled by it
-    owner: np.ndarray  # (m,) index of the effect each kept row belongs to
-
-
-def _effect_spectra(stack: np.ndarray) -> _Spectra:
-    """Hermiticity deviations, eigenvalues, idempotence residuals and the
-    eigenpairs above 1/2 of a (k, d, d) stack, in chunks of at most
-    `_CHUNK_ENTRIES` entries so that no temporary is stack-sized."""
+def _effect_spectra(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity deviations max |E - E^H| and smallest eigenvalues of a
+    (k, d, d) stack, in chunks of at most `_CHUNK_ENTRIES` entries so that no
+    temporary is stack-sized."""
     count, dim, _ = stack.shape
-    step = max(1, _CHUNK_ENTRIES // max(dim * dim, 1))
+    step = max(1, _CHUNK_ENTRIES // (dim * dim))
     deviation = np.empty(count)
-    residual = np.empty(count)
-    values = np.empty((count, dim))
-    kept, owner = [], []
+    smallest = np.empty(count)
     for start in range(0, count, step):
         chunk = stack[start : start + step]
         part = slice(start, start + len(chunk))
         deviation[part] = np.abs(chunk - chunk.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        residual[part] = np.abs(chunk @ chunk - chunk).max(axis=(1, 2))
         try:
-            lam, vec = np.linalg.eigh(chunk)
+            smallest[part] = np.linalg.eigvalsh(chunk)[:, 0]
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-        values[part] = lam
-        rows, columns = np.nonzero(lam > 0.5)
-        kept.append(vec[rows, :, columns] * lam[rows, columns, None])
-        owner.append(rows + start)
-    return _Spectra(deviation, values, residual, np.concatenate(kept), np.concatenate(owner))
+    return deviation, smallest
 
 
-def _cleared_pairs(spectra: _Spectra, eps: float) -> np.ndarray:
-    """(k, k) mask of effect pairs whose product is certified within eps/2.
-
-    Each effect splits as E_i = Ẽ_i + R_i, where Ẽ_i = V_i Λ_i V_iᴴ holds the
-    eigenpairs above 1/2 and ‖R_i‖ = r_i, the largest |λ| of the rest. With
-    n_i the largest |λ| overall,
-    max|E_i E_j| ≤ ‖Λ_i V_iᴴ V_j Λ_j‖_F + n_i r_j + r_i n_j + r_i r_j.
-    All blocks come from one Gram matrix of the kept rows; a pair is cleared
-    when its bound plus a rounding allowance of order d·u is at most eps/2.
-    """
-    values = spectra.values
-    count, dim = values.shape
-    magnitude = np.abs(values)
-    largest = magnitude.max(axis=1)
-    rest = np.where(values > 0.5, 0.0, magnitude).max(axis=1)
-    gram = spectra.kept.conj() @ spectra.kept.T
-    owner = spectra.owner
-    blocks = np.bincount(
-        (owner[:, None] * count + owner).ravel(),
-        weights=(np.abs(gram) ** 2).ravel(),
-        minlength=count * count,
-    ).reshape(count, count)
-    slack = 16 * dim * np.finfo(float).eps  # rounding allowance, relative to n_i n_j
-    # n_i r_j + r_i n_j + r_i r_j + slack n_i n_j, grouped
-    spill = largest[:, None] * (rest + slack * largest) + rest[:, None] * (largest + rest)
-    return np.sqrt(blocks) + spill <= eps / 2
-
-
-def _detect_projective(stack: np.ndarray, spectra: _Spectra, eps: float) -> bool:
-    """Every effect idempotent and distinct effects annihilating each other,
-    all within eps. Pairs the certificate does not clear get the exact test."""
-    if spectra.residual.max() > eps:
-        return False
-    for i, j in zip(*np.nonzero(~_cleared_pairs(spectra, eps))):
-        if i < j and _max_abs(stack[i] @ stack[j]) > eps:
+def _pairwise_projective(stack: np.ndarray, eps: float) -> bool:
+    """Every max |E_i E_j - δ_ij E_i| within eps: each effect is multiplied
+    by the effects from it onward in one batched product."""
+    for i, effect in enumerate(stack):
+        products = effect @ stack[i:]
+        products[0] -= effect
+        if np.abs(products).max() > eps:
             return False
     return True
 

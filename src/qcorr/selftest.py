@@ -20,6 +20,7 @@ from .classical_frame import (
     classical_report,
 )
 from .correlation import CorrelationReport, correlation_report
+from .errors import ValidationError
 from .hilbert import (
     ConvexDecomposition,
     DensityOperator,
@@ -297,9 +298,11 @@ def run_selftest(seed: int | None = None, trials: int = 200) -> SelftestReport:
     Pass the reported seed back in to reproduce a run exactly.
     """
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**32))
+    elif seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     streams = np.random.SeedSequence(seed).spawn(len(_SUITES))
     results = tuple(
         suite(np.random.default_rng(stream), trials)

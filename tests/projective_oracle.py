@@ -1,12 +1,12 @@
 """Reference oracle: POVM validation and projectivity, effect by effect.
 
 This is the check `qcorr.observable.Povm` ran before it validated the
-stacked effects in one batched pass and cleared effect pairs with an
-eigenvector bound: each outcome's dimension, hermiticity and positivity in
-turn, then the idempotence of every effect and the product of every pair of
-distinct effects. `joint_verdict` is the matching `joint_from_commuting`,
-which tested every pair of factor effects for commutation before it built
-the products. Tests compare the package against these.
+stacked effects in one batched pass: each outcome's dimension, hermiticity
+and positivity in turn, then the idempotence of every effect and the product
+of every pair of distinct effects, one pair at a time. `joint_verdict` is
+the matching `joint_from_commuting`, which tested every pair of factor
+effects for commutation before it built the products. Tests compare the
+package against these.
 """
 
 import numpy as np
@@ -37,11 +37,8 @@ def povm_verdict(space, effects) -> bool:
         key = outcomes[_position(space, outcome)]
         table[key] = _as_complex_matrix(matrix, name=f"effect at {outcome!r}")
     missing = [o for o in outcomes if o not in table]
-    extra = [o for o in table if o not in outcomes]
-    if missing or extra:
-        raise ValidationError(
-            f"effects must cover the space exactly (missing {missing!r}, extra {extra!r})"
-        )
+    if missing:
+        raise ValidationError(f"effects must cover the space exactly (missing {missing!r})")
     dim = table[outcomes[0]].shape[0]
     total = np.zeros((dim, dim), dtype=complex)
     for outcome in outcomes:

@@ -139,3 +139,22 @@ def test_selftest_json(capsys):
     assert doc["seed"] == 7 and doc["passed"] is True
     assert len(doc["suites"]) == 6
     assert all(suite["trials"] == 5 for suite in doc["suites"])
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--trials", "0"], "trials must be at least 1, got 0"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+    ],
+    ids=["trials-0", "seed-negative"],
+)
+def test_selftest_rejects_bad_arguments(option, message, capsys):
+    assert main(["selftest", *option]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+    assert main(["selftest", *option, "--format", "json"]) == EXIT_VALIDATION
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"error": {"type": "ValidationError", "message": message}}

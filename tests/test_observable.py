@@ -28,8 +28,9 @@ def qubit_pvm(vector):
 
 
 def test_povm_requires_exact_outcome_coverage():
-    with pytest.raises(ValidationError, match="cover"):
-        Povm(BITS, {"0": np.eye(2)})
+    with pytest.raises(ValidationError) as info:
+        Povm(OutcomeSpace(("0", "1")), {"0": np.eye(2)})
+    assert str(info.value) == "effects must cover the space exactly (missing ['1'])"
 
 
 def test_povm_requires_completeness():
