@@ -39,7 +39,6 @@ from .errors import (
     UnknownExample,
     UnknownLabel,
     ValidationError,
-    WeightSumInvalid,
 )
 from .examples import (
     PAPER_EXAMPLE_IDS,
@@ -52,12 +51,10 @@ from .hilbert import (
     ConvexDecomposition,
     DensityOperator,
     PureState,
-    expectation,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     random_decomposition,
     spectral_decompose,
-    tensor,
 )
 from .measure import (
     DensityFunction,
@@ -66,8 +63,6 @@ from .measure import (
     ProductSpace,
     dirac,
     marginal,
-    mix,
-    product,
 )
 from .observable import (
     SPIN_LABELS,
@@ -108,17 +103,13 @@ __all__ = [
     "DiscreteMeasure",
     "DensityFunction",
     "dirac",
-    "product",
     "marginal",
-    "mix",
     # quantum states and observables
     "PureState",
     "DensityOperator",
     "ConvexDecomposition",
     "Povm",
     "SPIN_LABELS",
-    "tensor",
-    "expectation",
     "hermitian_eigenvalues",
     "hermitian_eigensystem",
     "spectral_decompose",
@@ -176,7 +167,6 @@ __all__ = [
     "NonHermitianInput",
     "SpaceMismatch",
     "NotAProductSpace",
-    "WeightSumInvalid",
     "NotProjective",
     "AbsoluteContinuityViolation",
     "NonCommuting",

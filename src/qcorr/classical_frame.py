@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
 from .correlation import CorrelationReport, split_report
 from .errors import SpaceMismatch, UnknownLabel, ValidationError
-from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, product
+from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, _checked_weights, _position
 from .tolerance import validation_eps
 
 __all__ = [
@@ -39,33 +38,60 @@ class PhaseSpace(OutcomeSpace):
 
 
 class ClassicalObservable:
-    """Stochastic kernel from a phase space to an outcome space.
+    """Stochastic kernel from a phase space to an outcome space, held as one
+    row-stochastic points x outcomes matrix.
 
     `kernel` maps every phase-space point to a probability measure on the
-    codomain (given either as a DiscreteMeasure or as a plain mapping).
+    codomain (given either as a DiscreteMeasure or as a plain mapping);
+    `from_matrix` takes the rows already stacked in phase-space order.
     """
 
-    __slots__ = ("_domain", "_codomain", "_kernel", "_matrix")
+    __slots__ = ("_domain", "_codomain", "_matrix")
 
     def __init__(self, domain: PhaseSpace, codomain, kernel: Mapping):
-        rows = {}
+        self._check_codomain(codomain)
+        matrix = np.zeros((len(domain), len(codomain)))
+        given = np.zeros(len(domain), dtype=bool)
         for point, row in dict(kernel).items():
             if point not in domain:
                 raise UnknownLabel(f"kernel row at {point!r} is not a phase-space point")
+            index = domain.index[point]
             if isinstance(row, DiscreteMeasure):
                 if row.space != codomain:
                     raise SpaceMismatch(f"kernel row at {point!r} lives on the wrong space")
+                matrix[index] = row.as_array()
             else:
-                row = DiscreteMeasure(codomain, row)
-            rows[point] = row
-        missing = [p for p in domain.labels if p not in rows]
+                for outcome, value in dict(row).items():
+                    matrix[index, _position(codomain, outcome)] = float(value)
+                _checked_weights(codomain, matrix[index])
+            given[index] = True
+        missing = [p for p, g in zip(domain.labels, given) if not g]
         if missing:
             raise ValidationError(f"kernel is missing rows for {missing!r}")
-        self._domain = domain
-        self._codomain = codomain
-        self._kernel = {p: rows[p] for p in domain.labels}
-        self._matrix = np.array([rows[p].as_array() for p in domain.labels])
-        self._matrix.setflags(write=False)
+        self._set(domain, codomain, matrix)
+
+    @classmethod
+    def from_matrix(cls, domain: PhaseSpace, codomain, matrix) -> "ClassicalObservable":
+        """Observable whose kernel rows are the rows of `matrix`, in
+        phase-space order (row-major outcomes for product codomains)."""
+        cls._check_codomain(codomain)
+        array = np.array(matrix, dtype=float)
+        shape = (len(domain), len(codomain))
+        if array.shape != shape:
+            raise ValidationError(f"kernel matrix must have shape {shape}, got {array.shape}")
+        for row in array:
+            _checked_weights(codomain, row)
+        observable = cls.__new__(cls)
+        observable._set(domain, codomain, array)
+        return observable
+
+    @staticmethod
+    def _check_codomain(codomain) -> None:
+        """Hook for subclasses that restrict the codomain."""
+
+    def _set(self, domain: PhaseSpace, codomain, matrix: np.ndarray) -> None:
+        matrix.setflags(write=False)
+        self._domain, self._codomain, self._matrix = domain, codomain, matrix
 
     @property
     def domain(self) -> PhaseSpace:
@@ -76,18 +102,14 @@ class ClassicalObservable:
         return self._codomain
 
     @property
-    def kernel(self) -> Mapping[str, DiscreteMeasure]:
-        return MappingProxyType(self._kernel)
-
-    @property
     def matrix(self) -> np.ndarray:
-        """Kernel rows stacked in phase-space order: points x outcomes."""
+        """Kernel rows stacked in phase-space order: points x outcomes, read-only."""
         return self._matrix
 
     def row(self, point) -> DiscreteMeasure:
-        if point not in self._kernel:
+        if point not in self._domain:
             raise UnknownLabel(f"{point!r} is not a phase-space point")
-        return self._kernel[point]
+        return DiscreteMeasure.from_array(self._codomain, self._matrix[self._domain.index[point]])
 
     def __repr__(self) -> str:
         return (
@@ -99,10 +121,10 @@ class ClassicalObservable:
 class ClassicalJoint(ClassicalObservable):
     """A classical observable whose codomain is a product space."""
 
-    def __init__(self, domain, codomain, kernel):
+    @staticmethod
+    def _check_codomain(codomain) -> None:
         if not isinstance(codomain, ProductSpace):
             raise ValidationError("a classical joint needs a product-space codomain")
-        super().__init__(domain, codomain, kernel)
 
 
 def apply(observable: ClassicalObservable, state: DiscreteMeasure) -> DiscreteMeasure:
@@ -130,11 +152,9 @@ def classical_joint(a1: ClassicalObservable, a2: ClassicalObservable) -> Classic
     if a1.domain != a2.domain:
         raise SpaceMismatch("observables live on different phase spaces")
     codomain = ProductSpace(a1.codomain, a2.codomain)
-    kernel = {
-        point: product(a1.row(point), a2.row(point))
-        for point in a1.domain.labels
-    }
-    return ClassicalJoint(a1.domain, codomain, kernel)
+    m1, m2 = a1.matrix, a2.matrix
+    rows = (m1[:, :, None] * m2[:, None, :]).reshape(len(m1), -1)
+    return ClassicalJoint.from_matrix(a1.domain, codomain, rows)
 
 
 def is_marginally_consistent(

@@ -10,7 +10,9 @@ fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .errors import QcorrError, ValidationError
@@ -24,6 +26,7 @@ EXIT_VALIDATION = 1
 EXIT_ENGINE = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcorr",
@@ -97,10 +100,26 @@ def _parse_params(text: str | None) -> dict[str, float]:
     return params
 
 
+def _print(text: str) -> None:
+    """Print `text` to stdout. Once the reader has closed the pipe, the rest of
+    the output goes to the null device, so the run ends without a traceback."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # in-process streams have no descriptor
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def _emit_error(exc: QcorrError, format: str) -> None:
     if format == "json":
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(payload, indent=2))
+        _print(json.dumps(payload, indent=2))
     else:
         print(f"error: {exc}", file=sys.stderr)
 
@@ -141,26 +160,26 @@ def _run_verb(args) -> int:
     if args.verb == "run":
         scenario = load_scenario(args.file)
         report = run_scenario(scenario, decomposition=args.decomposition)
-        print(emit_report(report, format=args.format))
+        _print(emit_report(report, format=args.format))
         return EXIT_OK
     if args.verb == "paper-example":
         report = run_paper_example(
             args.id, params=_parse_params(args.params), decomposition=args.decomposition
         )
-        print(emit_report(report, format=args.format))
+        _print(emit_report(report, format=args.format))
         return EXIT_OK
     if args.verb == "validate":
         scenario = load_scenario(args.file)
         if args.format == "json":
-            print(json.dumps({"valid": True, "name": scenario.name, "mode": scenario.mode}))
+            _print(json.dumps({"valid": True, "name": scenario.name, "mode": scenario.mode}))
         else:
-            print(f"valid: {scenario.name} ({scenario.mode})")
+            _print(f"valid: {scenario.name} ({scenario.mode})")
         return EXIT_OK
     report = run_selftest(seed=args.seed, trials=args.trials)
     if args.format == "json":
-        print(json.dumps(_selftest_jsonable(report), indent=2))
+        _print(json.dumps(_selftest_jsonable(report), indent=2))
     else:
-        print(_selftest_text(report))
+        _print(_selftest_text(report))
     return EXIT_OK if report.passed else EXIT_ENGINE
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "NonHermitianInput",
     "SpaceMismatch",
     "NotAProductSpace",
-    "WeightSumInvalid",
     "NotProjective",
     "AbsoluteContinuityViolation",
     "NonCommuting",
@@ -61,10 +60,6 @@ class SpaceMismatch(ValidationError):
 
 class NotAProductSpace(ValidationError):
     """A marginal was requested from a measure on a simple space."""
-
-
-class WeightSumInvalid(ValidationError):
-    """Mixture weights are negative or do not sum to one."""
 
 
 class NotProjective(ValidationError):

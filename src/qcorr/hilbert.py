@@ -9,7 +9,7 @@ product basis is ordered (up,up), (up,down), (down,up), (down,down).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "PureState",
     "DensityOperator",
     "ConvexDecomposition",
-    "tensor",
-    "expectation",
     "hermitian_eigenvalues",
     "hermitian_eigensystem",
     "spectral_decompose",
@@ -86,10 +84,6 @@ class PureState:
     def projector(self) -> np.ndarray:
         """The rank-one projector onto this state."""
         return np.outer(self._vector, self._vector.conj())
-
-    def tensor(self, other: "PureState") -> "PureState":
-        """Product state of this vector with `other` (row-major order)."""
-        return PureState(np.kron(self._vector, other._vector))
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
@@ -155,49 +149,6 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim}, purity={self.purity():.6g})"
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two square operators, row-major index order.
-
-    Satisfies Tr(a (x) b) = Tr(a) Tr(b) and maps projectors of vectors to the
-    projector of the tensored vector.
-    """
-    left = _as_complex_matrix(a, name="left tensor factor")
-    right = _as_complex_matrix(b, name="right tensor factor")
-    return np.kron(left, right)
-
-
-def expectation(effect, state: DensityOperator) -> float:
-    """Expectation value Tr(E D) of an effect at a density operator.
-
-    Parameters
-    ----------
-    effect : array_like
-        Square matrix of the same dimension as `state`. Must be Hermitian;
-        positivity is the caller's obligation (every effect produced by this
-        package is validated at construction).
-    state : DensityOperator
-
-    Returns
-    -------
-    float
-        The real trace value. An imaginary part above tolerance raises
-        NonHermitianInput, since it means the inputs were not Hermitian.
-    """
-    matrix = _as_complex_matrix(effect, name="effect")
-    if matrix.shape[0] != state.dim:
-        raise DimensionMismatch(
-            f"effect dimension {matrix.shape[0]} does not match state dimension {state.dim}"
-        )
-    eps = validation_eps()
-    deviation = _hermitian_deviation(matrix)
-    if deviation > eps:
-        raise NonHermitianInput(f"effect is not Hermitian (max deviation {deviation:.3e})")
-    value = complex(np.trace(matrix @ state.matrix))
-    if abs(value.imag) > eps:
-        raise NonHermitianInput(f"Tr(E D) has imaginary part {value.imag!r}")
-    return float(value.real)
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:

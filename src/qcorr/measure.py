@@ -1,7 +1,7 @@
 """Discrete probability measures on labeled outcome spaces.
 
-Provides the product, marginal, and mixture constructions, plus pointwise
-density functions (likelihood ratios) between measures on the same space.
+Provides point masses and marginals, plus pointwise density functions
+(likelihood ratios) between measures on the same space.
 Product-space points are ordered row-major: the right factor varies fastest.
 Measures and densities each hold one read-only float array in that order.
 
@@ -12,7 +12,7 @@ per-component outcome rows and divides the measures into rho_t, rho_c, rho_e.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -26,7 +26,6 @@ from .errors import (
     SpaceMismatch,
     UnknownLabel,
     ValidationError,
-    WeightSumInvalid,
 )
 from .tolerance import EPS, validation_eps
 
@@ -36,9 +35,7 @@ __all__ = [
     "DiscreteMeasure",
     "DensityFunction",
     "dirac",
-    "product",
     "marginal",
-    "mix",
     "Split",
     "mix_rows",
     "correlation_split",
@@ -215,15 +212,6 @@ def dirac(space: Space, outcome) -> DiscreteMeasure:
     return DiscreteMeasure.from_array(space, values)
 
 
-def product(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> DiscreteMeasure:
-    """Product measure on the product space, row-major point order."""
-    for nu in (nu1, nu2):
-        if isinstance(nu.space, ProductSpace):
-            raise ValidationError("product expects measures on simple outcome spaces")
-    space = ProductSpace(nu1.space, nu2.space)
-    return DiscreteMeasure.from_array(space, np.multiply.outer(nu1.as_array(), nu2.as_array()))
-
-
 def marginal(nu: DiscreteMeasure, side: Literal["left", "right"]) -> DiscreteMeasure:
     """Marginal of a product-space measure onto one factor."""
     if not isinstance(nu.space, ProductSpace):
@@ -234,26 +222,6 @@ def marginal(nu: DiscreteMeasure, side: Literal["left", "right"]) -> DiscreteMea
     if side == "left":
         return DiscreteMeasure.from_array(nu.space.left, grid.sum(axis=1))
     return DiscreteMeasure.from_array(nu.space.right, grid.sum(axis=0))
-
-
-def mix(components: Iterable[tuple[float, DiscreteMeasure]]) -> DiscreteMeasure:
-    """Convex mixture sum(w_i nu_i) of measures on one common space."""
-    comps = [(float(w), nu) for w, nu in components]
-    if not comps:
-        raise WeightSumInvalid("mixture needs at least one component")
-    eps = validation_eps()
-    for weight, _ in comps:
-        if not math.isfinite(weight) or weight < -eps:
-            raise WeightSumInvalid(f"mixture weight {weight!r} must be nonnegative")
-    total = math.fsum(w for w, _ in comps)
-    if abs(total - 1.0) > eps:
-        raise WeightSumInvalid(f"mixture weights sum to {total!r}, expected 1")
-    space = comps[0][1].space
-    for _, nu in comps:
-        if nu.space != space:
-            raise SpaceMismatch("mixture components live on different spaces")
-    table = np.array([w for w, _ in comps]) @ np.array([nu.as_array() for _, nu in comps])
-    return DiscreteMeasure.from_array(space, table)
 
 
 class DensityFunction:

@@ -307,17 +307,9 @@ def _joint_from_jsonable(value, path: str, a1: Povm, a2: Povm, dim: int) -> Povm
 def _classical_from_jsonable(root: dict, name: str) -> ClassicalScenario:
     _check_keys(root, _CLASSICAL_KEYS)
     phase = _wrap("phase_space", lambda: PhaseSpace(_labels(root.get("phase_space"), "phase_space")))
-    state_values = _expect_list(root.get("state"), "state", length=len(phase))
-    state = _wrap(
-        "state",
-        lambda: DiscreteMeasure(
-            phase,
-            {
-                point: _real(value, f"state[{i}]")
-                for i, (point, value) in enumerate(zip(phase.labels, state_values))
-            },
-        ),
-    )
+    entries = _expect_list(root.get("state"), "state", length=len(phase))
+    weights = [_real(value, f"state[{i}]") for i, value in enumerate(entries)]
+    state = _wrap("state", lambda: DiscreteMeasure.from_array(phase, weights))
     observables = _expect_list(root.get("observables"), "observables", length=2)
     kernels = [
         _kernel_from_jsonable(entry, f"observables[{i}]", phase)
@@ -331,14 +323,8 @@ def _classical_from_jsonable(root: dict, name: str) -> ClassicalScenario:
         if set(mapping) != {"kernel"}:
             _fail("joint", "expected 'classical-product' or an object with a 'kernel' array")
         codomain = ProductSpace(kernels[0].codomain, kernels[1].codomain)
-        joint = _wrap(
-            "joint",
-            lambda: ClassicalJoint(
-                phase,
-                codomain,
-                _kernel_rows(mapping["kernel"], "joint.kernel", phase, codomain),
-            ),
-        )
+        rows = _kernel_rows(mapping["kernel"], "joint.kernel", phase, codomain)
+        joint = _wrap("joint", lambda: ClassicalJoint.from_matrix(phase, codomain, rows))
     return ClassicalScenario(
         name=name,
         phase_space=phase,
@@ -349,17 +335,15 @@ def _classical_from_jsonable(root: dict, name: str) -> ClassicalScenario:
     )
 
 
-def _kernel_rows(value, path: str, phase: PhaseSpace, codomain) -> dict:
+def _kernel_rows(value, path: str, phase: PhaseSpace, codomain) -> list[list[float]]:
     rows = _expect_list(value, path, length=len(phase))
-    outcomes = codomain.outcomes
-    table = {}
-    for i, (point, row) in enumerate(zip(phase.labels, rows)):
-        entries = _expect_list(row, f"{path}[{i}]", length=len(outcomes))
-        table[point] = {
-            outcome: _real(entry, f"{path}[{i}][{j}]")
-            for j, (outcome, entry) in enumerate(zip(outcomes, entries))
-        }
-    return table
+    return [
+        [
+            _real(entry, f"{path}[{i}][{j}]")
+            for j, entry in enumerate(_expect_list(row, f"{path}[{i}]", length=len(codomain)))
+        ]
+        for i, row in enumerate(rows)
+    ]
 
 
 def _kernel_from_jsonable(entry, path: str, phase: PhaseSpace) -> ClassicalObservable:
@@ -367,7 +351,7 @@ def _kernel_from_jsonable(entry, path: str, phase: PhaseSpace) -> ClassicalObser
     labels = _labels(mapping.get("labels"), f"{path}.labels")
     codomain = _wrap(f"{path}.labels", lambda: OutcomeSpace(labels))
     rows = _kernel_rows(mapping.get("kernel"), f"{path}.kernel", phase, codomain)
-    return _wrap(path, lambda: ClassicalObservable(phase, codomain, rows))
+    return _wrap(path, lambda: ClassicalObservable.from_matrix(phase, codomain, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -106,15 +106,13 @@ def _random_phase_space(rng: np.random.Generator) -> PhaseSpace:
 def _random_kernel(
     rng: np.random.Generator, phase: PhaseSpace, codomain: OutcomeSpace
 ) -> ClassicalObservable:
-    rows = {
-        point: dict(zip(codomain.labels, _random_simplex(rng, len(codomain), floor=0.05)))
-        for point in phase.labels
-    }
-    return ClassicalObservable(phase, codomain, rows)
+    rows = [_random_simplex(rng, len(codomain), floor=0.05) for _ in phase.labels]
+    return ClassicalObservable.from_matrix(phase, codomain, rows)
 
 
-def _frechet_coupling(rng: np.random.Generator, p: float, q: float) -> dict:
-    """A random coupling of two binary rows with the given success weights.
+def _frechet_coupling(rng: np.random.Generator, p: float, q: float) -> list[float]:
+    """A random coupling of two binary rows with the given success weights,
+    row-major over (0,0), (0,1), (1,0), (1,1).
 
     Any value of the (0,0) cell between the Frechet bounds yields a joint row
     whose marginals are exactly (p, 1-p) and (q, 1-q).
@@ -122,12 +120,7 @@ def _frechet_coupling(rng: np.random.Generator, p: float, q: float) -> dict:
     low = max(0.0, p + q - 1.0)
     high = min(p, q)
     c = low + (high - low) * rng.random()
-    return {
-        ("0", "0"): c,
-        ("0", "1"): p - c,
-        ("1", "0"): q - c,
-        ("1", "1"): 1.0 - p - q + c,
-    }
+    return [c, p - c, q - c, 1.0 - p - q + c]
 
 
 # suites ---------------------------------------------------------------------
@@ -170,16 +163,9 @@ def _suite_classical_product_rule(rng: np.random.Generator, trials: int) -> Suit
         phase = _random_phase_space(rng)
         a1 = _random_kernel(rng, phase, _BINARY)
         a2 = _random_kernel(rng, phase, _BINARY)
-        kernel = {
-            point: _frechet_coupling(
-                rng, a1.row(point).weight("0"), a2.row(point).weight("0")
-            )
-            for point in phase.labels
-        }
-        joint = ClassicalJoint(phase, ProductSpace(_BINARY, _BINARY), kernel)
-        state = DiscreteMeasure(
-            phase, dict(zip(phase.labels, _random_simplex(rng, len(phase), floor=0.05)))
-        )
+        rows = [_frechet_coupling(rng, p, q) for p, q in zip(a1.matrix[:, 0], a2.matrix[:, 0])]
+        joint = ClassicalJoint.from_matrix(phase, ProductSpace(_BINARY, _BINARY), rows)
+        state = DiscreteMeasure.from_array(phase, _random_simplex(rng, len(phase), floor=0.05))
         deviation = _residual(classical_report(joint, a1, a2, state))
         worst = max(worst, deviation)
         if deviation >= PRODUCT_RULE_TOL:

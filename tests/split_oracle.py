@@ -1,16 +1,83 @@
-"""Reference oracle: the correlation split computed outcome by outcome.
+"""Reference oracles: the correlation split computed outcome by outcome, and
+the classical kernel validated row by row.
 
-This is the label-keyed dict implementation the package used before the
+The split is the label-keyed dict implementation the package used before the
 array kernel `qcorr.measure.correlation_split` replaced it. It mixes with
 `math.fsum`, divides point by point, and builds every per-component
-statistic through `expectation` at the component's density operator, so it
-shares no arithmetic with the kernel. Tests compare the two.
+statistic through its own copy of the trace rule `expectation` at the
+component's density operator, so it shares no arithmetic with the kernel.
+`reference_kernel` is the row-by-row validation `ClassicalObservable` ran
+before it held one matrix. Tests compare the package with both.
 """
 
 import math
 
-from qcorr import AbsoluteContinuityViolation, DensityOperator, expectation
-from qcorr.tolerance import EPS
+import numpy as np
+
+from qcorr import (
+    AbsoluteContinuityViolation,
+    DensityOperator,
+    DimensionMismatch,
+    DiscreteMeasure,
+    NonHermitianInput,
+    SpaceMismatch,
+    UnknownLabel,
+    ValidationError,
+)
+from qcorr.hilbert import _as_complex_matrix, _hermitian_deviation
+from qcorr.tolerance import EPS, validation_eps
+
+
+def expectation(effect, state: DensityOperator) -> float:
+    """Expectation value Tr(E D) of an effect at a density operator.
+
+    Parameters
+    ----------
+    effect : array_like
+        Square matrix of the same dimension as `state`. Must be Hermitian;
+        positivity is the caller's obligation (every effect produced by this
+        package is validated at construction).
+    state : DensityOperator
+
+    Returns
+    -------
+    float
+        The real trace value. An imaginary part above tolerance raises
+        NonHermitianInput, since it means the inputs were not Hermitian.
+    """
+    matrix = _as_complex_matrix(effect, name="effect")
+    if matrix.shape[0] != state.dim:
+        raise DimensionMismatch(
+            f"effect dimension {matrix.shape[0]} does not match state dimension {state.dim}"
+        )
+    eps = validation_eps()
+    deviation = _hermitian_deviation(matrix)
+    if deviation > eps:
+        raise NonHermitianInput(f"effect is not Hermitian (max deviation {deviation:.3e})")
+    value = complex(np.trace(matrix @ state.matrix))
+    if abs(value.imag) > eps:
+        raise NonHermitianInput(f"Tr(E D) has imaginary part {value.imag!r}")
+    return float(value.real)
+
+
+def reference_kernel(domain, codomain, kernel):
+    """The points x outcomes matrix `ClassicalObservable(domain, codomain,
+    kernel)` holds, built from one validated DiscreteMeasure per row: rows in
+    the kernel's order, missing rows reported last."""
+    rows = {}
+    for point, row in dict(kernel).items():
+        if point not in domain:
+            raise UnknownLabel(f"kernel row at {point!r} is not a phase-space point")
+        if isinstance(row, DiscreteMeasure):
+            if row.space != codomain:
+                raise SpaceMismatch(f"kernel row at {point!r} lives on the wrong space")
+        else:
+            row = DiscreteMeasure(codomain, row)
+        rows[point] = row
+    missing = [p for p in domain.labels if p not in rows]
+    if missing:
+        raise ValidationError(f"kernel is missing rows for {missing!r}")
+    return np.array([rows[p].as_array() for p in domain.labels])
 
 
 def _trace_rule(observable, state):

@@ -1,6 +1,10 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     AbsoluteContinuityViolation,
@@ -20,9 +24,12 @@ from qcorr import (
     is_marginally_consistent,
 )
 from qcorr.classical_frame import apply
+from qcorr.tolerance import validation_eps
+from split_oracle import reference_kernel
 
 PHASE = PhaseSpace(("alpha", "beta"))
 BITS = OutcomeSpace(("0", "1"))
+TRITS = OutcomeSpace(("a", "b", "c"))
 
 
 def fuzzy():
@@ -53,6 +60,32 @@ def test_kernel_validation():
 def test_classical_joint_requires_product_codomain():
     with pytest.raises(ValidationError, match="product"):
         ClassicalJoint(PHASE, BITS, {"alpha": {"0": 1.0}, "beta": {"0": 1.0}})
+    with pytest.raises(ValidationError, match="product"):
+        ClassicalJoint.from_matrix(PHASE, BITS, [[1.0, 0.0], [1.0, 0.0]])
+
+
+def test_from_matrix_holds_a_readonly_copy():
+    rows = np.array([[0.7, 0.3], [0.3, 0.7]])
+    observable = ClassicalObservable.from_matrix(PHASE, BITS, rows)
+    rows[0, 0] = 5.0
+    assert observable.matrix.tolist() == [[0.7, 0.3], [0.3, 0.7]]
+    assert np.array_equal(observable.matrix, fuzzy().matrix)
+    with pytest.raises(ValueError):
+        observable.matrix[0, 0] = 1.0
+    assert observable.row("beta").as_array().tolist() == [0.3, 0.7]
+
+
+def test_from_matrix_checks_the_shape():
+    with pytest.raises(ValidationError) as excinfo:
+        ClassicalObservable.from_matrix(PHASE, BITS, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    assert str(excinfo.value) == "kernel matrix must have shape (2, 2), got (2, 3)"
+    with pytest.raises(ValidationError, match="got \\(2,\\)"):
+        ClassicalObservable.from_matrix(PHASE, BITS, [0.5, 0.5])
+
+
+def test_row_rejects_unknown_points():
+    with pytest.raises(UnknownLabel, match="'gamma' is not a phase-space point"):
+        fuzzy().row("gamma")
 
 
 def test_apply_at_dirac_returns_the_row():
@@ -89,6 +122,19 @@ def test_canonical_joint_rows_are_products():
     assert row.weight(("1", "0")) == pytest.approx(0.3)
     assert row.weight(("0", "1")) == pytest.approx(0.0, abs=1e-15)
     assert is_marginally_consistent(joint, a1, a2)
+
+
+def test_canonical_joint_is_the_rowwise_outer_product():
+    a1 = fuzzy()
+    a2 = ClassicalObservable(
+        PHASE, TRITS, {"alpha": {"a": 0.1, "b": 0.2, "c": 0.7}, "beta": {"b": 1.0}}
+    )
+    joint = classical_joint(a1, a2)
+    assert joint.codomain == ProductSpace(BITS, TRITS)
+    for i, point in enumerate(PHASE.labels):
+        expected = np.multiply.outer(a1.matrix[i], a2.matrix[i]).ravel()
+        assert np.array_equal(joint.matrix[i], expected)
+        assert np.array_equal(joint.row(point).as_array(), expected)
 
 
 def test_marginal_consistency_detects_mismatch():
@@ -174,3 +220,137 @@ def test_every_deterministic_pair_is_consistent_and_classical():
         assert report.rho_e.deviation_from(1.0) < 1e-12
         assert report.rho_c.max_difference(report.rho_t) < 1e-12
         assert report.product_rule_residual < 1e-12
+
+
+# constructor agreement with the row-by-row oracle ------------------------------
+
+FAULTS = ("tiny", "negative", "nonfinite", "off-sum")
+
+
+@st.composite
+def kernel_rows(draw):
+    """Row-stochastic points x outcomes tables (lists of rows) with up to two
+    rows changed: a mass from 1e-12 to 1e-4, an entry straddling -eps, a NaN
+    or infinite entry, or a row whose sum straddles 1 +- eps."""
+    eps = validation_eps()
+    points = draw(st.integers(1, 4))
+    size = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(points):
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+        total = math.fsum(raw)
+        rows.append([value / total for value in raw])
+    for i in draw(st.lists(st.integers(0, points - 1), unique=True, max_size=2)):
+        row, j = rows[i], draw(st.integers(0, size - 1))
+        fault = draw(st.sampled_from(FAULTS))
+        if fault == "tiny":
+            mass = 10.0 ** draw(st.floats(-12.0, -4.0))
+            scale = (1.0 - mass) / (1.0 - row[j])
+            row[:] = [value * scale for value in row]
+            row[j] = mass
+        elif fault == "negative":
+            entry = -eps * draw(st.floats(0.5, 1.5))
+            row[(j + 1) % size] += row[j] - entry
+            row[j] = entry
+        elif fault == "nonfinite":
+            row[j] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+        else:
+            scale = 1.0 + eps * draw(st.floats(-3.0, 3.0))
+            row[:] = [value * scale for value in row]
+    return rows
+
+
+def _spaces(rows):
+    phase = PhaseSpace(tuple(f"p{i}" for i in range(len(rows))))
+    return phase, OutcomeSpace(tuple(f"x{j}" for j in range(len(rows[0]))))
+
+
+def _outcome(build):
+    """The matrix `build` returns, or the type and message of its error."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, expected):
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+
+@settings(max_examples=300)
+@given(kernel_rows())
+def test_kernel_constructors_agree_with_the_row_by_row_oracle(rows):
+    phase, codomain = _spaces(rows)
+    kernel = {point: dict(zip(codomain.labels, row)) for point, row in zip(phase.labels, rows)}
+    expected = _outcome(lambda: reference_kernel(phase, codomain, kernel))
+    _assert_same_outcome(_outcome(lambda: ClassicalObservable(phase, codomain, kernel).matrix), expected)
+    _assert_same_outcome(
+        _outcome(lambda: ClassicalObservable.from_matrix(phase, codomain, rows).matrix), expected
+    )
+
+
+ROW_FORMS = ("mapping", "measure", "foreign-measure", "unknown-label", "missing")
+
+
+@st.composite
+def kernel_mappings(draw):
+    """Kernels as mappings in any point order, with rows given as plain
+    mappings or as measures, rows on a foreign space, unknown outcome labels,
+    missing rows and an unknown phase point."""
+    rows = draw(kernel_rows())
+    phase, codomain = _spaces(rows)
+    items = []
+    for point, row in zip(phase.labels, rows):
+        form = draw(st.sampled_from(ROW_FORMS))
+        weights = dict(zip(codomain.labels, row))
+        if form == "measure":
+            try:
+                items.append((point, DiscreteMeasure.from_array(codomain, row)))
+            except ValidationError:
+                items.append((point, weights))
+        elif form == "foreign-measure":
+            items.append((point, dirac(OutcomeSpace(("elsewhere",)), "elsewhere")))
+        elif form == "unknown-label":
+            items.append((point, {**weights, "nowhere": 0.0}))
+        elif form == "mapping":
+            items.append((point, weights))
+    if draw(st.booleans()):
+        items.append(("stranger", dict(zip(codomain.labels, rows[0]))))
+    return phase, codomain, dict(draw(st.permutations(items)))
+
+
+@settings(max_examples=300)
+@given(kernel_mappings())
+def test_mapping_constructor_keeps_the_oracle_precedence(case):
+    phase, codomain, kernel = case
+    _assert_same_outcome(
+        _outcome(lambda: ClassicalObservable(phase, codomain, kernel).matrix),
+        _outcome(lambda: reference_kernel(phase, codomain, kernel)),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0.5, 0.5], [1.5, -0.5], [math.nan, 1.0]], "negative weight -0.5 at '1'"),
+        ([[math.inf, 0.0], [0.5, 0.6], [0.5, 0.5]], "weight at '0' is not finite"),
+        ([[0.5, 0.5], [0.5, 0.6], [-1.0, 2.0]], "weights sum to 1.1, expected 1"),
+    ],
+    ids=["negative-then-nan", "inf-then-off-sum", "off-sum-then-negative"],
+)
+def test_two_faults_report_the_first_row(rows, message):
+    phase = PhaseSpace(("p0", "p1", "p2"))
+    kernel = {point: dict(zip(BITS.labels, row)) for point, row in zip(phase.labels, rows)}
+    with pytest.raises(ValidationError) as oracle:
+        reference_kernel(phase, BITS, kernel)
+    assert str(oracle.value) == message
+    for build in (
+        lambda: ClassicalObservable(phase, BITS, kernel),
+        lambda: ClassicalObservable.from_matrix(phase, BITS, rows),
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert (type(excinfo.value), str(excinfo.value)) == (type(oracle.value), message)

@@ -6,11 +6,23 @@ them, minus the process boundary.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qcorr.cli import EXIT_ENGINE, EXIT_OK, EXIT_VALIDATION, main
+try:
+    import fcntl
+except ImportError:  # not a POSIX system: pipes keep their default size
+    fcntl = None
+
+import qcorr
+from qcorr.cli import EXIT_ENGINE, EXIT_OK, EXIT_VALIDATION, _build_parser, main
 from qcorr.examples import bundled_scenario_text
+
+SRC = str(Path(qcorr.__file__).resolve().parent.parent)
 
 
 @pytest.fixture()
@@ -158,3 +170,50 @@ def test_selftest_rejects_bad_arguments(option, message, capsys):
     assert main(["selftest", *option, "--format", "json"]) == EXIT_VALIDATION
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"error": {"type": "ValidationError", "message": message}}
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh():
+    parser = _build_parser()
+    assert _build_parser() is parser
+    first = parser.parse_args(["run", "a.json", "--decomposition", "spectral"])
+    second = parser.parse_args(["selftest", "--seed", "3"])
+    third = parser.parse_args(["run", "b.json"])
+    assert (first.file, first.decomposition) == ("a.json", "spectral")
+    assert not hasattr(second, "file") and second.seed == 3
+    assert (third.file, third.decomposition, third.format) == ("b.json", None, "table")
+
+
+def _cli_into_pipe(argv, read_first_line):
+    """Run the CLI in a subprocess writing into a pipe that is closed after
+    one line (or before any output); return its exit status and stderr."""
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        # a one-page pipe makes a long report block until the reader is gone
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcorr.cli", *argv],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        if read_first_line:
+            assert reader.readline() == b"{\n"
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err.decode()
+
+
+def test_closed_pipe_after_one_line_ends_quietly():
+    path = str(Path(qcorr.__file__).resolve().parent / "data" / "degenerate.json")
+    code, err = _cli_into_pipe(["run", path, "--format", "json"], read_first_line=True)
+    assert err == ""
+    assert code == EXIT_OK
+
+
+def test_closed_pipe_keeps_the_error_exit_status(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, err = _cli_into_pipe(["run", missing, "--format", "json"], read_first_line=False)
+    assert err == ""
+    assert code == EXIT_VALIDATION

@@ -5,15 +5,12 @@ from qcorr import (
     ConvexDecomposition,
     DensityOperator,
     DimensionMismatch,
-    NonHermitianInput,
     PureState,
     ValidationError,
-    expectation,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     random_decomposition,
     spectral_decompose,
-    tensor,
 )
 from conftest import DOWN, UP
 
@@ -37,11 +34,6 @@ def test_projector_is_rank_one():
     proj = state.projector()
     np.testing.assert_allclose(proj, np.diag([1.0, 0.0]))
     np.testing.assert_allclose(proj @ proj, proj)
-
-
-def test_tensor_of_pure_states_row_major():
-    ud = PureState(UP).tensor(PureState(DOWN))
-    np.testing.assert_allclose(ud.vector, [0, 1, 0, 0])
 
 
 def test_density_operator_validation():
@@ -79,27 +71,6 @@ def test_density_matrix_is_readonly():
     state = DensityOperator(np.eye(2) / 2.0)
     with pytest.raises(ValueError):
         state.matrix[0, 0] = 5.0
-
-
-def test_tensor_trace_multiplicativity():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.trace(tensor(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-
-def test_expectation_trace_rule():
-    state = DensityOperator(np.diag([0.7, 0.3]))
-    assert expectation(np.diag([1.0, 0.0]), state) == pytest.approx(0.7)
-    assert expectation(np.eye(2), state) == pytest.approx(1.0)
-
-
-def test_expectation_rejects_bad_effects():
-    state = DensityOperator(np.diag([0.7, 0.3]))
-    with pytest.raises(DimensionMismatch):
-        expectation(np.eye(3), state)
-    with pytest.raises(NonHermitianInput):
-        expectation(np.array([[0.0, 1.0], [-1.0, 0.0]]), state)
 
 
 def test_hermitian_eigenvalues_ascending():

@@ -15,11 +15,8 @@ from qcorr import (
     SpaceMismatch,
     UnknownLabel,
     ValidationError,
-    WeightSumInvalid,
     dirac,
     marginal,
-    mix,
-    product,
 )
 from qcorr.measure import correlation_split
 
@@ -85,7 +82,8 @@ def test_dirac_is_point_mass():
 
 @given(measures(BITS), measures(TRITS))
 def test_product_marginals_recover_factors(nu1, nu2):
-    joint = product(nu1, nu2)
+    space = ProductSpace(BITS, TRITS)
+    joint = DiscreteMeasure.from_array(space, np.multiply.outer(nu1.as_array(), nu2.as_array()))
     left = marginal(joint, "left")
     right = marginal(joint, "right")
     for label in BITS.labels:
@@ -94,32 +92,9 @@ def test_product_marginals_recover_factors(nu1, nu2):
         assert right.weight(label) == pytest.approx(nu2.weight(label), abs=1e-12)
 
 
-def test_product_rejects_product_space_factors():
-    joint = product(dirac(BITS, "0"), dirac(BITS, "0"))
-    with pytest.raises(ValidationError):
-        product(joint, dirac(BITS, "0"))
-
-
 def test_marginal_requires_product_space():
     with pytest.raises(NotAProductSpace):
         marginal(dirac(BITS, "0"), "left")
-
-
-def test_mix_validation():
-    with pytest.raises(WeightSumInvalid):
-        mix([])
-    with pytest.raises(WeightSumInvalid):
-        mix([(0.5, dirac(BITS, "0")), (0.4, dirac(BITS, "1"))])
-    with pytest.raises(SpaceMismatch):
-        mix([(0.5, dirac(BITS, "0")), (0.5, dirac(TRITS, "a"))])
-
-
-@given(measures(BITS), measures(BITS), st.floats(min_value=0.0, max_value=1.0))
-def test_mix_is_pointwise_affine(nu1, nu2, t):
-    mixed = mix([(t, nu1), (1.0 - t, nu2)])
-    for label in BITS.labels:
-        expected = t * nu1.weight(label) + (1.0 - t) * nu2.weight(label)
-        assert mixed.weight(label) == pytest.approx(expected, abs=1e-12)
 
 
 def quotient(num, den):

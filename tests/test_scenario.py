@@ -155,6 +155,35 @@ def test_classical_state_length_matches_phase_space():
         scenario_from_jsonable(doc)
 
 
+def test_classical_state_entry_error_names_its_path_once():
+    doc = classical_doc()
+    doc["state"] = [1.0, "x"]
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_jsonable(doc)
+    assert str(excinfo.value) == "state[1]: expected a number, got 'x'"
+
+
+def test_classical_joint_row_error_names_its_path_once():
+    doc = classical_doc()
+    doc["joint"] = {"kernel": [[0.5, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5]]}
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_jsonable(doc)
+    assert str(excinfo.value) == "joint.kernel[0]: expected 4 entries, got 3"
+
+
+def test_classical_weight_errors_keep_their_field_prefix():
+    doc = classical_doc()
+    doc["state"] = [0.5, 0.6]
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_jsonable(doc)
+    assert str(excinfo.value) == "state: weights sum to 1.1, expected 1"
+    doc = classical_doc()
+    doc["joint"] = {"kernel": [[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.0, 0.6]]}
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_jsonable(doc)
+    assert str(excinfo.value) == "joint: weights sum to 1.1, expected 1"
+
+
 def test_explicit_classical_joint_rows():
     doc = classical_doc()
     doc["joint"] = {
