@@ -17,7 +17,15 @@ import numpy as np
 
 from .correlation import CorrelationReport, split_report
 from .errors import SpaceMismatch, UnknownLabel, ValidationError
-from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, _checked_weights, _position
+from .measure import (
+    DiscreteMeasure,
+    OutcomeSpace,
+    ProductSpace,
+    _checked_weights,
+    _float_array,
+    _number,
+    _position,
+)
 from .tolerance import validation_eps
 
 __all__ = [
@@ -62,7 +70,8 @@ class ClassicalObservable:
                 matrix[index] = row.as_array()
             else:
                 for outcome, value in dict(row).items():
-                    matrix[index, _position(codomain, outcome)] = float(value)
+                    position = _position(codomain, outcome)
+                    matrix[index, position] = _number(value, f"weight at {outcome!r}")
                 _checked_weights(codomain, matrix[index])
             given[index] = True
         missing = [p for p, g in zip(domain.labels, given) if not g]
@@ -75,8 +84,8 @@ class ClassicalObservable:
         """Observable whose kernel rows are the rows of `matrix`, in
         phase-space order (row-major outcomes for product codomains)."""
         cls._check_codomain(codomain)
-        array = np.array(matrix, dtype=float)
         shape = (len(domain), len(codomain))
+        array = _float_array(matrix, "kernel matrix", f"kernel matrix must have shape {shape}")
         if array.shape != shape:
             raise ValidationError(f"kernel matrix must have shape {shape}, got {array.shape}")
         for row in array:

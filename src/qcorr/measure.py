@@ -128,11 +128,40 @@ def _position(space: Space, outcome) -> int:
     raise UnknownLabel(f"outcome {outcome!r} is not in the space {space.labels!r}")
 
 
+def _number(value, name: str) -> float:
+    """`value` as a float; anything else raises ValidationError naming it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: expected a number, got {value!r}") from None
+
+
+def _float_array(values, name: str, expected: str) -> np.ndarray:
+    """`values` as a fresh float array. Input numpy cannot read raises
+    ValidationError: `expected` for a ragged sequence, or a message naming
+    the first entry of `name` that is not a number."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    try:
+        cells = np.array(values, dtype=object)
+    except ValueError:
+        raise ValidationError(f"{expected}, got a ragged sequence") from None
+    for index in np.ndindex(cells.shape):
+        cell = cells[index]
+        if isinstance(cell, (list, tuple, np.ndarray)):
+            raise ValidationError(f"{expected}, got a ragged sequence")
+        _number(cell, name + "".join(f"[{i}]" for i in index))
+    raise ValidationError(f"{name} is not an array of numbers")
+
+
 def _readonly_row(space: Space, values) -> np.ndarray:
     """`values` as a fresh read-only float array of one entry per outcome."""
-    array = np.array(values, dtype=float).ravel()
+    expected = f"expected {len(space)} values"
+    array = _float_array(values, "values", expected).ravel()
     if array.size != len(space):
-        raise ValidationError(f"expected {len(space)} values, got {array.size}")
+        raise ValidationError(f"{expected}, got {array.size}")
     array.setflags(write=False)
     return array
 
@@ -150,7 +179,7 @@ class DiscreteMeasure:
     def __init__(self, space: Space, weights: Mapping):
         values = np.zeros(len(space))
         for outcome, value in dict(weights).items():
-            values[_position(space, outcome)] = float(value)
+            values[_position(space, outcome)] = _number(value, f"weight at {outcome!r}")
         self._space = space
         self._array = _checked_weights(space, values)
 
@@ -238,7 +267,8 @@ class DensityFunction:
         given = np.zeros(len(space), dtype=bool)
         for outcome, value in dict(values).items():
             position = _position(space, outcome)
-            array[position], given[position] = float(value), True
+            array[position] = _number(value, f"density value at {outcome!r}")
+            given[position] = True
         self._space = space
         self._array = _checked_density(space, _readonly_row(space, array), given)
 

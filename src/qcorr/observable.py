@@ -13,7 +13,6 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     NonCommuting,
     NonHermitianInput,
@@ -26,6 +25,7 @@ from .hilbert import (
     _as_complex_matrix,
     _hermitian_deviation,
     _max_abs,
+    _smallest_eigenvalues,
     hermitian_eigensystem,
 )
 from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, _position
@@ -75,28 +75,30 @@ class Povm:
             raise ValidationError(f"effects must cover the space exactly (missing {missing!r})")
         matrices = [table[o] for o in outcomes]
         dim = matrices[0].shape[0]
-        # Outcome by outcome, the checks run dimension, Hermitian, PSD; the
-        # first offending outcome is reported.
         fitting = next((i for i, m in enumerate(matrices) if m.shape[0] != dim), len(matrices))
-        stack = np.stack(matrices[:fitting])
-        deviation, smallest = _effect_spectra(stack)
-        offending = np.flatnonzero((deviation > eps) | (smallest < -eps))
-        if offending.size:
-            index = offending[0]
-            if deviation[index] > eps:
-                raise ValidationError(
-                    f"effect at {outcomes[index]!r} is not Hermitian "
-                    f"(max deviation {deviation[index]:.3e})"
-                )
-            raise ValidationError(
-                f"effect at {outcomes[index]!r} is not positive semidefinite "
-                f"(eigenvalue {smallest[index]:.3e})"
-            )
         if fitting < len(matrices):
+            # the effects before the first misfit are checked first
+            _check_effects(outcomes, np.stack(matrices[:fitting]), eps)
             raise DimensionMismatch(
                 f"effect at {outcomes[fitting]!r} has dimension "
                 f"{matrices[fitting].shape[0]}, expected {dim}"
             )
+        self._adopt(space, np.stack(matrices), eps)
+
+    @classmethod
+    def _from_stack(cls, space, stack: np.ndarray) -> "Povm":
+        """Observable whose effects are the (k, d, d) complex `stack`, one per
+        outcome of `space` in its order; takes ownership of `stack`. Runs the
+        same checks as the mapping constructor."""
+        povm = cls.__new__(cls)
+        povm._adopt(space, stack, validation_eps())
+        return povm
+
+    def _adopt(self, space, stack: np.ndarray, eps: float) -> None:
+        """Validate `stack` at `eps` and keep it: the one validation path of
+        both constructors."""
+        _check_effects(tuple(space.outcomes), stack, eps)
+        dim = stack.shape[1]
         completeness = _max_abs(stack.sum(axis=0) - np.eye(dim))
         if completeness > eps:
             raise ValidationError(
@@ -143,11 +145,9 @@ class Povm:
                 name if raw.count(name) == 1 else f"{name}#{i}"
                 for i, name in enumerate(raw)
             )
-        effects = {}
-        for label, (_, indices) in zip(labels, groups):
-            block = vectors[:, indices]
-            effects[label] = block @ block.conj().T
-        return cls(OutcomeSpace(labels), effects)
+        space = OutcomeSpace(labels)
+        blocks = [vectors[:, indices] for _, indices in groups]
+        return cls._from_stack(space, np.stack([block @ block.conj().T for block in blocks]))
 
     @property
     def space(self):
@@ -184,8 +184,32 @@ class Povm:
 _CHUNK_ENTRIES = 1 << 14  # entries per batched temporary: 256 KB of complex128
 
 
-def _effect_spectra(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermiticity deviations max |E - E^H| and smallest eigenvalues of a
+def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> None:
+    """Raise for the first outcome whose effect in the (k, d, d) `stack` is
+    not finite, then for the first that is not Hermitian or not PSD."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(
+            f"effect at {outcomes[int(finite.argmin())]!r} contains non-finite entries"
+        )
+    deviation, smallest = _effect_spectra(stack, eps)
+    offending = np.flatnonzero((deviation > eps) | (smallest < -eps))
+    if offending.size:
+        index = offending[0]
+        if deviation[index] > eps:
+            raise ValidationError(
+                f"effect at {outcomes[index]!r} is not Hermitian "
+                f"(max deviation {deviation[index]:.3e})"
+            )
+        raise ValidationError(
+            f"effect at {outcomes[index]!r} is not positive semidefinite "
+            f"(eigenvalue {smallest[index]:.3e})"
+        )
+
+
+def _effect_spectra(stack: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity deviations max |E - E^H| and smallest eigenvalues (as far
+    as the PSD verdict at `eps` needs them, see `_smallest_eigenvalues`) of a
     (k, d, d) stack, in chunks of at most `_CHUNK_ENTRIES` entries so that no
     temporary is stack-sized."""
     count, dim, _ = stack.shape
@@ -196,10 +220,7 @@ def _effect_spectra(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chunk = stack[start : start + step]
         part = slice(start, start + len(chunk))
         deviation[part] = np.abs(chunk - chunk.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        try:
-            smallest[part] = np.linalg.eigvalsh(chunk)[:, 0]
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+        smallest[part] = _smallest_eigenvalues(chunk, eps)
     return deviation, smallest
 
 
@@ -246,17 +267,22 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
             f"observable dimensions differ: {a1.dim} vs {a2.dim}"
         )
     eps = validation_eps()
-    effects = {}
-    for l1, left in zip(a1.space.labels, a1._stack):
-        products = left @ a2._stack  # one row of the grid: E1(l1) E2(y) for every y
-        gaps = np.abs(products - a2._stack @ left).max(axis=(1, 2))
-        for l2, product, gap in zip(a2.space.labels, products, gaps):
-            if gap > eps:
-                raise NonCommuting(
-                    f"effects at {l1!r} and {l2!r} do not commute (max deviation {gap:.3e})"
-                )
-            effects[(l1, l2)] = product
-    return Povm(ProductSpace(a1.space, a2.space), effects)
+    k1, k2, dim = len(a1._stack), len(a2._stack), a1.dim
+    products = np.empty((k1, k2, dim, dim), dtype=complex)
+    for l1, left, row in zip(a1.space.labels, a1._stack, products):
+        np.matmul(left, a2._stack, out=row)  # one row of the grid: E1(l1) E2(y) for every y
+        reverse = a2._stack @ left
+        reverse -= row
+        gaps = np.abs(reverse).max(axis=(1, 2))
+        noncommuting = np.flatnonzero(gaps > eps)
+        if noncommuting.size:
+            index = noncommuting[0]
+            raise NonCommuting(
+                f"effects at {l1!r} and {a2.space.labels[index]!r} do not commute "
+                f"(max deviation {gaps[index]:.3e})"
+            )
+    space = ProductSpace(a1.space, a2.space)
+    return Povm._from_stack(space, products.reshape(k1 * k2, dim, dim))
 
 
 def marginal_observable(joint: Povm, side) -> Povm:
@@ -266,8 +292,8 @@ def marginal_observable(joint: Povm, side) -> Povm:
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
     if side == "left":
-        return Povm(joint.space.left, dict(zip(joint.space.left.labels, _grid(joint).sum(axis=1))))
-    return Povm(joint.space.right, dict(zip(joint.space.right.labels, _grid(joint).sum(axis=0))))
+        return Povm._from_stack(joint.space.left, _grid(joint).sum(axis=1))
+    return Povm._from_stack(joint.space.right, _grid(joint).sum(axis=0))
 
 
 def _grid(joint: Povm) -> np.ndarray:

@@ -5,8 +5,10 @@ stacked effects in one batched pass: each outcome's dimension, hermiticity
 and positivity in turn, then the idempotence of every effect and the product
 of every pair of distinct effects, one pair at a time. `joint_verdict` is
 the matching `joint_from_commuting`, which tested every pair of factor
-effects for commutation before it built the products. Tests compare the
-package against these.
+effects for commutation before it built the products. `density_verdict` is
+the `DensityOperator` check with one `eigvalsh` per matrix, as it ran before
+positivity was certified by Cholesky. Tests compare the package against
+these.
 """
 
 import numpy as np
@@ -104,3 +106,19 @@ def joint_verdict(a1, a2) -> bool:
         for l2 in a2.space.labels
     }
     return povm_verdict(ProductSpace(a1.space, a2.space), effects)
+
+
+def density_verdict(matrix) -> None:
+    """`DensityOperator(matrix)`, returning None where it succeeds and
+    raising what it raises."""
+    arr = _as_complex_matrix(matrix, name="density matrix")
+    eps = validation_eps()
+    deviation = _hermitian_deviation(arr)
+    if deviation > eps:
+        raise ValidationError(f"density matrix is not Hermitian (max deviation {deviation:.3e})")
+    trace = complex(np.trace(arr)).real
+    if abs(trace - 1.0) > eps:
+        raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
+    smallest = float(np.min(hermitian_eigenvalues(arr)))
+    if smallest < -eps:
+        raise ValidationError(f"density matrix has negative eigenvalue {smallest:.3e}")

@@ -83,6 +83,18 @@ def test_from_matrix_checks_the_shape():
         ClassicalObservable.from_matrix(PHASE, BITS, [0.5, 0.5])
 
 
+def test_from_matrix_rejects_ragged_and_non_numeric_input():
+    with pytest.raises(ValidationError) as excinfo:
+        ClassicalObservable.from_matrix(PHASE, BITS, [[1.0, 0.0], [1.0]])
+    assert str(excinfo.value) == "kernel matrix must have shape (2, 2), got a ragged sequence"
+    with pytest.raises(ValidationError) as excinfo:
+        ClassicalObservable.from_matrix(PHASE, BITS, [[1.0, 0.0], [1.0, "x"]])
+    assert str(excinfo.value) == "kernel matrix[1][1]: expected a number, got 'x'"
+    with pytest.raises(ValidationError) as excinfo:
+        ClassicalObservable(PHASE, BITS, {"alpha": {"0": None}, "beta": {"0": 1.0}})
+    assert str(excinfo.value) == "weight at '0': expected a number, got None"
+
+
 def test_row_rejects_unknown_points():
     with pytest.raises(UnknownLabel, match="'gamma' is not a phase-space point"):
         fuzzy().row("gamma")

@@ -222,6 +222,41 @@ def test_density_mapping_rejects_nan():
         DensityFunction(BITS, {"0": math.nan})
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: DiscreteMeasure.from_array(BITS, [[1.0], [0.0, 1.0]]),
+            "expected 2 values, got a ragged sequence",
+        ),
+        (
+            lambda: DiscreteMeasure.from_array(BITS, [np.zeros(2), np.zeros((2, 3))]),
+            "expected 2 values, got a ragged sequence",
+        ),
+        (
+            lambda: DiscreteMeasure.from_array(BITS, ["a", 1.0]),
+            "values[0]: expected a number, got 'a'",
+        ),
+        (
+            lambda: DiscreteMeasure(BITS, {"0": "a", "1": 1.0}),
+            "weight at '0': expected a number, got 'a'",
+        ),
+        (
+            lambda: DensityFunction.from_array(BITS, [1.0, [2.0]]),
+            "expected 2 values, got a ragged sequence",
+        ),
+        (
+            lambda: DensityFunction(BITS, {"1": "q"}),
+            "density value at '1': expected a number, got 'q'",
+        ),
+    ],
+)
+def test_ragged_or_non_numeric_input_is_a_validation_error(build, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 def test_from_array_rejects_wrong_length():
     with pytest.raises(ValidationError, match="expected 2 values, got 3"):
         DiscreteMeasure.from_array(BITS, [0.2, 0.3, 0.5])

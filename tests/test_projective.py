@@ -1,10 +1,13 @@
-"""Batched POVM validation and the pairwise projectivity test.
+"""Batched POVM validation, the Cholesky positivity certificate and the
+pairwise projectivity test.
 
-`Povm` validates its stacked effects in one batched pass and decides
-projectivity when it is read, multiplying each effect by the effects from it
-onward in one batched product. These checks hold its verdicts and errors to
-the effect-by-effect reference in `projective_oracle`, on built observables
-and on raw stacks.
+`Povm` validates its stacked effects in one batched pass, certifying
+positivity by a shifted Cholesky factorisation where it can and by
+`eigvalsh` elsewhere, and decides projectivity when it is read, multiplying
+each effect by the effects from it onward in one batched product. These
+checks hold its verdicts and errors, and those of `DensityOperator` and
+`joint_from_commuting`, to the one-matrix-at-a-time references in
+`projective_oracle`, on built observables and on raw stacks.
 """
 
 import numpy as np
@@ -12,13 +15,15 @@ import pytest
 
 from qcorr import (
     ConvergenceFailure,
+    DensityOperator,
+    NonCommuting,
     OutcomeSpace,
     Povm,
     QcorrError,
     joint_from_commuting,
 )
 from qcorr.observable import _effect_spectra, _pairwise_projective
-from qcorr.tolerance import EPS
+from qcorr.tolerance import EPS, validation_eps
 import projective_oracle
 
 # QCORR_EPS settings every oracle comparison runs under (None: unset)
@@ -50,6 +55,12 @@ def assert_same_povm(space, effects):
 def assert_same_joint(a1, a2):
     expected = _outcome(lambda: projective_oracle.joint_verdict(a1, a2))
     assert _outcome(lambda: joint_from_commuting(a1, a2).is_projective) == expected
+    return expected
+
+
+def assert_same_density(matrix):
+    expected = _outcome(lambda: projective_oracle.density_verdict(matrix))
+    assert _outcome(lambda: DensityOperator(matrix) and None) == expected
 
 
 def _haar(rng, dim):
@@ -198,8 +209,191 @@ def test_eigensolver_failure_surfaces_as_convergence_failure(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    # the certificate settles the identity without the eigensolver
+    assert Povm(*_as_povm_input([np.eye(16)])).is_projective
+    # a negative eigenvalue fails the Cholesky factorisation, a huge trace
+    # fails the rounding guard, and a stack this small skips the certificate;
+    # each falls back to the eigensolver
+    negative = np.diag(np.r_[1.5, np.ones(15)])
+    huge = np.diag(np.r_[1e9, np.zeros(15)])
+    for effects in (
+        [negative, np.eye(16) - negative],
+        [huge, np.eye(16) - huge],
+        [np.eye(2)],
+    ):
+        with pytest.raises(ConvergenceFailure, match="eigensolver did not converge"):
+            Povm(*_as_povm_input(effects))
     with pytest.raises(ConvergenceFailure, match="eigensolver did not converge"):
-        Povm(*_as_povm_input([np.eye(2)]))
+        DensityOperator(np.diag(np.r_[1.5, np.full(15, -0.5 / 15)]))
+
+
+# the Cholesky certificate ----------------------------------------------------
+
+# smallest eigenvalues probed, in units of -eps
+FLOOR_FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1 - 1e-3, 1 + 1e-3, 1.5]
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """A list that gains one entry per `np.linalg.eigvalsh` call."""
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def _with_floor(rng, dim, floor, others):
+    """Haar rotation of diag(floor, *others)."""
+    basis = _haar(rng, dim)
+    return (basis * np.concatenate([[floor], others])) @ basis.conj().T
+
+
+def _effects_with_floor(rng, dim, floor, top=1.0):
+    """Two effects summing to the identity; the first has smallest eigenvalue
+    `floor` and its others in [0, top]."""
+    first = _with_floor(rng, dim, floor, rng.uniform(0.0, top, size=dim - 1))
+    return [first, np.eye(dim) - first]
+
+
+def _density_with_floor(rng, dim, floor):
+    """A unit-trace Hermitian matrix with smallest eigenvalue `floor`."""
+    return _with_floor(rng, dim, floor, rng.dirichlet(np.ones(dim - 1)) * (1.0 - floor))
+
+
+def test_cholesky_failure_only_means_not_certified(qcorr_eps, monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    rng = np.random.default_rng(13)
+    assert_same_povm(*_as_povm_input(_pvm_effects(rng, 9, 3)))
+    for fraction in FLOOR_FRACTIONS:
+        floor = -fraction * validation_eps()
+        assert_same_povm(*_as_povm_input(_effects_with_floor(rng, 9, floor)))
+        assert_same_density(_density_with_floor(rng, 9, floor))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 9, 16])
+def test_certificate_matches_oracle_at_the_eigenvalue_floor(qcorr_eps, eigvalsh_calls, dim):
+    eps = validation_eps()
+    rng = np.random.default_rng(dim)
+    for fraction in FLOOR_FRACTIONS:
+        for _ in range(3):
+            space, effects = _as_povm_input(_effects_with_floor(rng, dim, -fraction * eps))
+            expected = _outcome(lambda: projective_oracle.povm_verdict(space, effects))
+            eigvalsh_calls.clear()
+            assert _outcome(lambda: Povm(space, effects).is_projective) == expected
+            if fraction > 0.5:
+                assert eigvalsh_calls  # only the eigensolver can reject
+            elif fraction <= 0.25 and dim >= 9 and qcorr_eps != "1e-12":
+                assert not eigvalsh_calls  # the certificate decided
+            matrix = _density_with_floor(rng, dim, -fraction * eps)
+            expected = _outcome(lambda: projective_oracle.density_verdict(matrix))
+            eigvalsh_calls.clear()
+            assert _outcome(lambda: DensityOperator(matrix) and None) == expected
+            if fraction <= 0.25 and dim >= 16 and qcorr_eps != "1e-12":
+                assert not eigvalsh_calls
+
+
+def test_large_traces_fall_back_to_the_eigensolver(qcorr_eps, eigvalsh_calls):
+    rng = np.random.default_rng(17)
+    for dim in (9, 16):
+        for top in (1e7, 1e9, 1e11):
+            space, effects = _as_povm_input(_effects_with_floor(rng, dim, 0.0, top))
+            expected = _outcome(lambda: projective_oracle.povm_verdict(space, effects))
+            eigvalsh_calls.clear()
+            assert _outcome(lambda: Povm(space, effects).is_projective) == expected
+            assert eigvalsh_calls
+
+
+def test_tiny_eps_at_d64_falls_back_to_the_eigensolver(monkeypatch, eigvalsh_calls):
+    monkeypatch.setenv("QCORR_EPS", "1e-12")
+    effects = _pvm_effects(np.random.default_rng(19), 64, 4)
+    eigvalsh_calls.clear()
+    assert Povm(*_as_povm_input(effects)).is_projective
+    assert eigvalsh_calls
+
+
+def _tilted_factors(dim_a, angle, rng):
+    """Factor observables of C^dA (x) C^dA: coordinate projectors of the left
+    factor, and those of the right factor tilted by a rotation of the whole
+    space by `angle`, so that they commute up to about `angle`."""
+    eye = np.eye(dim_a)
+    units = [np.diag(row) for row in np.eye(dim_a)]
+    left = [np.kron(p, eye) for p in units]
+    generator = rng.normal(size=(dim_a**2,) * 2) + 1j * rng.normal(size=(dim_a**2,) * 2)
+    values, vectors = np.linalg.eigh(generator + generator.conj().T)
+    rotation = (vectors * np.exp(1j * angle * values)) @ vectors.conj().T
+    right = [rotation @ np.kron(eye, p) @ rotation.conj().T for p in units]
+    return Povm(*_as_povm_input(left)), Povm(*_as_povm_input(right))
+
+
+def test_near_threshold_commutation_matches_oracle(qcorr_eps):
+    eps = validation_eps()
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for dim_a in (2, 3):
+        for scale in np.geomspace(0.05, 5.0, 41):
+            a1, a2 = _tilted_factors(dim_a, scale * eps, rng)
+            verdict = assert_same_joint(a1, a2)
+            verdicts.add(verdict if verdict is True else verdict[0])
+    assert {True, NonCommuting} <= verdicts
+
+
+def _dsweep_effects(rng, dim_a, left):
+    """Rank-one projectors of a Haar basis of one factor, lifted to the pair."""
+    eye = np.eye(dim_a)
+    basis = _haar(rng, dim_a)
+    lifted = [np.outer(column, column.conj()) for column in basis.T]
+    return [np.kron(p, eye) if left else np.kron(eye, p) for p in lifted]
+
+
+@pytest.mark.parametrize("dim", [16, 36])
+def test_dsweep_shaped_builds_never_reach_the_eigensolver(monkeypatch, eigvalsh_calls, dim):
+    monkeypatch.delenv("QCORR_EPS", raising=False)
+    rng = np.random.default_rng(dim)
+    dim_a = int(np.sqrt(dim))
+    eigvalsh_calls.clear()
+    a1 = Povm(*_as_povm_input(_dsweep_effects(rng, dim_a, left=True)))
+    a2 = Povm(*_as_povm_input(_dsweep_effects(rng, dim_a, left=False)))
+    joint = joint_from_commuting(a1, a2)
+    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    matrix = ginibre @ ginibre.conj().T
+    DensityOperator(matrix / np.trace(matrix).real)
+    assert len(joint.space) == dim
+    assert len(eigvalsh_calls) == 0
+
+
+def test_stack_constructor_runs_the_mapping_constructors_checks():
+    rng = np.random.default_rng(29)
+    valid = _pvm_effects(rng, 16, 3)
+    nan = [valid[0], np.full((16, 16), np.nan), valid[2]]
+    skewed = [valid[0] + 1e-3 * np.triu(np.ones((16, 16)), 1), valid[1], valid[2]]
+    incomplete = [valid[0], valid[1], 0.5 * valid[2]]
+    negative = _effects_with_floor(rng, 16, -0.1)
+    for effects in (valid, nan, skewed, incomplete, negative):
+        space, table = _as_povm_input(effects)
+        stack = np.array(effects, dtype=complex)
+        assert _outcome(lambda: Povm._from_stack(space, stack).effects.keys()) == _outcome(
+            lambda: Povm(space, table).effects.keys()
+        )
+    with pytest.raises(QcorrError, match="effect at 'x1' contains non-finite entries"):
+        Povm._from_stack(*_as_povm_input(nan)[:1], np.array(nan, dtype=complex))
+
+
+def test_joint_effects_are_the_products_bit_for_bit():
+    rng = np.random.default_rng(31)
+    a1 = Povm(*_as_povm_input(_dsweep_effects(rng, 4, left=True)))
+    a2 = Povm(*_as_povm_input(_dsweep_effects(rng, 4, left=False)))
+    joint = joint_from_commuting(a1, a2)
+    products = [a1.effect(l1) @ a2.effect(l2) for l1 in a1.space.labels for l2 in a2.space.labels]
+    np.testing.assert_array_equal(joint._stack, np.array(products))
+    assert not joint._stack.flags.writeable
 
 
 # raw stacks ------------------------------------------------------------------
@@ -229,8 +423,8 @@ def test_detection_on_raw_stacks_matches_oracle(eps):
 
 def test_spectra_chunks_agree_with_one_pass(monkeypatch):
     stack = np.stack(_pvm_effects(np.random.default_rng(2), 8, 8))
-    whole = _effect_spectra(stack)
+    whole = _effect_spectra(stack, EPS)
     monkeypatch.setattr("qcorr.observable._CHUNK_ENTRIES", 3 * 64)
-    chunked = _effect_spectra(stack)
+    chunked = _effect_spectra(stack, EPS)
     for got, want in zip(chunked, whole):
         np.testing.assert_array_equal(got, want)
