@@ -73,7 +73,7 @@ from .observable import (
     outcome_measure,
     spin_z_pair,
 )
-from .report import DecompositionBlock, ReportDocument, emit_report
+from .report import ReportDocument, emit_report
 from .scenario import (
     ClassicalScenario,
     QuantumScenario,
@@ -140,7 +140,6 @@ __all__ = [
     "scenario_to_jsonable",
     "run_scenario",
     "ReportDocument",
-    "DecompositionBlock",
     "emit_report",
     # examples and self test
     "PAPER_EXAMPLE_IDS",

@@ -11,7 +11,7 @@ construction with phase-space points in the role of pure components.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .measure import (
     OutcomeSpace,
     ProductSpace,
     _checked_weights,
-    _float_array,
     _number,
+    _number_array,
     _position,
 )
 from .tolerance import validation_eps
@@ -85,7 +85,7 @@ class ClassicalObservable:
         phase-space order (row-major outcomes for product codomains)."""
         cls._check_codomain(codomain)
         shape = (len(domain), len(codomain))
-        array = _float_array(matrix, "kernel matrix", f"kernel matrix must have shape {shape}")
+        array = _number_array(matrix, "kernel matrix", f"kernel matrix must have shape {shape}")
         if array.shape != shape:
             raise ValidationError(f"kernel matrix must have shape {shape}, got {array.shape}")
         for row in array:
@@ -204,8 +204,10 @@ def classical_report(
     there, when the chosen joint correlates outcomes beyond the product
     coupling. Marginal consistency of the joint is not required; an
     inconsistent joint can escape the product's support, in which case rho_t
-    fails with AbsoluteContinuityViolation.
+    fails with AbsoluteContinuityViolation. The split is canonical, so it
+    reports no decomposition size.
     """
     _require_product_codomain(joint, a1, a2)
     measures = apply(joint, state), apply(a1, state), apply(a2, state)
-    return split_report(*measures, state.as_array(), a1.matrix, a2.matrix, "canonical")
+    report = split_report(*measures, state.as_array(), a1.matrix, a2.matrix, "canonical")
+    return replace(report, decomposition_size=None)

@@ -20,6 +20,7 @@ from .errors import DimensionMismatch, JointMarginalMismatch
 from .hilbert import ConvexDecomposition, DensityOperator, spectral_decompose
 from .measure import DensityFunction, DiscreteMeasure, correlation_split
 from .observable import Povm, check_joint, outcome_measure
+from .tolerance import PRODUCT_RULE_TOL
 
 __all__ = [
     "ConvexDecomposition",
@@ -56,7 +57,8 @@ class CorrelationReport:
     rho_c and rho_e are None when their density does not exist; the matching
     error message records why. The residual is the largest deviation of
     rho_c * rho_e from rho_t on the common support, and is None whenever one
-    of the factors is missing.
+    of the factors is missing. The size is the number of mixed components,
+    and None for the canonical classical split.
     """
 
     joint_measure: DiscreteMeasure
@@ -71,7 +73,13 @@ class CorrelationReport:
     rho_e_error: str | None
     product_rule_residual: float | None
     decomposition_source: str
-    decomposition_size: int
+    decomposition_size: int | None
+
+    @property
+    def product_rule_pass(self) -> bool | None:
+        if self.product_rule_residual is None:
+            return None
+        return self.product_rule_residual < PRODUCT_RULE_TOL
 
 
 def correlation_report(

@@ -19,6 +19,7 @@ from .errors import (
     NonHermitianInput,
     ValidationError,
 )
+from .measure import _number, _number_array
 from .tolerance import EPS, RECONSTRUCTION_TOL, validation_eps
 
 __all__ = [
@@ -33,7 +34,9 @@ __all__ = [
 
 
 def _as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(value, dtype=complex)
+    """`value` as a fresh finite non-empty square complex matrix; anything
+    else raises ValidationError."""
+    arr = _number_array(value, name, f"{name} must be a square matrix", complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
     if arr.size == 0:
@@ -41,12 +44,6 @@ def _as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 def _max_abs(arr: np.ndarray) -> float:
@@ -63,15 +60,17 @@ class PureState:
     __slots__ = ("_vector",)
 
     def __init__(self, vector):
-        arr = np.asarray(vector, dtype=complex)
+        expected = "state vector must be one-dimensional"
+        arr = _number_array(vector, "state vector", expected, complex)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError(f"state vector must be one-dimensional, got shape {arr.shape}")
+            raise ValidationError(f"{expected}, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("state vector contains non-finite entries")
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > validation_eps():
             raise ValidationError(f"state vector norm is {norm!r}, expected 1")
-        self._vector = _readonly(arr)
+        arr.setflags(write=False)
+        self._vector = arr
 
     @property
     def vector(self) -> np.ndarray:
@@ -110,7 +109,8 @@ class DensityOperator:
             raise ValidationError(
                 f"density matrix has negative eigenvalue {smallest:.3e}"
             )
-        self._matrix = _readonly(arr)
+        arr.setflags(write=False)
+        self._matrix = arr
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityOperator":
@@ -122,7 +122,7 @@ class DensityOperator:
         cls, components: Iterable[tuple[float, PureState]]
     ) -> "DensityOperator":
         """The density operator sum(w_i |psi_i><psi_i|) of a weighted family."""
-        components = list(components)
+        components = [_component(entry) for entry in components]
         if not components:
             raise ValidationError("mixture needs at least one component")
         dim = components[0][1].dim
@@ -132,7 +132,7 @@ class DensityOperator:
                 raise DimensionMismatch(
                     f"mixture mixes dimensions {dim} and {state.dim}"
                 )
-            total += float(weight) * state.projector()
+            total += weight * state.projector()
         return cls(total)
 
     @property
@@ -225,6 +225,20 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     return values[::-1].copy(), vectors[:, ::-1].copy()
 
 
+_PAIRS = "decomposition components must be (weight, PureState) pairs"
+
+
+def _component(entry) -> tuple[float, PureState]:
+    """One (weight, PureState) pair of a mixture, its weight as a float."""
+    try:
+        weight, state = entry
+    except (TypeError, ValueError):
+        raise ValidationError(_PAIRS) from None
+    if not isinstance(state, PureState):
+        raise ValidationError(_PAIRS)
+    return _number(weight, "decomposition weight"), state
+
+
 class ConvexDecomposition:
     """A convex mixture of pure states realizing a target density operator.
 
@@ -239,10 +253,7 @@ class ConvexDecomposition:
     def __init__(self, components: Iterable[tuple[float, PureState]], target: DensityOperator):
         comps = []
         for entry in components:
-            weight, state = entry
-            weight = float(weight)
-            if not isinstance(state, PureState):
-                raise ValidationError("decomposition components must be (weight, PureState) pairs")
+            weight, state = _component(entry)
             if not math.isfinite(weight) or weight <= 0.0:
                 raise ValidationError(f"decomposition weight {weight!r} must be positive")
             if state.dim != target.dim:

@@ -128,20 +128,21 @@ def _position(space: Space, outcome) -> int:
     raise UnknownLabel(f"outcome {outcome!r} is not in the space {space.labels!r}")
 
 
-def _number(value, name: str) -> float:
-    """`value` as a float; anything else raises ValidationError naming it."""
+def _number(value, name: str, dtype: type = float) -> float | complex:
+    """`value` as a `dtype` scalar (float or complex); anything else raises
+    ValidationError naming it."""
     try:
-        return float(value)
+        return dtype(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name}: expected a number, got {value!r}") from None
 
 
-def _float_array(values, name: str, expected: str) -> np.ndarray:
-    """`values` as a fresh float array. Input numpy cannot read raises
-    ValidationError: `expected` for a ragged sequence, or a message naming
-    the first entry of `name` that is not a number."""
+def _number_array(values, name: str, expected: str, dtype: type = float) -> np.ndarray:
+    """`values` as a fresh `dtype` (float or complex) array. Input numpy
+    cannot read raises ValidationError: `expected` for a ragged sequence, or
+    a message naming the first entry of `name` that is not a `dtype` number."""
     try:
-        return np.array(values, dtype=float)
+        return np.array(values, dtype=dtype)
     except (TypeError, ValueError):
         pass
     try:
@@ -152,14 +153,14 @@ def _float_array(values, name: str, expected: str) -> np.ndarray:
         cell = cells[index]
         if isinstance(cell, (list, tuple, np.ndarray)):
             raise ValidationError(f"{expected}, got a ragged sequence")
-        _number(cell, name + "".join(f"[{i}]" for i in index))
+        _number(cell, name + "".join(f"[{i}]" for i in index), dtype)
     raise ValidationError(f"{name} is not an array of numbers")
 
 
 def _readonly_row(space: Space, values) -> np.ndarray:
     """`values` as a fresh read-only float array of one entry per outcome."""
     expected = f"expected {len(space)} values"
-    array = _float_array(values, "values", expected).ravel()
+    array = _number_array(values, "values", expected).ravel()
     if array.size != len(space):
         raise ValidationError(f"{expected}, got {array.size}")
     array.setflags(write=False)

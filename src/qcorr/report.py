@@ -12,39 +12,23 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .correlation import CorrelationReport
 from .errors import ValidationError
 from .measure import DensityFunction, DiscreteMeasure, ProductSpace
 from .tolerance import PRODUCT_RULE_TOL
 
-__all__ = ["DecompositionBlock", "ReportDocument", "emit_report"]
+__all__ = ["ReportDocument", "emit_report"]
 
 OFF_SUPPORT = "—"
 
 
 @dataclass
-class DecompositionBlock:
-    """Correlation split for one decomposition of the scenario state."""
-
-    name: str
-    source: str  # "explicit", "spectral", or "canonical" (classical mode)
-    size: int | None
-    classical_product: DiscreteMeasure
-    rho_c: DensityFunction | None
-    rho_e: DensityFunction | None
-    rho_c_error: str | None = None
-    rho_e_error: str | None = None
-    product_rule_residual: float | None = None
-
-    @property
-    def product_rule_pass(self) -> bool | None:
-        if self.product_rule_residual is None:
-            return None
-        return self.product_rule_residual < PRODUCT_RULE_TOL
-
-
-@dataclass
 class ReportDocument:
-    """Everything a run produces: measures, densities, flags, and notes."""
+    """Everything a run produces: measures, densities, flags, and notes.
+
+    `blocks` maps each decomposition's name to the engine's split for it, in
+    report order.
+    """
 
     scenario: dict
     mode: str
@@ -54,7 +38,7 @@ class ReportDocument:
     marginal_2: DiscreteMeasure
     product_measure: DiscreteMeasure
     rho_t: DensityFunction
-    blocks: list[DecompositionBlock]
+    blocks: dict[str, CorrelationReport]
     flags: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
@@ -73,9 +57,9 @@ class ReportDocument:
             "total_correlation": _density_values(self.rho_t),
             "decompositions": [
                 {
-                    "name": block.name,
-                    "source": block.source,
-                    "size": block.size,
+                    "name": name,
+                    "source": block.decomposition_source,
+                    "size": block.decomposition_size,
                     "classical_product_measure": _measure_values(block.classical_product),
                     "classical_correlation": _density_values(block.rho_c),
                     "entanglement": _density_values(block.rho_e),
@@ -84,7 +68,7 @@ class ReportDocument:
                     "product_rule_residual": block.product_rule_residual,
                     "product_rule_pass": block.product_rule_pass,
                 }
-                for block in self.blocks
+                for name, block in self.blocks.items()
             ],
             "flags": dict(self.flags),
             "notes": list(self.notes),
@@ -143,7 +127,7 @@ def _emit_table(report: ReportDocument) -> str:
             ("rho_c (classical)", _cells(_density_values(block.rho_c), count)),
             ("rho_e (entanglement)", _cells(_density_values(block.rho_e), count)),
         ]
-        for block in report.blocks
+        for block in report.blocks.values()
     ]
 
     label_width = max(
@@ -163,8 +147,7 @@ def _emit_table(report: ReportDocument) -> str:
         return out.rstrip()
 
     lines = []
-    name = report.scenario.get("name", "")
-    lines.append(f"scenario: {name}")
+    lines.append(f"scenario: {report.scenario.get('name', '')}")
     lines.append(f"mode: {report.mode}")
     left = ",".join(report.space.left.labels)
     right = ",".join(report.space.right.labels)
@@ -179,10 +162,11 @@ def _emit_table(report: ReportDocument) -> str:
         lines.append(
             f"marginal {index}: " + "  ".join(f"{label}={_fmt(v)}" for label, v in pairs)
         )
-    for block, entries in zip(report.blocks, block_rows):
+    for (name, block), entries in zip(report.blocks.items(), block_rows):
         lines.append("")
-        size = f", {block.size} components" if block.size is not None else ""
-        lines.append(f"decomposition '{block.name}' ({block.source}{size}):")
+        size = block.decomposition_size
+        size = f", {size} components" if size is not None else ""
+        lines.append(f"decomposition '{name}' ({block.decomposition_source}{size}):")
         for label, cells in entries:
             lines.append(line(label, cells, indent="  "))
         if block.rho_c_error:

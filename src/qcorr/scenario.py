@@ -59,7 +59,7 @@ from .errors import ParseError, ValidationError
 from .hilbert import ConvexDecomposition, DensityOperator, PureState
 from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace
 from .observable import Povm, joint_from_commuting
-from .report import DecompositionBlock, ReportDocument
+from .report import ReportDocument
 from .tolerance import EPS
 
 __all__ = [
@@ -478,43 +478,28 @@ def _select_decompositions(scenario: QuantumScenario, requested: str | None):
 def _run_quantum(scenario: QuantumScenario, requested: str | None) -> ReportDocument:
     a1, a2 = scenario.observable_1, scenario.observable_2
     joint = scenario.joint if scenario.joint is not None else joint_from_commuting(a1, a2)
-    selected = _select_decompositions(scenario, requested)
-    blocks = []
-    shared = None
-    for name, dec in selected:
-        result = correlation_report(joint, a1, a2, dec)
-        shared = shared or result
-        blocks.append(_block(name, result, result.decomposition_size))
+    blocks = {
+        name: correlation_report(joint, a1, a2, dec)
+        for name, dec in _select_decompositions(scenario, requested)
+    }
+    shared = next(iter(blocks.values()))
 
     purity = scenario.state.purity()
     pure = purity >= 1.0 - EPS
+    spectral = any(b.decomposition_source == "spectral" for b in blocks.values())
     flags = {
         "joint_mode": "explicit" if scenario.joint is not None else "auto-commuting",
         "joint_marginals_consistent": True,  # enforced by the engine
         "state_pure": pure,
         "decomposition_relative": not pure,
-        "spectral_decomposition_used": any(b.source == "spectral" for b in blocks),
+        "spectral_decomposition_used": spectral,
     }
-    notes = _quantum_notes(shared, blocks, pure)
+    notes = _quantum_notes(shared, blocks, pure, spectral)
     return _document(scenario, shared, blocks, flags, notes)
 
 
-def _block(name: str, result: CorrelationReport, size: int | None) -> DecompositionBlock:
-    return DecompositionBlock(
-        name=name,
-        source=result.decomposition_source,
-        size=size,
-        classical_product=result.classical_product,
-        rho_c=result.rho_c,
-        rho_e=result.rho_e,
-        rho_c_error=result.rho_c_error,
-        rho_e_error=result.rho_e_error,
-        product_rule_residual=result.product_rule_residual,
-    )
-
-
 def _document(
-    scenario: Scenario, shared: CorrelationReport, blocks, flags: dict, notes: list[str]
+    scenario: Scenario, shared: CorrelationReport, blocks: dict, flags: dict, notes: list[str]
 ) -> ReportDocument:
     return ReportDocument(
         scenario=scenario_to_jsonable(scenario),
@@ -531,14 +516,14 @@ def _document(
     )
 
 
-def _quantum_notes(shared, blocks, pure: bool) -> list[str]:
+def _quantum_notes(shared, blocks: dict, pure: bool, spectral: bool) -> list[str]:
     notes = []
     if not pure:
         notes.append(
             "classical and entanglement densities are relative to the chosen "
             "decomposition; only their product is decomposition-independent"
         )
-    if any(b.source == "spectral" for b in blocks):
+    if spectral:
         notes.append(
             "the spectral decomposition is one convex decomposition among many"
         )
@@ -550,10 +535,10 @@ def _quantum_notes(shared, blocks, pure: bool) -> list[str]:
             "all other outcomes carry no mass"
         )
     if shared.rho_t.deviation_from(1.0) <= EPS:
-        for block in blocks:
+        for name, block in blocks.items():
             if block.rho_c is not None and block.rho_c.deviation_from(1.0) > 1e-6:
                 notes.append(
-                    f"decomposition '{block.name}': total correlation is trivial, yet "
+                    f"decomposition '{name}': total correlation is trivial, yet "
                     "classical correlation and entanglement are both present and "
                     "compensate each other"
                 )
@@ -565,7 +550,6 @@ def _run_classical(scenario: ClassicalScenario) -> ReportDocument:
     joint = scenario.joint if scenario.joint is not None else classical_joint(a1, a2)
     state = scenario.state
     result = classical_report(joint, a1, a2, state)
-    block = _block("classical-product", result, None)
     state_is_dirac = bool(state.as_array().max() >= 1.0 - EPS)
     flags = {
         "joint_mode": "explicit" if scenario.joint is not None else "classical-product",
@@ -580,4 +564,4 @@ def _run_classical(scenario: ClassicalScenario) -> ReportDocument:
             "entanglement-type correlation at a pure (Dirac) state: the chosen "
             "joint correlates outcomes beyond the product coupling"
         )
-    return _document(scenario, result, [block], flags, notes)
+    return _document(scenario, result, {"classical-product": result}, flags, notes)

@@ -8,7 +8,9 @@ a trial fails when that deviation crosses the suite tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -137,145 +139,120 @@ def _deviation_from_one(rho: DensityFunction | None) -> float:
     return math.inf if rho is None else rho.deviation_from(1.0)
 
 
-def _suite_quantum_product_rule(rng: np.random.Generator, trials: int) -> SuiteResult:
+def _quantum_product_rule(rng: np.random.Generator) -> float:
     """rho_c * rho_e recovers rho_t for random states, product projective
     observable pairs, and random decompositions."""
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        state = _random_density(rng, 4)
-        a1, a2 = _random_qubit_pvm_pair(rng)
-        joint = joint_from_commuting(a1, a2)
-        dec = random_decomposition(state, int(rng.integers(4, 8)), rng)
-        deviation = _residual(correlation_report(joint, a1, a2, dec))
-        worst = max(worst, deviation)
-        if deviation >= PRODUCT_RULE_TOL:
-            failures += 1
-    return SuiteResult("quantum-product-rule", trials, failures, worst, PRODUCT_RULE_TOL)
+    state = _random_density(rng, 4)
+    a1, a2 = _random_qubit_pvm_pair(rng)
+    joint = joint_from_commuting(a1, a2)
+    dec = random_decomposition(state, int(rng.integers(4, 8)), rng)
+    return _residual(correlation_report(joint, a1, a2, dec))
 
 
-def _suite_classical_product_rule(rng: np.random.Generator, trials: int) -> SuiteResult:
+def _classical_product_rule(rng: np.random.Generator) -> float:
     """Same product rule in the classical frame, with joints drawn between
     the Frechet bounds so marginal consistency holds by construction."""
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        phase = _random_phase_space(rng)
-        a1 = _random_kernel(rng, phase, _BINARY)
-        a2 = _random_kernel(rng, phase, _BINARY)
-        rows = [_frechet_coupling(rng, p, q) for p, q in zip(a1.matrix[:, 0], a2.matrix[:, 0])]
-        joint = ClassicalJoint.from_matrix(phase, ProductSpace(_BINARY, _BINARY), rows)
-        state = DiscreteMeasure.from_array(phase, _random_simplex(rng, len(phase), floor=0.05))
-        deviation = _residual(classical_report(joint, a1, a2, state))
-        worst = max(worst, deviation)
-        if deviation >= PRODUCT_RULE_TOL:
-            failures += 1
-    return SuiteResult("classical-product-rule", trials, failures, worst, PRODUCT_RULE_TOL)
+    phase = _random_phase_space(rng)
+    a1 = _random_kernel(rng, phase, _BINARY)
+    a2 = _random_kernel(rng, phase, _BINARY)
+    rows = [_frechet_coupling(rng, p, q) for p, q in zip(a1.matrix[:, 0], a2.matrix[:, 0])]
+    joint = ClassicalJoint.from_matrix(phase, ProductSpace(_BINARY, _BINARY), rows)
+    state = DiscreteMeasure.from_array(phase, _random_simplex(rng, len(phase), floor=0.05))
+    return _residual(classical_report(joint, a1, a2, state))
 
 
-def _suite_invariance(rng: np.random.Generator, trials: int) -> SuiteResult:
+def _invariance(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> float:
     """Total correlation depends only on the state: rebuilding the operator
     from two different decompositions leaves rho_t unchanged pointwise."""
-    a1, a2, joint = spin_z_pair()
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        state = _random_density(rng, 4)
-        spectral = spectral_decompose(state)
-        shuffled = random_decomposition(state, int(rng.integers(4, 8)), rng)
-        rho_1, rho_2 = (
-            correlation_report(
-                joint, a1, a2, ConvexDecomposition.from_components(dec.components)
-            ).rho_t
-            for dec in (spectral, shuffled)
-        )
-        deviation = rho_1.max_difference(rho_2)
-        worst = max(worst, deviation)
-        if deviation >= INVARIANCE_TOL:
-            failures += 1
-    return SuiteResult("total-correlation-invariance", trials, failures, worst, INVARIANCE_TOL)
+    a1, a2, joint = spin
+    state = _random_density(rng, 4)
+    spectral = spectral_decompose(state)
+    shuffled = random_decomposition(state, int(rng.integers(4, 8)), rng)
+    rho_1, rho_2 = (
+        correlation_report(
+            joint, a1, a2, ConvexDecomposition.from_components(dec.components)
+        ).rho_t
+        for dec in (spectral, shuffled)
+    )
+    return rho_1.max_difference(rho_2)
 
 
-def _suite_separable(rng: np.random.Generator, trials: int) -> SuiteResult:
+def _separable(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> float:
     """Mixtures of product pure states carry no entanglement-type correlation
     relative to their product decomposition."""
-    a1, a2, joint = spin_z_pair()
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        count = int(rng.integers(1, 9))
-        weights = _random_simplex(rng, count, floor=0.02)
-        components = [
-            (
-                float(w),
-                PureState(np.kron(_random_unit(rng, 2), _random_unit(rng, 2))),
-            )
-            for w in weights
-        ]
-        state = DensityOperator.from_mixture(components)
-        dec = ConvexDecomposition(components, state)
-        deviation = _deviation_from_one(correlation_report(joint, a1, a2, dec).rho_e)
-        worst = max(worst, deviation)
-        if deviation >= SEPARABLE_TOL:
-            failures += 1
-    return SuiteResult("separable-no-entanglement", trials, failures, worst, SEPARABLE_TOL)
+    a1, a2, joint = spin
+    count = int(rng.integers(1, 9))
+    weights = _random_simplex(rng, count, floor=0.02)
+    components = [
+        (float(w), PureState(np.kron(_random_unit(rng, 2), _random_unit(rng, 2))))
+        for w in weights
+    ]
+    state = DensityOperator.from_mixture(components)
+    dec = ConvexDecomposition(components, state)
+    return _deviation_from_one(correlation_report(joint, a1, a2, dec).rho_e)
 
 
-def _suite_marginals(rng: np.random.Generator, trials: int) -> SuiteResult:
+def _marginals(rng: np.random.Generator) -> float:
     """The joint built from a commuting product pair reproduces both factor
     statistics as marginals."""
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        state = _random_density(rng, 4)
-        a1, a2 = _random_qubit_pvm_pair(rng)
-        joint = joint_from_commuting(a1, a2)
-        joint_measure = outcome_measure(joint, state)
-        deviation = 0.0
-        for side, single in (("left", a1), ("right", a2)):
-            reduced = marginal(joint_measure, side)
-            direct = outcome_measure(single, state)
-            deviation = max(
-                deviation,
-                max(
-                    abs(reduced.weight(label) - direct.weight(label))
-                    for label in single.space.labels
-                ),
-            )
-        worst = max(worst, deviation)
-        if deviation >= MARGINAL_TOL:
-            failures += 1
-    return SuiteResult("joint-marginal-consistency", trials, failures, worst, MARGINAL_TOL)
+    state = _random_density(rng, 4)
+    a1, a2 = _random_qubit_pvm_pair(rng)
+    joint = joint_from_commuting(a1, a2)
+    joint_measure = outcome_measure(joint, state)
+    deviation = 0.0
+    for side, single in (("left", a1), ("right", a2)):
+        reduced = marginal(joint_measure, side)
+        direct = outcome_measure(single, state)
+        deviation = max(
+            deviation,
+            max(
+                abs(reduced.weight(label) - direct.weight(label))
+                for label in single.space.labels
+            ),
+        )
+    return deviation
 
 
-def _suite_classical_dirac(rng: np.random.Generator, trials: int) -> SuiteResult:
+def _classical_dirac(rng: np.random.Generator) -> float:
     """Classical correlation is constant 1 at every point-mass state: a sharp
     phase-space point leaves nothing for the mixing to correlate."""
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        phase = _random_phase_space(rng)
-        codomain_1 = OutcomeSpace(tuple(f"x{i}" for i in range(int(rng.integers(2, 4)))))
-        codomain_2 = OutcomeSpace(tuple(f"y{i}" for i in range(int(rng.integers(2, 4)))))
-        a1 = _random_kernel(rng, phase, codomain_1)
-        a2 = _random_kernel(rng, phase, codomain_2)
-        point = phase.labels[int(rng.integers(0, len(phase)))]
-        report = classical_report(classical_joint(a1, a2), a1, a2, dirac(phase, point))
-        deviation = _deviation_from_one(report.rho_c)
-        worst = max(worst, deviation)
-        if deviation >= DIRAC_TOL:
-            failures += 1
-    return SuiteResult("classical-dirac-triviality", trials, failures, worst, DIRAC_TOL)
+    phase = _random_phase_space(rng)
+    codomain_1 = OutcomeSpace(tuple(f"x{i}" for i in range(int(rng.integers(2, 4)))))
+    codomain_2 = OutcomeSpace(tuple(f"y{i}" for i in range(int(rng.integers(2, 4)))))
+    a1 = _random_kernel(rng, phase, codomain_1)
+    a2 = _random_kernel(rng, phase, codomain_2)
+    point = phase.labels[int(rng.integers(0, len(phase)))]
+    report = classical_report(classical_joint(a1, a2), a1, a2, dirac(phase, point))
+    return _deviation_from_one(report.rho_c)
 
 
-_SUITES = (
-    _suite_quantum_product_rule,
-    _suite_classical_product_rule,
-    _suite_invariance,
-    _suite_separable,
-    _suite_marginals,
-    _suite_classical_dirac,
-)
+def _suites() -> tuple:
+    """(name, tolerance, trial) for every suite, in report order. The spin
+    pair is built per call, so it follows the validation eps in force."""
+    spin = spin_z_pair()
+    return (
+        ("quantum-product-rule", PRODUCT_RULE_TOL, _quantum_product_rule),
+        ("classical-product-rule", PRODUCT_RULE_TOL, _classical_product_rule),
+        ("total-correlation-invariance", INVARIANCE_TOL, partial(_invariance, spin)),
+        ("separable-no-entanglement", SEPARABLE_TOL, partial(_separable, spin)),
+        ("joint-marginal-consistency", MARGINAL_TOL, _marginals),
+        ("classical-dirac-triviality", DIRAC_TOL, _classical_dirac),
+    )
+
+
+def _run_suite(
+    name: str,
+    tolerance: float,
+    trial: Callable[[np.random.Generator], float],
+    rng: np.random.Generator,
+    trials: int,
+) -> SuiteResult:
+    """Run `trial` `trials` times on `rng`; each call draws its inputs and
+    returns the deviation that `tolerance` bounds. The worst deviation is
+    folded from 0 in trial order; one at or above `tolerance` is a failure."""
+    deviations = [trial(rng) for _ in range(trials)]
+    failures = sum(deviation >= tolerance for deviation in deviations)
+    return SuiteResult(name, trials, failures, max(0.0, *deviations), tolerance)
 
 
 def run_selftest(seed: int | None = None, trials: int = 200) -> SelftestReport:
@@ -289,9 +266,10 @@ def run_selftest(seed: int | None = None, trials: int = 200) -> SelftestReport:
         seed = int(np.random.SeedSequence().entropy % (2**32))
     elif seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
-    streams = np.random.SeedSequence(seed).spawn(len(_SUITES))
+    suites = _suites()
+    streams = np.random.SeedSequence(seed).spawn(len(suites))
     results = tuple(
-        suite(np.random.default_rng(stream), trials)
-        for suite, stream in zip(_SUITES, streams)
+        _run_suite(name, tolerance, trial, np.random.default_rng(stream), trials)
+        for (name, tolerance, trial), stream in zip(suites, streams)
     )
     return SelftestReport(seed=seed, trials=trials, suites=results)

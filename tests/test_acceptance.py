@@ -66,13 +66,6 @@ def _values(density, space) -> list:
     return [density.get(point) for point in space.points]
 
 
-def _block(report, name: str):
-    for block in report.blocks:
-        if block.name == name:
-            return block
-    raise AssertionError(f"no decomposition block named {name!r}")
-
-
 def test_criterion_1_separable_mixture():
     w1, w2, w3, w4 = 0.4, 0.3, 0.2, 0.1
     with criterion(1):
@@ -90,7 +83,7 @@ def test_criterion_1_separable_mixture():
         for point, value in expected.items():
             assert abs(report.rho_t.value(point) - value) < TOL
 
-        block = _block(report, "product-basis")
+        block = report.blocks["product-basis"]
         assert block.rho_e.deviation_from(1.0) < TOL
         assert block.rho_c.max_difference(report.rho_t) < TOL
         assert block.product_rule_residual < TOL
@@ -122,7 +115,7 @@ def test_criterion_2_bell_diagonal(weights):
         assert abs(report.rho_t.value(pm) - off_diagonal) < TOL
         assert abs(report.rho_t.value(mp) - off_diagonal) < TOL
 
-        block = _block(report, "bell-basis")
+        block = report.blocks["bell-basis"]
         assert block.rho_c.deviation_from(1.0) < TOL
         assert block.rho_e.max_difference(report.rho_t) < TOL
         assert block.product_rule_residual < TOL
@@ -140,15 +133,15 @@ def test_criterion_3_degenerate_opposite_splits(a, b):
         assert abs(report.rho_t.value(pm) - 4.0 * b) < TOL
         assert abs(report.rho_t.value(mp) - 4.0 * b) < TOL
 
-        product = _block(report, "product-basis")
+        product = report.blocks["product-basis"]
         assert product.rho_e.deviation_from(1.0) < TOL
         assert product.rho_c.max_difference(report.rho_t) < TOL
 
-        bell = _block(report, "bell-basis")
+        bell = report.blocks["bell-basis"]
         assert bell.rho_c.deviation_from(1.0) < TOL
         assert bell.rho_e.max_difference(report.rho_t) < TOL
 
-        mixed = _block(report, "mixed-basis")
+        mixed = report.blocks["mixed-basis"]
         rho_c_diag = 2.0 * (2.0 * a + b)
         rho_e_diag = 2.0 * a / (2.0 * a + b)
         for point, c_value, e_value in [
@@ -160,7 +153,7 @@ def test_criterion_3_degenerate_opposite_splits(a, b):
             assert abs(mixed.rho_c.value(point) - c_value) < TOL
             assert abs(mixed.rho_e.value(point) - e_value) < TOL
 
-        for block in report.blocks:
+        for block in report.blocks.values():
             assert block.product_rule_residual < TOL
 
 
@@ -173,7 +166,7 @@ def test_criterion_3_maximally_mixed_compensation():
             run_paper_example("iii-mixed"),
         ):
             assert report.rho_t.deviation_from(1.0) < TOL
-            mixed = _block(report, "mixed-basis")
+            mixed = report.blocks["mixed-basis"]
             pp, pm, mp, mm = report.space.points
             assert abs(mixed.rho_c.value(pp) - 1.5) < TOL
             assert abs(mixed.rho_c.value(mm) - 1.5) < TOL
@@ -196,7 +189,7 @@ def test_criterion_4_sharp_rotated_mixture(w):
         for point in (pm, mp, mm):
             assert abs(report.joint_measure.weight(point) - (1.0 - w) / 4.0) < TOL
 
-        block = _block(report, "product-states")
+        block = report.blocks["product-states"]
         assert block.rho_e.deviation_from(1.0) < TOL
         assert abs(block.rho_c.value(pp) - (1.0 + 3.0 * w) / (1.0 + w) ** 2) < TOL
         assert abs(block.rho_c.value(mm) - 1.0 / (1.0 - w)) < TOL

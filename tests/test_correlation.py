@@ -4,10 +4,14 @@ The two-qubit cases here have exact rational answers, so tolerances are
 tight; anything looser would hide sign or ordering mistakes.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qcorr import (
+    PRODUCT_RULE_TOL,
     AbsoluteContinuityViolation,
     ConvexDecomposition,
     DensityOperator,
@@ -229,3 +233,14 @@ def test_total_correlation_rejects_mismatched_joint(spin_pair):
     state = DensityOperator(np.eye(4) / 4)
     with pytest.raises(JointMarginalMismatch):
         correlation_report(a1, a1, a2, state)
+
+
+def test_product_rule_pass_boundaries(spin_pair):
+    a1, a2, joint = spin_pair
+    report = correlation_report(joint, a1, a2, DensityOperator(np.eye(4) / 4))
+    assert report.product_rule_pass is True
+    assert replace(report, product_rule_residual=None).product_rule_pass is None
+    at_tolerance = replace(report, product_rule_residual=PRODUCT_RULE_TOL)
+    assert at_tolerance.product_rule_pass is False
+    below = replace(report, product_rule_residual=math.nextafter(PRODUCT_RULE_TOL, 0.0))
+    assert below.product_rule_pass is True

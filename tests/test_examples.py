@@ -103,5 +103,5 @@ def test_file_and_params_routes_agree():
     )
     assert by_params.rho_t.values == by_file.rho_t.values
     assert (
-        by_params.blocks[0].rho_e.values == by_file.blocks[0].rho_e.values
+        by_params.blocks["bell-basis"].rho_e.values == by_file.blocks["bell-basis"].rho_e.values
     )

@@ -5,6 +5,8 @@ from qcorr import (
     ConvexDecomposition,
     DensityOperator,
     DimensionMismatch,
+    OutcomeSpace,
+    Povm,
     PureState,
     ValidationError,
     hermitian_eigensystem,
@@ -103,6 +105,20 @@ def test_convex_decomposition_validation():
     with pytest.raises(ValidationError, match="reconstruct"):
         ConvexDecomposition([(1.0, PureState(UP))], target)
 
+    pairs = r"must be \(weight, PureState\) pairs"
+    with pytest.raises(ValidationError, match=pairs):
+        ConvexDecomposition([1.0], target)
+    with pytest.raises(ValidationError, match=pairs):
+        ConvexDecomposition([(0.5, UP), (0.5, PureState(DOWN))], target)
+    with pytest.raises(ValidationError, match="weight: expected a number, got 'a'"):
+        ConvexDecomposition([("a", PureState(UP)), (0.5, PureState(DOWN))], target)
+    with pytest.raises(ValidationError, match=pairs):
+        DensityOperator.from_mixture([(0.5, [1, 0]), (0.5, [0, 1])])
+    with pytest.raises(ValidationError, match=pairs):
+        DensityOperator.from_mixture([1.0])
+    with pytest.raises(ValidationError, match="weight: expected a number, got 'a'"):
+        DensityOperator.from_mixture([("a", PureState(UP))])
+
 
 def test_spectral_decompose_recovers_target():
     rng = np.random.default_rng(5)
@@ -146,3 +162,37 @@ def test_random_decomposition_rejects_size_below_rank():
     state = DensityOperator(np.eye(4) / 4.0)
     with pytest.raises(ValidationError, match="rank"):
         random_decomposition(state, 2, np.random.default_rng(0))
+
+
+_BITS = OutcomeSpace(("0", "1"))
+
+# (constructor of one matrix argument, the name its messages give that argument)
+_MATRIX_CONSTRUCTORS = [
+    (lambda m: Povm(_BITS, {"0": m, "1": np.eye(2)}), "effect at '0'"),
+    (DensityOperator, "density matrix"),
+    (Povm.from_operator, "operator"),
+    (hermitian_eigensystem, "matrix"),
+    (hermitian_eigenvalues, "matrix"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, bad, message",
+    [
+        (build, [[1, 0], [0]], f"{name} must be a square matrix, got a ragged sequence")
+        for build, name in _MATRIX_CONSTRUCTORS
+    ]
+    + [
+        # the valid complex cell before it is not the one named
+        (build, [[1j, 0], [0, "a"]], f"{name}[1][1]: expected a number, got 'a'")
+        for build, name in _MATRIX_CONSTRUCTORS
+    ]
+    + [
+        (PureState, [1, [0]], "state vector must be one-dimensional, got a ragged sequence"),
+        (PureState, [1j, "a"], "state vector[1]: expected a number, got 'a'"),
+    ],
+)
+def test_ragged_or_non_numeric_operator_input_is_a_validation_error(build, bad, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build(bad)
+    assert str(excinfo.value) == message

@@ -217,7 +217,7 @@ def test_classical_round_trip_is_stable():
 def test_run_scenario_selects_named_decomposition():
     scenario = scenario_from_jsonable(quantum_doc())
     report = run_scenario(scenario, decomposition="basis")
-    assert [block.name for block in report.blocks] == ["basis"]
+    assert list(report.blocks) == ["basis"]
 
 
 def test_run_scenario_unknown_decomposition():
@@ -229,7 +229,7 @@ def test_run_scenario_unknown_decomposition():
 def test_run_scenario_forced_spectral():
     scenario = scenario_from_jsonable(quantum_doc())
     report = run_scenario(scenario, decomposition="spectral")
-    assert report.blocks[0].source == "spectral"
+    assert report.blocks["spectral"].decomposition_source == "spectral"
     assert report.flags["spectral_decomposition_used"]
     assert any("among many" in note for note in report.notes)
 
