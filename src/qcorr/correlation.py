@@ -39,7 +39,7 @@ def _component_rows(
         raise DimensionMismatch(
             f"observable dimensions ({a1.dim}, {a2.dim}) do not match state dimension {target.dim}"
         )
-    vectors = np.array([state.vector for _, state in decomposition.components])
+    vectors = decomposition.vectors
     return np.array(decomposition.weights), a1.born_rows(vectors), a2.born_rows(vectors)
 
 

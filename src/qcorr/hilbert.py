@@ -228,6 +228,13 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
 _PAIRS = "decomposition components must be (weight, PureState) pairs"
 
 
+def _trusted_state(vector: np.ndarray) -> PureState:
+    """A PureState around an already validated read-only unit vector."""
+    state = PureState.__new__(PureState)
+    state._vector = vector
+    return state
+
+
 def _component(entry) -> tuple[float, PureState]:
     """One (weight, PureState) pair of a mixture, its weight as a float."""
     try:
@@ -245,13 +252,15 @@ class ConvexDecomposition:
     The target admits, in general, many such decompositions; statistics that
     depend on the decomposition must be read relative to it. Weights are
     strictly positive, sum to one, and the weighted projectors rebuild the
-    target entrywise within the reconstruction tolerance.
+    target entrywise within the reconstruction tolerance. The mixture is held
+    as one read-only weight array (n,) and one read-only matrix (n, d) whose
+    rows are the unit component vectors.
     """
 
-    __slots__ = ("_components", "_target")
+    __slots__ = ("_weights", "_vectors", "_target")
 
     def __init__(self, components: Iterable[tuple[float, PureState]], target: DensityOperator):
-        comps = []
+        weights, vectors = [], []
         for entry in components:
             weight, state = _component(entry)
             if not math.isfinite(weight) or weight <= 0.0:
@@ -260,14 +269,57 @@ class ConvexDecomposition:
                 raise DimensionMismatch(
                     f"component dimension {state.dim} does not match target dimension {target.dim}"
                 )
-            comps.append((weight, state))
-        if not comps:
+            weights.append(weight)
+            vectors.append(state.vector)
+        self._adopt(np.array(weights), np.array(vectors), target, validation_eps())
+
+    @classmethod
+    def _from_rows(
+        cls, weights: np.ndarray, vectors: np.ndarray, target: DensityOperator
+    ) -> "ConvexDecomposition":
+        """Decomposition of fresh float `weights` (n,) and complex `vectors`
+        (n, d), which it takes over. Runs the checks of building a PureState
+        per row and then the public constructor, in that order, with the same
+        messages: each row finite and of unit norm, then each weight positive
+        and the dimension, then the sum and the reconstruction."""
+        eps = validation_eps()
+        finite = np.isfinite(vectors).all(axis=1)
+        # np.linalg.norm's own sum, row by row, so the norms equal its bits
+        real, imag = vectors.real, vectors.imag
+        norms = np.sqrt(np.vecdot(real, real) + np.vecdot(imag, imag))
+        bad = ~finite | (np.abs(norms - 1.0) > eps)
+        if bad.any():
+            row = int(bad.argmax())
+            if not finite[row]:
+                raise ValidationError("state vector contains non-finite entries")
+            raise ValidationError(f"state vector norm is {float(norms[row])!r}, expected 1")
+        bad = ~np.isfinite(weights) | (weights <= 0.0)
+        dim_ok = vectors.shape[1] == target.dim
+        if bad.any() and (dim_ok or bad[0]):
+            weight = float(weights[bad.argmax()])
+            raise ValidationError(f"decomposition weight {weight!r} must be positive")
+        if not dim_ok and len(weights):
+            raise DimensionMismatch(
+                f"component dimension {vectors.shape[1]} does not match "
+                f"target dimension {target.dim}"
+            )
+        decomposition = cls.__new__(cls)
+        decomposition._adopt(weights, vectors, target, eps)
+        return decomposition
+
+    def _adopt(
+        self, weights: np.ndarray, vectors: np.ndarray, target: DensityOperator, eps: float
+    ) -> None:
+        """Check the size, the weight sum and the reconstruction, then hold
+        the arrays read-only."""
+        if not len(weights):
             raise ValidationError("decomposition needs at least one component")
-        total = math.fsum(w for w, _ in comps)
-        if abs(total - 1.0) > validation_eps():
+        total = math.fsum(weights.tolist())
+        if abs(total - 1.0) > eps:
             raise ValidationError(f"decomposition weights sum to {total!r}, expected 1")
-        self._components = tuple(comps)
-        self._target = target
+        weights.setflags(write=False)
+        vectors.setflags(write=False)
+        self._weights, self._vectors, self._target = weights, vectors, target
         error = _max_abs(self.reconstruction() - target.matrix)
         if error > RECONSTRUCTION_TOL:
             raise ValidationError(
@@ -284,7 +336,11 @@ class ConvexDecomposition:
 
     @property
     def components(self) -> tuple[tuple[float, PureState], ...]:
-        return self._components
+        """(weight, PureState) pairs, built on each read from the arrays."""
+        return tuple(
+            (weight, _trusted_state(vector))
+            for weight, vector in zip(self._weights.tolist(), self._vectors)
+        )
 
     @property
     def target(self) -> DensityOperator:
@@ -292,15 +348,19 @@ class ConvexDecomposition:
 
     @property
     def weights(self) -> tuple[float, ...]:
-        return tuple(w for w, _ in self._components)
+        return tuple(self._weights.tolist())
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The unit component vectors as the rows of a read-only (n, d) matrix."""
+        return self._vectors
 
     def reconstruction(self) -> np.ndarray:
         """sum(w_i |psi_i><psi_i|) as a fresh matrix."""
-        vectors = np.array([s.vector for _, s in self._components])
-        return (vectors.T * self.weights) @ vectors.conj()
+        return (self._vectors.T * self._weights) @ self._vectors.conj()
 
     def __len__(self) -> int:
-        return len(self._components)
+        return len(self._weights)
 
     def __repr__(self) -> str:
         return f"ConvexDecomposition(size={len(self)}, dim={self._target.dim})"
@@ -318,10 +378,7 @@ def spectral_decompose(state: DensityOperator) -> ConvexDecomposition:
     values, vectors = hermitian_eigensystem(state.matrix)
     kept = values > EPS
     weights = values[kept] * (values.sum() / values[kept].sum())
-    components = [
-        (float(weight), PureState(vector)) for weight, vector in zip(weights, vectors.T[kept])
-    ]
-    return ConvexDecomposition(components, state)
+    return ConvexDecomposition._from_rows(weights, vectors.T[kept], state)
 
 
 def random_decomposition(
@@ -342,13 +399,11 @@ def random_decomposition(
     ginibre = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     basis, _ = np.linalg.qr(ginibre)
     isometry = basis[:, :rank]
-    scaled = np.stack(
-        [math.sqrt(w) * s.vector for w, s in spectral.components]
-    )  # rank x dim
-    components = []
-    for row in isometry:
-        vector = row @ scaled
-        weight = float(np.real(np.vdot(vector, vector)))
-        if weight > 1e-12:
-            components.append((weight, PureState(vector / math.sqrt(weight))))
-    return ConvexDecomposition(components, state)
+    scaled = np.sqrt(spectral._weights)[:, None] * spectral.vectors  # rank x dim
+    # One row-by-row product per component, batched: a single GEMM would
+    # round differently from the vector-matrix product of each row.
+    rows = np.matmul(isometry[:, None, :], scaled)[:, 0]
+    weights = np.vecdot(rows, rows).real
+    kept = weights > 1e-12
+    weights, rows = weights[kept], rows[kept]
+    return ConvexDecomposition._from_rows(weights, rows / np.sqrt(weights)[:, None], state)

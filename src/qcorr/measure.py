@@ -135,16 +135,21 @@ def _number(value, name: str, dtype: type = float) -> float | complex:
         return dtype(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name}: expected a number, got {value!r}") from None
+    except OverflowError:
+        raise ValidationError(f"{name}: number too large for a float") from None
 
 
 def _number_array(values, name: str, expected: str, dtype: type = float) -> np.ndarray:
     """`values` as a fresh `dtype` (float or complex) array. Input numpy
     cannot read raises ValidationError: `expected` for a ragged sequence, or
-    a message naming the first entry of `name` that is not a `dtype` number."""
-    try:
-        return np.array(values, dtype=dtype)
-    except (TypeError, ValueError):
-        pass
+    a message naming the first entry of `name` that is not a `dtype` number.
+    A complex array at float dtype is read cell by cell, like a list, rather
+    than losing its imaginary part."""
+    if dtype is complex or not (isinstance(values, np.ndarray) and values.dtype.kind == "c"):
+        try:
+            return np.array(values, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):
+            pass
     try:
         cells = np.array(values, dtype=object)
     except ValueError:

@@ -135,7 +135,10 @@ def _string(value, path: str) -> str:
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "number too large for a float")
 
 
 def _complex_scalar(value, path: str) -> complex:
@@ -392,8 +395,8 @@ def _quantum_to_jsonable(scenario: QuantumScenario) -> dict:
     else:
         decompositions = {
             name: [
-                {"weight": weight, "vector": _vector_jsonable(state.vector)}
-                for weight, state in dec.components
+                {"weight": weight, "vector": _vector_jsonable(vector)}
+                for weight, vector in zip(dec.weights, dec.vectors)
             ]
             for name, dec in scenario.decompositions.items()
         }

@@ -40,9 +40,10 @@ _ENV_VAR = "QCORR_EPS"
 
 
 def validation_eps() -> float:
-    """Tolerance for object validation; ``QCORR_EPS`` overrides the default."""
+    """Tolerance for object validation; ``QCORR_EPS`` overrides the default
+    unless it is unset or empty."""
     raw = os.environ.get(_ENV_VAR)
-    if raw is None:
+    if not raw:
         return EPS
     try:
         value = float(raw)

@@ -109,6 +109,23 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_validate_names_an_integer_beyond_the_float_range(tmp_path, capsys):
+    doc = json.loads(bundled_scenario_text("classical_uniform.json"))
+    doc["state"] = [10**400] + [0] * (len(doc["state"]) - 1)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: state[0]: number too large for a float\n"
+
+    assert main(["validate", str(path), "--format", "json"]) == EXIT_VALIDATION
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {
+        "type": "ValidationError",
+        "message": "state[0]: number too large for a float",
+    }
+
+
 def test_engine_error_exits_2(tmp_path, capsys):
     # Deterministic kernels pin the marginals to ("0", "0"), but the explicit
     # joint puts all its mass at ("1", "1"): the total-correlation density

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from qcorr import (
     AbsoluteContinuityViolation,
+    ConvexDecomposition,
+    DensityOperator,
     DensityFunction,
     DiscreteMeasure,
     NotAProductSpace,
     OutcomeSpace,
     ProductSpace,
+    PureState,
     SpaceMismatch,
     UnknownLabel,
     ValidationError,
@@ -19,6 +22,7 @@ from qcorr import (
     marginal,
 )
 from qcorr.measure import correlation_split
+from qcorr.scenario import _real
 
 BITS = OutcomeSpace(("0", "1"))
 TRITS = OutcomeSpace(("a", "b", "c"))
@@ -255,6 +259,47 @@ def test_ragged_or_non_numeric_input_is_a_validation_error(build, message):
     with pytest.raises(ValidationError) as excinfo:
         build()
     assert str(excinfo.value) == message
+
+
+HUGE = 10**400  # an int beyond the float range
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DiscreteMeasure.from_array(BITS, [HUGE, 0]), "values[0]"),
+        (lambda: DiscreteMeasure(BITS, {"0": HUGE}), "weight at '0'"),
+        (lambda: DensityFunction.from_array(BITS, [1.0, HUGE]), "values[1]"),
+        (lambda: DensityOperator([[HUGE, 0], [0, 1]]), "density matrix[0][0]"),
+        (lambda: PureState([1, HUGE]), "state vector[1]"),
+        (
+            lambda: ConvexDecomposition(
+                [(HUGE, PureState([1, 0]))], DensityOperator(np.eye(2) / 2)
+            ),
+            "decomposition weight",
+        ),
+        (lambda: _real(HUGE, "state[0]"), "state[0]"),
+    ],
+)
+def test_integer_beyond_the_float_range_is_a_validation_error(build, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert str(excinfo.value) == f"{message}: number too large for a float"
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.array([0.5 + 1j, 0.5]), "values[0]: expected a number, got (0.5+1j)"),
+        (np.array([0.5 + 0j, 0.5]), "values[0]: expected a number, got (0.5+0j)"),
+        (np.array([[0.5 + 1j, 0.5]]), "values[0][0]: expected a number, got (0.5+1j)"),
+    ],
+)
+def test_complex_array_is_rejected_like_the_list_form(values, message):
+    for form in (values, values.tolist()):
+        with pytest.raises(ValidationError) as excinfo:
+            DiscreteMeasure.from_array(BITS, form)
+        assert str(excinfo.value) == message
 
 
 def test_from_array_rejects_wrong_length():
