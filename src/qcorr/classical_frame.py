@@ -22,6 +22,7 @@ from .measure import (
     OutcomeSpace,
     ProductSpace,
     _checked_weights,
+    _derived,
     _number,
     _number_array,
     _position,
@@ -143,7 +144,7 @@ def apply(observable: ClassicalObservable, state: DiscreteMeasure) -> DiscreteMe
     """
     if state.space != observable.domain:
         raise SpaceMismatch("state does not live on the observable's phase space")
-    return DiscreteMeasure.from_array(observable.codomain, state.as_array() @ observable.matrix)
+    return _derived(DiscreteMeasure, observable.codomain, state.as_array() @ observable.matrix)
 
 
 def is_deterministic(observable: ClassicalObservable) -> bool:
@@ -162,8 +163,10 @@ def classical_joint(a1: ClassicalObservable, a2: ClassicalObservable) -> Classic
         raise SpaceMismatch("observables live on different phase spaces")
     codomain = ProductSpace(a1.codomain, a2.codomain)
     m1, m2 = a1.matrix, a2.matrix
-    rows = (m1[:, :, None] * m2[:, None, :]).reshape(len(m1), -1)
-    return ClassicalJoint.from_matrix(a1.domain, codomain, rows)
+    joint = ClassicalJoint.__new__(ClassicalJoint)
+    # products of validated rows: held without re-testing their sums
+    joint._set(a1.domain, codomain, (m1[:, :, None] * m2[:, None, :]).reshape(len(m1), -1))
+    return joint
 
 
 def is_marginally_consistent(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, JointMarginalMismatch
 from .hilbert import ConvexDecomposition, DensityOperator, spectral_decompose
-from .measure import DensityFunction, DiscreteMeasure, correlation_split
+from .measure import DensityFunction, DiscreteMeasure, _derived, correlation_split
 from .observable import Povm, check_joint, outcome_measure
 from .tolerance import PRODUCT_RULE_TOL
 
@@ -129,14 +129,14 @@ def split_report(
     split = correlation_split(space, joint, *margins, weights, rows_1, rows_2)
 
     def view(values):
-        return None if values is None else DensityFunction.from_array(space, values)
+        return None if values is None else _derived(DensityFunction, space, values)
 
     return CorrelationReport(
         joint_measure=joint_measure,
         marginal_1=marginal_1,
         marginal_2=marginal_2,
-        product_measure=DiscreteMeasure.from_array(space, split.product),
-        classical_product=DiscreteMeasure.from_array(space, split.classical),
+        product_measure=_derived(DiscreteMeasure, space, split.product),
+        classical_product=_derived(DiscreteMeasure, space, split.classical),
         rho_t=view(split.rho_t),
         rho_c=view(split.rho_c),
         rho_e=view(split.rho_e),

@@ -3,6 +3,9 @@
 Each example id builds a scenario programmatically; the bundled JSON files
 under ``qcorr/data`` are the serialized default-parameter versions of the
 same builders, so editing a file and overriding a parameter are equivalent.
+The two classical scenarios, ``classical_fuzzy.json`` and
+``classical_uniform.json``, have no builder: the files are their only copy,
+loaded with ``loads_scenario(bundled_scenario_text(name))``.
 
 Example ids
 -----------
@@ -30,13 +33,12 @@ from importlib import resources
 
 import numpy as np
 
-from .classical_frame import ClassicalJoint, ClassicalObservable, PhaseSpace
 from .errors import UnknownExample, ValidationError
 from .hilbert import ConvexDecomposition, DensityOperator, PureState
-from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace
-from .observable import spin_z_pair
+from .measure import _number
+from .observable import _spin_z_observables
 from .report import ReportDocument
-from .scenario import ClassicalScenario, QuantumScenario, Scenario, run_scenario
+from .scenario import QuantumScenario, Scenario, run_scenario
 from .tolerance import validation_eps
 
 __all__ = [
@@ -105,7 +107,7 @@ def _nonzero(components) -> list:
 
 
 def _spin_scenario(name: str, state: DensityOperator, decompositions: dict) -> QuantumScenario:
-    a1, a2, _ = spin_z_pair()
+    a1, a2 = _spin_z_observables()
     return QuantumScenario(
         name=name,
         state=state,
@@ -117,10 +119,16 @@ def _spin_scenario(name: str, state: DensityOperator, decompositions: dict) -> Q
     )
 
 
-def _check_weights(weights, count: int = 4) -> tuple[float, ...]:
+def _mixture_scenario(name: str, decomposition: str, components) -> QuantumScenario:
+    """The mixture of `components` with zero weights dropped, reported relative
+    to that one decomposition."""
+    components = _nonzero(components)
+    state = DensityOperator.from_mixture(components)
+    return _spin_scenario(name, state, {decomposition: ConvexDecomposition(components, state)})
+
+
+def _check_weights(weights) -> tuple[float, ...]:
     weights = tuple(float(w) for w in weights)
-    if len(weights) != count:
-        raise ValidationError(f"expected {count} weights, got {len(weights)}")
     for w in weights:
         if not math.isfinite(w) or w < 0.0:
             raise ValidationError(f"weight {w!r} must be nonnegative")
@@ -130,23 +138,18 @@ def _check_weights(weights, count: int = 4) -> tuple[float, ...]:
     return weights
 
 
-def build_separable_mixture(weights=(0.4, 0.3, 0.2, 0.1)) -> QuantumScenario:
+def build_separable_mixture(w1=0.4, w2=0.3, w3=0.2, w4=0.1) -> QuantumScenario:
     """Mixture of the four spin product states, weighted w1..w4 on
     (up,up), (down,down), (up,down), (down,up)."""
-    components = _nonzero(zip(_check_weights(weights), _product_basis()))
-    state = DensityOperator.from_mixture(components)
-    dec = ConvexDecomposition(components, state)
-    return _spin_scenario("separable-mixture", state, {"product-basis": dec})
+    weights = _check_weights((w1, w2, w3, w4))
+    return _mixture_scenario("separable-mixture", "product-basis", zip(weights, _product_basis()))
 
 
-def build_bell_diagonal(weights=(0.4, 0.3, 0.2, 0.1)) -> QuantumScenario:
+def build_bell_diagonal(w1=0.4, w2=0.3, w3=0.2, w4=0.1) -> QuantumScenario:
     """Mixture of the four maximally entangled basis states, weighted
     w1..w4 on (Phi+, Phi-, Psi+, Psi-)."""
-    checked = _check_weights(weights)
-    components = _nonzero(zip(checked, _bell_states()))
-    state = DensityOperator.from_mixture(components)
-    dec = ConvexDecomposition(components, state)
-    return _spin_scenario("bell-diagonal", state, {"bell-basis": dec})
+    weights = _check_weights((w1, w2, w3, w4))
+    return _mixture_scenario("bell-diagonal", "bell-basis", zip(weights, _bell_states()))
 
 
 def _degenerate_parts(a: float, b: float):
@@ -166,12 +169,17 @@ def _degenerate_parts(a: float, b: float):
     return state, product_dec, bell_dec, mixed_dec
 
 
-def build_degenerate(a: float = 0.25, b: float = 0.25) -> QuantumScenario:
+def build_degenerate(a=None, b=None) -> QuantumScenario:
     """Doubly degenerate state a(uu+dd) + b(ud+du) with three decompositions.
 
+    A parameter left out completes a + b = 1/2; both left out give 1/4 each.
     The product-basis and bell-basis decompositions produce identical total
     correlation with opposite splits; mixed-basis blends the two.
     """
+    if a is None:
+        a = 0.25 if b is None else 0.5 - float(b)
+    if b is None:
+        b = 0.5 - float(a)
     state, product_dec, bell_dec, mixed_dec = _degenerate_parts(a, b)
     decompositions = {
         "product-basis": ConvexDecomposition(product_dec, state),
@@ -210,145 +218,45 @@ def build_separable_general() -> QuantumScenario:
         _bloch_state(math.pi / 2.0, math.pi / 2.0),
     ]
     components = [(w, _product_state(l, r)) for w, l, r in zip(weights, lefts, rights)]
-    state = DensityOperator.from_mixture(components)
-    dec = ConvexDecomposition(components, state)
-    return _spin_scenario("separable-general", state, {"product-states": dec})
+    return _mixture_scenario("separable-general", "product-states", components)
 
 
-def build_spin_x_mixture(w: float = 0.5) -> QuantumScenario:
+def build_spin_x_mixture(w=0.5) -> QuantumScenario:
     """Mixture w * (up,up) + (1-w) * (x+,x+) of two product states."""
     w = float(w)
     if not math.isfinite(w) or not 0.0 <= w <= 1.0:
         raise ValidationError(f"parameter w = {w!r} must lie in [0, 1]")
-    components = _nonzero(
-        [
-            (w, _product_state(_UP, _UP)),
-            (1.0 - w, _product_state(_X_PLUS, _X_PLUS)),
-        ]
-    )
-    state = DensityOperator.from_mixture(components)
-    dec = ConvexDecomposition(components, state)
-    return _spin_scenario("spin-x-mixture", state, {"product-states": dec})
+    components = [
+        (w, _product_state(_UP, _UP)),
+        (1.0 - w, _product_state(_X_PLUS, _X_PLUS)),
+    ]
+    return _mixture_scenario("spin-x-mixture", "product-states", components)
 
 
-def build_classical_fuzzy() -> ClassicalScenario:
-    """Two identical fuzzy binary observables with a perfectly correlated
-    joint kernel, evaluated at a Dirac state.
-
-    The joint is marginally consistent but differs from the product joint,
-    so the entanglement-type density is nonconstant at a pure state.
-    """
-    phase = PhaseSpace(("alpha", "beta"))
-    codomain = OutcomeSpace(("0", "1"))
-    rows = {"alpha": {"0": 0.7, "1": 0.3}, "beta": {"0": 0.3, "1": 0.7}}
-    a1 = ClassicalObservable(phase, codomain, rows)
-    a2 = ClassicalObservable(phase, codomain, rows)
-    joint = ClassicalJoint(
-        phase,
-        ProductSpace(codomain, codomain),
-        {
-            "alpha": {("0", "0"): 0.7, ("0", "1"): 0.0, ("1", "0"): 0.0, ("1", "1"): 0.3},
-            "beta": {("0", "0"): 0.3, ("0", "1"): 0.0, ("1", "0"): 0.0, ("1", "1"): 0.7},
-        },
-    )
-    state = DiscreteMeasure(phase, {"alpha": 1.0})
-    return ClassicalScenario(
-        name="fuzzy-correlated-joint",
-        phase_space=phase,
-        state=state,
-        observable_1=a1,
-        observable_2=a2,
-        joint=joint,
-    )
-
-
-def build_classical_uniform() -> ClassicalScenario:
-    """Deterministic readout of a uniform two-point phase space under the
-    canonical product joint; all correlation is classical."""
-    phase = PhaseSpace(("alpha", "beta"))
-    codomain = OutcomeSpace(("0", "1"))
-    rows = {"alpha": {"0": 1.0}, "beta": {"1": 1.0}}
-    a1 = ClassicalObservable(phase, codomain, rows)
-    a2 = ClassicalObservable(phase, codomain, rows)
-    state = DiscreteMeasure(phase, {"alpha": 0.5, "beta": 0.5})
-    return ClassicalScenario(
-        name="deterministic-uniform",
-        phase_space=phase,
-        state=state,
-        observable_1=a1,
-        observable_2=a2,
-        joint=None,
-    )
-
-
-def _params_to_weights(params: Mapping, defaults) -> tuple[float, ...]:
-    weights = list(defaults)
-    for key, value in params.items():
-        if key not in ("w1", "w2", "w3", "w4"):
-            raise ValidationError(f"unknown parameter {key!r}; this example takes w1..w4")
-        weights[int(key[1]) - 1] = float(value)
-    return tuple(weights)
-
-
-def _build_i(params: Mapping) -> QuantumScenario:
-    return build_separable_mixture(_params_to_weights(params, (0.4, 0.3, 0.2, 0.1)))
-
-
-def _build_ii(params: Mapping) -> QuantumScenario:
-    return build_bell_diagonal(_params_to_weights(params, (0.4, 0.3, 0.2, 0.1)))
-
-
-def _build_iii(params: Mapping) -> QuantumScenario:
-    unknown = set(params) - {"a", "b"}
-    if unknown:
-        raise ValidationError(
-            f"unknown parameter {sorted(unknown)[0]!r}; this example takes a and b"
-        )
-    if "a" in params and "b" in params:
-        a, b = float(params["a"]), float(params["b"])
-    elif "a" in params:
-        a = float(params["a"])
-        b = 0.5 - a
-    elif "b" in params:
-        b = float(params["b"])
-        a = 0.5 - b
-    else:
-        a = b = 0.25
-    return build_degenerate(a, b)
-
-
-def _build_no_params(builder, example_id: str):
-    def build(params: Mapping):
-        if params:
-            raise ValidationError(f"example {example_id!r} takes no parameters")
-        return builder()
-
-    return build
-
-
-def _build_appendix_px(params: Mapping) -> QuantumScenario:
-    unknown = set(params) - {"w"}
-    if unknown:
-        raise ValidationError(f"unknown parameter {sorted(unknown)[0]!r}; this example takes w")
-    return build_spin_x_mixture(float(params.get("w", 0.5)))
-
-
-_BUILDERS = {
-    "i": _build_i,
-    "ii": _build_ii,
-    "iii": _build_iii,
-    "iii-mixed": _build_no_params(build_most_mixed, "iii-mixed"),
-    "appendix": _build_no_params(build_separable_general, "appendix"),
-    "appendix-px": _build_appendix_px,
+# example id -> (builder, its keyword parameters, how an error names them)
+_EXAMPLES = {
+    "i": (build_separable_mixture, ("w1", "w2", "w3", "w4"), "w1..w4"),
+    "ii": (build_bell_diagonal, ("w1", "w2", "w3", "w4"), "w1..w4"),
+    "iii": (build_degenerate, ("a", "b"), "a and b"),
+    "iii-mixed": (build_most_mixed, (), None),
+    "appendix": (build_separable_general, (), None),
+    "appendix-px": (build_spin_x_mixture, ("w",), "w"),
 }
 
 
 def build_paper_example(example_id: str, params: Mapping | None = None) -> Scenario:
     """The scenario behind a built-in example id, with parameter overrides."""
-    if example_id not in _BUILDERS:
+    if example_id not in _EXAMPLES:
         known = ", ".join(PAPER_EXAMPLE_IDS)
         raise UnknownExample(f"unknown example id {example_id!r}; choose one of: {known}")
-    return _BUILDERS[example_id](dict(params or {}))
+    builder, names, named = _EXAMPLES[example_id]
+    params = dict(params or {})
+    for key in params:
+        if not names:
+            raise ValidationError(f"example {example_id!r} takes no parameters")
+        if key not in names:
+            raise ValidationError(f"unknown parameter {key!r}; this example takes {named}")
+    return builder(**{key: _number(value, f"parameter {key!r}") for key, value in params.items()})
 
 
 def run_paper_example(

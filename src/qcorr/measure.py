@@ -130,8 +130,11 @@ def _position(space: Space, outcome) -> int:
 
 def _number(value, name: str, dtype: type = float) -> float | complex:
     """`value` as a `dtype` scalar (float or complex); anything else raises
-    ValidationError naming it."""
+    ValidationError naming it. At float dtype a numpy complex scalar is
+    rejected like a Python complex, not cast to its real part."""
     try:
+        if dtype is float and isinstance(value, np.complexfloating):
+            raise TypeError
         return dtype(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name}: expected a number, got {value!r}") from None
@@ -143,23 +146,38 @@ def _number_array(values, name: str, expected: str, dtype: type = float) -> np.n
     """`values` as a fresh `dtype` (float or complex) array. Input numpy
     cannot read raises ValidationError: `expected` for a ragged sequence, or
     a message naming the first entry of `name` that is not a `dtype` number.
-    A complex array at float dtype is read cell by cell, like a list, rather
-    than losing its imaginary part."""
-    if dtype is complex or not (isinstance(values, np.ndarray) and values.dtype.kind == "c"):
-        try:
-            return np.array(values, dtype=dtype)
-        except (TypeError, ValueError, OverflowError):
-            pass
+    Input numpy reads as objects, or as complex at float dtype, is read cell
+    by cell like a mapping's values, so that no complex number loses its
+    imaginary part."""
+    try:
+        array = np.array(values)
+        if array.dtype.kind not in ("O" if dtype is complex else "Oc"):
+            return array.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
     try:
         cells = np.array(values, dtype=object)
     except ValueError:
         raise ValidationError(f"{expected}, got a ragged sequence") from None
+    array = np.empty(cells.shape, dtype=dtype)
     for index in np.ndindex(cells.shape):
         cell = cells[index]
         if isinstance(cell, (list, tuple, np.ndarray)):
             raise ValidationError(f"{expected}, got a ragged sequence")
-        _number(cell, name + "".join(f"[{i}]" for i in index), dtype)
-    raise ValidationError(f"{name} is not an array of numbers")
+        array[index] = _number(cell, name + "".join(f"[{i}]" for i in index), dtype)
+    return array
+
+
+def _derived(cls, space: Space, values: np.ndarray):
+    """A `cls` (DiscreteMeasure or DensityFunction) on `space` holding
+    `values`, which the engine derived from validated objects, read-only and
+    unchecked: rounding in their sums and products can move a sum past the
+    input tolerance that every input met."""
+    held = cls.__new__(cls)
+    held._space = space
+    held._array = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    held._array.setflags(write=False)
+    return held
 
 
 def _readonly_row(space: Space, values) -> np.ndarray:
@@ -255,8 +273,8 @@ def marginal(nu: DiscreteMeasure, side: Literal["left", "right"]) -> DiscreteMea
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
     grid = nu.as_array().reshape(len(nu.space.left), len(nu.space.right))
     if side == "left":
-        return DiscreteMeasure.from_array(nu.space.left, grid.sum(axis=1))
-    return DiscreteMeasure.from_array(nu.space.right, grid.sum(axis=0))
+        return _derived(DiscreteMeasure, nu.space.left, grid.sum(axis=1))
+    return _derived(DiscreteMeasure, nu.space.right, grid.sum(axis=0))
 
 
 class DensityFunction:

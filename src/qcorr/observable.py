@@ -28,7 +28,7 @@ from .hilbert import (
     _smallest_eigenvalues,
     hermitian_eigensystem,
 )
-from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, _position
+from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, _derived, _position
 from .tolerance import DEGENERACY_TOL, validation_eps
 
 __all__ = [
@@ -86,24 +86,26 @@ class Povm:
         self._adopt(space, np.stack(matrices), eps)
 
     @classmethod
-    def _from_stack(cls, space, stack: np.ndarray) -> "Povm":
+    def _from_stack(cls, space, stack: np.ndarray, complete: bool = False) -> "Povm":
         """Observable whose effects are the (k, d, d) complex `stack`, one per
         outcome of `space` in its order; takes ownership of `stack`. Runs the
-        same checks as the mapping constructor."""
+        same checks as the mapping constructor, except completeness when the
+        caller knows it (`complete`)."""
         povm = cls.__new__(cls)
-        povm._adopt(space, stack, validation_eps())
+        povm._adopt(space, stack, validation_eps(), complete)
         return povm
 
-    def _adopt(self, space, stack: np.ndarray, eps: float) -> None:
+    def _adopt(self, space, stack: np.ndarray, eps: float, complete: bool = False) -> None:
         """Validate `stack` at `eps` and keep it: the one validation path of
         both constructors."""
         _check_effects(tuple(space.outcomes), stack, eps)
         dim = stack.shape[1]
-        completeness = _max_abs(stack.sum(axis=0) - np.eye(dim))
-        if completeness > eps:
-            raise ValidationError(
-                f"effects do not sum to the identity (max deviation {completeness:.3e})"
-            )
+        if not complete:
+            completeness = _max_abs(stack.sum(axis=0) - np.eye(dim))
+            if completeness > eps:
+                raise ValidationError(
+                    f"effects do not sum to the identity (max deviation {completeness:.3e})"
+                )
         stack.setflags(write=False)
         self._space = space
         self._stack = stack
@@ -247,7 +249,7 @@ def outcome_measure(observable: Povm, state: DensityOperator) -> DiscreteMeasure
             f"observable dimension {observable.dim} does not match state dimension {state.dim}"
         )
     weights = np.einsum("kab,ba->k", observable._stack, state.matrix).real
-    return DiscreteMeasure.from_array(observable.space, weights)
+    return _derived(DiscreteMeasure, observable.space, weights)
 
 
 def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
@@ -281,8 +283,10 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
                 f"effects at {l1!r} and {a2.space.labels[index]!r} do not commute "
                 f"(max deviation {gaps[index]:.3e})"
             )
+    # the joint's effects sum to the product of its factors' sums, each within
+    # eps of the identity: completeness is theirs, not re-tested at eps
     space = ProductSpace(a1.space, a2.space)
-    return Povm._from_stack(space, products.reshape(k1 * k2, dim, dim))
+    return Povm._from_stack(space, products.reshape(k1 * k2, dim, dim), complete=True)
 
 
 def marginal_observable(joint: Povm, side) -> Povm:
@@ -320,6 +324,17 @@ def check_joint(joint: Povm, a1: Povm, a2: Povm) -> bool:
     return gap <= validation_eps()
 
 
+def _spin_z_observables() -> tuple[Povm, Povm]:
+    """The spin-z observables of the first and of the second qubit, both with
+    outcome labels "+1/2" and "-1/2"."""
+    projectors = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    eye = np.eye(2, dtype=complex)
+    space = OutcomeSpace(SPIN_LABELS)
+    a1 = Povm._from_stack(space, np.stack([np.kron(proj, eye) for proj in projectors]))
+    a2 = Povm._from_stack(space, np.stack([np.kron(eye, proj) for proj in projectors]))
+    return a1, a2
+
+
 def spin_z_pair() -> tuple[Povm, Povm, Povm]:
     """The two-qubit spin observables along z and their product joint.
 
@@ -327,19 +342,5 @@ def spin_z_pair() -> tuple[Povm, Povm, Povm]:
     both with outcome labels "+1/2" and "-1/2"; the joint is the product PVM
     on the four outcome pairs, row-major.
     """
-    up = np.diag([1.0, 0.0]).astype(complex)
-    down = np.diag([0.0, 1.0]).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    space = OutcomeSpace(SPIN_LABELS)
-    projectors = {"+1/2": up, "-1/2": down}
-    a1 = Povm(space, {label: np.kron(proj, eye) for label, proj in projectors.items()})
-    a2 = Povm(space, {label: np.kron(eye, proj) for label, proj in projectors.items()})
-    joint = Povm(
-        ProductSpace(space, space),
-        {
-            (l1, l2): np.kron(projectors[l1], projectors[l2])
-            for l1 in SPIN_LABELS
-            for l2 in SPIN_LABELS
-        },
-    )
-    return a1, a2, joint
+    a1, a2 = _spin_z_observables()
+    return a1, a2, joint_from_commuting(a1, a2)

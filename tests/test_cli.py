@@ -153,6 +153,62 @@ def test_engine_error_exits_2(tmp_path, capsys):
     assert payload["error"]["type"] == "AbsoluteContinuityViolation"
 
 
+def _edge_scenario(state, kernel_1, kernel_2):
+    return {
+        "schema": "qcorr/1",
+        "name": "edge",
+        "mode": "classical",
+        "phase_space": ["alpha", "beta"],
+        "state": state,
+        "observables": [
+            {"labels": ["0", "1"], "kernel": kernel_1},
+            {"labels": ["0", "1"], "kernel": kernel_2},
+        ],
+        "joint": "classical-product",
+    }
+
+
+# each input is off by 6e-10 < eps, but the derived sums drift to ~1.2e-9
+EDGE_SCENARIOS = {
+    "state-and-kernel": (
+        _edge_scenario(
+            [0.5000000006, 0.5],
+            [[0.7000000006, 0.3], [0.3000000006, 0.7]],
+            [[1.0, 0.0], [0.0, 1.0]],
+        ),
+        [0.35, 0.15, 0.15, 0.35],
+    ),
+    "two-kernels": (
+        _edge_scenario(
+            [0.5, 0.5],
+            [[0.7000000006, 0.3], [0.3, 0.7000000006]],
+            [[0.4000000006, 0.6], [0.6, 0.4000000006]],
+        ),
+        [0.23, 0.27, 0.27, 0.23],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_SCENARIOS))
+def test_valid_inputs_whose_derived_sums_drift_past_eps_run(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QCORR_EPS", raising=False)  # the offsets are set against the default
+    doc, joint = EDGE_SCENARIOS[case]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "valid: edge (classical)\n"
+
+    assert main(["run", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "product_rule_residual: 0 (<1e-07: PASS)" in captured.out
+
+    assert main(["run", str(path), "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["measures"]["joint"] == pytest.approx(joint, abs=1e-8)
+    assert report["decompositions"][0]["product_rule_pass"] is True
+
+
 def test_selftest_table(capsys):
     assert main(["selftest", "--seed", "7", "--trials", "5"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -1,23 +1,21 @@
 import json
 
+import numpy as np
 import pytest
 
 from qcorr import (
+    PAPER_EXAMPLE_IDS,
     UnknownExample,
     ValidationError,
     bundled_scenario_names,
     bundled_scenario_text,
     loads_scenario,
     run_paper_example,
+    run_scenario,
     scenario_to_jsonable,
 )
-from qcorr.examples import (
-    BUNDLED_SCENARIOS,
-    build_classical_fuzzy,
-    build_classical_uniform,
-    build_paper_example,
-    build_spin_x_mixture,
-)
+from qcorr.cli import EXIT_OK, EXIT_VALIDATION, main
+from qcorr.examples import BUNDLED_SCENARIOS, build_paper_example, build_spin_x_mixture
 
 
 def test_unknown_example_id():
@@ -70,18 +68,6 @@ def test_bundled_files_are_the_serialized_default_builders(example_id, filename)
     assert json.loads(text) == scenario_to_jsonable(build_paper_example(example_id))
 
 
-@pytest.mark.parametrize(
-    "filename,builder",
-    [
-        ("classical_fuzzy.json", build_classical_fuzzy),
-        ("classical_uniform.json", build_classical_uniform),
-    ],
-)
-def test_bundled_classical_files_match_builders(filename, builder):
-    text = bundled_scenario_text(filename)
-    assert json.loads(text) == scenario_to_jsonable(builder())
-
-
 def test_bundled_scenarios_all_load():
     for name in bundled_scenario_names():
         scenario = loads_scenario(bundled_scenario_text(name), source=name)
@@ -105,3 +91,125 @@ def test_file_and_params_routes_agree():
     assert (
         by_params.blocks["bell-basis"].rho_e.values == by_file.blocks["bell-basis"].rho_e.values
     )
+
+
+# how each example names its parameters when it rejects a key
+TAKES = {
+    "i": "this example takes w1..w4",
+    "ii": "this example takes w1..w4",
+    "iii": "this example takes a and b",
+    "appendix-px": "this example takes w",
+}
+FIRST_PARAMETER = {"i": "w1", "ii": "w1", "iii": "a", "appendix-px": "w"}
+
+
+def _rejection(example_id, key):
+    if example_id in TAKES:
+        return f"unknown parameter {key!r}; {TAKES[example_id]}"
+    return f"example {example_id!r} takes no parameters"
+
+
+def _cli(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("example_id", PAPER_EXAMPLE_IDS)
+@pytest.mark.parametrize("keys", [("q",), ("z", "q"), ("q", "z"), ("z", "w1", "q")])
+def test_unknown_parameters_are_named_in_the_order_given(example_id, keys, capsys):
+    """The first key given that the example does not take is named, here
+    always the first key."""
+    message = _rejection(example_id, keys[0])
+    params = ",".join(f"{key}=0.5" for key in keys)
+    code, out, err = _cli(["paper-example", example_id, "--params", params], capsys)
+    assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
+    with pytest.raises(ValidationError) as excinfo:
+        build_paper_example(example_id, params=dict.fromkeys(keys, 0.5))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("example_id", PAPER_EXAMPLE_IDS)
+@pytest.mark.parametrize("value", ["x", None, [0.5], 0.5 + 1j])
+def test_non_numeric_parameter_values_are_validation_errors(example_id, value):
+    key = FIRST_PARAMETER.get(example_id, "w")
+    expected = (
+        f"parameter {key!r}: expected a number, got {value!r}"
+        if example_id in TAKES
+        else _rejection(example_id, key)
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        run_paper_example(example_id, params={key: value})
+    assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize(
+    "alone, both",
+    [
+        ("a=0.4", f"a=0.4,b={0.5 - 0.4!r}"),
+        ("b=0.1", f"a={0.5 - 0.1!r},b=0.1"),
+        ("a=0.5", "a=0.5,b=0.0"),
+        ("b=0.5", "a=0.0,b=0.5"),
+    ],
+)
+def test_degenerate_parameter_alone_completes_the_sum(alone, both, capsys):
+    """a or b alone is the same run as both with a + b = 1/2 in floats."""
+    by_one = _cli(["paper-example", "iii", "--params", alone, "--format", "json"], capsys)
+    by_both = _cli(["paper-example", "iii", "--params", both, "--format", "json"], capsys)
+    assert by_one[0] == EXIT_OK
+    assert by_one == by_both
+
+
+@pytest.mark.parametrize(
+    "example_id, params, message",
+    [
+        ("i", "w1=-0.1,w2=0.6", "weight -0.1 must be nonnegative"),
+        ("i", "w1=0.5", "weights sum to 1.1, expected 1"),
+        ("i", "w1=inf", "weight inf must be nonnegative"),
+        ("ii", "w1=nan", "weight nan must be nonnegative"),
+        ("ii", "w4=0.2", "weights sum to 1.1, expected 1"),
+        ("iii", "a=0.3,b=0.3", "parameters must satisfy a + b = 1/2, got a + b = 0.6"),
+        ("iii", "a=-0.1", "parameter a = -0.1 must be nonnegative"),
+        ("iii", "a=0.6", "parameter b = -0.09999999999999998 must be nonnegative"),
+        ("iii", "b=0.6", "parameter a = -0.09999999999999998 must be nonnegative"),
+        ("iii", "a=nan", "parameter a = nan must be nonnegative"),
+        ("appendix-px", "w=1.5", "parameter w = 1.5 must lie in [0, 1]"),
+        ("appendix-px", "w=-0.1", "parameter w = -0.1 must lie in [0, 1]"),
+        ("appendix-px", "w=nan", "parameter w = nan must lie in [0, 1]"),
+    ],
+)
+def test_out_of_range_parameters_exit_1_with_their_message(example_id, params, message, capsys):
+    code, out, err = _cli(["paper-example", example_id, "--params", params], capsys)
+    assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+
+def _bundled_report(name):
+    return run_scenario(loads_scenario(bundled_scenario_text(name)))
+
+
+def _assert_values(actual, expected):
+    np.testing.assert_allclose(actual.as_array(), expected, rtol=0.0, atol=1e-12)
+
+
+def test_classical_fuzzy_report_in_closed_form():
+    """Dirac state at alpha: the joint row (0.7, 0, 0, 0.3) against the
+    product of the fuzzy rows, with rho_c = 1 and rho_e = rho_t."""
+    report = _bundled_report("classical_fuzzy.json")
+    block = report.blocks["classical-product"]
+    rho_t = [10 / 7, 0.0, 0.0, 10 / 3]
+    _assert_values(report.joint_measure, [0.7, 0.0, 0.0, 0.3])
+    _assert_values(report.product_measure, [0.49, 0.21, 0.21, 0.09])
+    _assert_values(report.rho_t, rho_t)
+    _assert_values(block.rho_c, [1.0, 1.0, 1.0, 1.0])
+    _assert_values(block.rho_e, rho_t)
+
+
+def test_classical_uniform_report_in_closed_form():
+    """Deterministic readout of a uniform state: all correlation is classical,
+    and rho_e lives only where the joint has mass."""
+    report = _bundled_report("classical_uniform.json")
+    block = report.blocks["classical-product"]
+    _assert_values(report.rho_t, [2.0, 0.0, 0.0, 2.0])
+    _assert_values(block.rho_c, [2.0, 0.0, 0.0, 2.0])
+    _assert_values(block.rho_e, [1.0, np.nan, np.nan, 1.0])
+    assert block.rho_e.support == {("0", "0"), ("1", "1")}

@@ -293,13 +293,26 @@ def test_integer_beyond_the_float_range_is_a_validation_error(build, message):
         (np.array([0.5 + 1j, 0.5]), "values[0]: expected a number, got (0.5+1j)"),
         (np.array([0.5 + 0j, 0.5]), "values[0]: expected a number, got (0.5+0j)"),
         (np.array([[0.5 + 1j, 0.5]]), "values[0][0]: expected a number, got (0.5+1j)"),
+        (
+            [np.complex128(0.5 + 1j), 0.5],
+            "values[0]: expected a number, got np.complex128(0.5+1j)",
+        ),
+        (
+            [np.complex64(0.5 + 0j), 0.5],
+            "values[0]: expected a number, got np.complex64(0.5+0j)",
+        ),
     ],
 )
 def test_complex_array_is_rejected_like_the_list_form(values, message):
-    for form in (values, values.tolist()):
+    forms = (values, values.tolist()) if isinstance(values, np.ndarray) else (values,)
+    for form in forms:
         with pytest.raises(ValidationError) as excinfo:
             DiscreteMeasure.from_array(BITS, form)
         assert str(excinfo.value) == message
+    if not isinstance(values, np.ndarray):  # a numpy complex scalar in a mapping
+        with pytest.raises(ValidationError) as excinfo:
+            DiscreteMeasure(BITS, dict(zip(BITS.labels, values)))
+        assert str(excinfo.value) == message.replace("values[0]", "weight at '0'")
 
 
 def test_from_array_rejects_wrong_length():

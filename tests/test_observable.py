@@ -12,10 +12,12 @@ from qcorr import (
     PureState,
     ValidationError,
     check_joint,
+    correlation_report,
     joint_from_commuting,
     marginal_observable,
     outcome_measure,
     spin_z_pair,
+    validation_eps,
 )
 from conftest import DOWN, UP
 
@@ -158,3 +160,68 @@ def test_spin_basis_order_row_major(spin_pair):
     up_down = PureState(np.kron(UP, DOWN))
     nu = outcome_measure(joint, DensityOperator.from_pure(up_down))
     assert nu.weight(("+1/2", "-1/2")) == pytest.approx(1.0)
+
+
+def test_spin_z_pair_stacks_are_the_kron_products_bit_for_bit():
+    """Signed zeros included: the joint from `joint_from_commuting` carries
+    the very bits of the hand-built kron products."""
+    projectors = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    eye = np.eye(2, dtype=complex)
+    a1, a2, joint = spin_z_pair()
+    expected = (
+        (a1, [np.kron(p, eye) for p in projectors]),
+        (a2, [np.kron(eye, p) for p in projectors]),
+        (joint, [np.kron(p, q) for p in projectors for q in projectors]),
+    )
+    for povm, matrices in expected:
+        effects = np.stack([povm.effect(o) for o in povm.space.outcomes])
+        assert effects.dtype == complex
+        assert effects.tobytes() == np.stack(matrices).tobytes()
+    assert joint.space == ProductSpace(a1.space, a2.space)
+    assert a1.space.labels == a2.space.labels == ("+1/2", "-1/2")
+
+
+def _scaled_pvm_pair(c):
+    """a1 = {(1+c) P x I, Q x I} and a2 = {I x (1+c) P, I x Q}: each off the
+    identity by c, their product joint by about 2c."""
+    p, q, eye = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+    a1 = Povm(BITS, {"0": (1 + c) * np.kron(p, eye), "1": np.kron(q, eye)})
+    a2 = Povm(BITS, {"0": (1 + c) * np.kron(eye, p), "1": np.kron(eye, q)})
+    return a1, a2
+
+
+@pytest.mark.parametrize("setting, c", [(None, 0.9e-9), ("1e-6", 7e-7)])
+def test_joint_of_factors_that_pass_validation_is_built_and_reported(setting, c, monkeypatch):
+    if setting is None:
+        monkeypatch.delenv("QCORR_EPS", raising=False)
+    else:
+        monkeypatch.setenv("QCORR_EPS", setting)
+    a1, a2 = _scaled_pvm_pair(c)
+    assert a1.is_projective and a2.is_projective
+    joint = joint_from_commuting(a1, a2)
+    np.testing.assert_array_equal(joint.effect(("0", "0")), (1 + c) ** 2 * np.diag([1.0, 0, 0, 0]))
+    assert check_joint(joint, a1, a2)
+    report = correlation_report(joint, a1, a2, DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1])))
+    assert report.product_rule_pass
+
+
+def test_joint_keeps_its_positivity_certificate():
+    """Completeness is the factors', but a non-PSD product is still caught."""
+    stack = np.stack([np.diag([1.0, -1e-3]), np.diag([0.0, 1.0])]).astype(complex)
+    with pytest.raises(ValidationError, match="effect at '0' is not positive semidefinite"):
+        Povm._from_stack(BITS, stack, complete=True)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_trace_rule_sums_past_eps_on_valid_effects(sign):
+    """Effects off the identity by c = 0.9 eps entrywise give outcome weights
+    summing to 1 + 4c at the uniform superposition: the trace rule holds them
+    as computed."""
+    c = 0.9 * validation_eps()
+    uniform = np.full(4, 0.5)
+    ones = np.ones((4, 4))
+    projector = np.outer(uniform, uniform)
+    povm = Povm(BITS, {"0": projector + sign * c * ones, "1": np.eye(4) - projector})
+    nu = outcome_measure(povm, DensityOperator(np.outer(uniform, uniform)))
+    assert nu.weight("0") == pytest.approx(1.0 + sign * 4 * c, abs=1e-15)
+    assert nu.weight("1") == pytest.approx(0.0, abs=1e-15)

@@ -1,7 +1,16 @@
 import json
 
-from qcorr import emit_report, run_paper_example, run_scenario
-from qcorr.examples import build_classical_uniform
+from qcorr import (
+    bundled_scenario_text,
+    emit_report,
+    loads_scenario,
+    run_paper_example,
+    run_scenario,
+)
+
+
+def _classical_uniform():
+    return loads_scenario(bundled_scenario_text("classical_uniform.json"))
 
 
 def test_table_layout_row_major_and_six_digits():
@@ -17,7 +26,7 @@ def test_table_layout_row_major_and_six_digits():
 
 
 def test_table_marks_off_support_points():
-    text = emit_report(run_scenario(build_classical_uniform()))
+    text = emit_report(run_scenario(_classical_uniform()))
     rho_e_line = next(
         line for line in text.splitlines() if line.lstrip().startswith("rho_e")
     )
@@ -39,7 +48,7 @@ def test_json_report_shape():
 
 def test_json_off_support_is_null():
     doc = json.loads(
-        emit_report(run_scenario(build_classical_uniform()), format="json")
+        emit_report(run_scenario(_classical_uniform()), format="json")
     )
     rho_e = doc["decompositions"][0]["entanglement"]
     assert rho_e[1] is None and rho_e[2] is None

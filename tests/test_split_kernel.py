@@ -29,6 +29,7 @@ from qcorr import (
     correlation_report,
     random_decomposition,
     spectral_decompose,
+    validation_eps,
 )
 from qcorr.classical_frame import classical_report
 from qcorr.measure import correlation_split
@@ -278,3 +279,24 @@ def test_tilted_mixture_records_the_same_error(spin_pair):
     report = correlation_report(joint, a1, a2, dec)
     assert report.rho_e_error == expected["rho_e_error"]
     assert_matches(report, expected)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_inputs_off_by_nine_tenths_of_eps_run_in_both_frames(sign):
+    """State and kernel rows (classical) or state trace and effects (quantum)
+    each pass validation off by 0.9 eps; the measures and densities the
+    engine derives from them drift further and must still be reported."""
+    c = sign * 0.9 * validation_eps()
+    phase, bits = PhaseSpace(("alpha", "beta")), OutcomeSpace(("0", "1"))
+    state = DiscreteMeasure.from_array(phase, [0.5 + c, 0.5])
+    a1 = ClassicalObservable.from_matrix(phase, bits, [[0.7 + c, 0.3], [0.3, 0.7 + c]])
+    a2 = ClassicalObservable.from_matrix(phase, bits, [[0.4 + c, 0.6], [0.6, 0.4 + c]])
+    assert classical_report(classical_joint(a1, a2), a1, a2, state).product_rule_pass
+
+    p, q, eye = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+    b1 = Povm(bits, {"0": (1 + c) * np.kron(p, eye), "1": np.kron(q, eye)})
+    b2 = Povm(bits, {"0": (1 + c) * np.kron(eye, p), "1": np.kron(eye, q)})
+    quantum_state = DensityOperator(np.diag([0.4 + c, 0.3, 0.2, 0.1]) + 0.05 * np.eye(4)[::-1])
+    for decomposition in (quantum_state, random_decomposition(quantum_state, 8, np.random.default_rng(5))):
+        report = correlation_report(joint_from_commuting(b1, b2), b1, b2, decomposition)
+        assert report.product_rule_pass
