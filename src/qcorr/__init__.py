@@ -52,7 +52,6 @@ from .hilbert import (
     DensityOperator,
     PureState,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
     random_decomposition,
     spectral_decompose,
 )
@@ -69,7 +68,6 @@ from .observable import (
     Povm,
     check_joint,
     joint_from_commuting,
-    marginal_observable,
     outcome_measure,
     spin_z_pair,
 )
@@ -110,13 +108,11 @@ __all__ = [
     "ConvexDecomposition",
     "Povm",
     "SPIN_LABELS",
-    "hermitian_eigenvalues",
     "hermitian_eigensystem",
     "spectral_decompose",
     "random_decomposition",
     "outcome_measure",
     "joint_from_commuting",
-    "marginal_observable",
     "check_joint",
     "spin_z_pair",
     # correlation engine

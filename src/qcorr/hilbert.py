@@ -26,7 +26,6 @@ __all__ = [
     "PureState",
     "DensityOperator",
     "ConvexDecomposition",
-    "hermitian_eigenvalues",
     "hermitian_eigensystem",
     "spectral_decompose",
     "random_decomposition",
@@ -149,16 +148,6 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim}, purity={self.purity():.6g})"
-
-
-def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending; solver failures surface
-    as ConvergenceFailure."""
-    arr = _as_complex_matrix(matrix)
-    try:
-        return np.linalg.eigvalsh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
 # Rounding allowance of the Cholesky certificate, in units of machine epsilon

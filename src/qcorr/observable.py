@@ -1,9 +1,8 @@
 """POVM observables on finite-dimensional systems.
 
 Covers the trace rule (outcome statistics of an observable at a state), the
-product joint of commuting projective observables, marginals of joints, the
-marginal-consistency check, and the standard two-qubit spin pair used by the
-built-in examples.
+product joint of commuting projective observables, the marginal-consistency
+check, and the standard two-qubit spin pair used by the built-in examples.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     NonCommuting,
     NonHermitianInput,
-    NotAProductSpace,
     NotProjective,
     ValidationError,
 )
@@ -35,7 +33,6 @@ __all__ = [
     "Povm",
     "outcome_measure",
     "joint_from_commuting",
-    "marginal_observable",
     "check_joint",
     "spin_z_pair",
     "SPIN_LABELS",
@@ -86,26 +83,24 @@ class Povm:
         self._adopt(space, np.stack(matrices), eps)
 
     @classmethod
-    def _from_stack(cls, space, stack: np.ndarray, complete: bool = False) -> "Povm":
+    def _from_stack(cls, space, stack: np.ndarray) -> "Povm":
         """Observable whose effects are the (k, d, d) complex `stack`, one per
         outcome of `space` in its order; takes ownership of `stack`. Runs the
-        same checks as the mapping constructor, except completeness when the
-        caller knows it (`complete`)."""
+        same checks as the mapping constructor."""
         povm = cls.__new__(cls)
-        povm._adopt(space, stack, validation_eps(), complete)
+        povm._adopt(space, stack, validation_eps())
         return povm
 
-    def _adopt(self, space, stack: np.ndarray, eps: float, complete: bool = False) -> None:
+    def _adopt(self, space, stack: np.ndarray, eps: float) -> None:
         """Validate `stack` at `eps` and keep it: the one validation path of
         both constructors."""
         _check_effects(tuple(space.outcomes), stack, eps)
         dim = stack.shape[1]
-        if not complete:
-            completeness = _max_abs(stack.sum(axis=0) - np.eye(dim))
-            if completeness > eps:
-                raise ValidationError(
-                    f"effects do not sum to the identity (max deviation {completeness:.3e})"
-                )
+        completeness = _max_abs(stack.sum(axis=0) - np.eye(dim))
+        if completeness > eps:
+            raise ValidationError(
+                f"effects do not sum to the identity (max deviation {completeness:.3e})"
+            )
         stack.setflags(write=False)
         self._space = space
         self._stack = stack
@@ -183,9 +178,6 @@ class Povm:
         return f"Povm({kind}, dim={self._dim}, outcomes={len(self._stack)})"
 
 
-_CHUNK_ENTRIES = 1 << 14  # entries per batched temporary: 256 KB of complex128
-
-
 def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> None:
     """Raise for the first outcome whose effect in the (k, d, d) `stack` is
     not finite, then for the first that is not Hermitian or not PSD."""
@@ -194,7 +186,8 @@ def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> None:
         raise ValidationError(
             f"effect at {outcomes[int(finite.argmin())]!r} contains non-finite entries"
         )
-    deviation, smallest = _effect_spectra(stack, eps)
+    deviation = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    smallest = _smallest_eigenvalues(stack, eps)
     offending = np.flatnonzero((deviation > eps) | (smallest < -eps))
     if offending.size:
         index = offending[0]
@@ -207,23 +200,6 @@ def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> None:
             f"effect at {outcomes[index]!r} is not positive semidefinite "
             f"(eigenvalue {smallest[index]:.3e})"
         )
-
-
-def _effect_spectra(stack: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Hermiticity deviations max |E - E^H| and smallest eigenvalues (as far
-    as the PSD verdict at `eps` needs them, see `_smallest_eigenvalues`) of a
-    (k, d, d) stack, in chunks of at most `_CHUNK_ENTRIES` entries so that no
-    temporary is stack-sized."""
-    count, dim, _ = stack.shape
-    step = max(1, _CHUNK_ENTRIES // (dim * dim))
-    deviation = np.empty(count)
-    smallest = np.empty(count)
-    for start in range(0, count, step):
-        chunk = stack[start : start + step]
-        part = slice(start, start + len(chunk))
-        deviation[part] = np.abs(chunk - chunk.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        smallest[part] = _smallest_eigenvalues(chunk, eps)
-    return deviation, smallest
 
 
 def _pairwise_projective(stack: np.ndarray, eps: float) -> bool:
@@ -283,27 +259,20 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
                 f"effects at {l1!r} and {a2.space.labels[index]!r} do not commute "
                 f"(max deviation {gaps[index]:.3e})"
             )
-    # the joint's effects sum to the product of its factors' sums, each within
-    # eps of the identity: completeness is theirs, not re-tested at eps
-    space = ProductSpace(a1.space, a2.space)
-    return Povm._from_stack(space, products.reshape(k1 * k2, dim, dim), complete=True)
-
-
-def marginal_observable(joint: Povm, side) -> Povm:
-    """Marginal of a joint observable onto one factor of its product space."""
-    if not isinstance(joint.space, ProductSpace):
-        raise NotAProductSpace("marginal requires a joint on a product space")
-    if side not in ("left", "right"):
-        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    if side == "left":
-        return Povm._from_stack(joint.space.left, _grid(joint).sum(axis=1))
-    return Povm._from_stack(joint.space.right, _grid(joint).sum(axis=0))
-
-
-def _grid(joint: Povm) -> np.ndarray:
-    """A joint's effects as a k1 x k2 x dim x dim array."""
-    shape = (len(joint.space.left), len(joint.space.right), joint.dim, joint.dim)
-    return joint._stack.reshape(shape)
+    # the products are derived from validated factors and kept unchecked, as
+    # measure._derived keeps derived measures: the commutation test is the
+    # joint's only gate. Their sum is the product of the factors' sums, and
+    # for projectors P, Q the Hermitian part of PQ has no eigenvalue below
+    # -||[P, Q]||_2 / 2 (Halmos's two-subspace blocks), so a re-check at eps
+    # could only reject valid factors.
+    stack = products.reshape(k1 * k2, dim, dim)
+    stack.setflags(write=False)
+    joint = Povm.__new__(Povm)
+    joint._space = ProductSpace(a1.space, a2.space)
+    joint._stack = stack
+    joint._dim = dim
+    joint._eps = eps
+    return joint
 
 
 def check_joint(joint: Povm, a1: Povm, a2: Povm) -> bool:
@@ -319,7 +288,7 @@ def check_joint(joint: Povm, a1: Povm, a2: Povm) -> bool:
         return False
     if joint.dim != a1.dim or joint.dim != a2.dim:
         return False
-    grid = _grid(joint)
+    grid = joint._stack.reshape(len(a1._stack), len(a2._stack), joint.dim, joint.dim)
     gap = max(_max_abs(grid.sum(axis=1) - a1._stack), _max_abs(grid.sum(axis=0) - a2._stack))
     return gap <= validation_eps()
 

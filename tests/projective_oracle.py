@@ -4,16 +4,18 @@ This is the check `qcorr.observable.Povm` ran before it validated the
 stacked effects in one batched pass: each outcome's dimension, hermiticity
 and positivity in turn, then the idempotence of every effect and the product
 of every pair of distinct effects, one pair at a time. `joint_verdict` is
-the matching `joint_from_commuting`, which tested every pair of factor
-effects for commutation before it built the products. `density_verdict` is
-the `DensityOperator` check with one `eigvalsh` per matrix, as it ran before
-positivity was certified by Cholesky. Tests compare the package against
-these.
+the matching `joint_from_commuting`: it tests every pair of factor effects
+for commutation, one pair at a time, and then only the projectivity of the
+products, which are derived from validated factors and not validated again.
+`density_verdict` is the `DensityOperator` check with one `eigvalsh` per
+matrix, as it ran before positivity was certified by Cholesky. Tests compare
+the package against these.
 """
 
 import numpy as np
 
 from qcorr import (
+    ConvergenceFailure,
     DimensionMismatch,
     NonCommuting,
     NotProjective,
@@ -24,7 +26,6 @@ from qcorr.hilbert import (
     _as_complex_matrix,
     _hermitian_deviation,
     _max_abs,
-    hermitian_eigenvalues,
 )
 from qcorr.measure import _position
 from qcorr.tolerance import validation_eps
@@ -54,7 +55,7 @@ def povm_verdict(space, effects) -> bool:
             raise ValidationError(
                 f"effect at {outcome!r} is not Hermitian (max deviation {deviation:.3e})"
             )
-        smallest = float(np.min(hermitian_eigenvalues(effect)))
+        smallest = smallest_eigenvalue(effect)
         if smallest < -eps:
             raise ValidationError(
                 f"effect at {outcome!r} is not positive semidefinite "
@@ -67,6 +68,15 @@ def povm_verdict(space, effects) -> bool:
             f"effects do not sum to the identity (max deviation {completeness:.3e})"
         )
     return pairwise_projective([table[o] for o in outcomes], eps)
+
+
+def smallest_eigenvalue(matrix) -> float:
+    """The smallest eigenvalue by `eigvalsh`; solver failures surface as
+    ConvergenceFailure."""
+    try:
+        return float(np.min(np.linalg.eigvalsh(matrix)))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
 def pairwise_projective(effects, eps: float) -> bool:
@@ -100,12 +110,8 @@ def joint_verdict(a1, a2) -> bool:
                 raise NonCommuting(
                     f"effects at {l1!r} and {l2!r} do not commute (max deviation {gap:.3e})"
                 )
-    effects = {
-        (l1, l2): a1.effect(l1) @ a2.effect(l2)
-        for l1 in a1.space.labels
-        for l2 in a2.space.labels
-    }
-    return povm_verdict(ProductSpace(a1.space, a2.space), effects)
+    effects = [a1.effect(l1) @ a2.effect(l2) for l1 in a1.space.labels for l2 in a2.space.labels]
+    return pairwise_projective(effects, eps)
 
 
 def density_verdict(matrix) -> None:
@@ -119,6 +125,6 @@ def density_verdict(matrix) -> None:
     trace = complex(np.trace(arr)).real
     if abs(trace - 1.0) > eps:
         raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-    smallest = float(np.min(hermitian_eigenvalues(arr)))
+    smallest = smallest_eigenvalue(arr)
     if smallest < -eps:
         raise ValidationError(f"density matrix has negative eigenvalue {smallest:.3e}")

@@ -10,7 +10,6 @@ from qcorr import (
     PureState,
     ValidationError,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
     random_decomposition,
     spectral_decompose,
 )
@@ -73,11 +72,6 @@ def test_density_matrix_is_readonly():
     state = DensityOperator(np.eye(2) / 2.0)
     with pytest.raises(ValueError):
         state.matrix[0, 0] = 5.0
-
-
-def test_hermitian_eigenvalues_ascending():
-    values = hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(values, [1.0, 2.0, 3.0])
 
 
 def test_hermitian_eigensystem_descending_and_orthonormal():
@@ -172,7 +166,6 @@ _MATRIX_CONSTRUCTORS = [
     (DensityOperator, "density matrix"),
     (Povm.from_operator, "operator"),
     (hermitian_eigensystem, "matrix"),
-    (hermitian_eigenvalues, "matrix"),
 ]
 
 

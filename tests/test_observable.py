@@ -14,7 +14,6 @@ from qcorr import (
     check_joint,
     correlation_report,
     joint_from_commuting,
-    marginal_observable,
     outcome_measure,
     spin_z_pair,
     validation_eps,
@@ -112,15 +111,6 @@ def test_joint_from_commuting_rejects_nonprojective():
         joint_from_commuting(half, half)
 
 
-def test_marginal_observable_recovers_factors(spin_pair):
-    a1, a2, joint = spin_pair
-    left = marginal_observable(joint, "left")
-    right = marginal_observable(joint, "right")
-    for label in a1.space.labels:
-        np.testing.assert_allclose(left.effect(label), a1.effect(label), atol=1e-12)
-        np.testing.assert_allclose(right.effect(label), a2.effect(label), atol=1e-12)
-
-
 def test_check_joint_accepts_the_product_joint(spin_pair):
     a1, a2, joint = spin_pair
     assert check_joint(joint, a1, a2)
@@ -203,13 +193,6 @@ def test_joint_of_factors_that_pass_validation_is_built_and_reported(setting, c,
     assert check_joint(joint, a1, a2)
     report = correlation_report(joint, a1, a2, DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1])))
     assert report.product_rule_pass
-
-
-def test_joint_keeps_its_positivity_certificate():
-    """Completeness is the factors', but a non-PSD product is still caught."""
-    stack = np.stack([np.diag([1.0, -1e-3]), np.diag([0.0, 1.0])]).astype(complex)
-    with pytest.raises(ValidationError, match="effect at '0' is not positive semidefinite"):
-        Povm._from_stack(BITS, stack, complete=True)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

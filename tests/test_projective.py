@@ -7,8 +7,13 @@ positivity by a shifted Cholesky factorisation where it can and by
 each effect by the effects from it onward in one batched product. These
 checks hold its verdicts and errors, and those of `DensityOperator` and
 `joint_from_commuting`, to the one-matrix-at-a-time references in
-`projective_oracle`, on built observables and on raw stacks.
+`projective_oracle`, on built observables and on raw stacks. A grid of
+factor pairs tilted to commute up to about eps checks that every pair the
+commutation test passes builds a joint that reports, in the library and
+through the command line.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -20,9 +25,14 @@ from qcorr import (
     OutcomeSpace,
     Povm,
     QcorrError,
+    QuantumScenario,
+    correlation_report,
     joint_from_commuting,
+    scenario_to_jsonable,
 )
-from qcorr.observable import _effect_spectra, _pairwise_projective
+from qcorr.cli import EXIT_OK, main
+from qcorr.hilbert import _max_abs
+from qcorr.observable import _pairwise_projective
 from qcorr.tolerance import EPS, validation_eps
 import projective_oracle
 
@@ -345,6 +355,75 @@ def test_near_threshold_commutation_matches_oracle(qcorr_eps):
     assert {True, NonCommuting} <= verdicts
 
 
+def _tilt_grid(eps):
+    """(dim_a, a1, a2) for the 243 tilted factor pairs of C^dA (x) C^dA,
+    dim_a in (2, 3, 4), at angles from 0.05 to 5 eps: about two in five
+    commute within eps."""
+    rng = np.random.default_rng(23)
+    for dim_a in (2, 3, 4):
+        for scale in np.geomspace(0.05, 5.0, 81):
+            yield (dim_a, *_tilted_factors(dim_a, scale * eps, rng))
+
+
+def _commutation_gap(a1, a2):
+    return max(
+        _max_abs(left @ right - right @ left) for left in a1._stack for right in a2._stack
+    )
+
+
+def _smallest_product_eigenvalue(a1, a2):
+    """What `eigvalsh` reads as the smallest eigenvalue of any E1(x) E2(y)."""
+    return np.linalg.eigvalsh(a1._stack[:, None] @ a2._stack).min()
+
+
+def _full_rank_state(rng, dim):
+    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    matrix = ginibre @ ginibre.conj().T
+    return DensityOperator(matrix / np.trace(matrix).real)
+
+
+def test_every_commuting_pair_on_the_tilt_grid_builds_a_joint_and_reports(qcorr_eps):
+    """The commutation test is the joint's only gate: a product whose
+    eigenvalues dip below -eps by rounding is still the joint."""
+    eps = validation_eps()
+    rng = np.random.default_rng(37)
+    states = {dim_a: _full_rank_state(rng, dim_a**2) for dim_a in (2, 3, 4)}
+    tally = {"commuting": 0, "non-commuting": 0, "dips below -eps": 0}
+    for dim_a, a1, a2 in _tilt_grid(eps):
+        if _commutation_gap(a1, a2) > eps:
+            tally["non-commuting"] += 1
+            with pytest.raises(NonCommuting):
+                joint_from_commuting(a1, a2)
+            continue
+        tally["commuting"] += 1
+        joint = joint_from_commuting(a1, a2)
+        tally["dips below -eps"] += bool(_smallest_product_eigenvalue(a1, a2) < -eps)
+        assert correlation_report(joint, a1, a2, states[dim_a]).product_rule_pass
+    assert tally == {"commuting": 99, "non-commuting": 144, "dips below -eps": 13}
+
+
+def test_tilted_commuting_scenario_that_validates_also_runs(monkeypatch, tmp_path, capsys):
+    """A d = 9 file with an auto-commuting joint whose products dip below
+    -eps: `validate` and `run` both exit 0, in both formats."""
+    monkeypatch.delenv("QCORR_EPS", raising=False)
+    eps = validation_eps()
+    a1, a2 = next(
+        (a1, a2)
+        for dim_a, a1, a2 in _tilt_grid(eps)
+        if dim_a == 3
+        and _commutation_gap(a1, a2) <= eps
+        and _smallest_product_eigenvalue(a1, a2) < -eps
+    )
+    state = _full_rank_state(np.random.default_rng(41), 9)
+    scenario = QuantumScenario("tilted-commuting", state, a1, a2, None, spectral=True)
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(scenario_to_jsonable(scenario)))
+    for verb in ("validate", "run"):
+        for format in ("table", "json"):
+            assert main([verb, str(path), "--format", format]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def _dsweep_effects(rng, dim_a, left):
     """Rank-one projectors of a Haar basis of one factor, lifted to the pair."""
     eye = np.eye(dim_a)
@@ -419,12 +498,3 @@ def test_detection_on_raw_stacks_matches_oracle(eps):
             assert _pairwise_projective(stack, eps) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
-
-
-def test_spectra_chunks_agree_with_one_pass(monkeypatch):
-    stack = np.stack(_pvm_effects(np.random.default_rng(2), 8, 8))
-    whole = _effect_spectra(stack, EPS)
-    monkeypatch.setattr("qcorr.observable._CHUNK_ENTRIES", 3 * 64)
-    chunked = _effect_spectra(stack, EPS)
-    for got, want in zip(chunked, whole):
-        np.testing.assert_array_equal(got, want)
