@@ -111,6 +111,17 @@ def test_joint_from_commuting_rejects_nonprojective():
         joint_from_commuting(half, half)
 
 
+def test_joint_marginals_recover_the_factors(spin_pair):
+    """Summing the joint's effects over one factor's outcomes gives the other
+    factor's effects."""
+    a1, a2, joint = spin_pair
+    for label in a1.space.labels:
+        left = sum(joint.effect((label, other)) for other in a2.space.labels)
+        right = sum(joint.effect((other, label)) for other in a1.space.labels)
+        np.testing.assert_allclose(left, a1.effect(label), atol=1e-12)
+        np.testing.assert_allclose(right, a2.effect(label), atol=1e-12)
+
+
 def test_check_joint_accepts_the_product_joint(spin_pair):
     a1, a2, joint = spin_pair
     assert check_joint(joint, a1, a2)
@@ -193,6 +204,13 @@ def test_joint_of_factors_that_pass_validation_is_built_and_reported(setting, c,
     assert check_joint(joint, a1, a2)
     report = correlation_report(joint, a1, a2, DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1])))
     assert report.product_rule_pass
+
+
+def test_stack_constructor_names_a_non_psd_effect():
+    """A complete stack with a negative eigenvalue is still caught."""
+    stack = np.stack([np.diag([1.0, -1e-3]), np.diag([0.0, 1.0 + 1e-3])]).astype(complex)
+    with pytest.raises(ValidationError, match="effect at '0' is not positive semidefinite"):
+        Povm._from_stack(BITS, stack)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
