@@ -1,10 +1,10 @@
 """Command line front end.
 
 Verbs: `run` a scenario file, `paper-example` for the built-in examples,
-`validate` a file without running it, `selftest` for the randomized property
-suites. Exit status 0 on success, 1 when the input fails validation, 2 when
-the engine rejects a mathematically ill-posed request or a property suite
-fails.
+`validate` a file and the joint a run would use without running it,
+`selftest` for the randomized property suites. Exit status 0 on success, 1
+when the input fails validation, 2 when the engine rejects a mathematically
+ill-posed request or a property suite fails.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from .errors import QcorrError, ValidationError
 from .examples import PAPER_EXAMPLE_IDS, run_paper_example
 from .report import emit_report
-from .scenario import load_scenario, run_scenario
+from .scenario import QuantumScenario, _quantum_joint, load_scenario, run_scenario
 from .selftest import SelftestReport, run_selftest
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_format(example)
 
-    validate = verbs.add_parser("validate", help="check a scenario file without running it")
+    validate = verbs.add_parser("validate", help="check a scenario file and its joint without running it")
     validate.add_argument("file", help="path to a scenario JSON file")
     add_format(validate)
 
@@ -170,6 +170,8 @@ def _run_verb(args) -> int:
         return EXIT_OK
     if args.verb == "validate":
         scenario = load_scenario(args.file)
+        if isinstance(scenario, QuantumScenario):
+            _quantum_joint(scenario)
         if args.format == "json":
             _print(json.dumps({"valid": True, "name": scenario.name, "mode": scenario.mode}))
         else:

@@ -2,7 +2,7 @@
 
 Covers the trace rule (outcome statistics of an observable at a state), the
 product joint of commuting projective observables, the marginal-consistency
-check, and the standard two-qubit spin pair used by the built-in examples.
+check, and the standard two-qubit spin pair.
 """
 
 from __future__ import annotations
@@ -293,17 +293,6 @@ def check_joint(joint: Povm, a1: Povm, a2: Povm) -> bool:
     return gap <= validation_eps()
 
 
-def _spin_z_observables() -> tuple[Povm, Povm]:
-    """The spin-z observables of the first and of the second qubit, both with
-    outcome labels "+1/2" and "-1/2"."""
-    projectors = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    eye = np.eye(2, dtype=complex)
-    space = OutcomeSpace(SPIN_LABELS)
-    a1 = Povm._from_stack(space, np.stack([np.kron(proj, eye) for proj in projectors]))
-    a2 = Povm._from_stack(space, np.stack([np.kron(eye, proj) for proj in projectors]))
-    return a1, a2
-
-
 def spin_z_pair() -> tuple[Povm, Povm, Povm]:
     """The two-qubit spin observables along z and their product joint.
 
@@ -311,5 +300,9 @@ def spin_z_pair() -> tuple[Povm, Povm, Povm]:
     both with outcome labels "+1/2" and "-1/2"; the joint is the product PVM
     on the four outcome pairs, row-major.
     """
-    a1, a2 = _spin_z_observables()
+    projectors = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    eye = np.eye(2, dtype=complex)
+    space = OutcomeSpace(SPIN_LABELS)
+    a1 = Povm._from_stack(space, np.stack([np.kron(proj, eye) for proj in projectors]))
+    a2 = Povm._from_stack(space, np.stack([np.kron(eye, proj) for proj in projectors]))
     return a1, a2, joint_from_commuting(a1, a2)

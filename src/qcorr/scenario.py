@@ -54,7 +54,7 @@ from .classical_frame import (
     is_deterministic,
     is_marginally_consistent,
 )
-from .correlation import CorrelationReport, correlation_report
+from .correlation import CorrelationReport, _require_joint, correlation_report
 from .errors import ParseError, ValidationError
 from .hilbert import ConvexDecomposition, DensityOperator, PureState
 from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace
@@ -287,11 +287,10 @@ def _observable_from_jsonable(entry, path: str, dim: int) -> Povm:
         operator = _matrix(mapping["operator"], f"{path}.operator", dim)
         return _wrap(path, lambda: Povm.from_operator(operator, labels=labels))
     matrices = _expect_list(mapping["effects"], f"{path}.effects", length=len(labels))
-    effects = {
-        label: _matrix(matrix, f"{path}.effects[{i}]", dim)
-        for i, (label, matrix) in enumerate(zip(labels, matrices))
-    }
-    return _wrap(path, lambda: Povm(OutcomeSpace(labels), effects))
+    stack = np.array(
+        [_matrix(matrix, f"{path}.effects[{i}]", dim) for i, matrix in enumerate(matrices)]
+    )
+    return _wrap(path, lambda: Povm._from_stack(OutcomeSpace(labels), stack))
 
 
 def _joint_from_jsonable(value, path: str, a1: Povm, a2: Povm, dim: int) -> Povm:
@@ -300,11 +299,10 @@ def _joint_from_jsonable(value, path: str, a1: Povm, a2: Povm, dim: int) -> Povm
         _fail(path, "expected 'auto-commuting' or an object with an 'effects' array")
     space = ProductSpace(a1.space, a2.space)
     matrices = _expect_list(mapping["effects"], f"{path}.effects", length=len(space.points))
-    effects = {
-        point: _matrix(matrix, f"{path}.effects[{i}]", dim)
-        for i, (point, matrix) in enumerate(zip(space.points, matrices))
-    }
-    return _wrap(path, lambda: Povm(space, effects))
+    stack = np.array(
+        [_matrix(matrix, f"{path}.effects[{i}]", dim) for i, matrix in enumerate(matrices)]
+    )
+    return _wrap(path, lambda: Povm._from_stack(space, stack))
 
 
 def _classical_from_jsonable(root: dict, name: str) -> ClassicalScenario:
@@ -478,9 +476,19 @@ def _select_decompositions(scenario: QuantumScenario, requested: str | None):
     return list(scenario.decompositions.items())
 
 
+def _quantum_joint(scenario: QuantumScenario) -> Povm:
+    """The joint a quantum run reports with: the commuting product joint of
+    the pair, or the explicit joint once its marginals are checked."""
+    a1, a2 = scenario.observable_1, scenario.observable_2
+    if scenario.joint is None:
+        return joint_from_commuting(a1, a2)
+    _require_joint(scenario.joint, a1, a2)
+    return scenario.joint
+
+
 def _run_quantum(scenario: QuantumScenario, requested: str | None) -> ReportDocument:
     a1, a2 = scenario.observable_1, scenario.observable_2
-    joint = scenario.joint if scenario.joint is not None else joint_from_commuting(a1, a2)
+    joint = _quantum_joint(scenario)
     blocks = {
         name: correlation_report(joint, a1, a2, dec)
         for name, dec in _select_decompositions(scenario, requested)

@@ -40,9 +40,18 @@ def _resolves(root, dotted: str) -> bool:
 
 def test_removed_names_no_longer_resolve():
     names = _removed_names()
-    assert {"mix", "WeightSumInvalid", "PureState.tensor", "examples.build_classical_fuzzy"} <= set(
-        names
-    )
+    assert {
+        "mix",
+        "WeightSumInvalid",
+        "PureState.tensor",
+        "examples.build_classical_fuzzy",
+        "examples.build_separable_mixture",
+        "examples.build_bell_diagonal",
+        "examples.build_degenerate",
+        "examples.build_most_mixed",
+        "examples.build_separable_general",
+        "examples.build_spin_x_mixture",
+    } <= set(names)
     modules = [qcorr] + [
         importlib.import_module(f"qcorr.{info.name}") for info in pkgutil.iter_modules(qcorr.__path__)
     ]

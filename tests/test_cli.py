@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -151,6 +152,59 @@ def test_engine_error_exits_2(tmp_path, capsys):
     assert main(["run", str(path), "--format", "json"]) == EXIT_ENGINE
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "AbsoluteContinuityViolation"
+
+
+def _ill_posed_joint_files(tmp_path):
+    """Two quantum files that parse but whose joint a run rejects: an
+    auto-commuting pair of sigma_z and sigma_x on the first qubit, and an
+    explicit joint whose first two effects are swapped."""
+    sigma_z = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+    sigma_x = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    auto = json.loads(bundled_scenario_text("degenerate.json"))
+    auto["observables"] = [
+        {"labels": ["u", "d"], "operator": sigma_z.tolist()},
+        {"labels": ["p", "m"], "operator": sigma_x.tolist()},
+    ]
+    explicit = json.loads(bundled_scenario_text("degenerate.json"))
+    effects = [np.diag(row).tolist() for row in np.eye(4)]
+    explicit["joint"] = {"effects": [effects[1], effects[0], effects[2], effects[3]]}
+    files = {}
+    for name, doc in (("non-commuting", auto), ("marginals-miss", explicit)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    return files
+
+
+ILL_POSED_JOINTS = {
+    "non-commuting": (
+        "NonCommuting",
+        "effects at 'u' and 'p' do not commute (max deviation 5.000e-01)",
+    ),
+    "marginals-miss": (
+        "JointMarginalMismatch",
+        "joint observable's marginals do not reproduce the given pair",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_POSED_JOINTS))
+@pytest.mark.parametrize("format", ["table", "json"])
+def test_validate_rejects_the_joint_run_rejects(case, format, tmp_path, capsys):
+    error_type, message = ILL_POSED_JOINTS[case]
+    path = str(_ill_posed_joint_files(tmp_path)[case])
+    results = []
+    for verb in ("validate", "run"):
+        code = main([verb, path, "--format", format])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == EXIT_ENGINE
+    if format == "json":
+        assert err == ""
+        assert json.loads(out) == {"error": {"type": error_type, "message": message}}
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
 
 
 def _edge_scenario(state, kernel_1, kernel_2):

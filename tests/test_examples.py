@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcorr import (
+    EPS,
     PAPER_EXAMPLE_IDS,
     UnknownExample,
     ValidationError,
@@ -15,7 +16,7 @@ from qcorr import (
     scenario_to_jsonable,
 )
 from qcorr.cli import EXIT_OK, EXIT_VALIDATION, main
-from qcorr.examples import BUNDLED_SCENARIOS, build_paper_example, build_spin_x_mixture
+from qcorr.examples import BUNDLED_SCENARIOS, build_paper_example
 
 
 def test_unknown_example_id():
@@ -53,19 +54,63 @@ def test_examples_without_parameters_reject_them():
 
 def test_spin_x_mixture_validates_range():
     with pytest.raises(ValidationError, match="\\[0, 1\\]"):
-        build_spin_x_mixture(1.5)
+        build_paper_example("appendix-px", {"w": 1.5})
 
 
 def test_spin_x_mixture_drops_vanished_component():
-    scenario = build_spin_x_mixture(1.0)
+    scenario = build_paper_example("appendix-px", {"w": 1.0})
     dec = scenario.decompositions["product-states"]
     assert len(dec) == 1
 
 
-@pytest.mark.parametrize("example_id,filename", sorted(BUNDLED_SCENARIOS.items()))
-def test_bundled_files_are_the_serialized_default_builders(example_id, filename):
-    text = bundled_scenario_text(filename)
-    assert json.loads(text) == scenario_to_jsonable(build_paper_example(example_id))
+# each parameterised example's parameters at the values of its file
+FILE_PARAMS = {
+    "i": {"w1": 0.4, "w2": 0.3, "w3": 0.2, "w4": 0.1},
+    "ii": {"w1": 0.4, "w2": 0.3, "w3": 0.2, "w4": 0.1},
+    "iii": {"a": 0.25},
+    "appendix-px": {"w": 0.5},
+}
+
+
+@pytest.mark.parametrize("example_id", sorted(FILE_PARAMS))
+def test_the_file_weights_as_parameters_rebuild_the_file(example_id):
+    """The state recomputed from the reweighted decompositions has the
+    file's bits, signed zeros included."""
+    scenario = build_paper_example(example_id, FILE_PARAMS[example_id])
+    assert scenario.state is not build_paper_example(example_id).state
+    text = bundled_scenario_text(BUNDLED_SCENARIOS[example_id])
+    assert json.dumps(scenario_to_jsonable(scenario)) == json.dumps(json.loads(text))
+
+
+@pytest.mark.parametrize("example_id", PAPER_EXAMPLE_IDS)
+def test_paper_examples_follow_the_eps_in_force(example_id, monkeypatch):
+    monkeypatch.setenv("QCORR_EPS", "1e-6")
+    assert build_paper_example(example_id).observable_1._eps == 1e-6
+    monkeypatch.delenv("QCORR_EPS")
+    assert build_paper_example(example_id).observable_1._eps == EPS
+
+
+def test_paper_example_under_an_invalid_eps_raises_the_eps_error(monkeypatch):
+    monkeypatch.delenv("QCORR_EPS", raising=False)
+    build_paper_example("i")
+    monkeypatch.setenv("QCORR_EPS", "x")
+    with pytest.raises(ValidationError) as excinfo:
+        build_paper_example("i")
+    assert str(excinfo.value) == "QCORR_EPS must be a number, got 'x'"
+
+
+@pytest.mark.parametrize("params", [None, {"a": 0.1}])
+def test_each_call_returns_its_own_scenario_and_decompositions(params):
+    first = build_paper_example("iii", params)
+    second = build_paper_example("iii", params)
+    assert first is not second
+    assert first.decompositions is not second.decompositions
+    first.decompositions.clear()
+    assert list(build_paper_example("iii", params).decompositions) == [
+        "product-basis",
+        "bell-basis",
+        "mixed-basis",
+    ]
 
 
 def test_bundled_scenarios_all_load():
@@ -83,7 +128,7 @@ def test_file_and_params_routes_agree():
     """Editing the bundled file and passing parameters are the same thing."""
     from qcorr import run_scenario
 
-    by_params = run_paper_example("ii")
+    by_params = run_paper_example("ii", FILE_PARAMS["ii"])
     by_file = run_scenario(
         loads_scenario(bundled_scenario_text("bell_diagonal.json"))
     )
