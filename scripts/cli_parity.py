@@ -1,0 +1,179 @@
+"""Compare the qcorr command line of two source trees byte for byte.
+
+    python scripts/cli_parity.py BASE_SRC HEAD_SRC
+
+BASE_SRC and HEAD_SRC are the `src` directories of two checkouts. The script
+runs one fixed list of invocations of `python -m qcorr.cli` with PYTHONPATH
+set to each in turn and compares stdout, stderr and the exit code:
+
+- `run` (both formats, and `--decomposition spectral`) and `validate` (both
+  formats) on every bundled scenario file
+- `paper-example` on every id in both formats: the defaults, two sets of
+  seeded parameters, `--decomposition spectral`, an out-of-range value and
+  an unknown key
+- `run` and `validate` on malformed variants of a bundled file, one per
+  fault the scenario parser names (bools, numeric strings and nulls as
+  entries, mixed and ragged rows, pairs that are not two long, an integer
+  beyond the float range in a pair, a decomposition with two faults), plus a missing
+  file, a wrong schema and bad command-line parameters
+
+Both trees read the same input files: the bundled ones of HEAD_SRC and the
+variants this script writes to a temporary directory. It prints one line per
+difference and exits 1 if there is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FORMATS = ("table", "json")
+SEED = 13
+
+
+def _malformed(base: dict) -> dict[str, dict]:
+    """Variants of the bundled separable-mixture file, each with one fault
+    (the last with two)."""
+
+    def variant(edit) -> dict:
+        doc = copy.deepcopy(base)
+        edit(doc)
+        return doc
+
+    def set_entry(value):
+        return lambda doc: doc["state"][0].__setitem__(0, value)
+
+    def components(doc) -> list:
+        return next(iter(doc["decompositions"].values()))
+
+    def two_faults(doc):
+        first = components(doc)
+        first[0]["vector"] = [[2.0, 0.0]] + first[0]["vector"][1:]
+        first[1]["weight"] = "0.3"
+
+    return {
+        "entry_true": variant(set_entry(True)),
+        "entry_string": variant(set_entry("0.5")),
+        "entry_null": variant(set_entry(None)),
+        "pair_with_bool": variant(set_entry([True, 0.0])),
+        "pair_of_three": variant(set_entry([0.4, 0.0, 0.0])),
+        "pair_beyond_float": variant(set_entry([10**400, 0.0])),
+        "row_mixing_numbers_and_pairs": variant(
+            lambda doc: doc["state"][0].__setitem__(1, 0.0)
+        ),
+        "ragged_row": variant(lambda doc: doc["state"][0].pop()),
+        "effect_entry_true": variant(
+            lambda doc: doc["observables"][0]["effects"][0][0].__setitem__(0, True)
+        ),
+        "vector_entry_null": variant(
+            lambda doc: components(doc)[0]["vector"].__setitem__(0, None)
+        ),
+        "bad_norm_then_bad_weight": variant(two_faults),
+        "wrong_schema": variant(lambda doc: doc.__setitem__("schema", "qcorr/0")),
+    }
+
+
+def _example_params(rng: random.Random) -> dict[str, list[str]]:
+    """Two seeded parameter strings per example that takes parameters."""
+
+    def four() -> str:
+        cuts = sorted(rng.random() for _ in range(3))
+        w = [cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], 1.0 - cuts[2]]
+        return ",".join(f"w{i}={v!r}" for i, v in enumerate(w, 1))
+
+    return {
+        "i": [four(), four()],
+        "ii": [four(), four()],
+        "iii": [f"a={0.5 * rng.random()!r}", f"b={0.5 * rng.random()!r}"],
+        "appendix-px": [f"w={rng.random()!r}", f"w={rng.random()!r}"],
+    }
+
+
+OUT_OF_RANGE = {
+    "i": "w1=-0.1,w2=0.6,w3=0.3,w4=0.2",
+    "ii": "w1=0.9,w2=0.3",
+    "iii": "a=0.7",
+    "iii-mixed": "a=0.25",
+    "appendix": "w=0.5",
+    "appendix-px": "w=1.5",
+}
+
+
+def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
+    data = head_src / "qcorr" / "data"
+    files = sorted(data.glob("*.json"))
+    if not files:
+        raise SystemExit(f"no bundled scenario files under {data}")
+    calls = []
+    for path in files:
+        for fmt in FORMATS:
+            calls.append(["run", str(path), "--format", fmt])
+            calls.append(["run", str(path), "--decomposition", "spectral", "--format", fmt])
+            calls.append(["validate", str(path), "--format", fmt])
+
+    seeded = _example_params(random.Random(SEED))
+    ids = ("i", "ii", "iii", "iii-mixed", "appendix", "appendix-px")
+    for example in ids:
+        variants = [[], ["--decomposition", "spectral"]]
+        variants += [["--params", p] for p in seeded.get(example, [])]
+        variants += [["--params", OUT_OF_RANGE[example]], ["--params", "zz=1"]]
+        for extra in variants:
+            for fmt in FORMATS:
+                calls.append(["paper-example", example, *extra, "--format", fmt])
+    for fmt in FORMATS:
+        calls.append(["paper-example", "iv", "--format", fmt])
+        calls.append(["paper-example", "i", "--params", "w1", "--format", fmt])
+
+    base = json.loads((data / "separable.json").read_text(encoding="utf-8"))
+    malformed = []
+    for name, doc in _malformed(base).items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        malformed.append(path)
+    malformed.append(workdir / "missing.json")
+    for path in malformed:
+        for verb in ("run", "validate"):
+            for fmt in FORMATS:
+                calls.append([verb, str(path), "--format", fmt])
+    return calls
+
+
+def _run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "qcorr.cli", *argv], env=env, capture_output=True
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    base_src, head_src = (Path(a).resolve() for a in args)
+    for src in (base_src, head_src):
+        if not (src / "qcorr" / "cli.py").is_file():
+            print(f"no qcorr sources under {src}", file=sys.stderr)
+            return 2
+    differences = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        calls = invocations(head_src, Path(workdir))
+        for call in calls:
+            base, head = _run(base_src, call), _run(head_src, call)
+            for field, b, h in zip(("exit code", "stdout", "stderr"), base, head):
+                if b != h:
+                    differences += 1
+                    print(f"differs in {field}: qcorr {' '.join(call)}")
+    print(f"{len(calls)} invocations, {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

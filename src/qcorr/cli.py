@@ -17,7 +17,7 @@ import sys
 
 from .errors import QcorrError, ValidationError
 from .examples import PAPER_EXAMPLE_IDS, run_paper_example
-from .report import emit_report
+from .report import _json_text, emit_report
 from .scenario import QuantumScenario, _quantum_joint, load_scenario, run_scenario
 from .selftest import SelftestReport, run_selftest
 
@@ -119,7 +119,7 @@ def _print(text: str) -> None:
 def _emit_error(exc: QcorrError, format: str) -> None:
     if format == "json":
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        _print(json.dumps(payload, indent=2))
+        _print(_json_text(payload))
     else:
         print(f"error: {exc}", file=sys.stderr)
 
@@ -179,7 +179,7 @@ def _run_verb(args) -> int:
         return EXIT_OK
     report = run_selftest(seed=args.seed, trials=args.trials)
     if args.format == "json":
-        _print(json.dumps(_selftest_jsonable(report), indent=2))
+        _print(_json_text(_selftest_jsonable(report)))
     else:
         _print(_selftest_text(report))
     return EXIT_OK if report.passed else EXIT_ENGINE

@@ -87,6 +87,22 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
+def _unit_row_fault(vectors: np.ndarray, eps: float) -> tuple[int, str] | None:
+    """The first row of `vectors` (n, d) that PureState rejects, with its
+    message: a non-finite entry, or a norm off 1 by more than eps."""
+    finite = np.isfinite(vectors).all(axis=1)
+    # np.linalg.norm's own sum, row by row, so the norms equal its bits
+    real, imag = vectors.real, vectors.imag
+    norms = np.sqrt(np.vecdot(real, real) + np.vecdot(imag, imag))
+    bad = ~finite | (np.abs(norms - 1.0) > eps)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    if not finite[row]:
+        return row, "state vector contains non-finite entries"
+    return row, f"state vector norm is {float(norms[row])!r}, expected 1"
+
+
 class DensityOperator:
     """Positive Hermitian matrix of unit trace describing a possibly mixed state."""
 
@@ -272,16 +288,9 @@ class ConvexDecomposition:
         messages: each row finite and of unit norm, then each weight positive
         and the dimension, then the sum and the reconstruction."""
         eps = validation_eps()
-        finite = np.isfinite(vectors).all(axis=1)
-        # np.linalg.norm's own sum, row by row, so the norms equal its bits
-        real, imag = vectors.real, vectors.imag
-        norms = np.sqrt(np.vecdot(real, real) + np.vecdot(imag, imag))
-        bad = ~finite | (np.abs(norms - 1.0) > eps)
-        if bad.any():
-            row = int(bad.argmax())
-            if not finite[row]:
-                raise ValidationError("state vector contains non-finite entries")
-            raise ValidationError(f"state vector norm is {float(norms[row])!r}, expected 1")
+        fault = _unit_row_fault(vectors, eps)
+        if fault is not None:
+            raise ValidationError(fault[1])
         bad = ~np.isfinite(weights) | (weights <= 0.0)
         dim_ok = vectors.shape[1] == target.dim
         if bad.any() and (dim_ok or bad[0]):

@@ -102,10 +102,61 @@ def _point_header(point: tuple[str, str]) -> str:
     return f"({point[0]},{point[1]})"
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for dict keys that are
+    strings: stdlib's type tests and spellings, with one join per container
+    in place of its pure-Python chunk generator. No type is both a container
+    and a scalar, so testing containers first keeps stdlib's choices."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = "," + inner
+        if set(map(type, obj)) == {float}:
+            text = sep.join(map(float.__repr__, obj))
+            if "n" in text:  # "nan" or "inf", which stdlib spells otherwise
+                text = sep.join(map(_float_text, obj))
+        else:
+            text = sep.join([_json_text(v, inner) for v in obj])
+        return "[" + inner + text + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [_escape(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def emit_report(report: ReportDocument, format: str = "table") -> str:
     """Render a report as fixed-width text or as JSON."""
     if format == "json":
-        return json.dumps(report.to_jsonable(), indent=2)
+        return _json_text(report.to_jsonable())
     if format != "table":
         raise ValidationError(f"format must be 'table' or 'json', got {format!r}")
     return _emit_table(report)

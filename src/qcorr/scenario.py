@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -56,11 +57,11 @@ from .classical_frame import (
 )
 from .correlation import CorrelationReport, _require_joint, correlation_report
 from .errors import ParseError, ValidationError
-from .hilbert import ConvexDecomposition, DensityOperator, PureState
+from .hilbert import ConvexDecomposition, DensityOperator, _unit_row_fault
 from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace
 from .observable import Povm, joint_from_commuting
 from .report import ReportDocument
-from .tolerance import EPS
+from .tolerance import EPS, validation_eps
 
 __all__ = [
     "SCHEMA",
@@ -143,10 +144,35 @@ def _real(value, path: str) -> float:
 
 def _complex_scalar(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_real(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_real(value[0], f"{path}[0]"), _real(value[1], f"{path}[1]"))
     _fail(path, f"expected a number or [re, im] pair, got {value!r}")
+
+
+def _complex_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """`value` as a complex array of `shape` in one numpy call, when it is
+    nested lists whose leaves are plain ints or floats that fit a float,
+    every entry a real or every entry an [re, im] pair; otherwise None, and
+    the walk below, which names each fault, parses it."""
+    if type(value) is not list:
+        return None
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if array.shape != shape and array.shape != shape + (2,):
+        return None
+    items = value
+    for _ in range(array.ndim - 1):
+        if set(map(type, items)) != {list}:
+            return None
+        items = list(chain.from_iterable(items))
+    if not set(map(type, items)) <= {int, float}:
+        return None
+    if array.shape == shape:
+        return array.astype(complex)
+    return array.view(complex).reshape(shape)
 
 
 def _vector(value, path: str, dim: int) -> np.ndarray:
@@ -158,8 +184,19 @@ def _vector(value, path: str, dim: int) -> np.ndarray:
 
 
 def _matrix(value, path: str, dim: int) -> np.ndarray:
+    fast = _complex_array(value, (dim, dim))
+    if fast is not None:
+        return fast
     rows = _expect_list(value, path, length=dim)
     return np.stack([_vector(row, f"{path}[{i}]", dim) for i, row in enumerate(rows)])
+
+
+def _matrices(value, path: str, dim: int, count: int) -> np.ndarray:
+    matrices = _expect_list(value, path, length=count)
+    fast = _complex_array(matrices, (count, dim, dim))
+    if fast is not None:
+        return fast
+    return np.array([_matrix(m, f"{path}[{i}]", dim) for i, m in enumerate(matrices)])
 
 
 def _labels(value, path: str) -> tuple[str, ...]:
@@ -255,16 +292,7 @@ def _quantum_from_jsonable(root: dict, name: str) -> QuantumScenario:
             _fail("decompositions", "expected 'spectral' or at least one named decomposition")
         for dec_name, entries in mapping.items():
             path = f"decompositions[{dec_name!r}]"
-            components = []
-            for i, entry in enumerate(_expect_list(entries, path)):
-                item = _expect_mapping(entry, f"{path}[{i}]")
-                weight = _real(item.get("weight"), f"{path}[{i}].weight")
-                vector = _vector(item.get("vector"), f"{path}[{i}].vector", dim)
-                pure = _wrap(f"{path}[{i}].vector", lambda v=vector: PureState(v))
-                components.append((weight, pure))
-            decompositions[dec_name] = _wrap(
-                path, lambda c=components: ConvexDecomposition(c, state)
-            )
+            decompositions[dec_name] = _decomposition(entries, path, dim, state)
     return QuantumScenario(
         name=name,
         state=state,
@@ -274,6 +302,37 @@ def _quantum_from_jsonable(root: dict, name: str) -> QuantumScenario:
         decompositions=decompositions,
         spectral=spectral,
     )
+
+
+def _decomposition(entries, path: str, dim: int, state: DensityOperator) -> ConvexDecomposition:
+    """A file decomposition, checked in one batch by `_from_rows`. Its
+    errors, and which of them comes first, are those of building one
+    PureState per component as its entry parses, then the public
+    constructor."""
+    weights, rows = [], []
+    try:
+        for i, entry in enumerate(_expect_list(entries, path)):
+            item = _expect_mapping(entry, f"{path}[{i}]")
+            weights.append(_real(item.get("weight"), f"{path}[{i}].weight"))
+            rows.append(_vector(item.get("vector"), f"{path}[{i}].vector", dim))
+    except ValidationError:
+        _raise_row_fault(path, rows)  # a bad row before the fault fails first
+        raise
+    rows = np.array(rows, dtype=complex).reshape(len(rows), dim)
+    try:
+        return ConvexDecomposition._from_rows(np.array(weights), rows, state)
+    except ValidationError as exc:
+        _raise_row_fault(path, rows)
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _raise_row_fault(path: str, rows) -> None:
+    """Raise PureState's error, named by its component, for the first of
+    `rows` it rejects."""
+    if len(rows):
+        fault = _unit_row_fault(np.asarray(rows), validation_eps())
+        if fault is not None:
+            raise ValidationError(f"{path}[{fault[0]}].vector: {fault[1]}")
 
 
 def _observable_from_jsonable(entry, path: str, dim: int) -> Povm:
@@ -286,10 +345,7 @@ def _observable_from_jsonable(entry, path: str, dim: int) -> Povm:
     if has_operator:
         operator = _matrix(mapping["operator"], f"{path}.operator", dim)
         return _wrap(path, lambda: Povm.from_operator(operator, labels=labels))
-    matrices = _expect_list(mapping["effects"], f"{path}.effects", length=len(labels))
-    stack = np.array(
-        [_matrix(matrix, f"{path}.effects[{i}]", dim) for i, matrix in enumerate(matrices)]
-    )
+    stack = _matrices(mapping["effects"], f"{path}.effects", dim, len(labels))
     return _wrap(path, lambda: Povm._from_stack(OutcomeSpace(labels), stack))
 
 
@@ -298,10 +354,7 @@ def _joint_from_jsonable(value, path: str, a1: Povm, a2: Povm, dim: int) -> Povm
     if set(mapping) != {"effects"}:
         _fail(path, "expected 'auto-commuting' or an object with an 'effects' array")
     space = ProductSpace(a1.space, a2.space)
-    matrices = _expect_list(mapping["effects"], f"{path}.effects", length=len(space.points))
-    stack = np.array(
-        [_matrix(matrix, f"{path}.effects[{i}]", dim) for i, matrix in enumerate(matrices)]
-    )
+    stack = _matrices(mapping["effects"], f"{path}.effects", dim, len(space.points))
     return _wrap(path, lambda: Povm._from_stack(space, stack))
 
 
@@ -359,16 +412,10 @@ def _kernel_from_jsonable(entry, path: str, phase: PhaseSpace) -> ClassicalObser
 # serialization (normalized form)
 
 
-def _complex_pair(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
-
-
-def _matrix_jsonable(matrix: np.ndarray) -> list:
-    return [[_complex_pair(entry) for entry in row] for row in np.asarray(matrix, dtype=complex)]
-
-
-def _vector_jsonable(vector: np.ndarray) -> list:
-    return [_complex_pair(entry) for entry in np.asarray(vector, dtype=complex)]
+def _complex_pairs(array: np.ndarray) -> list:
+    """A complex array as nested lists with an [re, im] pair per entry."""
+    array = np.ascontiguousarray(array, dtype=complex)
+    return array.view(float).reshape(array.shape + (2,)).tolist()
 
 
 def scenario_to_jsonable(scenario: Scenario) -> dict:
@@ -383,7 +430,7 @@ def scenario_to_jsonable(scenario: Scenario) -> dict:
 def _povm_jsonable(observable: Povm) -> dict:
     return {
         "labels": list(observable.space.labels),
-        "effects": [_matrix_jsonable(observable.effect(l)) for l in observable.space.labels],
+        "effects": [_complex_pairs(observable.effect(l)) for l in observable.space.labels],
     }
 
 
@@ -393,7 +440,7 @@ def _quantum_to_jsonable(scenario: QuantumScenario) -> dict:
     else:
         decompositions = {
             name: [
-                {"weight": weight, "vector": _vector_jsonable(vector)}
+                {"weight": weight, "vector": _complex_pairs(vector)}
                 for weight, vector in zip(dec.weights, dec.vectors)
             ]
             for name, dec in scenario.decompositions.items()
@@ -403,7 +450,7 @@ def _quantum_to_jsonable(scenario: QuantumScenario) -> dict:
     else:
         joint = {
             "effects": [
-                _matrix_jsonable(scenario.joint.effect(point))
+                _complex_pairs(scenario.joint.effect(point))
                 for point in scenario.joint.space.points
             ]
         }
@@ -412,7 +459,7 @@ def _quantum_to_jsonable(scenario: QuantumScenario) -> dict:
         "name": scenario.name,
         "mode": "quantum",
         "dim": scenario.state.dim,
-        "state": _matrix_jsonable(scenario.state.matrix),
+        "state": _complex_pairs(scenario.state.matrix),
         "observables": [
             _povm_jsonable(scenario.observable_1),
             _povm_jsonable(scenario.observable_2),

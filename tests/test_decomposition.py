@@ -14,7 +14,9 @@ from qcorr import (
     DensityOperator,
     PureState,
     QcorrError,
+    ValidationError,
     random_decomposition,
+    scenario_from_jsonable,
     spectral_decompose,
 )
 from qcorr.tolerance import EPS, validation_eps
@@ -211,6 +213,60 @@ def test_from_rows_and_constructor_keep_the_oracle_precedence(qcorr_eps, case):
 
     assert_same(from_rows, oracle)
     assert_same(constructor, oracle)
+
+
+def _pairs(matrix) -> list:
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+
+
+# a file's vectors have the scenario's dimension
+FILE_CASE_NAMES = [
+    name
+    for name, (_, rows, target) in _rows_cases(EPS).items()
+    if np.shape(rows)[1] == target.dim
+]
+
+
+@pytest.mark.parametrize("case", FILE_CASE_NAMES)
+def test_file_decomposition_keeps_the_per_component_errors(qcorr_eps, case):
+    """A file decomposition is checked in one batch, with the outcome and
+    the first error, field path included, of one PureState per component
+    built as it parses and then the public constructor."""
+    weights, rows, target = _rows_cases(validation_eps())[case]
+    rows = np.array(rows, dtype=complex).reshape(len(weights), 2)
+    effects = [_pairs(np.diag([1.0, 0.0])), _pairs(np.diag([0.0, 1.0]))]
+    doc = {
+        "schema": "qcorr/1",
+        "name": "rows",
+        "mode": "quantum",
+        "dim": 2,
+        "state": _pairs(target.matrix),
+        "observables": [{"labels": ["u", "d"], "effects": effects}] * 2,
+        "decompositions": {
+            "d": [{"weight": w, "vector": _pairs(row)} for w, row in zip(weights, rows)]
+        },
+    }
+
+    def per_component():
+        components = []
+        for i, (weight, row) in enumerate(zip(weights, rows)):
+            try:
+                components.append((weight, PureState(row)))
+            except ValidationError as exc:
+                raise ValidationError(f"decompositions['d'][{i}].vector: {exc}") from None
+        try:
+            return ConvexDecomposition(components, target)
+        except ValidationError as exc:
+            raise ValidationError(f"decompositions['d']: {exc}") from None
+
+    got = _outcome(lambda: scenario_from_jsonable(doc).decompositions["d"])
+    want = _outcome(per_component)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+    else:
+        assert _bits(got.vectors) == _bits(want.vectors)
+        assert got.weights == want.weights
 
 
 def test_rows_cases_reach_every_check():

@@ -1,12 +1,22 @@
 import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
+    PAPER_EXAMPLE_IDS,
+    bundled_scenario_names,
     bundled_scenario_text,
     emit_report,
     loads_scenario,
     run_paper_example,
     run_scenario,
 )
+from qcorr.cli import _selftest_jsonable
+from qcorr.report import _json_text
+from qcorr.selftest import run_selftest
 
 
 def _classical_uniform():
@@ -59,3 +69,80 @@ def test_report_emission_is_deterministic():
     a = emit_report(run_paper_example("appendix"), format="json")
     b = emit_report(run_paper_example("appendix"), format="json")
     assert a == b
+
+
+# the JSON writer is json.dumps(obj, indent=2), byte for byte ----------------
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not how stdlib writes it"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not how stdlib writes it"
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_INTS = st.integers() | st.integers(min_value=2**64, max_value=2**200).flatmap(
+    lambda n: st.sampled_from([n, -n])
+)
+# quotes, backslashes, control characters and text beyond ASCII
+_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7fé€\U0001f600 '), max_size=8) | st.text(max_size=8)
+_SCALARS = (
+    _FLOATS
+    | _FLOATS.map(_Float)
+    | _INTS
+    | _INTS.map(_Int)
+    | st.booleans()
+    | st.none()
+    | _TEXT
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.lists(_FLOATS, max_size=5)
+    | st.dictionaries(_TEXT, children, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_DOCUMENTS)
+def test_writer_matches_stdlib_indented_json(document):
+    assert _json_text(document) == json.dumps(document, indent=2)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [[], {}, (), [[]], {"": {}}, [math.nan, math.inf, -math.inf], [-0.0, 5e-324], [_Float(0.5)]],
+)
+def test_writer_matches_stdlib_on_edge_documents(document):
+    assert _json_text(document) == json.dumps(document, indent=2)
+
+
+def test_writer_rejects_what_stdlib_cannot_write():
+    with pytest.raises(TypeError):
+        _json_text({"x": object()})
+
+
+def _reports():
+    for name in bundled_scenario_names():
+        scenario = loads_scenario(bundled_scenario_text(name))
+        yield run_scenario(scenario)
+        yield run_scenario(scenario, decomposition="spectral")
+    for example in PAPER_EXAMPLE_IDS:
+        yield run_paper_example(example)
+        yield run_paper_example(example, decomposition="spectral")
+
+
+def test_json_reports_are_stdlib_indented_json():
+    reports = list(_reports())
+    assert len(reports) == 2 * (len(bundled_scenario_names()) + len(PAPER_EXAMPLE_IDS))
+    for report in reports:
+        assert emit_report(report, format="json") == json.dumps(report.to_jsonable(), indent=2)
+    selftest = _selftest_jsonable(run_selftest(seed=3, trials=2))
+    assert _json_text(selftest) == json.dumps(selftest, indent=2)

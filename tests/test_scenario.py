@@ -1,6 +1,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from qcorr import (
@@ -13,6 +14,9 @@ from qcorr import (
     scenario_from_jsonable,
     scenario_to_jsonable,
 )
+from qcorr.cli import EXIT_OK, EXIT_VALIDATION, main
+from qcorr.examples import bundled_scenario_text
+from qcorr.scenario import _complex_array, _matrix
 
 DIAG = [[1.0, 0.0], [0.0, 0.0]]
 ANTIDIAG = [[0.0, 0.0], [0.0, 1.0]]
@@ -253,3 +257,148 @@ def test_classical_run_reports_flags():
     assert report.flags["observable_1_deterministic"]
     assert not report.flags["observable_2_deterministic"]
     assert report.flags["joint_marginally_consistent"]
+
+
+# the one-call matrix parser takes only what the walk accepts unnamed ---------
+
+
+def _separable(edit):
+    doc = json.loads(bundled_scenario_text("separable.json"))
+    edit(doc)
+    return doc
+
+
+def _set_state_entry(value):
+    return lambda doc: doc["state"][0].__setitem__(0, value)
+
+
+def _first_components(doc):
+    return next(iter(doc["decompositions"].values()))
+
+
+def _bad_norm_then_bad_weight(doc):
+    components = _first_components(doc)
+    components[0]["vector"] = [[2.0, 0.0]] + components[0]["vector"][1:]
+    components[1]["weight"] = "0.3"
+
+
+DECOMPOSITION = "decompositions['product-basis']"
+
+# edit of the bundled separable file -> the message every earlier version gave
+PARSER_PINS = {
+    "true-entry": (
+        _set_state_entry(True),
+        "state[0][0]: expected a number or [re, im] pair, got True",
+    ),
+    "numeric-string-entry": (
+        _set_state_entry("0.5"),
+        "state[0][0]: expected a number or [re, im] pair, got '0.5'",
+    ),
+    "bool-in-pair": (
+        _set_state_entry([True, 0.0]),
+        "state[0][0][0]: expected a number, got True",
+    ),
+    "null-entry": (
+        _set_state_entry(None),
+        "state[0][0]: expected a number or [re, im] pair, got None",
+    ),
+    "bool-in-real-row": (
+        lambda doc: doc["state"].__setitem__(0, [0.4, 0.0, 0.0, False]),
+        "state[0][3]: expected a number or [re, im] pair, got False",
+    ),
+    "three-element-pair": (
+        _set_state_entry([0.4, 0.0, 0.0]),
+        "state[0][0]: expected a number or [re, im] pair, got [0.4, 0.0, 0.0]",
+    ),
+    "ragged-row": (
+        lambda doc: doc["state"][0].pop(),
+        "state[0]: expected 4 entries, got 3",
+    ),
+    "integer-beyond-float-in-pair": (
+        _set_state_entry([10**400, 0.0]),
+        "state[0][0][0]: number too large for a float",
+    ),
+    # earlier versions crashed with an OverflowError traceback here
+    "integer-beyond-float": (
+        _set_state_entry(10**400),
+        "state[0][0]: number too large for a float",
+    ),
+    "true-in-effect": (
+        lambda doc: doc["observables"][0]["effects"][0][0].__setitem__(0, True),
+        "observables[0].effects[0][0][0]: expected a number or [re, im] pair, got True",
+    ),
+    "null-in-vector": (
+        lambda doc: _first_components(doc)[0]["vector"].__setitem__(0, None),
+        f"{DECOMPOSITION}[0].vector[0]: expected a number or [re, im] pair, got None",
+    ),
+    # component 0 fails its norm before component 1's weight is read
+    "bad-norm-then-bad-weight": (
+        _bad_norm_then_bad_weight,
+        f"{DECOMPOSITION}[0].vector: state vector norm is 2.0, expected 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSER_PINS))
+def test_parser_keeps_each_message(case, tmp_path, capsys):
+    edit, message = PARSER_PINS[case]
+    text = json.dumps(_separable(edit))
+    with pytest.raises(ValidationError) as excinfo:
+        loads_scenario(text)
+    assert str(excinfo.value) == message
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    for verb in ("run", "validate"):
+        assert main([verb, str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_row_mixing_numbers_and_pairs_is_accepted(tmp_path, capsys):
+    mixed = _separable(lambda doc: doc["state"][0].__setitem__(1, 0.0))
+    assert (
+        scenario_from_jsonable(mixed).state.matrix
+        == scenario_from_jsonable(_separable(lambda doc: None)).state.matrix
+    ).all()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(mixed))
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "valid: separable-mixture (quantum)\n"
+
+
+def _leaves(value, wrap):
+    if isinstance(value, list):
+        return [_leaves(v, wrap) for v in value]
+    return wrap(value)
+
+
+class _Int(int):
+    pass
+
+
+def test_numpy_float_leaves_are_accepted_as_before():
+    plain = _separable(lambda doc: None)
+    wrapped = _leaves(plain["state"], np.float64)
+    assert _complex_array(wrapped, (4, 4)) is None  # the walk parses them
+    doc = dict(plain, state=wrapped)
+    assert scenario_from_jsonable(doc).state.matrix.tobytes() == (
+        scenario_from_jsonable(plain).state.matrix.tobytes()
+    )
+
+
+def test_fast_path_and_walk_give_the_same_bits():
+    rng = np.random.default_rng(13)
+    scales = 10.0 ** rng.integers(-300, 300, size=60)
+    floats = (rng.normal(size=60) * scales).tolist() + [-0.0, 5e-324, -2.5e-320]
+    ints = [0, -1, 2**53 + 1, -(2**62) - 3, 2**63 - 1, 2**63]
+    ints += rng.integers(-(2**62), 2**62, size=11).tolist()
+    values = np.array(floats + ints, dtype=object)  # 80 leaves
+    dim = 4
+    for leaves in (values[:32], values[32:64], values[48:]):
+        for shape in ((dim, dim), (dim, dim, 2)):
+            value = leaves[: np.prod(shape)].reshape(shape).tolist()
+            fast = _complex_array(value, (dim, dim))
+            assert fast is not None
+            # leaves of a subclass send the same numbers down the walk
+            walked = _leaves(value, lambda v: _Int(v) if type(v) is int else np.float64(v))
+            assert _complex_array(walked, (dim, dim)) is None
+            assert fast.tobytes() == _matrix(walked, "m", dim).tobytes()
