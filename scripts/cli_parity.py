@@ -16,6 +16,7 @@ set to each in turn and compares stdout, stderr and the exit code:
   entries, mixed and ragged rows, pairs that are not two long, an integer
   beyond the float range in a pair, a decomposition with two faults), plus a missing
   file, a wrong schema and bad command-line parameters
+- `selftest --trials 20` at seeds 1 and 7 in both formats
 
 Both trees read the same input files: the bundled ones of HEAD_SRC and the
 variants this script writes to a temporary directory. It prints one line per
@@ -129,6 +130,10 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
     for fmt in FORMATS:
         calls.append(["paper-example", "iv", "--format", fmt])
         calls.append(["paper-example", "i", "--params", "w1", "--format", fmt])
+
+    for seed in ("1", "7"):
+        for fmt in FORMATS:
+            calls.append(["selftest", "--seed", seed, "--trials", "20", "--format", fmt])
 
     base = json.loads((data / "separable.json").read_text(encoding="utf-8"))
     malformed = []

@@ -11,7 +11,7 @@ construction with phase-space points in the role of pure components.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,5 +212,4 @@ def classical_report(
     """
     _require_product_codomain(joint, a1, a2)
     measures = apply(joint, state), apply(a1, state), apply(a2, state)
-    report = split_report(*measures, state.as_array(), a1.matrix, a2.matrix, "canonical")
-    return replace(report, decomposition_size=None)
+    return split_report(*measures, state.as_array(), a1.matrix, a2.matrix, "canonical")

@@ -1,4 +1,4 @@
-"""Correlation decomposition for quantum observables.
+"""Correlation decomposition for quantum and classical observables.
 
 The statistics of a joint observable J at a state D, compared against the
 product of the single-observable statistics, give the total correlation
@@ -8,6 +8,9 @@ where rho_c measures the correlation carried by the mixing (the classical
 part) and rho_e the remainder attributable to the components themselves
 (probabilistic entanglement). Both factors, unlike rho_t, depend on the
 chosen decomposition.
+
+`split_report` computes that split for both frames: it mixes per-component
+outcome rows into the classical product and divides the measures.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, JointMarginalMismatch
+from .errors import AbsoluteContinuityViolation, JointMarginalMismatch
 from .hilbert import ConvexDecomposition, DensityOperator, spectral_decompose
-from .measure import DensityFunction, DiscreteMeasure, _derived, correlation_split
+from .measure import DensityFunction, DiscreteMeasure, _derived, _nanmax, _quotient, mix_rows
 from .observable import Povm, check_joint, outcome_measure
 from .tolerance import PRODUCT_RULE_TOL
 
@@ -28,19 +31,6 @@ __all__ = [
     "correlation_report",
     "split_report",
 ]
-
-
-def _component_rows(
-    a1: Povm, a2: Povm, decomposition: ConvexDecomposition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mixing weights and the per-component outcome rows of both observables."""
-    target = decomposition.target
-    if a1.dim != target.dim or a2.dim != target.dim:
-        raise DimensionMismatch(
-            f"observable dimensions ({a1.dim}, {a2.dim}) do not match state dimension {target.dim}"
-        )
-    vectors = decomposition.vectors
-    return np.array(decomposition.weights), a1.born_rows(vectors), a2.born_rows(vectors)
 
 
 def _require_joint(joint: Povm, a1: Povm, a2: Povm) -> None:
@@ -105,8 +95,11 @@ def correlation_report(
     joint_measure = outcome_measure(joint, state)
     marginal_1 = outcome_measure(a1, state)
     marginal_2 = outcome_measure(a2, state)
-    mixing = _component_rows(a1, a2, decomposition)
-    return split_report(joint_measure, marginal_1, marginal_2, *mixing, source)
+    vectors = decomposition.vectors
+    rows_1, rows_2 = a1.born_rows(vectors), a2.born_rows(vectors)
+    return split_report(
+        joint_measure, marginal_1, marginal_2, decomposition._weights, rows_1, rows_2, source
+    )
 
 
 def split_report(
@@ -118,15 +111,32 @@ def split_report(
     rows_2: np.ndarray,
     source: str,
 ) -> CorrelationReport:
-    """Run `correlation_split` on the measures' arrays and wrap the result.
+    """The correlation split of the measures, mixing `weights` (n,) over the
+    per-component outcome rows `rows_1` (n x k1) and `rows_2` (n x k2).
 
     Both frames report through here: the rows are the components' Born-rule
     statistics (quantum) or the kernel rows at each phase point (classical).
+    rho_t = joint / product of the marginals, rho_c = classical / product and
+    rho_e = joint / classical. A joint escaping the product's support raises
+    AbsoluteContinuityViolation; a factor that does not exist is recorded
+    instead. The size is None for the canonical (classical) split.
     """
     space = joint_measure.space
     joint = joint_measure.as_array().reshape(len(space.left), len(space.right))
-    margins = marginal_1.as_array(), marginal_2.as_array()
-    split = correlation_split(space, joint, *margins, weights, rows_1, rows_2)
+    independent = np.multiply.outer(marginal_1.as_array(), marginal_2.as_array())
+    classical = mix_rows(weights, rows_1, rows_2)
+    points = space.points
+    rho_t = _quotient(joint, independent, points)
+    factors = []
+    for num, den in ((classical, independent), (joint, classical)):
+        try:
+            factors.append((_quotient(num, den, points), None))
+        except AbsoluteContinuityViolation as exc:
+            factors.append((None, str(exc)))
+    (rho_c, rho_c_error), (rho_e, rho_e_error) = factors
+    residual = None
+    if rho_c is not None and rho_e is not None:
+        residual = _nanmax(np.abs(rho_c * rho_e - rho_t))
 
     def view(values):
         return None if values is None else _derived(DensityFunction, space, values)
@@ -135,14 +145,14 @@ def split_report(
         joint_measure=joint_measure,
         marginal_1=marginal_1,
         marginal_2=marginal_2,
-        product_measure=_derived(DiscreteMeasure, space, split.product),
-        classical_product=_derived(DiscreteMeasure, space, split.classical),
-        rho_t=view(split.rho_t),
-        rho_c=view(split.rho_c),
-        rho_e=view(split.rho_e),
-        rho_c_error=split.rho_c_error,
-        rho_e_error=split.rho_e_error,
-        product_rule_residual=split.residual,
+        product_measure=_derived(DiscreteMeasure, space, independent),
+        classical_product=_derived(DiscreteMeasure, space, classical),
+        rho_t=view(rho_t),
+        rho_c=view(rho_c),
+        rho_e=view(rho_e),
+        rho_c_error=rho_c_error,
+        rho_e_error=rho_e_error,
+        product_rule_residual=residual,
         decomposition_source=source,
-        decomposition_size=len(weights),
+        decomposition_size=None if source == "canonical" else len(weights),
     )

@@ -4,9 +4,8 @@ Provides point masses and marginals, plus pointwise density functions
 (likelihood ratios) between measures on the same space.
 Product-space points are ordered row-major: the right factor varies fastest.
 Measures and densities each hold one read-only float array in that order.
-
-`correlation_split` is the one array kernel of both frames: it mixes
-per-component outcome rows and divides the measures into rho_t, rho_c, rho_e.
+`mix_rows` and `_quotient` are the array steps of the correlation split,
+which `correlation.split_report` computes for both frames.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ __all__ = [
     "DensityFunction",
     "dirac",
     "marginal",
-    "Split",
     "mix_rows",
-    "correlation_split",
 ]
 
 Outcome = Union[str, tuple[str, str]]
@@ -380,51 +377,8 @@ def _quotient(num: np.ndarray, den: np.ndarray, outcomes: Sequence) -> np.ndarra
     return np.maximum(num, 0.0) / np.where(support, den, np.nan)
 
 
-@dataclass(frozen=True)
-class Split:
-    """The correlation split over a k1 x k2 outcome grid; densities are NaN off
-    their support, and a factor that does not exist is None with its error."""
-
-    product: np.ndarray
-    classical: np.ndarray
-    rho_t: np.ndarray
-    rho_c: np.ndarray | None
-    rho_e: np.ndarray | None
-    rho_c_error: str | None
-    rho_e_error: str | None
-    residual: float | None
-
-
 def mix_rows(weights: np.ndarray, rows_1: np.ndarray, rows_2: np.ndarray) -> np.ndarray:
     """Classical product sum_i w_i rows_1[i] (x) rows_2[i] of the per-component
     outcome rows (n x k1 and n x k2), as a k1 x k2 table."""
     pairs = rows_1[:, :, None] * rows_2[:, None, :]
     return (weights @ pairs.reshape(len(weights), -1)).reshape(pairs.shape[1:])
-
-
-def correlation_split(
-    space: ProductSpace, joint, marginal_1, marginal_2, weights, rows_1, rows_2
-) -> Split:
-    """Split rho_t = joint / product of marginals (a k1 x k2 grid labeled by
-    `space`) into rho_c = classical / product and rho_e = joint / classical,
-    with classical = `mix_rows(weights, rows_1, rows_2)`.
-
-    A joint escaping the product's support raises AbsoluteContinuityViolation;
-    a factor that does not exist is recorded instead. The residual is the
-    largest |rho_c * rho_e - rho_t| on the common support.
-    """
-    independent = np.multiply.outer(marginal_1, marginal_2)
-    classical = mix_rows(weights, rows_1, rows_2)
-    points = space.points
-    rho_t = _quotient(joint, independent, points)
-    factors = []
-    for num, den in ((classical, independent), (joint, classical)):
-        try:
-            factors.append((_quotient(num, den, points), None))
-        except AbsoluteContinuityViolation as exc:
-            factors.append((None, str(exc)))
-    (rho_c, rho_c_error), (rho_e, rho_e_error) = factors
-    residual = None
-    if rho_c is not None and rho_e is not None:
-        residual = _nanmax(np.abs(rho_c * rho_e - rho_t))
-    return Split(independent, classical, rho_t, rho_c, rho_e, rho_c_error, rho_e_error, residual)

@@ -16,6 +16,17 @@ UP = np.array([1.0, 0.0], dtype=complex)
 DOWN = np.array([0.0, 1.0], dtype=complex)
 
 
+def inexact_commuting_effects(eps):
+    """Effects of a valid commuting projective pair at d = 4, as two lists:
+    a1 = {uu*, I - uu*} with u = (0.8, b, b, b), b = sqrt(0.12), and
+    a2 = {I + 0.9 eps J, 0} with J the all-ones matrix. The left marginal of
+    their product joint is E1(x)(I + 0.9 eps J), 1.32 eps from E1(x)."""
+    b = np.sqrt(0.12)
+    u = np.array([0.8, b, b, b])
+    p, eye = np.outer(u, u), np.eye(4)
+    return [p, eye - p], [eye + 0.9 * eps * np.ones((4, 4)), np.zeros((4, 4))]
+
+
 @pytest.fixture(scope="session")
 def spin_pair():
     return spin_z_pair()

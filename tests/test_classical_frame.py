@@ -184,6 +184,14 @@ def test_rho_c_is_one_at_dirac_states():
         assert report.rho_c.deviation_from(1.0) < 1e-12
 
 
+def test_classical_report_has_no_decomposition_size():
+    a1, a2 = fuzzy(), readout({"alpha": "0", "beta": "1"})
+    state = DiscreteMeasure(PHASE, {"alpha": 0.5, "beta": 0.5})
+    report = classical_report(classical_joint(a1, a2), a1, a2, state)
+    assert report.decomposition_source == "canonical"
+    assert report.decomposition_size is None
+
+
 def test_rho_c_nontrivial_at_mixed_state_with_sharp_readout():
     a1 = readout({"alpha": "0", "beta": "1"})
     joint_stats_state = DiscreteMeasure(PHASE, {"alpha": 0.5, "beta": 0.5})

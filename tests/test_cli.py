@@ -22,6 +22,8 @@ except ImportError:  # not a POSIX system: pipes keep their default size
 import qcorr
 from qcorr.cli import EXIT_ENGINE, EXIT_OK, EXIT_VALIDATION, _build_parser, main
 from qcorr.examples import bundled_scenario_text
+from qcorr.tolerance import validation_eps
+from conftest import inexact_commuting_effects
 
 SRC = str(Path(qcorr.__file__).resolve().parent.parent)
 
@@ -205,6 +207,40 @@ def test_validate_rejects_the_joint_run_rejects(case, format, tmp_path, capsys):
         assert json.loads(out) == {"error": {"type": error_type, "message": message}}
     else:
         assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("setting", [None, "1e-10", "1e-6"])
+@pytest.mark.parametrize("format", ["table", "json"])
+def test_joint_derived_from_its_pair_validates_and_runs(setting, format, tmp_path, capsys, monkeypatch):
+    """An auto-commuting pair whose product joint misses the first
+    observable's effects by 1.32 eps in its left marginal."""
+    if setting is None:
+        monkeypatch.delenv("QCORR_EPS", raising=False)
+    else:
+        monkeypatch.setenv("QCORR_EPS", setting)
+    effects = inexact_commuting_effects(validation_eps())
+    doc = {
+        "schema": "qcorr/1",
+        "name": "derived-joint",
+        "mode": "quantum",
+        "dim": 4,
+        "state": np.diag([0.4, 0.3, 0.2, 0.1]).tolist(),
+        "observables": [
+            {"labels": ["0", "1"], "effects": [m.tolist() for m in side]} for side in effects
+        ],
+        "joint": "auto-commuting",
+        "decompositions": "spectral",
+    }
+    path = tmp_path / "derived.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("validate", "run"):
+        assert main([verb, str(path), "--format", format]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+    if format == "json":
+        assert json.loads(captured.out)["decompositions"][0]["product_rule_pass"] is True
+    else:
+        assert "(<1e-07: PASS)" in captured.out
 
 
 def _edge_scenario(state, kernel_1, kernel_2):

@@ -18,6 +18,7 @@ from qcorr import (
     JointMarginalMismatch,
     PureState,
     correlation_report,
+    random_decomposition,
     spectral_decompose,
 )
 from conftest import DOWN, SQRT2, UP
@@ -207,6 +208,15 @@ def test_correlation_report_spectral_default(spin_pair):
     explicit = correlation_report(joint, a1, a2, spectral_decompose(state))
     assert explicit.decomposition_source == "explicit"
     assert explicit.rho_t.max_difference(report.rho_t) == 0.0
+
+
+def test_decomposition_size_is_the_number_of_components(spin_pair):
+    a1, a2, joint = spin_pair
+    state = DensityOperator(np.diag([0.5, 0.3, 0.2, 0.0]))
+    explicit = random_decomposition(state, 6, np.random.default_rng(3))
+    assert correlation_report(joint, a1, a2, explicit).decomposition_size == len(explicit)
+    spectral = correlation_report(joint, a1, a2, state)
+    assert spectral.decomposition_size == len(spectral_decompose(state)) == 3
 
 
 def test_correlation_report_records_density_failures(spin_pair):

@@ -21,7 +21,7 @@ from qcorr import (
     dirac,
     marginal,
 )
-from qcorr.measure import correlation_split
+from qcorr.correlation import split_report
 from qcorr.scenario import _real
 
 BITS = OutcomeSpace(("0", "1"))
@@ -102,14 +102,19 @@ def test_marginal_requires_product_space():
 
 
 def quotient(num, den):
-    """rho_t of `correlation_split` on a k x 1 grid: the density num / den."""
+    """rho_t of `split_report` on a k x 1 grid: the density num / den."""
     space = ProductSpace(num.space, ONE)
     one = np.ones(1)
-    joint, denominator = num.as_array()[:, None], den.as_array()
-    split = correlation_split(
-        space, joint, denominator, one, one, denominator[None, :], one[None, :]
+    report = split_report(
+        DiscreteMeasure.from_array(space, num.as_array()),
+        den,
+        DiscreteMeasure.from_array(ONE, one),
+        one,
+        den.as_array()[None, :],
+        one[None, :],
+        "explicit",
     )
-    return DensityFunction.from_array(space, split.rho_t)
+    return report.rho_t
 
 
 @given(measures(TRITS), measures(TRITS))

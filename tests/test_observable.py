@@ -18,7 +18,7 @@ from qcorr import (
     spin_z_pair,
     validation_eps,
 )
-from conftest import DOWN, UP
+from conftest import DOWN, UP, inexact_commuting_effects
 
 BITS = OutcomeSpace(("0", "1"))
 
@@ -125,6 +125,28 @@ def test_joint_marginals_recover_the_factors(spin_pair):
 def test_check_joint_accepts_the_product_joint(spin_pair):
     a1, a2, joint = spin_pair
     assert check_joint(joint, a1, a2)
+    assert check_joint(Povm(joint.space, joint.effects), a1, a2)  # re-summed
+
+
+@pytest.mark.parametrize("setting", [None, "1e-10", "1e-6"])
+def test_joint_derived_from_its_pair_passes_that_pairs_check(setting, monkeypatch):
+    """The product joint's left marginal misses a1 by 1.32 eps, because a2's
+    effects sum to the identity only within 0.9 eps. The joint holds its pair
+    and is not re-summed against it; an explicit copy of the joint, or the
+    joint against an equal but separately built pair, still is."""
+    if setting is None:
+        monkeypatch.delenv("QCORR_EPS", raising=False)
+    else:
+        monkeypatch.setenv("QCORR_EPS", setting)
+    effects_1, effects_2 = inexact_commuting_effects(validation_eps())
+    a1, a2 = (Povm(BITS, dict(zip(BITS.labels, e))) for e in (effects_1, effects_2))
+    assert a1.is_projective and a2.is_projective
+    joint = joint_from_commuting(a1, a2)
+    assert check_joint(joint, a1, a2)
+    report = correlation_report(joint, a1, a2, DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1])))
+    assert report.product_rule_pass
+    assert not check_joint(Povm(joint.space, joint.effects), a1, a2)
+    assert not check_joint(joint, Povm(BITS, a1.effects), Povm(BITS, a2.effects))
 
 
 def test_check_joint_rejects_wrong_marginals(spin_pair):

@@ -1,6 +1,6 @@
 """The array split kernel against the outcome-by-outcome reference oracle.
 
-Both frames report through `qcorr.measure.correlation_split`. These checks
+Both frames report through `qcorr.correlation.split_report`. These checks
 hold it to the dict-based split in `split_oracle` on the bundled scenarios,
 the paper examples, seeded random draws in each frame, and a case whose
 entanglement density does not exist.
@@ -32,7 +32,7 @@ from qcorr import (
     validation_eps,
 )
 from qcorr.classical_frame import classical_report
-from qcorr.measure import correlation_split
+from qcorr.correlation import split_report
 from qcorr.observable import Povm, joint_from_commuting
 from qcorr.scenario import ClassicalScenario, loads_scenario
 from qcorr.tolerance import EPS
@@ -141,18 +141,26 @@ def test_paper_examples_match_oracle(example_id):
 def test_kernel_support_threshold_is_eps():
     """A denominator just above EPS carries a value; one at EPS does not, and
     a numerator above EPS there is an absolute-continuity failure."""
-    space = ProductSpace(OutcomeSpace(("a", "b")), OutcomeSpace(("x",)))
+    left, right = OutcomeSpace(("a", "b")), OutcomeSpace(("x",))
+    space = ProductSpace(left, right)
     one = np.array([1.0])
 
     def split(mass, joint_mass):
         marginal = np.array([1.0 - mass, mass])
-        joint = np.array([[1.0 - joint_mass], [joint_mass]])
-        return correlation_split(space, joint, marginal, one, one, marginal[None, :], one[None, :])
+        return split_report(
+            DiscreteMeasure.from_array(space, [1.0 - joint_mass, joint_mass]),
+            DiscreteMeasure.from_array(left, marginal),
+            DiscreteMeasure.from_array(right, one),
+            one,
+            marginal[None, :],
+            one[None, :],
+            "explicit",
+        )
 
     above = split(2 * EPS, 2 * EPS)
-    np.testing.assert_allclose(above.rho_t.ravel(), [1.0, 1.0])
+    np.testing.assert_allclose(above.rho_t.as_array(), [1.0, 1.0])
     at = split(EPS, EPS)
-    assert np.isnan(at.rho_t[1, 0]) and np.isnan(at.rho_c[1, 0])
+    assert np.isnan(at.rho_t.as_array()[1]) and np.isnan(at.rho_c.as_array()[1])
     with pytest.raises(AbsoluteContinuityViolation, match=r"at \('b', 'x'\)"):
         split(EPS, 2 * EPS)
 
