@@ -16,7 +16,8 @@ set to each in turn and compares stdout, stderr and the exit code:
   entries, mixed and ragged rows, pairs that are not two long, an integer
   beyond the float range in a pair, a decomposition with two faults), plus a missing
   file, a wrong schema and bad command-line parameters
-- `selftest --trials 20` at seeds 1 and 7 in both formats
+- `selftest --trials 50` at seeds 1, 7, 11 and 42 in both formats, which
+  cover the observables and states the suites build for themselves
 
 Both trees read the same input files: the bundled ones of HEAD_SRC and the
 variants this script writes to a temporary directory. It prints one line per
@@ -131,9 +132,9 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
         calls.append(["paper-example", "iv", "--format", fmt])
         calls.append(["paper-example", "i", "--params", "w1", "--format", fmt])
 
-    for seed in ("1", "7"):
+    for seed in ("1", "7", "11", "42"):
         for fmt in FORMATS:
-            calls.append(["selftest", "--seed", seed, "--trials", "20", "--format", fmt])
+            calls.append(["selftest", "--seed", seed, "--trials", "50", "--format", fmt])
 
     base = json.loads((data / "separable.json").read_text(encoding="utf-8"))
     malformed = []

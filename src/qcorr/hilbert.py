@@ -53,6 +53,20 @@ def _hermitian_deviation(arr: np.ndarray) -> float:
     return _max_abs(arr - arr.conj().T)
 
 
+def _kron(a: np.ndarray, b: np.ndarray, core: int = 2) -> np.ndarray:
+    """`np.kron` of the last `core` axes of `a` and `b`, broadcast over their
+    leading axes: a stack of products in one call. Like `np.kron`, it is one
+    `multiply` of the interleaved operands and a reshape, so each product
+    has `np.kron`'s bits."""
+    lead_a, lead_b = a.ndim - core, b.ndim - core
+    product = np.multiply(
+        np.expand_dims(a, tuple(range(lead_a + 1, lead_a + 2 * core, 2))),
+        np.expand_dims(b, tuple(range(lead_b, lead_b + 2 * core, 2))),
+    )
+    sizes = tuple(m * p for m, p in zip(a.shape[lead_a:], b.shape[lead_b:]))
+    return product.reshape(product.shape[: product.ndim - 2 * core] + sizes)
+
+
 class PureState:
     """A unit vector of C^d, identified with the rank-one state it spans."""
 
@@ -106,7 +120,9 @@ def _unit_row_fault(vectors: np.ndarray, eps: float) -> tuple[int, str] | None:
 class DensityOperator:
     """Positive Hermitian matrix of unit trace describing a possibly mixed state."""
 
-    __slots__ = ("_matrix",)
+    # _spectral: (eps, weights, vectors) of the spectral decomposition last
+    # validated at that eps, or None; see `spectral_decompose`
+    __slots__ = ("_matrix", "_spectral")
 
     def __init__(self, matrix):
         arr = _as_complex_matrix(matrix, name="density matrix")
@@ -126,6 +142,7 @@ class DensityOperator:
             )
         arr.setflags(write=False)
         self._matrix = arr
+        self._spectral = None
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityOperator":
@@ -372,11 +389,26 @@ def spectral_decompose(state: DensityOperator) -> ConvexDecomposition:
     proportion, so the weights still sum to the trace. This is one convex
     decomposition among many; for a degenerate spectrum even the eigenbasis
     itself is not unique.
+
+    The state keeps the arrays of its last decomposition with the validation
+    eps they were checked at: a later call at that eps returns a new
+    decomposition over them without solving again, and a call at another eps
+    solves and checks afresh. A decomposition that fails is not kept.
     """
+    eps = validation_eps()
+    memo = state._spectral
+    if memo is not None and memo[0] == eps:
+        decomposition = ConvexDecomposition.__new__(ConvexDecomposition)
+        decomposition._weights, decomposition._vectors = memo[1], memo[2]
+        decomposition._target = state
+        return decomposition
     values, vectors = hermitian_eigensystem(state.matrix)
     kept = values > EPS
     weights = values[kept] * (values.sum() / values[kept].sum())
-    return ConvexDecomposition._from_rows(weights, vectors.T[kept], state)
+    decomposition = ConvexDecomposition._from_rows(weights, vectors.T[kept], state)
+    # the arrays, not the decomposition, which points back at the state
+    state._spectral = (eps, decomposition._weights, decomposition._vectors)
+    return decomposition
 
 
 def random_decomposition(

@@ -22,6 +22,7 @@ from .hilbert import (
     DensityOperator,
     _as_complex_matrix,
     _hermitian_deviation,
+    _kron,
     _max_abs,
     _smallest_eigenvalues,
     hermitian_eigensystem,
@@ -309,9 +310,9 @@ def spin_z_pair() -> tuple[Povm, Povm, Povm]:
     both with outcome labels "+1/2" and "-1/2"; the joint is the product PVM
     on the four outcome pairs, row-major.
     """
-    projectors = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    projectors = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
     eye = np.eye(2, dtype=complex)
     space = OutcomeSpace(SPIN_LABELS)
-    a1 = Povm._from_stack(space, np.stack([np.kron(proj, eye) for proj in projectors]))
-    a2 = Povm._from_stack(space, np.stack([np.kron(eye, proj) for proj in projectors]))
+    a1 = Povm._from_stack(space, _kron(projectors, eye))
+    a2 = Povm._from_stack(space, _kron(eye, projectors))
     return a1, a2, joint_from_commuting(a1, a2)

@@ -216,11 +216,12 @@ def _wrap(path: str, builder):
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario file."""
+    """Load and validate a scenario file; one that cannot be read or is not
+    UTF-8 raises ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return loads_scenario(text, source=str(path))
 

@@ -27,6 +27,7 @@ from .hilbert import (
     ConvexDecomposition,
     DensityOperator,
     PureState,
+    _kron,
     random_decomposition,
     spectral_decompose,
 )
@@ -90,8 +91,8 @@ def _random_qubit_pvm_pair(rng: np.random.Generator) -> tuple[Povm, Povm]:
     right = _random_unit(rng, 2)
     p = np.outer(left, left.conj())
     q = np.outer(right, right.conj())
-    a1 = Povm(_BINARY, {"0": np.kron(p, eye), "1": np.kron(eye - p, eye)})
-    a2 = Povm(_BINARY, {"0": np.kron(eye, q), "1": np.kron(eye, eye - q)})
+    a1 = Povm._from_stack(_BINARY, _kron(np.stack([p, eye - p]), eye))
+    a2 = Povm._from_stack(_BINARY, _kron(eye, np.stack([q, eye - q])))
     return a1, a2
 
 
@@ -177,6 +178,13 @@ def _invariance(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> floa
     return rho_1.max_difference(rho_2)
 
 
+def _product_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random product unit vectors of C^2 (x) C^2 as rows, each drawn
+    left factor first."""
+    units = np.array([_random_unit(rng, 2) for _ in range(2 * count)])
+    return _kron(units[0::2], units[1::2], core=1)
+
+
 def _separable(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> float:
     """Mixtures of product pure states carry no entanglement-type correlation
     relative to their product decomposition."""
@@ -184,8 +192,8 @@ def _separable(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> float
     count = int(rng.integers(1, 9))
     weights = _random_simplex(rng, count, floor=0.02)
     components = [
-        (float(w), PureState(np.kron(_random_unit(rng, 2), _random_unit(rng, 2))))
-        for w in weights
+        (w, PureState(vector))
+        for w, vector in zip(weights.tolist(), _product_vectors(rng, count))
     ]
     state = DensityOperator.from_mixture(components)
     dec = ConvexDecomposition(components, state)

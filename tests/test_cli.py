@@ -94,6 +94,24 @@ def test_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_file_not_utf8_is_a_parse_error(verb, fmt, tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([verb, str(path), "--format", fmt]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    prefix = f"cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+    if fmt == "json":
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(prefix)
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {prefix}")
+
+
 def test_validate_table(scenario_file, capsys):
     assert main(["validate", str(scenario_file)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "valid: degenerate-state (quantum)"

@@ -6,6 +6,8 @@ per component, under three `QCORR_EPS` settings: the same weights and
 vectors, or the same exception type and message.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -346,3 +348,86 @@ def test_a_state_valid_at_a_relaxed_eps_has_a_spectral_report(monkeypatch, spin_
     state = _state_with_a_negative_eigenvalue_within_eps()
     a1, a2, joint = spin_pair
     assert correlation_report(joint, a1, a2, state).decomposition_source == "spectral"
+
+
+# one eigensolve per state and validation eps --------------------------------
+
+
+def test_a_state_solves_its_spectral_decomposition_once(qcorr_eps, monkeypatch, spin_pair):
+    state = _state(4, "rank-deficient", seed=10)
+    solve, calls = np.linalg.eigh, []
+
+    def counting(matrix):
+        calls.append(None)
+        return solve(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    first, second = spectral_decompose(state), spectral_decompose(state)
+    shuffled = random_decomposition(state, 6, np.random.default_rng(11))
+    a1, a2, joint = spin_pair
+    report = correlation_report(joint, a1, a2, state)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert first is not second and second.target is state
+    assert report.decomposition_size == len(first)
+    assert _bits(second.weights) == _bits(first.weights)
+    assert _bits(second.vectors) == _bits(first.vectors)
+    assert_same(lambda: second, lambda: decomposition_oracle.spectral_decompose(state))
+    assert_same(
+        lambda: shuffled,
+        lambda: decomposition_oracle.random_decomposition(state, 6, np.random.default_rng(11)),
+    )
+
+
+def _state_with_trace_off_within_eps() -> DensityOperator:
+    """Eigenvalues (0.5, 0.3, 0.2 + 5e-7, 0) in the two-qubit Hadamard basis:
+    a trace of 1 + 5e-7, valid at QCORR_EPS=1e-6 only."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    basis = np.kron(h, h)
+    return DensityOperator(basis @ np.diag([0.5, 0.3, 0.2 + 5e-7, 0.0]) @ basis.T)
+
+
+# state builder, then whether it decomposes at QCORR_EPS=1e-6 and unset
+RELAXED_STATES = {
+    "full-rank": (lambda: _state(4, "full-rank", seed=12), True, True),
+    "trace-off-within-eps": (_state_with_trace_off_within_eps, True, False),
+    "negative-eigenvalue-within-eps": (
+        _state_with_a_negative_eigenvalue_within_eps,
+        False,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RELAXED_STATES)
+def test_a_decomposition_kept_at_one_eps_is_not_returned_at_another(case, monkeypatch):
+    build, relaxed_ok, default_ok = RELAXED_STATES[case]
+    monkeypatch.setenv("QCORR_EPS", "1e-6")
+    state = build()
+    fresh = DensityOperator(state.matrix)
+    relaxed = _outcome(lambda: spectral_decompose(state))
+    monkeypatch.delenv("QCORR_EPS")
+    got = _outcome(lambda: spectral_decompose(state))
+    want = _outcome(lambda: spectral_decompose(fresh))
+    assert (not isinstance(relaxed, tuple)) == relaxed_ok
+    assert (not isinstance(want, tuple)) == default_ok
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _bits(got.weights) == _bits(want.weights)
+        assert _bits(got.vectors) == _bits(want.vectors)
+
+
+def test_a_state_and_its_decompositions_leave_no_reference_cycle():
+    rng = np.random.default_rng(13)
+    gc.collect()
+    gc.disable()
+    try:
+        state = _state(6, "full-rank", seed=13)
+        spectral = spectral_decompose(state)
+        shuffled = random_decomposition(state, 8, rng)
+        assert state._spectral is not None
+        del state, spectral, shuffled
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,7 +13,32 @@ from qcorr import (
     random_decomposition,
     spectral_decompose,
 )
+from qcorr.hilbert import _kron
 from conftest import DOWN, UP
+
+
+def _signed_zero_operands(rng, shape):
+    """Complex arrays whose parts mix +-0.0 with random values."""
+    parts = rng.choice([0.0, -0.0, 0.7, -1.3], size=(2, *shape))
+    parts = np.where(parts == 0.7, rng.normal(size=parts.shape), parts)
+    return parts[0] + 1j * parts[1] if rng.random() < 0.5 else parts[0] - 1j * parts[1]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kron_stack_has_the_bits_of_np_kron(seed):
+    rng = np.random.default_rng(seed)
+    stack, single = _signed_zero_operands(rng, (3, 2, 2)), _signed_zero_operands(rng, (2, 2))
+    left, right = _signed_zero_operands(rng, (5, 2)), _signed_zero_operands(rng, (5, 2))
+    cases = [
+        (_kron(stack, single), [np.kron(m, single) for m in stack]),
+        (_kron(single, stack), [np.kron(single, m) for m in stack]),
+        (_kron(stack, stack[::-1]), [np.kron(a, b) for a, b in zip(stack, stack[::-1])]),
+        (_kron(left, right, core=1), [np.kron(a, b) for a, b in zip(left, right)]),
+    ]
+    for got, want in cases:
+        want = np.array(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_pure_state_rejects_unnormalized_vector():

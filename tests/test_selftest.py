@@ -1,12 +1,14 @@
-"""The selftest trial loop and its suite table."""
+"""The selftest trial loop, its suite table and its input builders."""
 
 import math
 
 import numpy as np
+import pytest
 
 import qcorr.selftest
-from qcorr import SuiteResult, run_selftest
-from qcorr.selftest import _run_suite
+from qcorr import OutcomeSpace, Povm, SuiteResult, joint_from_commuting, run_selftest
+from qcorr.observable import SPIN_LABELS
+from qcorr.selftest import _BINARY, _random_unit, _run_suite
 
 TOL = 1e-7
 
@@ -57,3 +59,97 @@ def test_spin_pair_is_built_once_per_run(monkeypatch):
     report = run_selftest(seed=3, trials=2)
     assert report.passed
     assert len(calls) == 1
+
+
+# the input builders against np.kron ----------------------------------------
+
+
+def _reference_pvm_pair(rng):
+    """The qubit pair built with np.kron and the mapping constructor."""
+    eye = np.eye(2, dtype=complex)
+    left = _random_unit(rng, 2)
+    right = _random_unit(rng, 2)
+    p = np.outer(left, left.conj())
+    q = np.outer(right, right.conj())
+    a1 = Povm(_BINARY, {"0": np.kron(p, eye), "1": np.kron(eye - p, eye)})
+    a2 = Povm(_BINARY, {"0": np.kron(eye, q), "1": np.kron(eye, eye - q)})
+    return a1, a2
+
+
+def _reference_product_vectors(rng, count):
+    """One np.kron of two random units per product vector."""
+    return np.array(
+        [np.kron(_random_unit(rng, 2), _random_unit(rng, 2)) for _ in range(count)]
+    )
+
+
+def _reference_spin_z_pair():
+    """The spin pair built with one np.kron per effect."""
+    projectors = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    eye = np.eye(2, dtype=complex)
+    space = OutcomeSpace(SPIN_LABELS)
+    a1 = Povm._from_stack(space, np.stack([np.kron(proj, eye) for proj in projectors]))
+    a2 = Povm._from_stack(space, np.stack([np.kron(eye, proj) for proj in projectors]))
+    return a1, a2, joint_from_commuting(a1, a2)
+
+
+def _negative_zeros(arrays) -> int:
+    """How many real or imaginary parts across `arrays` are -0.0."""
+    return sum(
+        int(np.sum((part == 0.0) & np.signbit(part)))
+        for array in arrays
+        for part in (array.real, array.imag)
+    )
+
+
+def test_pvm_pair_has_the_bits_of_np_kron_and_the_mapping_constructor():
+    stacks = []
+    for seed in range(300):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pair = qcorr.selftest._random_qubit_pvm_pair(rng)
+        reference = _reference_pvm_pair(reference_rng)
+        for got, want in zip(pair, reference):
+            assert got.space == want.space
+            assert got._stack.dtype == want._stack.dtype
+            assert got._stack.shape == want._stack.shape
+            assert got._stack.tobytes() == want._stack.tobytes()
+            assert not got._stack.flags.writeable
+            stacks.append(got._stack)
+        assert rng.random() == reference_rng.random()
+    assert _negative_zeros(stacks) > 0  # the byte comparison saw signed zeros
+
+
+def test_product_vectors_have_the_bits_of_np_kron():
+    for seed in range(300):
+        count = 1 + seed % 8
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = qcorr.selftest._product_vectors(rng, count)
+        want = _reference_product_vectors(reference_rng, count)
+        assert got.dtype == want.dtype and got.shape == want.shape == (count, 4)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == reference_rng.random()
+
+
+def test_spin_pair_has_the_bits_of_np_kron():
+    for got, want in zip(qcorr.selftest.spin_z_pair(), _reference_spin_z_pair()):
+        assert got.space == want.space
+        assert got._stack.tobytes() == want._stack.tobytes()
+
+
+@pytest.mark.parametrize("qcorr_eps", [None, "1e-10", "1e-6"])
+def test_selftest_reports_the_same_bits_with_the_reference_builders(qcorr_eps, monkeypatch):
+    if qcorr_eps is None:
+        monkeypatch.delenv("QCORR_EPS", raising=False)
+    else:
+        monkeypatch.setenv("QCORR_EPS", qcorr_eps)
+
+    def deviations(seed):
+        report = run_selftest(seed=seed, trials=10)
+        return [(s.name, s.failures, s.max_deviation.hex()) for s in report.suites]
+
+    seeds = (1, 7, 11, 42)
+    built = [deviations(seed) for seed in seeds]
+    monkeypatch.setattr(qcorr.selftest, "_random_qubit_pvm_pair", _reference_pvm_pair)
+    monkeypatch.setattr(qcorr.selftest, "_product_vectors", _reference_product_vectors)
+    monkeypatch.setattr(qcorr.selftest, "spin_z_pair", _reference_spin_z_pair)
+    assert [deviations(seed) for seed in seeds] == built
