@@ -18,10 +18,14 @@ from conftest import DOWN, UP
 
 
 def _signed_zero_operands(rng, shape):
-    """Complex arrays whose parts mix +-0.0 with random values."""
-    parts = rng.choice([0.0, -0.0, 0.7, -1.3], size=(2, *shape))
-    parts = np.where(parts == 0.7, rng.normal(size=parts.shape), parts)
-    return parts[0] + 1j * parts[1] if rng.random() < 0.5 else parts[0] - 1j * parts[1]
+    """A complex array whose real and imaginary parts mix 0.0 and -0.0 with
+    random values."""
+    size = (2, *shape)
+    zeros = rng.choice([0.0, -0.0], size=size)
+    parts = np.where(rng.random(size) < 0.6, zeros, rng.normal(size=size))
+    operand = np.empty(shape, dtype=complex)
+    operand.real, operand.imag = parts
+    return operand
 
 
 @pytest.mark.parametrize("seed", range(40))
