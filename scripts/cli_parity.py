@@ -11,11 +11,17 @@ set to each in turn and compares stdout, stderr and the exit code:
 - `paper-example` on every id in both formats: the defaults, two sets of
   seeded parameters, `--decomposition spectral`, an out-of-range value and
   an unknown key
-- `run` and `validate` on malformed variants of a bundled file, one per
-  fault the scenario parser names (bools, numeric strings and nulls as
-  entries, mixed and ragged rows, pairs that are not two long, an integer
-  beyond the float range in a pair, a decomposition with two faults), plus a missing
-  file, a wrong schema and bad command-line parameters
+- `run` and `validate` on malformed variants of two bundled files, one per
+  fault the scenario parser names. Variants of the quantum separable file
+  have bools, numeric strings and nulls as entries, mixed and ragged rows,
+  pairs that are not two long, an integer beyond the float range in a
+  pair, a decomposition with two faults and a wrong schema. Variants of
+  the classical fuzzy file have bad state entries (a string, a bool, null,
+  an integer beyond the float range), a short state and one that is not a
+  list, kernel entries that are null or a pair, short rows, rows that are
+  not lists, a negative weight, a `false` joint-kernel entry and a short
+  joint kernel. A file that is not valid UTF-8, a missing file and bad
+  command-line parameters complete the list
 - `selftest --trials 50` at seeds 1, 7, 11 and 42 in both formats, which
   cover the observables and states the suites build for themselves
 
@@ -39,14 +45,15 @@ FORMATS = ("table", "json")
 SEED = 13
 
 
+def _variant(base: dict, edit) -> dict:
+    doc = copy.deepcopy(base)
+    edit(doc)
+    return doc
+
+
 def _malformed(base: dict) -> dict[str, dict]:
     """Variants of the bundled separable-mixture file, each with one fault
     (the last with two)."""
-
-    def variant(edit) -> dict:
-        doc = copy.deepcopy(base)
-        edit(doc)
-        return doc
 
     def set_entry(value):
         return lambda doc: doc["state"][0].__setitem__(0, value)
@@ -60,24 +67,55 @@ def _malformed(base: dict) -> dict[str, dict]:
         first[1]["weight"] = "0.3"
 
     return {
-        "entry_true": variant(set_entry(True)),
-        "entry_string": variant(set_entry("0.5")),
-        "entry_null": variant(set_entry(None)),
-        "pair_with_bool": variant(set_entry([True, 0.0])),
-        "pair_of_three": variant(set_entry([0.4, 0.0, 0.0])),
-        "pair_beyond_float": variant(set_entry([10**400, 0.0])),
-        "row_mixing_numbers_and_pairs": variant(
-            lambda doc: doc["state"][0].__setitem__(1, 0.0)
+        "entry_true": _variant(base, set_entry(True)),
+        "entry_string": _variant(base, set_entry("0.5")),
+        "entry_null": _variant(base, set_entry(None)),
+        "pair_with_bool": _variant(base, set_entry([True, 0.0])),
+        "pair_of_three": _variant(base, set_entry([0.4, 0.0, 0.0])),
+        "pair_beyond_float": _variant(base, set_entry([10**400, 0.0])),
+        "row_mixing_numbers_and_pairs": _variant(
+            base, lambda doc: doc["state"][0].__setitem__(1, 0.0)
         ),
-        "ragged_row": variant(lambda doc: doc["state"][0].pop()),
-        "effect_entry_true": variant(
-            lambda doc: doc["observables"][0]["effects"][0][0].__setitem__(0, True)
+        "ragged_row": _variant(base, lambda doc: doc["state"][0].pop()),
+        "effect_entry_true": _variant(
+            base, lambda doc: doc["observables"][0]["effects"][0][0].__setitem__(0, True)
         ),
-        "vector_entry_null": variant(
-            lambda doc: components(doc)[0]["vector"].__setitem__(0, None)
+        "vector_entry_null": _variant(
+            base, lambda doc: components(doc)[0]["vector"].__setitem__(0, None)
         ),
-        "bad_norm_then_bad_weight": variant(two_faults),
-        "wrong_schema": variant(lambda doc: doc.__setitem__("schema", "qcorr/0")),
+        "bad_norm_then_bad_weight": _variant(base, two_faults),
+        "wrong_schema": _variant(base, lambda doc: doc.__setitem__("schema", "qcorr/0")),
+    }
+
+
+def _malformed_classical(base: dict) -> dict[str, dict]:
+    """Variants of the bundled fuzzy classical file, each with one fault."""
+
+    def set_key(key, value):
+        return lambda doc: doc.__setitem__(key, value)
+
+    def set_state_entry(value):
+        return lambda doc: doc["state"].__setitem__(0, value)
+
+    def set_kernel_row(index, row):
+        return lambda doc: doc["observables"][index]["kernel"].__setitem__(0, row)
+
+    return {
+        "classical_state_string": _variant(base, set_state_entry("1.0")),
+        "classical_state_bool": _variant(base, set_state_entry(True)),
+        "classical_state_null": _variant(base, set_state_entry(None)),
+        "classical_state_beyond_float": _variant(base, set_state_entry(10**400)),
+        "classical_state_short": _variant(base, set_key("state", [1.0])),
+        "classical_state_not_a_list": _variant(base, set_key("state", 1.0)),
+        "kernel_entry_null": _variant(base, set_kernel_row(0, [None, 0.3])),
+        "kernel_entry_pair": _variant(base, set_kernel_row(1, [[0.7, 0.0], 0.3])),
+        "kernel_row_short": _variant(base, set_kernel_row(0, [1.0])),
+        "kernel_row_not_a_list": _variant(base, set_kernel_row(0, 0.7)),
+        "kernel_row_negative": _variant(base, set_kernel_row(0, [1.2, -0.2])),
+        "joint_kernel_entry_false": _variant(
+            base, lambda doc: doc["joint"]["kernel"][1].__setitem__(1, False)
+        ),
+        "joint_kernel_short": _variant(base, lambda doc: doc["joint"]["kernel"].pop()),
     }
 
 
@@ -136,13 +174,20 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
         for fmt in FORMATS:
             calls.append(["selftest", "--seed", seed, "--trials", "50", "--format", fmt])
 
-    base = json.loads((data / "separable.json").read_text(encoding="utf-8"))
+    def read(name: str) -> dict:
+        return json.loads((data / name).read_text(encoding="utf-8"))
+
+    variants = _malformed(read("separable.json"))
+    variants.update(_malformed_classical(read("classical_fuzzy.json")))
     malformed = []
-    for name, doc in _malformed(base).items():
+    for name, doc in variants.items():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         malformed.append(path)
-    malformed.append(workdir / "missing.json")
+    not_utf8 = workdir / "not_utf8.json"
+    latin1 = (data / "separable.json").read_bytes().replace(b"separable", b"s\xe9parable", 1)
+    not_utf8.write_bytes(latin1)
+    malformed += [not_utf8, workdir / "missing.json"]
     for path in malformed:
         for verb in ("run", "validate"):
             for fmt in FORMATS:

@@ -78,7 +78,7 @@ def _four_weights(values: dict, file_weights: tuple) -> tuple[float, ...]:
     """w1..w4 on the four components; a weight left out keeps the file's."""
     weights = tuple(values.get(f"w{i}", w) for i, w in enumerate(file_weights, 1))
     for w in weights:
-        if not math.isfinite(w) or w < 0.0:
+        if w < 0.0:
             raise ValidationError(f"weight {w!r} must be nonnegative")
     total = math.fsum(weights)
     if abs(total - 1.0) > validation_eps():
@@ -91,7 +91,7 @@ def _degenerate_weights(values: dict, file_weights: tuple) -> tuple[float, ...]:
     a = values["a"] if "a" in values else 0.5 - values["b"]
     b = values["b"] if "b" in values else 0.5 - a
     for name, value in (("a", a), ("b", b)):
-        if not math.isfinite(value) or value < 0.0:
+        if value < 0.0:
             raise ValidationError(f"parameter {name} = {value!r} must be nonnegative")
     if abs((a + b) - 0.5) > validation_eps():
         raise ValidationError(f"parameters must satisfy a + b = 1/2, got a + b = {a + b!r}")
@@ -101,7 +101,7 @@ def _degenerate_weights(values: dict, file_weights: tuple) -> tuple[float, ...]:
 def _spin_x_weights(values: dict, file_weights: tuple) -> tuple[float, ...]:
     """(w, 1 - w)."""
     w = values["w"]
-    if not math.isfinite(w) or not 0.0 <= w <= 1.0:
+    if not 0.0 <= w <= 1.0:
         raise ValidationError(f"parameter w = {w!r} must lie in [0, 1]")
     return (w, 1.0 - w)
 
@@ -137,7 +137,11 @@ def build_paper_example(example_id: str, params: Mapping | None = None) -> Scena
             raise ValidationError(f"example {example_id!r} takes no parameters")
         if key not in names:
             raise ValidationError(f"unknown parameter {key!r}; this example takes {named}")
-    values = {key: _number(value, f"parameter {key!r}") for key, value in params.items()}
+    values = {}
+    for key, value in params.items():
+        number = values[key] = _number(value, f"parameter {key!r}")
+        if not math.isfinite(number):
+            raise ValidationError(f"parameter {key!r}: expected a finite number, got {number!r}")
     scenario = _bundled_example(BUNDLED_SCENARIOS[example_id], validation_eps())
     if not values:
         return dataclasses.replace(scenario, decompositions=dict(scenario.decompositions))

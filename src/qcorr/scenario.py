@@ -150,18 +150,20 @@ def _complex_scalar(value, path: str) -> complex:
     _fail(path, f"expected a number or [re, im] pair, got {value!r}")
 
 
-def _complex_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
-    """`value` as a complex array of `shape` in one numpy call, when it is
-    nested lists whose leaves are plain ints or floats that fit a float,
-    every entry a real or every entry an [re, im] pair; otherwise None, and
-    the walk below, which names each fault, parses it."""
+def _plain_array(value, shape: tuple[int, ...], dtype: type = complex) -> np.ndarray | None:
+    """`value` as a `dtype` (complex or float) array of `shape` in one numpy
+    call, when it is nested lists whose leaves are plain ints or floats that
+    fit a float, at complex dtype every entry a real or every entry an
+    [re, im] pair; otherwise None, and the walk, which names each fault,
+    parses it."""
     if type(value) is not list:
         return None
     try:
         array = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    if array.shape != shape and array.shape != shape + (2,):
+    pairs = dtype is complex and array.shape == shape + (2,)
+    if array.shape != shape and not pairs:
         return None
     items = value
     for _ in range(array.ndim - 1):
@@ -170,38 +172,30 @@ def _complex_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
         items = list(chain.from_iterable(items))
     if not set(map(type, items)) <= {int, float}:
         return None
-    if array.shape == shape:
-        return array.astype(complex)
-    return array.view(complex).reshape(shape)
+    return array.view(complex).reshape(shape) if pairs else array.astype(dtype, copy=False)
 
 
-def _vector(value, path: str, dim: int) -> np.ndarray:
-    entries = _expect_list(value, path, length=dim)
-    return np.array(
-        [_complex_scalar(entry, f"{path}[{i}]") for i, entry in enumerate(entries)],
-        dtype=complex,
-    )
+def _walk(value, path: str, shape: tuple, leaf):
+    """`value` as nested lists of `shape` (None: any length) with `leaf`
+    read at each entry; the first fault, depth first, names its path."""
+    if not shape:
+        return leaf(value, path)
+    entries = _expect_list(value, path, length=shape[0])
+    return [_walk(entry, f"{path}[{i}]", shape[1:], leaf) for i, entry in enumerate(entries)]
 
 
-def _matrix(value, path: str, dim: int) -> np.ndarray:
-    fast = _complex_array(value, (dim, dim))
-    if fast is not None:
-        return fast
-    rows = _expect_list(value, path, length=dim)
-    return np.stack([_vector(row, f"{path}[{i}]", dim) for i, row in enumerate(rows)])
-
-
-def _matrices(value, path: str, dim: int, count: int) -> np.ndarray:
-    matrices = _expect_list(value, path, length=count)
-    fast = _complex_array(matrices, (count, dim, dim))
-    if fast is not None:
-        return fast
-    return np.array([_matrix(m, f"{path}[{i}]", dim) for i, m in enumerate(matrices)])
+def _array(value, path: str, shape: tuple[int, ...], dtype: type = complex) -> np.ndarray:
+    """A numeric field as a `dtype` (complex or float) array of `shape`: the
+    one-call path, else the walk."""
+    array = _plain_array(value, shape, dtype)
+    if array is None:
+        leaf = _complex_scalar if dtype is complex else _real
+        array = np.array(_walk(value, path, shape, leaf), dtype=dtype)
+    return array
 
 
 def _labels(value, path: str) -> tuple[str, ...]:
-    entries = _expect_list(value, path)
-    return tuple(_string(entry, f"{path}[{i}]") for i, entry in enumerate(entries))
+    return tuple(_walk(value, path, (None,), _string))
 
 
 def _wrap(path: str, builder):
@@ -267,7 +261,7 @@ def _quantum_from_jsonable(root: dict, name: str) -> QuantumScenario:
     dim = root.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
         _fail("dim", f"expected an integer >= 2, got {dim!r}")
-    state_matrix = _matrix(root.get("state"), "state", dim)
+    state_matrix = _array(root.get("state"), "state", (dim, dim))
     state = _wrap("state", lambda: DensityOperator(state_matrix))
 
     observables = _expect_list(root.get("observables"), "observables", length=2)
@@ -315,7 +309,7 @@ def _decomposition(entries, path: str, dim: int, state: DensityOperator) -> Conv
         for i, entry in enumerate(_expect_list(entries, path)):
             item = _expect_mapping(entry, f"{path}[{i}]")
             weights.append(_real(item.get("weight"), f"{path}[{i}].weight"))
-            rows.append(_vector(item.get("vector"), f"{path}[{i}].vector", dim))
+            rows.append(_array(item.get("vector"), f"{path}[{i}].vector", (dim,)))
     except ValidationError:
         _raise_row_fault(path, rows)  # a bad row before the fault fails first
         raise
@@ -344,9 +338,9 @@ def _observable_from_jsonable(entry, path: str, dim: int) -> Povm:
     if has_effects == has_operator:
         _fail(path, "expected exactly one of 'effects' or 'operator'")
     if has_operator:
-        operator = _matrix(mapping["operator"], f"{path}.operator", dim)
+        operator = _array(mapping["operator"], f"{path}.operator", (dim, dim))
         return _wrap(path, lambda: Povm.from_operator(operator, labels=labels))
-    stack = _matrices(mapping["effects"], f"{path}.effects", dim, len(labels))
+    stack = _array(mapping["effects"], f"{path}.effects", (len(labels), dim, dim))
     return _wrap(path, lambda: Povm._from_stack(OutcomeSpace(labels), stack))
 
 
@@ -355,15 +349,14 @@ def _joint_from_jsonable(value, path: str, a1: Povm, a2: Povm, dim: int) -> Povm
     if set(mapping) != {"effects"}:
         _fail(path, "expected 'auto-commuting' or an object with an 'effects' array")
     space = ProductSpace(a1.space, a2.space)
-    stack = _matrices(mapping["effects"], f"{path}.effects", dim, len(space.points))
+    stack = _array(mapping["effects"], f"{path}.effects", (len(space), dim, dim))
     return _wrap(path, lambda: Povm._from_stack(space, stack))
 
 
 def _classical_from_jsonable(root: dict, name: str) -> ClassicalScenario:
     _check_keys(root, _CLASSICAL_KEYS)
     phase = _wrap("phase_space", lambda: PhaseSpace(_labels(root.get("phase_space"), "phase_space")))
-    entries = _expect_list(root.get("state"), "state", length=len(phase))
-    weights = [_real(value, f"state[{i}]") for i, value in enumerate(entries)]
+    weights = _array(root.get("state"), "state", (len(phase),), float)
     state = _wrap("state", lambda: DiscreteMeasure.from_array(phase, weights))
     observables = _expect_list(root.get("observables"), "observables", length=2)
     kernels = [
@@ -378,7 +371,7 @@ def _classical_from_jsonable(root: dict, name: str) -> ClassicalScenario:
         if set(mapping) != {"kernel"}:
             _fail("joint", "expected 'classical-product' or an object with a 'kernel' array")
         codomain = ProductSpace(kernels[0].codomain, kernels[1].codomain)
-        rows = _kernel_rows(mapping["kernel"], "joint.kernel", phase, codomain)
+        rows = _array(mapping["kernel"], "joint.kernel", (len(phase), len(codomain)), float)
         joint = _wrap("joint", lambda: ClassicalJoint.from_matrix(phase, codomain, rows))
     return ClassicalScenario(
         name=name,
@@ -390,22 +383,11 @@ def _classical_from_jsonable(root: dict, name: str) -> ClassicalScenario:
     )
 
 
-def _kernel_rows(value, path: str, phase: PhaseSpace, codomain) -> list[list[float]]:
-    rows = _expect_list(value, path, length=len(phase))
-    return [
-        [
-            _real(entry, f"{path}[{i}][{j}]")
-            for j, entry in enumerate(_expect_list(row, f"{path}[{i}]", length=len(codomain)))
-        ]
-        for i, row in enumerate(rows)
-    ]
-
-
 def _kernel_from_jsonable(entry, path: str, phase: PhaseSpace) -> ClassicalObservable:
     mapping = _expect_mapping(entry, path)
     labels = _labels(mapping.get("labels"), f"{path}.labels")
     codomain = _wrap(f"{path}.labels", lambda: OutcomeSpace(labels))
-    rows = _kernel_rows(mapping.get("kernel"), f"{path}.kernel", phase, codomain)
+    rows = _array(mapping.get("kernel"), f"{path}.kernel", (len(phase), len(codomain)), float)
     return _wrap(path, lambda: ClassicalObservable.from_matrix(phase, codomain, rows))
 
 
@@ -429,10 +411,7 @@ def scenario_to_jsonable(scenario: Scenario) -> dict:
 
 
 def _povm_jsonable(observable: Povm) -> dict:
-    return {
-        "labels": list(observable.space.labels),
-        "effects": [_complex_pairs(observable.effect(l)) for l in observable.space.labels],
-    }
+    return {"labels": list(observable.space.labels), "effects": _complex_pairs(observable._stack)}
 
 
 def _quantum_to_jsonable(scenario: QuantumScenario) -> dict:
@@ -441,20 +420,15 @@ def _quantum_to_jsonable(scenario: QuantumScenario) -> dict:
     else:
         decompositions = {
             name: [
-                {"weight": weight, "vector": _complex_pairs(vector)}
-                for weight, vector in zip(dec.weights, dec.vectors)
+                {"weight": weight, "vector": vector}
+                for weight, vector in zip(dec.weights, _complex_pairs(dec.vectors))
             ]
             for name, dec in scenario.decompositions.items()
         }
     if scenario.joint is None:
         joint = "auto-commuting"
     else:
-        joint = {
-            "effects": [
-                _complex_pairs(scenario.joint.effect(point))
-                for point in scenario.joint.space.points
-            ]
-        }
+        joint = {"effects": _complex_pairs(scenario.joint._stack)}
     return {
         "schema": SCHEMA,
         "name": scenario.name,

@@ -210,17 +210,21 @@ def test_degenerate_parameter_alone_completes_the_sum(alone, both, capsys):
     [
         ("i", "w1=-0.1,w2=0.6", "weight -0.1 must be nonnegative"),
         ("i", "w1=0.5", "weights sum to 1.1, expected 1"),
-        ("i", "w1=inf", "weight inf must be nonnegative"),
-        ("ii", "w1=nan", "weight nan must be nonnegative"),
+        ("i", "w1=inf", "parameter 'w1': expected a finite number, got inf"),
+        ("i", "w1=1e400", "parameter 'w1': expected a finite number, got inf"),
+        ("ii", "w1=nan", "parameter 'w1': expected a finite number, got nan"),
         ("ii", "w4=0.2", "weights sum to 1.1, expected 1"),
         ("iii", "a=0.3,b=0.3", "parameters must satisfy a + b = 1/2, got a + b = 0.6"),
         ("iii", "a=-0.1", "parameter a = -0.1 must be nonnegative"),
         ("iii", "a=0.6", "parameter b = -0.09999999999999998 must be nonnegative"),
         ("iii", "b=0.6", "parameter a = -0.09999999999999998 must be nonnegative"),
-        ("iii", "a=nan", "parameter a = nan must be nonnegative"),
+        ("iii", "a=nan", "parameter 'a': expected a finite number, got nan"),
+        ("iii", "b=nan", "parameter 'b': expected a finite number, got nan"),
+        ("iii", "b=inf", "parameter 'b': expected a finite number, got inf"),
         ("appendix-px", "w=1.5", "parameter w = 1.5 must lie in [0, 1]"),
         ("appendix-px", "w=-0.1", "parameter w = -0.1 must lie in [0, 1]"),
-        ("appendix-px", "w=nan", "parameter w = nan must lie in [0, 1]"),
+        ("appendix-px", "w=nan", "parameter 'w': expected a finite number, got nan"),
+        ("appendix-px", "w=inf", "parameter 'w': expected a finite number, got inf"),
     ],
 )
 def test_out_of_range_parameters_exit_1_with_their_message(example_id, params, message, capsys):

@@ -8,6 +8,7 @@ from qcorr import (
     ParseError,
     QuantumScenario,
     ValidationError,
+    joint_from_commuting,
     load_scenario,
     loads_scenario,
     run_scenario,
@@ -16,7 +17,7 @@ from qcorr import (
 )
 from qcorr.cli import EXIT_OK, EXIT_VALIDATION, main
 from qcorr.examples import bundled_scenario_text
-from qcorr.scenario import _complex_array, _matrix
+from qcorr.scenario import _array, _plain_array
 
 DIAG = [[1.0, 0.0], [0.0, 0.0]]
 ANTIDIAG = [[0.0, 0.0], [0.0, 1.0]]
@@ -211,6 +212,57 @@ def test_quantum_round_trip_is_stable():
     assert json.loads(json.dumps(first)) == first
 
 
+def _pairs_per_entry(matrix):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+
+
+def test_echo_writes_each_effect_and_vector_as_its_own_entries():
+    """One serializer call per stack gives the text of one call per effect,
+    joint point and decomposition vector, signed zeros included."""
+    doc = quantum_doc()
+    doc["observables"][1] = {"labels": ["u", "d"], "operator": [[0.5, 0.0], [0.0, -0.5]]}
+    zeros = [[[0.0, 0.0], [0.0, -0.0]], [[-0.0, 0.0], [0.0, 0.0]]]
+    doc["joint"] = {"effects": [DIAG, *zeros, ANTIDIAG]}
+    doc["decompositions"]["basis"][1]["vector"] = [[-0.0, 0.0], [0.0, -1.0]]
+    explicit = scenario_from_jsonable(doc)
+    derived = QuantumScenario(
+        name="derived",
+        state=explicit.state,
+        observable_1=explicit.observable_1,
+        observable_2=explicit.observable_2,
+        joint=joint_from_commuting(explicit.observable_1, explicit.observable_2),
+        decompositions=explicit.decompositions,
+    )
+    for scenario in (explicit, derived):
+        echo = scenario_to_jsonable(scenario)
+        observables = (scenario.observable_1, scenario.observable_2)
+        basis = scenario.decompositions["basis"]
+        expected = {
+            "state": _pairs_per_entry(scenario.state.matrix),
+            "observables": [
+                {
+                    "labels": list(o.space.labels),
+                    "effects": [_pairs_per_entry(o.effect(l)) for l in o.space.labels],
+                }
+                for o in observables
+            ],
+            "joint": {
+                "effects": [
+                    _pairs_per_entry(scenario.joint.effect(point))
+                    for point in scenario.joint.space.points
+                ]
+            },
+            "decompositions": {
+                "basis": [
+                    {"weight": w, "vector": _pairs_per_entry([v])[0]}
+                    for w, v in zip(basis.weights, basis.vectors)
+                ]
+            },
+        }
+        for key, value in expected.items():
+            assert json.dumps(echo[key]) == json.dumps(value)
+
+
 def test_classical_round_trip_is_stable():
     scenario = scenario_from_jsonable(classical_doc())
     first = scenario_to_jsonable(scenario)
@@ -339,10 +391,8 @@ PARSER_PINS = {
 }
 
 
-@pytest.mark.parametrize("case", list(PARSER_PINS))
-def test_parser_keeps_each_message(case, tmp_path, capsys):
-    edit, message = PARSER_PINS[case]
-    text = json.dumps(_separable(edit))
+def _assert_rejected(doc, message, tmp_path, capsys):
+    text = json.dumps(doc)
     with pytest.raises(ValidationError) as excinfo:
         loads_scenario(text)
     assert str(excinfo.value) == message
@@ -351,6 +401,136 @@ def test_parser_keeps_each_message(case, tmp_path, capsys):
     for verb in ("run", "validate"):
         assert main([verb, str(path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("case", list(PARSER_PINS))
+def test_parser_keeps_each_message(case, tmp_path, capsys):
+    edit, message = PARSER_PINS[case]
+    _assert_rejected(_separable(edit), message, tmp_path, capsys)
+
+
+def _classical(edit):
+    doc = classical_doc()
+    doc["joint"] = {"kernel": [[0.8, 0.0, 0.0, 0.2], [0.0, 0.2, 0.8, 0.0]]}
+    edit(doc)
+    return doc
+
+
+def _set_key(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _set_kernel_entry(observable, row, column, value):
+    return lambda doc: doc["observables"][observable]["kernel"][row].__setitem__(column, value)
+
+
+def _set_kernel_row(observable, row, value):
+    return lambda doc: doc["observables"][observable]["kernel"].__setitem__(row, value)
+
+
+# edit of the minimal classical file with an explicit joint -> the message
+# every earlier version gave
+CLASSICAL_PINS = {
+    "state-string": (
+        lambda doc: doc["state"].__setitem__(0, "0.5"),
+        "state[0]: expected a number, got '0.5'",
+    ),
+    "state-bool": (
+        lambda doc: doc["state"].__setitem__(1, True),
+        "state[1]: expected a number, got True",
+    ),
+    "state-null": (
+        lambda doc: doc["state"].__setitem__(0, None),
+        "state[0]: expected a number, got None",
+    ),
+    "state-beyond-float": (
+        lambda doc: doc["state"].__setitem__(0, 10**400),
+        "state[0]: number too large for a float",
+    ),
+    "state-pair": (
+        lambda doc: doc["state"].__setitem__(0, [0.5, 0.0]),
+        "state[0]: expected a number, got [0.5, 0.0]",
+    ),
+    "state-short": (_set_key("state", [1.0]), "state: expected 2 entries, got 1"),
+    "state-not-a-list": (_set_key("state", 1.0), "state: expected an array, got float"),
+    "state-negative": (
+        _set_key("state", [1.5, -0.5]),
+        "state: negative weight -0.5 at 'b'",
+    ),
+    "kernel-entry-null": (
+        _set_kernel_entry(0, 1, 0, None),
+        "observables[0].kernel[1][0]: expected a number, got None",
+    ),
+    "kernel-entry-pair": (
+        _set_kernel_entry(1, 0, 0, [0.5, 0.0]),
+        "observables[1].kernel[0][0]: expected a number, got [0.5, 0.0]",
+    ),
+    "kernel-entry-string": (
+        _set_kernel_entry(1, 1, 1, "0.8"),
+        "observables[1].kernel[1][1]: expected a number, got '0.8'",
+    ),
+    "kernel-entry-beyond-float": (
+        _set_kernel_entry(0, 0, 1, -(10**400)),
+        "observables[0].kernel[0][1]: number too large for a float",
+    ),
+    "kernel-row-short": (
+        _set_kernel_row(0, 1, [1.0]),
+        "observables[0].kernel[1]: expected 2 entries, got 1",
+    ),
+    "kernel-row-not-a-list": (
+        _set_kernel_row(1, 0, 0.8),
+        "observables[1].kernel[0]: expected an array, got float",
+    ),
+    "kernel-short": (
+        lambda doc: doc["observables"][1]["kernel"].pop(),
+        "observables[1].kernel: expected 2 entries, got 1",
+    ),
+    "kernel-negative-weight": (
+        _set_kernel_row(1, 1, [1.2, -0.2]),
+        "observables[1]: negative weight -0.2 at '1'",
+    ),
+    # a short row after a bad entry: the entry is named first
+    "kernel-bad-entry-then-short-row": (
+        lambda doc: doc["observables"][0].__setitem__("kernel", [[1.0, None], [1.0]]),
+        "observables[0].kernel[0][1]: expected a number, got None",
+    ),
+    "joint-entry-false": (
+        lambda doc: doc["joint"]["kernel"][1].__setitem__(1, False),
+        "joint.kernel[1][1]: expected a number, got False",
+    ),
+    "joint-short": (
+        lambda doc: doc["joint"]["kernel"].pop(),
+        "joint.kernel: expected 2 entries, got 1",
+    ),
+    "joint-row-short": (
+        lambda doc: doc["joint"]["kernel"][1].pop(),
+        "joint.kernel[1]: expected 4 entries, got 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CLASSICAL_PINS))
+def test_classical_parser_keeps_each_message(case, tmp_path, capsys):
+    edit, message = CLASSICAL_PINS[case]
+    _assert_rejected(_classical(edit), message, tmp_path, capsys)
+
+
+def test_classical_integer_entries_are_read_as_floats():
+    ints = _classical(lambda doc: None)
+    ints["state"] = [1, 0]
+    ints["observables"][0]["kernel"] = [[1, 0], [0, 1]]
+    ints["joint"]["kernel"] = [[1, 0, 0, 0], [0, 0, 0, 1]]
+    floats = copy.deepcopy(ints)
+    floats["state"] = _leaves(ints["state"], float)
+    for observable in floats["observables"]:
+        observable["kernel"] = _leaves(observable["kernel"], float)
+    floats["joint"]["kernel"] = _leaves(ints["joint"]["kernel"], float)
+    a, b = scenario_from_jsonable(ints), scenario_from_jsonable(floats)
+    assert json.dumps(scenario_to_jsonable(a)) == json.dumps(scenario_to_jsonable(b))
+    assert a.state.as_array().tobytes() == b.state.as_array().tobytes()
+    for x, y in ((a.observable_1, b.observable_1), (a.joint, b.joint)):
+        assert x.matrix.dtype == y.matrix.dtype == float
+        assert x.matrix.tobytes() == y.matrix.tobytes()
 
 
 def test_row_mixing_numbers_and_pairs_is_accepted(tmp_path, capsys):
@@ -378,7 +558,7 @@ class _Int(int):
 def test_numpy_float_leaves_are_accepted_as_before():
     plain = _separable(lambda doc: None)
     wrapped = _leaves(plain["state"], np.float64)
-    assert _complex_array(wrapped, (4, 4)) is None  # the walk parses them
+    assert _plain_array(wrapped, (4, 4)) is None  # the walk parses them
     doc = dict(plain, state=wrapped)
     assert scenario_from_jsonable(doc).state.matrix.tobytes() == (
         scenario_from_jsonable(plain).state.matrix.tobytes()
@@ -396,9 +576,22 @@ def test_fast_path_and_walk_give_the_same_bits():
     for leaves in (values[:32], values[32:64], values[48:]):
         for shape in ((dim, dim), (dim, dim, 2)):
             value = leaves[: np.prod(shape)].reshape(shape).tolist()
-            fast = _complex_array(value, (dim, dim))
+            fast = _plain_array(value, (dim, dim))
             assert fast is not None
             # leaves of a subclass send the same numbers down the walk
             walked = _leaves(value, lambda v: _Int(v) if type(v) is int else np.float64(v))
-            assert _complex_array(walked, (dim, dim)) is None
-            assert fast.tobytes() == _matrix(walked, "m", dim).tobytes()
+            assert _plain_array(walked, (dim, dim)) is None
+            assert fast.tobytes() == _array(walked, "m", (dim, dim)).tobytes()
+        # float fields: the exact shape only, no [re, im] pairs
+        for part in (leaves[:16], leaves[-16:]):
+            for shape in ((16,), (4, 4), (2, 2, 4)):
+                value = part.reshape(shape).tolist()
+                fast = _plain_array(value, shape, float)
+                assert fast is not None and fast.dtype == float
+                walked = _leaves(value, lambda v: _Int(v) if type(v) is int else np.float64(v))
+                assert _plain_array(walked, shape, float) is None
+                assert fast.tobytes() == _array(walked, "m", shape, float).tobytes()
+                assert fast.tobytes() == np.array([float(v) for v in part]).tobytes()
+        pairs = leaves[:8].reshape(4, 2).tolist()
+        assert _plain_array(pairs, (4,), float) is None
+        assert _plain_array(pairs, (4,)) is not None
