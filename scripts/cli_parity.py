@@ -7,7 +7,10 @@ runs one fixed list of invocations of `python -m qcorr.cli` with PYTHONPATH
 set to each in turn and compares stdout, stderr and the exit code:
 
 - `run` (both formats, and `--decomposition spectral`) and `validate` (both
-  formats) on every bundled scenario file
+  formats) on every bundled scenario file, and on a valid variant of the
+  quantum separable file whose scenario echo holds the float spellings the
+  report writer must match: `-0.0` imaginary parts and entries such as
+  `1e-300` and `5e-324` in the state, an effect and a decomposition vector
 - `paper-example` on every id in both formats: the defaults, two sets of
   seeded parameters, `--decomposition spectral`, an out-of-range value and
   an unknown key
@@ -88,6 +91,23 @@ def _malformed(base: dict) -> dict[str, dict]:
     }
 
 
+def _float_spellings(base: dict) -> dict:
+    """A valid variant of the separable-mixture file: each new entry is within
+    eps of the file's, so it still validates and runs."""
+
+    def edit(doc):
+        state = doc["state"]
+        state[0][0] = [0.4, -0.0]
+        state[0][1], state[1][0] = [1e-300, 5e-324], [1e-300, -5e-324]
+        state[2][3] = [-0.0, -0.0]
+        effect = doc["observables"][0]["effects"][0]
+        effect[0][1], effect[1][0] = [5e-324, -0.0], [5e-324, 0.0]
+        vector = next(iter(doc["decompositions"].values()))[0]["vector"]
+        vector[0], vector[1] = [1.0, -0.0], [1e-300, 0.0]
+
+    return _variant(base, edit)
+
+
 def _malformed_classical(base: dict) -> dict[str, dict]:
     """Variants of the bundled fuzzy classical file, each with one fault."""
 
@@ -150,8 +170,14 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
     files = sorted(data.glob("*.json"))
     if not files:
         raise SystemExit(f"no bundled scenario files under {data}")
+
+    def read(name: str) -> dict:
+        return json.loads((data / name).read_text(encoding="utf-8"))
+
+    spellings = workdir / "float_spellings.json"
+    spellings.write_text(json.dumps(_float_spellings(read("separable.json"))), encoding="utf-8")
     calls = []
-    for path in files:
+    for path in files + [spellings]:
         for fmt in FORMATS:
             calls.append(["run", str(path), "--format", fmt])
             calls.append(["run", str(path), "--decomposition", "spectral", "--format", fmt])
@@ -173,9 +199,6 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
     for seed in ("1", "7", "11", "42"):
         for fmt in FORMATS:
             calls.append(["selftest", "--seed", seed, "--trials", "50", "--format", fmt])
-
-    def read(name: str) -> dict:
-        return json.loads((data / name).read_text(encoding="utf-8"))
 
     variants = _malformed(read("separable.json"))
     variants.update(_malformed_classical(read("classical_fuzzy.json")))

@@ -8,14 +8,21 @@ precision so reports round-trip exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .correlation import CorrelationReport
 from .errors import ValidationError
 from .measure import DensityFunction, DiscreteMeasure, ProductSpace
 from .tolerance import PRODUCT_RULE_TOL
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 __all__ = ["ReportDocument", "emit_report"]
 
@@ -26,11 +33,13 @@ OFF_SUPPORT = "—"
 class ReportDocument:
     """Everything a run produces: measures, densities, flags, and notes.
 
-    `blocks` maps each decomposition's name to the engine's split for it, in
-    report order.
+    `scenario` is the scenario as it was run; its echo, the normalized copy
+    a JSON report carries, is built only when JSON is asked for. `blocks`
+    maps each decomposition's name to the engine's split for it, in report
+    order.
     """
 
-    scenario: dict
+    scenario: Scenario
     mode: str
     space: ProductSpace
     joint_measure: DiscreteMeasure
@@ -43,9 +52,16 @@ class ReportDocument:
     notes: list[str] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
+        return self._jsonable(np.ndarray.tolist)
+
+    def _jsonable(self, array) -> dict:
+        """The JSON document, each float array of the echo passed through
+        `array` (see `scenario._echo`)."""
+        from .scenario import _echo  # scenario imports this module
+
         return {
             "schema": "qcorr/report/1",
-            "scenario": self.scenario,
+            "scenario": _echo(self.scenario, array),
             "mode": self.mode,
             "outcomes": [list(point) for point in self.space.points],
             "measures": {
@@ -117,9 +133,10 @@ def _float_text(value: float) -> str:
 
 def _json_text(obj, indent: str = "\n") -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, for dict keys that are
-    strings: stdlib's type tests and spellings, with one join per container
-    in place of its pure-Python chunk generator. No type is both a container
-    and a scalar, so testing containers first keeps stdlib's choices."""
+    strings, and for a float ndarray what stdlib writes for its `tolist()`:
+    stdlib's type tests and spellings, with one join per container in place
+    of its pure-Python chunk generator. No type is both a container and a
+    scalar, so testing containers first keeps stdlib's choices."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -132,6 +149,13 @@ def _json_text(obj, indent: str = "\n") -> str:
         else:
             text = sep.join([_json_text(v, inner) for v in obj])
         return "[" + inner + text + indent + "]"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        layout = _layout(obj.shape, indent)
+        values = obj.ravel().tolist()
+        text = layout % tuple(map(float.__repr__, values))
+        if "n" in text:  # the layout holds no "n"
+            text = layout % tuple(map(_float_text, values))
+        return text
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -153,10 +177,26 @@ def _json_text(obj, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+@functools.lru_cache(maxsize=128)
+def _layout(shape: tuple[int, ...], indent: str) -> str:
+    """What `_json_text` writes for nested lists of `shape` at `indent`,
+    with a `%s` for each entry; a report holds a few shapes, so they are
+    cached."""
+    text = "%s"
+    for depth in reversed(range(len(shape))):
+        outer = indent + "  " * depth
+        inner = outer + "  "
+        if shape[depth]:
+            text = "[" + inner + ("," + inner).join([text] * shape[depth]) + outer + "]"
+        else:
+            text = "[]"
+    return text
+
+
 def emit_report(report: ReportDocument, format: str = "table") -> str:
     """Render a report as fixed-width text or as JSON."""
     if format == "json":
-        return _json_text(report.to_jsonable())
+        return _json_text(report._jsonable(np.asarray))
     if format != "table":
         raise ValidationError(f"format must be 'table' or 'json', got {format!r}")
     return _emit_table(report)
@@ -198,7 +238,7 @@ def _emit_table(report: ReportDocument) -> str:
         return out.rstrip()
 
     lines = []
-    lines.append(f"scenario: {report.scenario.get('name', '')}")
+    lines.append(f"scenario: {report.scenario.name}")
     lines.append(f"mode: {report.mode}")
     left = ",".join(report.space.left.labels)
     right = ",".join(report.space.right.labels)
@@ -234,7 +274,7 @@ def _emit_table(report: ReportDocument) -> str:
         lines.append("")
         lines.append("flags:")
         for key, value in report.flags.items():
-            lines.append(f"  {key}: {json.dumps(value)}")
+            lines.append(f"  {key}: {_json_text(value)}")
     if report.notes:
         lines.append("")
         lines.append("notes:")

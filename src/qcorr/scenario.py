@@ -40,6 +40,7 @@ form for observables), so load -> serialize -> load is stable.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from itertools import chain
@@ -228,6 +229,8 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{source}: invalid JSON: nested too deeply to decode") from exc
     return scenario_from_jsonable(data)
 
 
@@ -395,68 +398,71 @@ def _kernel_from_jsonable(entry, path: str, phase: PhaseSpace) -> ClassicalObser
 # serialization (normalized form)
 
 
-def _complex_pairs(array: np.ndarray) -> list:
-    """A complex array as nested lists with an [re, im] pair per entry."""
+def _complex_pairs(array: np.ndarray) -> np.ndarray:
+    """A complex array as a float array with a trailing [re, im] axis."""
     array = np.ascontiguousarray(array, dtype=complex)
-    return array.view(float).reshape(array.shape + (2,)).tolist()
+    return array.view(float).reshape(array.shape + (2,))
 
 
 def scenario_to_jsonable(scenario: Scenario) -> dict:
     """Serialize a scenario back to the normalized JSON form."""
+    return _echo(scenario, np.ndarray.tolist)
+
+
+def _echo(scenario: Scenario, array) -> dict:
+    """The normalized form of `scenario`, each of its float arrays passed
+    through `array`: `np.ndarray.tolist` gives plain lists, `np.asarray`
+    keeps the arrays for the report writer to format in one call each."""
     if isinstance(scenario, QuantumScenario):
-        return _quantum_to_jsonable(scenario)
+        return _quantum_echo(scenario, array)
     if isinstance(scenario, ClassicalScenario):
-        return _classical_to_jsonable(scenario)
+        return _classical_echo(scenario, array)
     raise ValidationError(f"not a scenario: {scenario!r}")
 
 
-def _povm_jsonable(observable: Povm) -> dict:
-    return {"labels": list(observable.space.labels), "effects": _complex_pairs(observable._stack)}
-
-
-def _quantum_to_jsonable(scenario: QuantumScenario) -> dict:
+def _quantum_echo(scenario: QuantumScenario, array) -> dict:
     if scenario.spectral:
         decompositions = "spectral"
     else:
         decompositions = {
             name: [
                 {"weight": weight, "vector": vector}
-                for weight, vector in zip(dec.weights, _complex_pairs(dec.vectors))
+                for weight, vector in zip(dec.weights, array(_complex_pairs(dec.vectors)))
             ]
             for name, dec in scenario.decompositions.items()
         }
     if scenario.joint is None:
         joint = "auto-commuting"
     else:
-        joint = {"effects": _complex_pairs(scenario.joint._stack)}
+        joint = {"effects": array(_complex_pairs(scenario.joint._stack))}
     return {
         "schema": SCHEMA,
         "name": scenario.name,
         "mode": "quantum",
         "dim": scenario.state.dim,
-        "state": _complex_pairs(scenario.state.matrix),
+        "state": array(_complex_pairs(scenario.state.matrix)),
         "observables": [
-            _povm_jsonable(scenario.observable_1),
-            _povm_jsonable(scenario.observable_2),
+            {"labels": list(o.space.labels), "effects": array(_complex_pairs(o._stack))}
+            for o in (scenario.observable_1, scenario.observable_2)
         ],
         "joint": joint,
         "decompositions": decompositions,
     }
 
 
-def _classical_to_jsonable(scenario: ClassicalScenario) -> dict:
+def _classical_echo(scenario: ClassicalScenario, array) -> dict:
     if scenario.joint is None:
         joint = "classical-product"
     else:
-        joint = {"kernel": scenario.joint.matrix.tolist()}
+        joint = {"kernel": array(scenario.joint.matrix)}
     return {
         "schema": SCHEMA,
         "name": scenario.name,
         "mode": "classical",
         "phase_space": list(scenario.phase_space.labels),
-        "state": scenario.state.as_array().tolist(),
+        "state": array(scenario.state.as_array()),
         "observables": [
-            {"labels": list(o.codomain.labels), "kernel": o.matrix.tolist()}
+            {"labels": list(o.codomain.labels), "kernel": array(o.matrix)}
             for o in (scenario.observable_1, scenario.observable_2)
         ],
         "joint": joint,
@@ -534,8 +540,11 @@ def _run_quantum(scenario: QuantumScenario, requested: str | None) -> ReportDocu
 def _document(
     scenario: Scenario, shared: CorrelationReport, blocks: dict, flags: dict, notes: list[str]
 ) -> ReportDocument:
+    snapshot = copy.copy(scenario)  # the echo shows the scenario as it was run
+    if isinstance(snapshot, QuantumScenario):
+        snapshot.decompositions = dict(scenario.decompositions)
     return ReportDocument(
-        scenario=scenario_to_jsonable(scenario),
+        scenario=snapshot,
         mode=scenario.mode,
         space=shared.joint_measure.space,
         joint_measure=shared.joint_measure,

@@ -112,6 +112,23 @@ def test_file_not_utf8_is_a_parse_error(verb, fmt, tmp_path, capsys):
         assert captured.err.startswith(f"error: {prefix}")
 
 
+@pytest.mark.parametrize("depth", [3000, 100000])
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_json_nested_too_deeply_is_a_parse_error(depth, verb, fmt, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    assert main([verb, str(path), "--format", fmt]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    message = f"{path}: invalid JSON: nested too deeply to decode"
+    if fmt == "json":
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"error": {"type": "ParseError", "message": message}}
+    else:
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_validate_table(scenario_file, capsys):
     assert main(["validate", str(scenario_file)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "valid: degenerate-state (quantum)"

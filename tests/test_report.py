@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from qcorr import (
     run_paper_example,
     run_scenario,
 )
+import qcorr.scenario
 from qcorr.cli import _selftest_jsonable
 from qcorr.report import _json_text
 from qcorr.selftest import run_selftest
@@ -124,6 +126,37 @@ def test_writer_matches_stdlib_on_edge_documents(document):
     assert _json_text(document) == json.dumps(document, indent=2)
 
 
+_ARRAY_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, 1e22, -1e22, math.nan, math.inf, -math.inf]
+)
+
+
+@st.composite
+def _float_arrays(draw):
+    """Float arrays of 1 to 4 dimensions, zero-length axes included."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    values = draw(st.lists(_ARRAY_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+def _tolist(document):
+    if isinstance(document, np.ndarray):
+        return document.tolist()
+    if isinstance(document, dict):
+        return {key: _tolist(value) for key, value in document.items()}
+    if isinstance(document, list):
+        return [_tolist(value) for value in document]
+    return document
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_float_arrays(), _float_arrays())
+def test_writer_writes_a_float_array_as_stdlib_writes_its_tolist(first, second):
+    document = {"top": first, "nested": [{"array": second, "x": 1.5}, first], "empty": []}
+    assert _json_text(document) == json.dumps(_tolist(document), indent=2)
+    assert _json_text(second) == json.dumps(second.tolist(), indent=2)
+
+
 def test_writer_rejects_what_stdlib_cannot_write():
     with pytest.raises(TypeError):
         _json_text({"x": object()})
@@ -146,3 +179,26 @@ def test_json_reports_are_stdlib_indented_json():
         assert emit_report(report, format="json") == json.dumps(report.to_jsonable(), indent=2)
     selftest = _selftest_jsonable(run_selftest(seed=3, trials=2))
     assert _json_text(selftest) == json.dumps(selftest, indent=2)
+
+
+def test_table_reports_never_build_the_echo(monkeypatch):
+    def refuse(scenario, array):
+        raise AssertionError("a table report built the scenario echo")
+
+    monkeypatch.setattr(qcorr.scenario, "_echo", refuse)
+    reports = list(_reports())
+    for report in reports:
+        assert emit_report(report).startswith(f"scenario: {report.scenario.name}\n")
+    with pytest.raises(AssertionError, match="built the scenario echo"):
+        emit_report(reports[0], format="json")
+
+
+def test_json_report_shows_the_scenario_as_it_was_run():
+    scenario = loads_scenario(bundled_scenario_text("degenerate.json"))
+    report = run_scenario(scenario)
+    before = emit_report(report, format="json")
+    first = next(iter(scenario.decompositions))
+    scenario.decompositions["copy"] = scenario.decompositions.pop(first)
+    scenario.name = "renamed"
+    assert emit_report(report, format="json") == before
+    assert emit_report(run_scenario(scenario), format="json") != before
