@@ -23,7 +23,8 @@ set to each in turn and compares stdout, stderr and the exit code:
   an integer beyond the float range), a short state and one that is not a
   list, kernel entries that are null or a pair, short rows, rows that are
   not lists, a negative weight, a `false` joint-kernel entry and a short
-  joint kernel. A file that is not valid UTF-8, a missing file and bad
+  joint kernel. A file that is not valid UTF-8, a file nested too deeply
+  for the JSON decoder (100000 `[` then `]`), a missing file and bad
   command-line parameters complete the list
 - `selftest --trials 50` at seeds 1, 7, 11 and 42 in both formats, which
   cover the observables and states the suites build for themselves
@@ -210,7 +211,9 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
     not_utf8 = workdir / "not_utf8.json"
     latin1 = (data / "separable.json").read_bytes().replace(b"separable", b"s\xe9parable", 1)
     not_utf8.write_bytes(latin1)
-    malformed += [not_utf8, workdir / "missing.json"]
+    too_deep = workdir / "too_deep.json"
+    too_deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    malformed += [not_utf8, too_deep, workdir / "missing.json"]
     for path in malformed:
         for verb in ("run", "validate"):
             for fmt in FORMATS:

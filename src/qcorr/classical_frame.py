@@ -73,7 +73,7 @@ class ClassicalObservable:
                 for outcome, value in dict(row).items():
                     position = _position(codomain, outcome)
                     matrix[index, position] = _number(value, f"weight at {outcome!r}")
-                _checked_weights(codomain, matrix[index])
+                _checked_weights(codomain, matrix[index], validation_eps())
             given[index] = True
         missing = [p for p, g in zip(domain.labels, given) if not g]
         if missing:
@@ -89,8 +89,9 @@ class ClassicalObservable:
         array = _number_array(matrix, "kernel matrix", f"kernel matrix must have shape {shape}")
         if array.shape != shape:
             raise ValidationError(f"kernel matrix must have shape {shape}, got {array.shape}")
+        eps = validation_eps()
         for row in array:
-            _checked_weights(codomain, row)
+            _checked_weights(codomain, row, eps)
         observable = cls.__new__(cls)
         observable._set(domain, codomain, array)
         return observable

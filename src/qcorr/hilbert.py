@@ -19,7 +19,7 @@ from .errors import (
     NonHermitianInput,
     ValidationError,
 )
-from .measure import _number, _number_array
+from .measure import _integer, _number, _number_array
 from .tolerance import EPS, RECONSTRUCTION_TOL, validation_eps
 
 __all__ = [
@@ -236,10 +236,14 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
         `values[i]` belongs to the column `vectors[:, i]`. Within a
         degenerate eigenspace the basis choice is solver dependent.
     """
-    arr = _as_complex_matrix(matrix)
+    return _eigensystem(_as_complex_matrix(matrix), "matrix", validation_eps())
+
+
+def _eigensystem(arr: np.ndarray, name: str, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """`hermitian_eigensystem` of the finite square `arr`, checked Hermitian at `eps`."""
     deviation = _hermitian_deviation(arr)
-    if deviation > validation_eps():
-        raise NonHermitianInput(f"matrix is not Hermitian (max deviation {deviation:.3e})")
+    if deviation > eps:
+        raise NonHermitianInput(f"{name} is not Hermitian (max deviation {deviation:.3e})")
     try:
         values, vectors = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
@@ -402,7 +406,7 @@ def spectral_decompose(state: DensityOperator) -> ConvexDecomposition:
         decomposition._weights, decomposition._vectors = memo[1], memo[2]
         decomposition._target = state
         return decomposition
-    values, vectors = hermitian_eigensystem(state.matrix)
+    values, vectors = _eigensystem(state.matrix, "matrix", eps)
     kept = values > EPS
     weights = values[kept] * (values.sum() / values[kept].sum())
     decomposition = ConvexDecomposition._from_rows(weights, vectors.T[kept], state)
@@ -419,12 +423,12 @@ def random_decomposition(
     Mixes the spectral components through a random isometry, which by
     construction realizes exactly the same operator. Useful for exploring how
     decomposition-relative statistics move while the state stays fixed.
-    `size` must be at least the rank of the state; components whose weight
-    underflows are dropped.
+    `size` must be an integer no smaller than the state's rank; components
+    whose weight underflows are dropped.
     """
     spectral = spectral_decompose(state)
     rank = len(spectral)
-    if size < rank:
+    if _integer(size, "size") < rank:
         raise ValidationError(f"size {size} is below the state rank {rank}")
     ginibre = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     basis, _ = np.linalg.qr(ginibre)

@@ -139,6 +139,13 @@ def _number(value, name: str, dtype: type = float) -> float | complex:
         raise ValidationError(f"{name}: number too large for a float") from None
 
 
+def _integer(value, name: str) -> int:
+    """`value`, a Python or numpy integer but not a bool, as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def _number_array(values, name: str, expected: str, dtype: type = float) -> np.ndarray:
     """`values` as a fresh `dtype` (float or complex) array. Input numpy
     cannot read raises ValidationError: `expected` for a ragged sequence, or
@@ -201,8 +208,9 @@ class DiscreteMeasure:
         values = np.zeros(len(space))
         for outcome, value in dict(weights).items():
             values[_position(space, outcome)] = _number(value, f"weight at {outcome!r}")
+        values.setflags(write=False)
         self._space = space
-        self._array = _checked_weights(space, values)
+        self._array = _checked_weights(space, values, validation_eps())
 
     @classmethod
     def from_array(cls, space: Space, values) -> "DiscreteMeasure":
@@ -210,7 +218,7 @@ class DiscreteMeasure:
         outcome order (row-major for product spaces)."""
         measure = cls.__new__(cls)
         measure._space = space
-        measure._array = _checked_weights(space, values)
+        measure._array = _checked_weights(space, _readonly_row(space, values), validation_eps())
         return measure
 
     @property
@@ -239,10 +247,8 @@ class DiscreteMeasure:
         return f"DiscreteMeasure({len(self._array)} outcomes)"
 
 
-def _checked_weights(space: Space, values) -> np.ndarray:
-    """Validated read-only weights: finite, not below -eps, summing to one."""
-    array = _readonly_row(space, values)
-    eps = validation_eps()
+def _checked_weights(space: Space, array: np.ndarray, eps: float) -> np.ndarray:
+    """`array`, one float weight per outcome, checked finite, not below -eps, summing to 1."""
     for index in (array.argmin(), array.argmax()):  # the extremes; both find a NaN
         value, outcome = float(array[index]), space.outcomes[index]
         if not math.isfinite(value):
@@ -290,8 +296,9 @@ class DensityFunction:
             position = _position(space, outcome)
             array[position] = _number(value, f"density value at {outcome!r}")
             given[position] = True
+        array.setflags(write=False)
         self._space = space
-        self._array = _checked_density(space, _readonly_row(space, array), given)
+        self._array = _checked_density(space, array, given)
 
     @classmethod
     def from_array(cls, space: Space, values) -> "DensityFunction":

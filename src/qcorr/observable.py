@@ -11,21 +11,14 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonCommuting,
-    NonHermitianInput,
-    NotProjective,
-    ValidationError,
-)
+from .errors import DimensionMismatch, NonCommuting, NotProjective, ValidationError
 from .hilbert import (
     DensityOperator,
     _as_complex_matrix,
-    _hermitian_deviation,
+    _eigensystem,
     _kron,
     _max_abs,
     _smallest_eigenvalues,
-    hermitian_eigensystem,
 )
 from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace, _derived, _position
 from .tolerance import DEGENERACY_TOL, validation_eps
@@ -120,12 +113,7 @@ class Povm:
         eigenvalues.
         """
         matrix = _as_complex_matrix(operator, name="operator")
-        deviation = _hermitian_deviation(matrix)
-        if deviation > validation_eps():
-            raise NonHermitianInput(
-                f"operator is not Hermitian (max deviation {deviation:.3e})"
-            )
-        values, vectors = hermitian_eigensystem(matrix)
+        values, vectors = _eigensystem(matrix, "operator", validation_eps())
         groups: list[tuple[float, list[int]]] = []
         for index, value in enumerate(values):
             if groups and abs(groups[-1][0] - value) <= DEGENERACY_TOL:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import copy
 import json
+import reprlib
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -114,6 +115,18 @@ def _fail(path: str, message: str):
     raise ValidationError(f"{path}: {message}")
 
 
+# Lists and objects nested past two levels print as [...] and {...}, and long
+# strings, numbers and lists are cut, so that a value nested as deep as the
+# JSON decoder allows can still be quoted.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 2
+
+
+def _quote(value) -> str:
+    """The file's `value` as an error message quotes it."""
+    return _QUOTE.repr(value)
+
+
 def _expect_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         _fail(path, f"expected an object, got {type(value).__name__}")
@@ -136,7 +149,7 @@ def _string(value, path: str) -> str:
 
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
+        _fail(path, f"expected a number, got {_quote(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -148,7 +161,7 @@ def _complex_scalar(value, path: str) -> complex:
         return complex(_real(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_real(value[0], f"{path}[0]"), _real(value[1], f"{path}[1]"))
-    _fail(path, f"expected a number or [re, im] pair, got {value!r}")
+    _fail(path, f"expected a number or [re, im] pair, got {_quote(value)}")
 
 
 def _plain_array(value, shape: tuple[int, ...], dtype: type = complex) -> np.ndarray | None:
@@ -239,14 +252,14 @@ def scenario_from_jsonable(data) -> Scenario:
     root = _expect_mapping(data, "scenario")
     schema = root.get("schema")
     if schema != SCHEMA:
-        _fail("schema", f"expected {SCHEMA!r}, got {schema!r}")
+        _fail("schema", f"expected {SCHEMA!r}, got {_quote(schema)}")
     name = _string(root.get("name"), "name")
     mode = root.get("mode")
     if mode == "quantum":
         return _quantum_from_jsonable(root, name)
     if mode == "classical":
         return _classical_from_jsonable(root, name)
-    _fail("mode", f"expected 'quantum' or 'classical', got {mode!r}")
+    _fail("mode", f"expected 'quantum' or 'classical', got {_quote(mode)}")
 
 
 _QUANTUM_KEYS = {"schema", "name", "mode", "dim", "state", "observables", "joint", "decompositions"}
@@ -263,7 +276,7 @@ def _quantum_from_jsonable(root: dict, name: str) -> QuantumScenario:
     _check_keys(root, _QUANTUM_KEYS)
     dim = root.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-        _fail("dim", f"expected an integer >= 2, got {dim!r}")
+        _fail("dim", f"expected an integer >= 2, got {_quote(dim)}")
     state_matrix = _array(root.get("state"), "state", (dim, dim))
     state = _wrap("state", lambda: DensityOperator(state_matrix))
 

@@ -31,7 +31,15 @@ from .hilbert import (
     random_decomposition,
     spectral_decompose,
 )
-from .measure import DensityFunction, DiscreteMeasure, OutcomeSpace, ProductSpace, dirac, marginal
+from .measure import (
+    DensityFunction,
+    DiscreteMeasure,
+    OutcomeSpace,
+    ProductSpace,
+    _integer,
+    dirac,
+    marginal,
+)
 from .observable import Povm, joint_from_commuting, outcome_measure, spin_z_pair
 from .tolerance import PRODUCT_RULE_TOL
 
@@ -268,12 +276,15 @@ def run_selftest(seed: int | None = None, trials: int = 200) -> SelftestReport:
 
     Pass the reported seed back in to reproduce a run exactly.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**32))
-    elif seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    else:
+        seed = _integer(seed, "seed")
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
     suites = _suites()
     streams = np.random.SeedSequence(seed).spawn(len(suites))
     results = tuple(

@@ -1,11 +1,15 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcorr.hilbert
+import qcorr.measure
+import qcorr.tolerance
 from qcorr import (
     AbsoluteContinuityViolation,
     ClassicalJoint,
@@ -13,6 +17,7 @@ from qcorr import (
     DiscreteMeasure,
     OutcomeSpace,
     PhaseSpace,
+    Povm,
     ProductSpace,
     SpaceMismatch,
     UnknownLabel,
@@ -93,6 +98,37 @@ def test_from_matrix_rejects_ragged_and_non_numeric_input():
     with pytest.raises(ValidationError) as excinfo:
         ClassicalObservable(PHASE, BITS, {"alpha": {"0": None}, "beta": {"0": 1.0}})
     assert str(excinfo.value) == "weight at '0': expected a number, got None"
+
+
+def _count_calls(monkeypatch, function) -> list:
+    """The argument tuples of every call of `function` through any qcorr
+    module's binding of it, until the test ends."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qcorr" or name.startswith("qcorr."):
+            for attribute, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attribute, counted)
+    return calls
+
+
+def test_kernels_and_operators_are_coerced_and_checked_once(monkeypatch):
+    coerced = _count_calls(monkeypatch, qcorr.measure._number_array)
+    eps_reads = _count_calls(monkeypatch, qcorr.tolerance.validation_eps)
+    deviations = _count_calls(monkeypatch, qcorr.hilbert._hermitian_deviation)
+
+    points = PhaseSpace(("p1", "p2", "p3", "p4"))
+    kernel = [[1.0, 0.0], [0.7, 0.3], [0.5, 0.5], [0.0, 1.0]]
+    ClassicalObservable.from_matrix(points, BITS, kernel)
+    assert (len(coerced), len(eps_reads)) == (1, 1)
+
+    Povm.from_operator(np.diag([1.0, 0.0, -1.0]))
+    assert len(deviations) == 1
 
 
 def test_row_rejects_unknown_points():

@@ -129,6 +129,72 @@ def test_json_nested_too_deeply_is_a_parse_error(depth, verb, fmt, tmp_path, cap
         assert captured.err == f"error: {message}\n"
 
 
+def _with_nested_value(name: str, place: tuple, depth: int) -> str:
+    """Bundled file `name` as JSON text, its value at `place` (keys and
+    indices) replaced by `depth` nested empty lists."""
+    doc = json.loads(bundled_scenario_text(name))
+    *parents, last = place
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = "NESTED"
+    return json.dumps(doc).replace('"NESTED"', "[" * depth + "]" * depth)
+
+
+def _deepest_decodable(name: str, place: tuple) -> int:
+    """The deepest nesting at `place` that json.loads accepts in this process."""
+    def decodes(depth):
+        try:
+            json.loads(_with_nested_value(name, place, depth))
+        except RecursionError:
+            return False
+        return True
+
+    low, high = 1, 64
+    while decodes(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if decodes(middle) else (low, middle)
+    return low
+
+
+@pytest.mark.parametrize(
+    "name, place, prefix",
+    [
+        ("separable.json", ("state", 0, 0), "state[0][0]: expected a number or [re, im] pair"),
+        ("classical_fuzzy.json", ("state", 0), "state[0]: expected a number"),
+        ("separable.json", ("schema",), "schema: expected 'qcorr/1'"),
+        ("separable.json", ("mode",), "mode: expected 'quantum' or 'classical'"),
+        ("separable.json", ("dim",), "dim: expected an integer >= 2"),
+    ],
+)
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_values_nested_near_the_decoder_limit_are_quoted(
+    name, place, prefix, verb, fmt, tmp_path, capsys
+):
+    path = tmp_path / name
+    deepest = _deepest_decodable(name, place)
+    for depth in range(deepest - 39, deepest + 1):
+        path.write_text(_with_nested_value(name, place, depth))
+        assert main([verb, str(path), "--format", fmt]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        if fmt == "json":
+            assert captured.err == ""
+            error = json.loads(captured.out)["error"]
+            kind, message = error["type"], error["message"]
+        else:
+            assert captured.out == "" and captured.err.startswith("error: ")
+            kind, message = None, captured.err[len("error: ") : -1]
+        if message.startswith(f"{path}: "):
+            assert message == f"{path}: invalid JSON: nested too deeply to decode"
+            assert kind in (None, "ParseError")
+        else:
+            assert message == f"{prefix}, got [[[...]]]"
+            assert kind in (None, "ValidationError")
+
+
 def test_validate_table(scenario_file, capsys):
     assert main(["validate", str(scenario_file)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "valid: degenerate-state (quantum)"

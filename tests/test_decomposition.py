@@ -431,3 +431,20 @@ def test_a_state_and_its_decompositions_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("size", [4.0, True, "5", None, np.float64(5.0), np.bool_(True)])
+def test_random_decomposition_rejects_a_size_that_is_not_an_integer(size):
+    state = DensityOperator(np.eye(4) / 4)
+    with pytest.raises(ValidationError) as excinfo:
+        random_decomposition(state, size, np.random.default_rng(0))
+    assert str(excinfo.value) == f"size must be an integer, got {type(size).__name__}"
+
+
+@pytest.mark.parametrize("size", [np.int64(6), np.int32(6), np.uint8(6)])
+def test_random_decomposition_takes_numpy_integer_sizes(size):
+    state = DensityOperator(np.eye(4) / 4)
+    got = random_decomposition(state, size, np.random.default_rng(5))
+    want = random_decomposition(state, 6, np.random.default_rng(5))
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.weights == want.weights

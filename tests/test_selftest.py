@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qcorr.selftest
-from qcorr import OutcomeSpace, Povm, SuiteResult, joint_from_commuting, run_selftest
+from qcorr import OutcomeSpace, Povm, SuiteResult, ValidationError, joint_from_commuting, run_selftest
 from qcorr.observable import SPIN_LABELS
 from qcorr.selftest import _BINARY, _random_unit, _run_suite
 
@@ -153,3 +153,28 @@ def test_selftest_reports_the_same_bits_with_the_reference_builders(qcorr_eps, m
     monkeypatch.setattr(qcorr.selftest, "_product_vectors", _reference_product_vectors)
     monkeypatch.setattr(qcorr.selftest, "spin_z_pair", _reference_spin_z_pair)
     assert [deviations(seed) for seed in seeds] == built
+
+
+@pytest.mark.parametrize(
+    "seed, trials, name, value",
+    [
+        (1.5, 1, "seed", 1.5),
+        (True, 1, "seed", True),
+        ("1", 1, "seed", "1"),
+        (np.float64(1.0), 1, "seed", np.float64(1.0)),
+        (1, 2.5, "trials", 2.5),
+        (1, True, "trials", True),
+        (1, np.bool_(True), "trials", np.bool_(True)),
+        (1, None, "trials", None),
+    ],
+)
+def test_selftest_rejects_parameters_that_are_not_integers(seed, trials, name, value):
+    with pytest.raises(ValidationError) as excinfo:
+        run_selftest(seed=seed, trials=trials)
+    assert str(excinfo.value) == f"{name} must be an integer, got {type(value).__name__}"
+
+
+def test_selftest_takes_numpy_integers_as_ints():
+    report = run_selftest(seed=np.int64(3), trials=np.int32(2))
+    assert type(report.seed) is int and type(report.trials) is int
+    assert report == run_selftest(seed=3, trials=2)
