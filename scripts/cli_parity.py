@@ -10,7 +10,10 @@ set to each in turn and compares stdout, stderr and the exit code:
   formats) on every bundled scenario file, and on a valid variant of the
   quantum separable file whose scenario echo holds the float spellings the
   report writer must match: `-0.0` imaginary parts and entries such as
-  `1e-300` and `5e-324` in the state, an effect and a decomposition vector
+  `1e-300` and `5e-324` in the state, an effect and a decomposition vector,
+  and on one seeded valid d = 16 file built like the benchmark's large-d
+  inputs (Haar-rotated factor PVMs on C^4 (x) C^4, a random full-rank state
+  and an explicit decomposition with 32 components)
 - `paper-example` on every id in both formats: the defaults, two sets of
   seeded parameters, `--decomposition spectral`, an out-of-range value and
   an unknown key
@@ -45,8 +48,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 FORMATS = ("table", "json")
 SEED = 13
+LARGE_DIM = 16
 
 
 def _variant(base: dict, edit) -> dict:
@@ -107,6 +113,57 @@ def _float_spellings(base: dict) -> dict:
         vector[0], vector[1] = [1.0, -0.0], [1e-300, 0.0]
 
     return _variant(base, edit)
+
+
+def _pairs(array: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs."""
+    return np.stack([array.real, array.imag], axis=-1).tolist()
+
+
+def _large(seed: int, dim: int) -> dict:
+    """A valid quantum scenario on C^n (x) C^n, dim = n * n, built the way the
+    benchmark's large-d sweep builds its inputs: two Haar-rotated rank-one
+    PVMs, one per factor, a random full-rank state and one explicit
+    decomposition with 2 * dim components, mixed from the spectral ones by a
+    random isometry. Written at full `repr` precision, so it reconstructs."""
+    rng = np.random.default_rng(seed)
+
+    def ginibre(n: int) -> np.ndarray:
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    side = int(round(dim**0.5))
+    eye = np.eye(side)
+    observables = []
+    for name, left in (("a", True), ("b", False)):
+        q, r = np.linalg.qr(ginibre(side))
+        unitary = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        projectors = [np.outer(column, column.conj()) for column in unitary.T]
+        effects = [np.kron(p, eye) if left else np.kron(eye, p) for p in projectors]
+        labels = [f"{name}{index}" for index in range(side)]
+        observables.append({"labels": labels, "effects": [_pairs(e) for e in effects]})
+    matrix = ginibre(dim)
+    matrix = matrix @ matrix.conj().T
+    matrix = (matrix + matrix.conj().T) / 2
+    state = matrix / np.trace(matrix).real
+    values, vectors = np.linalg.eigh(state)
+    scaled = np.sqrt(values)[:, None] * vectors.T
+    isometry = np.linalg.qr(ginibre(2 * dim))[0][:, :dim]
+    rows = isometry @ scaled
+    weights = np.einsum("na,na->n", rows.conj(), rows).real
+    rows = rows / np.sqrt(weights)[:, None]
+    components = [
+        {"weight": weight, "vector": _pairs(row)} for weight, row in zip(weights.tolist(), rows)
+    ]
+    return {
+        "schema": "qcorr/1",
+        "name": f"haar-pair-d{dim}",
+        "mode": "quantum",
+        "dim": dim,
+        "state": _pairs(state),
+        "observables": observables,
+        "joint": "auto-commuting",
+        "decompositions": {"isometry": components},
+    }
 
 
 def _malformed_classical(base: dict) -> dict[str, dict]:
@@ -177,8 +234,10 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
 
     spellings = workdir / "float_spellings.json"
     spellings.write_text(json.dumps(_float_spellings(read("separable.json"))), encoding="utf-8")
+    large = workdir / f"large_d{LARGE_DIM}.json"
+    large.write_text(json.dumps(_large(SEED, LARGE_DIM)), encoding="utf-8")
     calls = []
-    for path in files + [spellings]:
+    for path in files + [spellings, large]:
         for fmt in FORMATS:
             calls.append(["run", str(path), "--format", fmt])
             calls.append(["run", str(path), "--decomposition", "spectral", "--format", fmt])

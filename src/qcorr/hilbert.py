@@ -53,6 +53,38 @@ def _hermitian_deviation(arr: np.ndarray) -> float:
     return _max_abs(arr - arr.conj().T)
 
 
+# Below this many entries the magnitudes cost less than the extra reductions
+# of the float-view bounds; every d = 4 stack is that small.
+_BOUND_FROM_SIZE = 1 << 10
+
+
+def _exceeds(rows: np.ndarray, eps: float) -> np.ndarray:
+    """`np.abs(rows).max(axis=1) > eps` for the C-contiguous complex (k, n)
+    `rows`, decided mostly on the float view of their real and imaginary
+    parts.
+
+    With m the largest |Re| or |Im| of a row, m <= |z| <= sqrt(2) m holds for
+    numpy's magnitudes too, which are within an ulp of the true ones: so
+    m > eps proves some |z| > eps and m <= eps / 1.5 proves none is. The
+    usual case, every row within eps, takes two reductions over the whole
+    view; only rows between the bounds, or with a NaN, take the magnitudes,
+    so every verdict is numpy's. Fewer than `_BOUND_FROM_SIZE` entries take
+    the magnitudes outright.
+    """
+    if rows.size < _BOUND_FROM_SIZE:
+        return np.abs(rows).max(axis=1) > eps
+    parts = rows.view(rows.real.dtype)
+    within = eps / 1.5
+    if parts.max() <= within and -parts.min() <= within:
+        return np.zeros(len(rows), dtype=bool)
+    bound = np.maximum(parts.max(axis=1), -parts.min(axis=1))
+    verdict = bound > eps
+    unsure = ~(verdict | (bound <= within))
+    if unsure.any():
+        verdict[unsure] = np.abs(rows[unsure]).max(axis=1) > eps
+    return verdict
+
+
 def _kron(a: np.ndarray, b: np.ndarray, core: int = 2) -> np.ndarray:
     """`np.kron` of the last `core` axes of `a` and `b`, broadcast over their
     leading axes: a stack of products in one call. Like `np.kron`, it is one
@@ -121,8 +153,11 @@ class DensityOperator:
     """Positive Hermitian matrix of unit trace describing a possibly mixed state."""
 
     # _spectral: (eps, weights, vectors) of the spectral decomposition last
-    # validated at that eps, or None; see `spectral_decompose`
-    __slots__ = ("_matrix", "_spectral")
+    # validated at that eps, or None; see `spectral_decompose`.
+    # _statistics: (joint, a1, a2, their outcome measures) of the last
+    # observables the state was reported against, or None; see
+    # `correlation._statistics`
+    __slots__ = ("_matrix", "_spectral", "_statistics")
 
     def __init__(self, matrix):
         arr = _as_complex_matrix(matrix, name="density matrix")
@@ -143,6 +178,7 @@ class DensityOperator:
         arr.setflags(write=False)
         self._matrix = arr
         self._spectral = None
+        self._statistics = None
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityOperator":

@@ -63,7 +63,7 @@ from .hilbert import ConvexDecomposition, DensityOperator, _unit_row_fault
 from .measure import DiscreteMeasure, OutcomeSpace, ProductSpace
 from .observable import Povm, joint_from_commuting
 from .report import ReportDocument
-from .tolerance import EPS, validation_eps
+from .tolerance import EPS, NOTE_TOL, validation_eps
 
 __all__ = [
     "SCHEMA",
@@ -244,6 +244,8 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         ) from exc
     except RecursionError as exc:
         raise ParseError(f"{source}: invalid JSON: nested too deeply to decode") from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
     return scenario_from_jsonable(data)
 
 
@@ -591,7 +593,7 @@ def _quantum_notes(shared, blocks: dict, pure: bool, spectral: bool) -> list[str
         )
     if shared.rho_t.deviation_from(1.0) <= EPS:
         for name, block in blocks.items():
-            if block.rho_c is not None and block.rho_c.deviation_from(1.0) > 1e-6:
+            if block.rho_c is not None and block.rho_c.deviation_from(1.0) > NOTE_TOL:
                 notes.append(
                     f"decomposition '{name}': total correlation is trivial, yet "
                     "classical correlation and entanglement are both present and "
@@ -614,7 +616,8 @@ def _run_classical(scenario: ClassicalScenario) -> ReportDocument:
         "state_dirac": state_is_dirac,
     }
     notes = []
-    if state_is_dirac and result.rho_e is not None and result.rho_e.deviation_from(1.0) > 1e-6:
+    rho_e = result.rho_e
+    if state_is_dirac and rho_e is not None and rho_e.deviation_from(1.0) > NOTE_TOL:
         notes.append(
             "entanglement-type correlation at a pure (Dirac) state: the chosen "
             "joint correlates outcomes beyond the product coupling"

@@ -36,6 +36,9 @@ PRODUCT_RULE_TOL = 1e-7
 # Eigenvalues closer than this are treated as one degenerate outcome.
 DEGENERACY_TOL = 1e-7
 
+# A report note calls a density nontrivial when it is off 1 by more than this.
+NOTE_TOL = 1e-6
+
 _ENV_VAR = "QCORR_EPS"
 
 

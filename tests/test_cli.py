@@ -129,6 +129,28 @@ def test_json_nested_too_deeply_is_a_parse_error(depth, verb, fmt, tmp_path, cap
         assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() converts any length")
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_json_integer_too_long_to_convert_is_a_parse_error(verb, fmt, tmp_path, capsys):
+    literal = "1" + "0" * sys.get_int_max_str_digits()
+    doc = json.loads(bundled_scenario_text("classical_fuzzy.json"))
+    doc["state"][0] = "LITERAL"
+    path = tmp_path / "long_int.json"
+    path.write_text(json.dumps(doc).replace('"LITERAL"', literal))
+    with pytest.raises(ValueError) as decoding:
+        json.loads(literal)
+    assert main([verb, str(path), "--format", fmt]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    message = f"{path}: invalid JSON: {decoding.value}"
+    if fmt == "json":
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"error": {"type": "ParseError", "message": message}}
+    else:
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def _with_nested_value(name: str, place: tuple, depth: int) -> str:
     """Bundled file `name` as JSON text, its value at `place` (keys and
     indices) replaced by `depth` nested empty lists."""

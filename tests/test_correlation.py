@@ -10,16 +10,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qcorr.correlation
 from qcorr import (
     PRODUCT_RULE_TOL,
     AbsoluteContinuityViolation,
     ConvexDecomposition,
     DensityOperator,
     JointMarginalMismatch,
+    OutcomeSpace,
+    Povm,
     PureState,
     correlation_report,
+    joint_from_commuting,
     random_decomposition,
     spectral_decompose,
+    spin_z_pair,
 )
 from conftest import DOWN, SQRT2, UP
 
@@ -254,3 +259,106 @@ def test_product_rule_pass_boundaries(spin_pair):
     assert at_tolerance.product_rule_pass is False
     below = replace(report, product_rule_residual=math.nextafter(PRODUCT_RULE_TOL, 0.0))
     assert below.product_rule_pass is True
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """The argument tuples of every call `correlation` makes to its binding
+    `name`, until the test ends."""
+    function, calls = getattr(qcorr.correlation, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(qcorr.correlation, name, counted)
+    return calls
+
+
+def _haar_pair(rng, side: int):
+    """Rank-one PVMs of two Haar bases, one on each factor of
+    C^side (x) C^side, and their product joint."""
+    eye = np.eye(side)
+    pair = []
+    for name, left in (("a", True), ("b", False)):
+        ginibre = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        q, r = np.linalg.qr(ginibre)
+        unitary = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        effects = {}
+        for index, column in enumerate(unitary.T):
+            projector = np.outer(column, column.conj())
+            effects[f"{name}{index}"] = np.kron(projector, eye) if left else np.kron(eye, projector)
+        pair.append(Povm(OutcomeSpace(tuple(effects)), effects))
+    return pair[0], pair[1], joint_from_commuting(*pair)
+
+
+def _random_state(rng, dim: int) -> DensityOperator:
+    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    matrix = ginibre @ ginibre.conj().T
+    matrix = (matrix + matrix.conj().T) / 2
+    return DensityOperator(matrix / np.trace(matrix).real)
+
+
+def _instance(dim: int):
+    """(a1, a2, joint, state, decomposition): the spin pair at d = 4, a
+    benchmark-style Haar pair at d = 16, with a random full-rank state and a
+    random decomposition of it into 2 * dim components."""
+    rng = np.random.default_rng(dim)
+    a1, a2, joint = spin_z_pair() if dim == 4 else _haar_pair(rng, 4)
+    state = _random_state(rng, dim)
+    return a1, a2, joint, state, random_decomposition(state, 2 * dim, rng)
+
+
+def _bits(report) -> tuple:
+    """Every field of a report, each array as its bytes."""
+    measures = (
+        report.joint_measure,
+        report.marginal_1,
+        report.marginal_2,
+        report.product_measure,
+        report.classical_product,
+        report.rho_t,
+        report.rho_c,
+        report.rho_e,
+    )
+    return tuple(None if m is None else m.as_array().tobytes() for m in measures) + (
+        report.rho_c_error,
+        report.rho_e_error,
+        report.product_rule_residual,
+        report.decomposition_source,
+        report.decomposition_size,
+    )
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+def test_a_state_runs_the_trace_rule_once_for_its_decompositions(dim, monkeypatch):
+    a1, a2, joint, state, decomposition = _instance(dim)
+    fresh = [DensityOperator(state.matrix) for _ in range(2)]
+    expected = [
+        correlation_report(joint, a1, a2, ConvexDecomposition(decomposition.components, fresh[0])),
+        correlation_report(joint, a1, a2, fresh[1]),
+    ]
+    traced = _counted(monkeypatch, "outcome_measure")
+    joint_checks = _counted(monkeypatch, "check_joint")
+    reports = [
+        correlation_report(joint, a1, a2, decomposition),
+        correlation_report(joint, a1, a2, state),
+    ]
+    assert [args[0] for args in traced] == [joint, a1, a2]
+    assert all(args[1] is state for args in traced)
+    assert len(joint_checks) == 2
+    assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+def test_another_joint_or_state_recomputes_the_statistics(dim, monkeypatch):
+    a1, a2, joint, state, decomposition = _instance(dim)
+    other_state = DensityOperator(state.matrix)
+    traced = _counted(monkeypatch, "outcome_measure")
+    first = correlation_report(joint, a1, a2, state)
+    rebuilt = joint_from_commuting(a1, a2)
+    second = correlation_report(rebuilt, a1, a2, decomposition)
+    third = correlation_report(rebuilt, a1, a2, other_state)
+    assert [args[0] for args in traced] == [joint, a1, a2, rebuilt, a1, a2, rebuilt, a1, a2]
+    assert [args[1] for args in traced] == [state] * 6 + [other_state] * 3
+    assert _bits(second)[:3] == _bits(first)[:3] == _bits(third)[:3]
+

@@ -1,6 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcorr.hilbert
 from qcorr import (
     ConvexDecomposition,
     DensityOperator,
@@ -13,7 +19,8 @@ from qcorr import (
     random_decomposition,
     spectral_decompose,
 )
-from qcorr.hilbert import _kron
+from qcorr.hilbert import _exceeds, _kron, _max_abs
+from qcorr.observable import _check_effects, _pairwise_projective
 from conftest import DOWN, UP
 
 
@@ -218,3 +225,97 @@ def test_ragged_or_non_numeric_operator_input_is_a_validation_error(build, bad, 
     with pytest.raises(ValidationError) as excinfo:
         build(bad)
     assert str(excinfo.value) == message
+
+
+_THRESHOLD_EPS = (1e-12, 1e-9, 1e-6)
+
+
+def _entry(eps: float, finite: bool):
+    """A complex entry whose parts lie near the bounds `_exceeds` decides by:
+    eps/√2, eps/1.5, eps and 1.5 eps, half of them nudged by up to 3 ulps, of
+    either sign; or are signed zeros and subnormals and, unless `finite`,
+    ±inf, NaN and the largest float. One entry in three has both parts at
+    eps/√2 give or take 3 ulps, where |z| straddles eps."""
+
+    def nudged(value, ulps):
+        return value + ulps * math.ulp(value)
+
+    ulps = st.integers(-3, 3)
+    near = st.builds(
+        lambda value, step, sign: sign * nudged(value, step),
+        st.sampled_from([eps / math.sqrt(2.0), eps / 1.5, eps, 1.5 * eps]),
+        st.one_of(st.just(0), ulps),
+        st.sampled_from([1.0, -1.0]),
+    )
+    quiet = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310])
+    part = st.one_of(quiet, near)
+    if not finite:
+        loud = st.sampled_from([math.inf, -math.inf, math.nan, -1.7976931348623157e308])
+        part = st.one_of(part, loud)
+    diagonal = st.tuples(ulps, ulps).map(
+        lambda steps: tuple(nudged(eps / math.sqrt(2.0), step) for step in steps)
+    )
+    return st.one_of(st.tuples(part, part), st.tuples(quiet, near), diagonal)
+
+
+def _bounds_at_any_size():
+    """Stacks this small take the float-view bounds while this is entered."""
+    return mock.patch.object(qcorr.hilbert, "_BOUND_FROM_SIZE", 0)
+
+
+def _stack(data, finite: bool = False):
+    """eps and a (k, d, d) stack of `_entry`s, k and d from 1 to 3."""
+    eps = data.draw(st.sampled_from(_THRESHOLD_EPS))
+    k, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    size = k * d * d
+    entries = data.draw(st.lists(_entry(eps, finite), min_size=size, max_size=size))
+    return eps, np.array(entries).view(complex).reshape(k, d, d)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_exceeds_gives_numpys_verdict_and_magnitude(data):
+    eps, stack = _stack(data)
+    magnitudes = np.abs(stack).max(axis=(1, 2))
+    with _bounds_at_any_size():
+        verdict = _exceeds(stack.reshape(len(stack), -1), eps)
+        whole = _exceeds(stack.reshape(1, -1), eps)[0]
+    assert verdict.tolist() == (magnitudes > eps).tolist()
+    assert bool(whole) == bool(np.abs(stack).max() > eps)
+    # what a caller quotes for an offending slice
+    for index in np.flatnonzero(verdict):
+        assert _max_abs(stack[index]) == magnitudes[index]
+
+
+def _reference_projective(stack, eps) -> bool:
+    for i, effect in enumerate(stack):
+        products = effect @ stack[i:]
+        products[0] -= effect
+        if np.abs(products).max() > eps:
+            return False
+    return True
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_projectivity_and_hermiticity_near_the_threshold_decide_as_numpy(data):
+    eps, stack = _stack(data, finite=True)
+    with _bounds_at_any_size():
+        projective = _pairwise_projective(stack, eps)
+    assert projective == _reference_projective(stack, eps)
+    # effects 1/2 + skew, skew drawn in the lower triangle: positive, and
+    # Hermitian exactly when the skew is within eps
+    effects = np.eye(stack.shape[1]) / 2 + np.tril(stack, -1)
+    deviation = np.abs(effects - effects.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    outcomes = tuple(range(len(effects)))
+    offending = np.flatnonzero(deviation > eps)
+    with _bounds_at_any_size():
+        if not offending.size:
+            _check_effects(outcomes, effects, eps)
+            return
+        with pytest.raises(ValidationError) as excinfo:
+            _check_effects(outcomes, effects, eps)
+    index = offending[0]
+    assert str(excinfo.value) == (
+        f"effect at {outcomes[index]!r} is not Hermitian (max deviation {deviation[index]:.3e})"
+    )
