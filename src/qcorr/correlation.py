@@ -91,32 +91,14 @@ def correlation_report(
     else:
         source = "explicit"
     _require_joint(joint, a1, a2)
-    joint_measure, marginal_1, marginal_2 = _statistics(decomposition.target, joint, a1, a2)
+    joint_measure, marginal_1, marginal_2 = decomposition.target._outcome_statistics(
+        joint, a1, a2, outcome_measure
+    )
     vectors = decomposition.vectors
     rows_1, rows_2 = a1.born_rows(vectors), a2.born_rows(vectors)
     return split_report(
         joint_measure, marginal_1, marginal_2, decomposition._weights, rows_1, rows_2, source
     )
-
-
-def _statistics(state: DensityOperator, joint: Povm, a1: Povm, a2: Povm) -> tuple:
-    """The outcome measures of `joint`, `a1` and `a2` at `state`.
-
-    They depend on the state alone, not on its decomposition, so the state
-    keeps those of the last observables it was asked for, matched by
-    identity: the next report of another decomposition against the same
-    objects reuses them without running the trace rule again.
-    """
-    memo = state._statistics
-    if memo is not None and memo[0] is joint and memo[1] is a1 and memo[2] is a2:
-        return memo[3]
-    measures = (
-        outcome_measure(joint, state),
-        outcome_measure(a1, state),
-        outcome_measure(a2, state),
-    )
-    state._statistics = (joint, a1, a2, measures)
-    return measures
 
 
 def split_report(

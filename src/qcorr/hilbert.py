@@ -53,36 +53,22 @@ def _hermitian_deviation(arr: np.ndarray) -> float:
     return _max_abs(arr - arr.conj().T)
 
 
-# Below this many entries the magnitudes cost less than the extra reductions
-# of the float-view bounds; every d = 4 stack is that small.
-_BOUND_FROM_SIZE = 1 << 10
+def _exceeds(arr: np.ndarray, eps: float) -> bool:
+    """`np.abs(arr).max() > eps` for the C-contiguous complex `arr`, decided
+    where it can be on the float view of its real and imaginary parts.
 
-
-def _exceeds(rows: np.ndarray, eps: float) -> np.ndarray:
-    """`np.abs(rows).max(axis=1) > eps` for the C-contiguous complex (k, n)
-    `rows`, decided mostly on the float view of their real and imaginary
-    parts.
-
-    With m the largest |Re| or |Im| of a row, m <= |z| <= sqrt(2) m holds for
-    numpy's magnitudes too, which are within an ulp of the true ones: so
-    m > eps proves some |z| > eps and m <= eps / 1.5 proves none is. The
-    usual case, every row within eps, takes two reductions over the whole
-    view; only rows between the bounds, or with a NaN, take the magnitudes,
-    so every verdict is numpy's. Fewer than `_BOUND_FROM_SIZE` entries take
-    the magnitudes outright.
+    With m the largest |Re| or |Im|, m <= |z| <= sqrt(2) m holds for numpy's
+    magnitudes too, which are within an ulp of the true ones: so m > eps
+    proves some |z| > eps and 1.5 m <= eps proves none is. Only between the
+    bounds, or with a NaN, are the magnitudes taken, so every verdict is
+    numpy's.
     """
-    if rows.size < _BOUND_FROM_SIZE:
-        return np.abs(rows).max(axis=1) > eps
-    parts = rows.view(rows.real.dtype)
-    within = eps / 1.5
-    if parts.max() <= within and -parts.min() <= within:
-        return np.zeros(len(rows), dtype=bool)
-    bound = np.maximum(parts.max(axis=1), -parts.min(axis=1))
-    verdict = bound > eps
-    unsure = ~(verdict | (bound <= within))
-    if unsure.any():
-        verdict[unsure] = np.abs(rows[unsure]).max(axis=1) > eps
-    return verdict
+    bound = np.abs(arr.view(np.float64)).max()
+    if bound > eps:
+        return True
+    if bound * 1.5 <= eps:
+        return False
+    return bool(np.abs(arr).max() > eps)
 
 
 def _kron(a: np.ndarray, b: np.ndarray, core: int = 2) -> np.ndarray:
@@ -156,7 +142,7 @@ class DensityOperator:
     # validated at that eps, or None; see `spectral_decompose`.
     # _statistics: (joint, a1, a2, their outcome measures) of the last
     # observables the state was reported against, or None; see
-    # `correlation._statistics`
+    # `_outcome_statistics`
     __slots__ = ("_matrix", "_spectral", "_statistics")
 
     def __init__(self, matrix):
@@ -210,6 +196,21 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self._matrix.shape[0]
+
+    def _outcome_statistics(self, joint, a1, a2, measure) -> tuple:
+        """`measure(a, self)` for `a` in `joint`, `a1`, `a2`.
+
+        The statistics depend on the state alone, not on a decomposition of
+        it, so the state keeps those of the last three observables it was
+        asked for, matched by identity: a report of another decomposition
+        against the same objects reuses them without measuring again.
+        """
+        memo = self._statistics
+        if memo is not None and memo[0] is joint and memo[1] is a1 and memo[2] is a2:
+            return memo[3]
+        measures = (measure(joint, self), measure(a1, self), measure(a2, self))
+        self._statistics = (joint, a1, a2, measures)
+        return measures
 
     def purity(self) -> float:
         """Tr(D^2); equals 1 exactly when the state is pure."""

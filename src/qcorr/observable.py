@@ -178,15 +178,19 @@ def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> None:
             f"effect at {outcomes[int(finite.argmin())]!r} contains non-finite entries"
         )
     skew = stack - np.conjugate(stack.transpose(0, 2, 1), order="C")
-    nonhermitian = _exceeds(skew.reshape(len(skew), -1), eps)
+    # the magnitudes are taken only when some effect is off Hermitian
+    if _exceeds(skew, eps):
+        deviation = np.abs(skew).max(axis=(1, 2))
+    else:
+        deviation = np.zeros(len(stack))
     smallest = _smallest_eigenvalues(stack, eps)
-    offending = np.flatnonzero(nonhermitian | (smallest < -eps))
+    offending = np.flatnonzero((deviation > eps) | (smallest < -eps))
     if offending.size:
         index = offending[0]
-        if nonhermitian[index]:
+        if deviation[index] > eps:
             raise ValidationError(
                 f"effect at {outcomes[index]!r} is not Hermitian "
-                f"(max deviation {_max_abs(skew[index]):.3e})"
+                f"(max deviation {deviation[index]:.3e})"
             )
         raise ValidationError(
             f"effect at {outcomes[index]!r} is not positive semidefinite "
@@ -200,7 +204,7 @@ def _pairwise_projective(stack: np.ndarray, eps: float) -> bool:
     for i, effect in enumerate(stack):
         products = effect @ stack[i:]
         products[0] -= effect
-        if _exceeds(products.reshape(1, -1), eps)[0]:
+        if _exceeds(products, eps):
             return False
     return True
 
@@ -243,12 +247,12 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
         np.matmul(left, a2._stack, out=row)  # one row of the grid: E1(l1) E2(y) for every y
         reverse = a2._stack @ left
         reverse -= row
-        noncommuting = np.flatnonzero(_exceeds(reverse.reshape(k2, -1), eps))
-        if noncommuting.size:
-            index = noncommuting[0]
+        if _exceeds(reverse, eps):
+            gaps = np.abs(reverse).max(axis=(1, 2))
+            index = np.flatnonzero(gaps > eps)[0]
             raise NonCommuting(
                 f"effects at {l1!r} and {a2.space.labels[index]!r} do not commute "
-                f"(max deviation {_max_abs(reverse[index]):.3e})"
+                f"(max deviation {gaps[index]:.3e})"
             )
     # the products are derived from validated factors and kept unchecked, as
     # measure._derived keeps derived measures: the commutation test is the

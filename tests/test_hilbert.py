@@ -1,12 +1,10 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qcorr.hilbert
 from qcorr import (
     ConvexDecomposition,
     DensityOperator,
@@ -19,7 +17,7 @@ from qcorr import (
     random_decomposition,
     spectral_decompose,
 )
-from qcorr.hilbert import _exceeds, _kron, _max_abs
+from qcorr.hilbert import _exceeds, _kron
 from qcorr.observable import _check_effects, _pairwise_projective
 from conftest import DOWN, UP
 
@@ -258,11 +256,6 @@ def _entry(eps: float, finite: bool):
     return st.one_of(st.tuples(part, part), st.tuples(quiet, near), diagonal)
 
 
-def _bounds_at_any_size():
-    """Stacks this small take the float-view bounds while this is entered."""
-    return mock.patch.object(qcorr.hilbert, "_BOUND_FROM_SIZE", 0)
-
-
 def _stack(data, finite: bool = False):
     """eps and a (k, d, d) stack of `_entry`s, k and d from 1 to 3."""
     eps = data.draw(st.sampled_from(_THRESHOLD_EPS))
@@ -274,17 +267,9 @@ def _stack(data, finite: bool = False):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
-def test_exceeds_gives_numpys_verdict_and_magnitude(data):
+def test_exceeds_gives_numpys_verdict(data):
     eps, stack = _stack(data)
-    magnitudes = np.abs(stack).max(axis=(1, 2))
-    with _bounds_at_any_size():
-        verdict = _exceeds(stack.reshape(len(stack), -1), eps)
-        whole = _exceeds(stack.reshape(1, -1), eps)[0]
-    assert verdict.tolist() == (magnitudes > eps).tolist()
-    assert bool(whole) == bool(np.abs(stack).max() > eps)
-    # what a caller quotes for an offending slice
-    for index in np.flatnonzero(verdict):
-        assert _max_abs(stack[index]) == magnitudes[index]
+    assert _exceeds(stack, eps) is bool(np.abs(stack).max() > eps)
 
 
 def _reference_projective(stack, eps) -> bool:
@@ -300,8 +285,7 @@ def _reference_projective(stack, eps) -> bool:
 @given(st.data())
 def test_projectivity_and_hermiticity_near_the_threshold_decide_as_numpy(data):
     eps, stack = _stack(data, finite=True)
-    with _bounds_at_any_size():
-        projective = _pairwise_projective(stack, eps)
+    projective = _pairwise_projective(stack, eps)
     assert projective == _reference_projective(stack, eps)
     # effects 1/2 + skew, skew drawn in the lower triangle: positive, and
     # Hermitian exactly when the skew is within eps
@@ -309,12 +293,11 @@ def test_projectivity_and_hermiticity_near_the_threshold_decide_as_numpy(data):
     deviation = np.abs(effects - effects.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     outcomes = tuple(range(len(effects)))
     offending = np.flatnonzero(deviation > eps)
-    with _bounds_at_any_size():
-        if not offending.size:
-            _check_effects(outcomes, effects, eps)
-            return
-        with pytest.raises(ValidationError) as excinfo:
-            _check_effects(outcomes, effects, eps)
+    if not offending.size:
+        _check_effects(outcomes, effects, eps)
+        return
+    with pytest.raises(ValidationError) as excinfo:
+        _check_effects(outcomes, effects, eps)
     index = offending[0]
     assert str(excinfo.value) == (
         f"effect at {outcomes[index]!r} is not Hermitian (max deviation {deviation[index]:.3e})"
