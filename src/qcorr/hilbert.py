@@ -77,11 +77,12 @@ def _kron(a: np.ndarray, b: np.ndarray, core: int = 2) -> np.ndarray:
     `multiply` of the interleaved operands and a reshape, so each product
     has `np.kron`'s bits."""
     lead_a, lead_b = a.ndim - core, b.ndim - core
+    core_a, core_b = a.shape[lead_a:], b.shape[lead_b:]
     product = np.multiply(
-        np.expand_dims(a, tuple(range(lead_a + 1, lead_a + 2 * core, 2))),
-        np.expand_dims(b, tuple(range(lead_b, lead_b + 2 * core, 2))),
+        a.reshape(a.shape[:lead_a] + tuple(x for m in core_a for x in (m, 1))),
+        b.reshape(b.shape[:lead_b] + tuple(x for p in core_b for x in (1, p))),
     )
-    sizes = tuple(m * p for m, p in zip(a.shape[lead_a:], b.shape[lead_b:]))
+    sizes = tuple(m * p for m, p in zip(core_a, core_b))
     return product.reshape(product.shape[: product.ndim - 2 * core] + sizes)
 
 
@@ -119,13 +120,19 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm` of each row of the complex matrix `vectors`, with its
+    bits: its own sum, on the same strided real and imaginary parts (a dot of
+    contiguous rows may sum in another order)."""
+    real, imag = vectors.real, vectors.imag
+    return np.sqrt(np.vecdot(real, real) + np.vecdot(imag, imag))
+
+
 def _unit_row_fault(vectors: np.ndarray, eps: float) -> tuple[int, str] | None:
     """The first row of `vectors` (n, d) that PureState rejects, with its
     message: a non-finite entry, or a norm off 1 by more than eps."""
     finite = np.isfinite(vectors).all(axis=1)
-    # np.linalg.norm's own sum, row by row, so the norms equal its bits
-    real, imag = vectors.real, vectors.imag
-    norms = np.sqrt(np.vecdot(real, real) + np.vecdot(imag, imag))
+    norms = _row_norms(vectors)
     bad = ~finite | (np.abs(norms - 1.0) > eps)
     if not bad.any():
         return None
@@ -180,14 +187,17 @@ class DensityOperator:
         if not components:
             raise ValidationError("mixture needs at least one component")
         dim = components[0][1].dim
-        total = np.zeros((dim, dim), dtype=complex)
-        for weight, state in components:
+        for _, state in components:
             if state.dim != dim:
                 raise DimensionMismatch(
                     f"mixture mixes dimensions {dim} and {state.dim}"
                 )
-            total += weight * state.projector()
-        return cls(total)
+        weights = np.array([weight for weight, _ in components])
+        vectors = np.array([state.vector for _, state in components])
+        terms = weights[:, None, None] * (vectors[:, :, None] * vectors.conj()[:, None, :])
+        # numpy sums over the leading axis from +0.0 in component order, as
+        # the running sum of one projector at a time did: the same bits
+        return cls(terms.sum(axis=0))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -467,7 +477,8 @@ def random_decomposition(
     rank = len(spectral)
     if _integer(size, "size") < rank:
         raise ValidationError(f"size {size} is below the state rank {rank}")
-    ginibre = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    draws = rng.normal(size=(2, size, size))
+    ginibre = draws[0] + 1j * draws[1]
     basis, _ = np.linalg.qr(ginibre)
     isometry = basis[:, :rank]
     scaled = np.sqrt(spectral._weights)[:, None] * spectral.vectors  # rank x dim

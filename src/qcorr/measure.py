@@ -265,7 +265,7 @@ def dirac(space: Space, outcome) -> DiscreteMeasure:
     """Point mass at `outcome`."""
     values = np.zeros(len(space))
     values[_position(space, outcome)] = 1.0
-    return DiscreteMeasure.from_array(space, values)
+    return _derived(DiscreteMeasure, space, values)
 
 
 def marginal(nu: DiscreteMeasure, side: Literal["left", "right"]) -> DiscreteMeasure:

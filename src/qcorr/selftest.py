@@ -28,6 +28,7 @@ from .hilbert import (
     DensityOperator,
     PureState,
     _kron,
+    _row_norms,
     random_decomposition,
     spectral_decompose,
 )
@@ -78,13 +79,17 @@ class SelftestReport:
 # random draws ---------------------------------------------------------------
 
 
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return vector / np.linalg.norm(vector)
+def _random_units(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """`count` random unit vectors of C^dim as rows, each drawn real part
+    first, in one call."""
+    draws = rng.normal(size=(count, 2, dim))
+    vectors = draws[:, 0] + 1j * draws[:, 1]
+    return vectors / _row_norms(vectors)[:, None]
 
 
 def _random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
-    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    draws = rng.normal(size=(2, dim, dim))
+    ginibre = draws[0] + 1j * draws[1]
     matrix = ginibre @ ginibre.conj().T
     return DensityOperator(matrix / np.trace(matrix).real)
 
@@ -95,18 +100,21 @@ _BINARY = OutcomeSpace(("0", "1"))
 def _random_qubit_pvm_pair(rng: np.random.Generator) -> tuple[Povm, Povm]:
     """Projective qubit observables acting on the two factors of C^2 (x) C^2."""
     eye = np.eye(2, dtype=complex)
-    left = _random_unit(rng, 2)
-    right = _random_unit(rng, 2)
-    p = np.outer(left, left.conj())
-    q = np.outer(right, right.conj())
-    a1 = Povm._from_stack(_BINARY, _kron(np.stack([p, eye - p]), eye))
-    a2 = Povm._from_stack(_BINARY, _kron(eye, np.stack([q, eye - q])))
+    units = _random_units(rng, 2, 2)
+    projectors = units[:, :, None] * units.conj()[:, None, :]
+    stacks = np.stack([projectors, eye - projectors], axis=1)
+    a1 = Povm._from_stack(_BINARY, _kron(stacks[0], eye))
+    a2 = Povm._from_stack(_BINARY, _kron(eye, stacks[1]))
     return a1, a2
 
 
-def _random_simplex(rng: np.random.Generator, size: int, floor: float = 0.0) -> np.ndarray:
+def _random_simplex(
+    rng: np.random.Generator, size: int | tuple[int, int], floor: float = 0.0
+) -> np.ndarray:
+    """Random probability rows: `size` weights, or a matrix of rows, drawn
+    in one call."""
     weights = rng.random(size) + floor
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def _random_phase_space(rng: np.random.Generator) -> PhaseSpace:
@@ -117,7 +125,7 @@ def _random_phase_space(rng: np.random.Generator) -> PhaseSpace:
 def _random_kernel(
     rng: np.random.Generator, phase: PhaseSpace, codomain: OutcomeSpace
 ) -> ClassicalObservable:
-    rows = [_random_simplex(rng, len(codomain), floor=0.05) for _ in phase.labels]
+    rows = _random_simplex(rng, (len(phase), len(codomain)), floor=0.05)
     return ClassicalObservable.from_matrix(phase, codomain, rows)
 
 
@@ -189,7 +197,7 @@ def _invariance(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> floa
 def _product_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
     """`count` random product unit vectors of C^2 (x) C^2 as rows, each drawn
     left factor first."""
-    units = np.array([_random_unit(rng, 2) for _ in range(2 * count)])
+    units = _random_units(rng, 2 * count, 2)
     return _kron(units[0::2], units[1::2], core=1)
 
 

@@ -117,15 +117,18 @@ def test_random_decomposition_matches_oracle(qcorr_eps, dim, kind, size):
 
 
 class _Draws:
-    """Stands in for a Generator: `normal` returns the given arrays in turn."""
+    """Stands in for a Generator: `normal` returns the next values of the
+    given arrays, taken in order, in the shape asked for, as a Generator's
+    stream would, whether one call or two draw them."""
 
     def __init__(self, *arrays):
-        self._arrays = list(arrays)
+        self._stream = np.concatenate([array.ravel() for array in arrays])
 
     def normal(self, size):
-        array = self._arrays.pop(0)
-        assert array.shape == size
-        return array
+        count = int(np.prod(size))
+        assert count <= self._stream.size
+        values, self._stream = self._stream[:count], self._stream[count:]
+        return values.reshape(size)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-7, 1e-6, 2e-6, 1e-5])

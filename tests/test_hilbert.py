@@ -43,6 +43,11 @@ def test_kron_stack_has_the_bits_of_np_kron(seed):
         (_kron(single, stack), [np.kron(single, m) for m in stack]),
         (_kron(stack, stack[::-1]), [np.kron(a, b) for a, b in zip(stack, stack[::-1])]),
         (_kron(left, right, core=1), [np.kron(a, b) for a, b in zip(left, right)]),
+        (_kron(stack.transpose(0, 2, 1), single.T), [np.kron(m.T, single.T) for m in stack]),
+        (
+            _kron(left[::2], right[::-2], core=1),
+            [np.kron(a, b) for a, b in zip(left[::2], right[::-2])],
+        ),
     ]
     for got, want in cases:
         want = np.array(want)
@@ -100,6 +105,59 @@ def test_from_mixture_matches_manual_sum():
         DensityOperator.from_mixture(
             [(0.5, PureState(UP)), (0.5, PureState([0, 0, 1.0, 0]))]
         )
+
+
+def _reference_mixture_sum(components):
+    """The running sum of weighted projectors, one component at a time."""
+    dim = components[0][1].dim
+    total = np.zeros((dim, dim), dtype=complex)
+    for weight, state in components:
+        total += weight * state.projector()
+    return total
+
+
+def _random_mixture(rng, count, real):
+    """`count` (weight, PureState) pairs at d = 4; real vectors have about
+    half their entries past the first set to -0.0."""
+    vectors = rng.normal(size=(count, 4))
+    if real:
+        zeros = rng.random((count, 4)) < 0.5
+        zeros[:, 0] = False
+        vectors[zeros] = -0.0
+    else:
+        vectors = vectors + 1j * rng.normal(size=(count, 4))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    weights = rng.random(count) + 0.02
+    return [(float(w), PureState(v)) for w, v in zip(weights / weights.sum(), vectors)]
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real-signed-zeros"])
+@pytest.mark.parametrize("count", range(1, 17))
+def test_from_mixture_has_the_bits_of_the_running_sum(count, real):
+    negative_zeros = 0
+    for seed in range(10):
+        components = _random_mixture(np.random.default_rng(seed), count, real)
+        got = DensityOperator.from_mixture(components).matrix
+        want = _reference_mixture_sum(components)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        terms = np.array([w * state.projector() for w, state in components])
+        negative_zeros += int(np.sum(np.signbit(terms.view(float)) & (terms.view(float) == 0)))
+    if real:
+        assert negative_zeros > 0  # the sum saw -0.0 terms
+
+
+def test_from_mixture_checks_every_pair_before_the_dimensions():
+    two, three, four = PureState(UP), PureState([0, 0, 1.0]), PureState([0, 0, 0, 1.0])
+    pairs = r"must be \(weight, PureState\) pairs"
+    with pytest.raises(ValidationError, match=pairs) as excinfo:
+        DensityOperator.from_mixture([(0.5, two), (0.25, four), (0.25, [0, 1])])
+    assert not isinstance(excinfo.value, DimensionMismatch)
+    with pytest.raises(ValidationError, match="weight: expected a number, got 'a'"):
+        DensityOperator.from_mixture([(0.5, two), (0.25, four), ("a", two)])
+    with pytest.raises(DimensionMismatch) as excinfo:
+        DensityOperator.from_mixture([(0.5, two), (0.25, three), (0.25, four)])
+    assert str(excinfo.value) == "mixture mixes dimensions 2 and 3"
 
 
 def test_density_matrix_is_readonly():

@@ -84,6 +84,27 @@ def test_dirac_is_point_mass():
     assert nu.support() == ("b",)
 
 
+@pytest.mark.parametrize(
+    "space, outcome", [(TRITS, "b"), (ONE, "x"), (ProductSpace(BITS, TRITS), ("1", "c"))]
+)
+def test_dirac_holds_the_bits_of_the_checked_point_mass(space, outcome):
+    nu = dirac(space, outcome)
+    checked = DiscreteMeasure.from_array(space, np.eye(len(space))[space.outcomes.index(outcome)])
+    assert nu.space is space
+    assert nu.as_array().dtype == checked.as_array().dtype
+    assert nu.as_array().tobytes() == checked.as_array().tobytes()
+    assert not nu.as_array().flags.writeable
+    with pytest.raises(UnknownLabel):
+        dirac(space, "z")
+
+
+def test_dirac_is_valid_by_construction_and_reads_no_eps(monkeypatch):
+    monkeypatch.setenv("QCORR_EPS", "eps")
+    assert dirac(TRITS, "c").weight("c") == 1.0
+    with pytest.raises(ValidationError, match="QCORR_EPS must be a number"):
+        DiscreteMeasure.from_array(TRITS, [0.0, 0.0, 1.0])
+
+
 @given(measures(BITS), measures(TRITS))
 def test_product_marginals_recover_factors(nu1, nu2):
     space = ProductSpace(BITS, TRITS)

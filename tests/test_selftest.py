@@ -7,10 +7,21 @@ import pytest
 
 import qcorr.selftest
 from qcorr import OutcomeSpace, Povm, SuiteResult, ValidationError, joint_from_commuting, run_selftest
+from qcorr.classical_frame import ClassicalObservable, PhaseSpace
+from qcorr.hilbert import DensityOperator
 from qcorr.observable import SPIN_LABELS
-from qcorr.selftest import _BINARY, _random_unit, _run_suite
+from qcorr.selftest import _BINARY, _run_suite
 
 TOL = 1e-7
+
+
+@pytest.fixture(params=[None, "1e-10", "1e-6"])
+def qcorr_eps(request, monkeypatch):
+    if request.param is None:
+        monkeypatch.delenv("QCORR_EPS", raising=False)
+    else:
+        monkeypatch.setenv("QCORR_EPS", request.param)
+    return request.param
 
 
 def _fake_trial(deviations, seen):
@@ -61,7 +72,75 @@ def test_spin_pair_is_built_once_per_run(monkeypatch):
     assert len(calls) == 1
 
 
-# the input builders against np.kron ----------------------------------------
+# the input builders against their one-draw-at-a-time references ----------
+
+
+def _random_unit(rng, dim):
+    vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return vector / np.linalg.norm(vector)
+
+
+def _reference_random_density(rng, dim):
+    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    matrix = ginibre @ ginibre.conj().T
+    return DensityOperator(matrix / np.trace(matrix).real)
+
+
+def _reference_random_simplex(rng, size, floor=0.0):
+    weights = rng.random(size) + floor
+    return weights / weights.sum()
+
+
+def _reference_random_kernel(rng, phase, codomain):
+    rows = [_reference_random_simplex(rng, len(codomain), floor=0.05) for _ in phase.labels]
+    return ClassicalObservable.from_matrix(phase, codomain, rows)
+
+
+def _same_bits_and_stream(got, want, rng, reference_rng):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == reference_rng.random()  # both left the stream alike
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("count", range(1, 17))
+def test_random_units_draw_the_bits_of_one_unit_at_a_time(qcorr_eps, count, dim):
+    for seed in range(20):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = qcorr.selftest._random_units(rng, count, dim)
+        want = np.array([_random_unit(reference_rng, dim) for _ in range(count)])
+        _same_bits_and_stream(got, want, rng, reference_rng)
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.02, 0.05])
+@pytest.mark.parametrize("size", range(1, 17))
+def test_random_simplex_keeps_the_bits_of_one_sum_per_row(size, floor):
+    for seed in range(10):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = qcorr.selftest._random_simplex(rng, size, floor)
+        want = _reference_random_simplex(reference_rng, size, floor)
+        _same_bits_and_stream(got, want, rng, reference_rng)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_random_density_draws_the_bits_of_two_ginibre_calls(qcorr_eps, dim):
+    for seed in range(100):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = qcorr.selftest._random_density(rng, dim)
+        want = _reference_random_density(reference_rng, dim)
+        _same_bits_and_stream(got.matrix, want.matrix, rng, reference_rng)
+
+
+@pytest.mark.parametrize("outcomes", [2, 4])
+@pytest.mark.parametrize("points", range(1, 17))
+def test_random_kernel_draws_the_bits_of_one_simplex_per_row(qcorr_eps, points, outcomes):
+    phase = PhaseSpace(tuple(f"p{i}" for i in range(points)))
+    codomain = OutcomeSpace(tuple(f"x{i}" for i in range(outcomes)))
+    for seed in range(10):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = qcorr.selftest._random_kernel(rng, phase, codomain)
+        want = _reference_random_kernel(reference_rng, phase, codomain)
+        _same_bits_and_stream(got.matrix, want.matrix, rng, reference_rng)
 
 
 def _reference_pvm_pair(rng):
@@ -120,8 +199,8 @@ def test_pvm_pair_has_the_bits_of_np_kron_and_the_mapping_constructor():
 
 
 def test_product_vectors_have_the_bits_of_np_kron():
-    for seed in range(300):
-        count = 1 + seed % 8
+    for seed in range(320):
+        count = 1 + seed % 16
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = qcorr.selftest._product_vectors(rng, count)
         want = _reference_product_vectors(reference_rng, count)
@@ -136,13 +215,7 @@ def test_spin_pair_has_the_bits_of_np_kron():
         assert got._stack.tobytes() == want._stack.tobytes()
 
 
-@pytest.mark.parametrize("qcorr_eps", [None, "1e-10", "1e-6"])
 def test_selftest_reports_the_same_bits_with_the_reference_builders(qcorr_eps, monkeypatch):
-    if qcorr_eps is None:
-        monkeypatch.delenv("QCORR_EPS", raising=False)
-    else:
-        monkeypatch.setenv("QCORR_EPS", qcorr_eps)
-
     def deviations(seed):
         report = run_selftest(seed=seed, trials=10)
         return [(s.name, s.failures, s.max_deviation.hex()) for s in report.suites]
@@ -152,6 +225,9 @@ def test_selftest_reports_the_same_bits_with_the_reference_builders(qcorr_eps, m
     monkeypatch.setattr(qcorr.selftest, "_random_qubit_pvm_pair", _reference_pvm_pair)
     monkeypatch.setattr(qcorr.selftest, "_product_vectors", _reference_product_vectors)
     monkeypatch.setattr(qcorr.selftest, "spin_z_pair", _reference_spin_z_pair)
+    monkeypatch.setattr(qcorr.selftest, "_random_density", _reference_random_density)
+    monkeypatch.setattr(qcorr.selftest, "_random_kernel", _reference_random_kernel)
+    monkeypatch.setattr(qcorr.selftest, "_random_simplex", _reference_random_simplex)
     assert [deviations(seed) for seed in seeds] == built
 
 
