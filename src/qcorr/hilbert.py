@@ -46,14 +46,14 @@ def _as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
 
 
 def _max_abs(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def _hermitian_deviation(arr: np.ndarray) -> float:
     return _max_abs(arr - arr.conj().T)
 
 
-def _exceeds(arr: np.ndarray, eps: float) -> bool:
+def _exceeds(arr: np.ndarray, eps: float, bound: float | None = None) -> bool:
     """`np.abs(arr).max() > eps` for the C-contiguous complex `arr`, decided
     where it can be on the float view of its real and imaginary parts.
 
@@ -61,9 +61,10 @@ def _exceeds(arr: np.ndarray, eps: float) -> bool:
     magnitudes too, which are within an ulp of the true ones: so m > eps
     proves some |z| > eps and 1.5 m <= eps proves none is. Only between the
     bounds, or with a NaN, are the magnitudes taken, so every verdict is
-    numpy's.
+    numpy's. A caller that keeps m passes it as `bound`.
     """
-    bound = np.abs(arr.view(np.float64)).max()
+    if bound is None:
+        bound = np.abs(arr.view(np.float64)).max()
     if bound > eps:
         return True
     if bound * 1.5 <= eps:

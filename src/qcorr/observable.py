@@ -7,6 +7,7 @@ check, and the standard two-qubit spin pair.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -35,6 +36,17 @@ __all__ = [
 
 SPIN_LABELS = ("+1/2", "-1/2")
 
+# Rounding allowance of a complex matrix product, in units of machine epsilon
+# per dimension: each entry of fl(AB) for d x d factors is within
+# _PRODUCT_SLACK (d + 2) times the product of its row of A and column of B
+# in 2-norm (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and
+# 3.6, with a wide margin).
+_PRODUCT_SLACK = 64 * np.finfo(float).eps
+
+# Complex entries of F - F^H the commutation certificate forms at a time
+# (512 KB, one row of the grid at d = 64 with 8 outcomes a side).
+_GAP_BLOCK = 1 << 15
+
 
 class Povm:
     """Positive-operator-valued measure with finitely many outcomes.
@@ -53,7 +65,7 @@ class Povm:
     in force when the observable was built.
     """
 
-    __slots__ = ("_space", "_stack", "_dim", "_eps", "_factors")
+    __slots__ = ("_space", "_stack", "_dim", "_eps", "_factors", "_skew")
 
     def __init__(self, space, effects: Mapping):
         eps = validation_eps()
@@ -89,7 +101,7 @@ class Povm:
     def _adopt(self, space, stack: np.ndarray, eps: float) -> None:
         """Validate `stack` at `eps` and keep it: the one validation path of
         both constructors."""
-        _check_effects(tuple(space.outcomes), stack, eps)
+        skew = _check_effects(tuple(space.outcomes), stack, eps)
         dim = stack.shape[1]
         completeness = _max_abs(stack.sum(axis=0) - np.eye(dim))
         if completeness > eps:
@@ -102,6 +114,7 @@ class Povm:
         self._dim = dim
         self._eps = eps
         self._factors = None
+        self._skew = skew
 
     @classmethod
     def from_operator(cls, operator, labels=None) -> "Povm":
@@ -169,17 +182,19 @@ class Povm:
         return f"Povm({kind}, dim={self._dim}, outcomes={len(self._stack)})"
 
 
-def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> None:
+def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> float:
     """Raise for the first outcome whose effect in the (k, d, d) `stack` is
-    not finite, then for the first that is not Hermitian or not PSD."""
+    not finite, then for the first that is not Hermitian or not PSD; return
+    the largest |Re| or |Im| of any entry of any skew E - E^H."""
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise ValidationError(
             f"effect at {outcomes[int(finite.argmin())]!r} contains non-finite entries"
         )
     skew = stack - np.conjugate(stack.transpose(0, 2, 1), order="C")
+    largest = float(np.abs(skew.view(np.float64)).max())
     # the magnitudes are taken only when some effect is off Hermitian
-    if _exceeds(skew, eps):
+    if _exceeds(skew, eps, largest):
         deviation = np.abs(skew).max(axis=(1, 2))
     else:
         deviation = np.zeros(len(stack))
@@ -196,6 +211,7 @@ def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> None:
             f"effect at {outcomes[index]!r} is not positive semidefinite "
             f"(eigenvalue {smallest[index]:.3e})"
         )
+    return largest
 
 
 def _pairwise_projective(stack: np.ndarray, eps: float) -> bool:
@@ -243,17 +259,10 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
     eps = validation_eps()
     k1, k2, dim = len(a1._stack), len(a2._stack), a1.dim
     products = np.empty((k1, k2, dim, dim), dtype=complex)
-    for l1, left, row in zip(a1.space.labels, a1._stack, products):
-        np.matmul(left, a2._stack, out=row)  # one row of the grid: E1(l1) E2(y) for every y
-        reverse = a2._stack @ left
-        reverse -= row
-        if _exceeds(reverse, eps):
-            gaps = np.abs(reverse).max(axis=(1, 2))
-            index = np.flatnonzero(gaps > eps)[0]
-            raise NonCommuting(
-                f"effects at {l1!r} and {a2.space.labels[index]!r} do not commute "
-                f"(max deviation {gaps[index]:.3e})"
-            )
+    for left, row in zip(a1._stack, products):
+        np.matmul(left, a2._stack, out=row)  # one row of the grid: E1(x) E2(y) for every y
+    if not _commutation_certified(a1, a2, products, eps):
+        _check_commutation(a1, a2, products, eps)
     # the products are derived from validated factors and kept unchecked, as
     # measure._derived keeps derived measures: the commutation test is the
     # joint's only gate. Their sum is the product of the factors' sums, and
@@ -270,7 +279,75 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
     joint._dim = dim
     joint._eps = eps
     joint._factors = (a1, a2)
+    joint._skew = math.inf  # never measured: a joint is not a factor
     return joint
+
+
+def _commutation_certified(a1: Povm, a2: Povm, products: np.ndarray, eps: float) -> bool:
+    """Whether a rounding bound proves that `_check_commutation` passes on
+    the forward products `products` (k1, k2, d, d) of `a1` and `a2`, without
+    computing a reverse product.
+
+    For exactly Hermitian factors E2 E1 = (E1 E2)^H, so the computed gap
+    fl(E2 E1) - fl(E1 E2) differs from F - F^H, F = fl(E1 E2), by at most
+
+        delta = 2 gamma N1 N2 + sqrt(d) (s2 N1 + s1 N2),
+
+    where gamma = _PRODUCT_SLACK (d + 2) bounds the rounding of both
+    products, N1 and N2 bound every row and column 2-norm of the two stacks,
+    and s1 and s2 bound every |E - E^H| entry of the two factors (1.5 times
+    the largest |Re| or |Im| that validation kept). With m the largest |Re|
+    or |Im| of any computed F - F^H, 1.5 m + delta <= eps/2 proves every
+    |fl(E2 E1) - fl(E1 E2)| within eps/2, so the exact test passes. The
+    certificate also asks delta <= eps/4. Anything else, a NaN included,
+    is not certified, and the exact test decides, as it does wherever a
+    tiny eps and a large d put delta above eps/4.
+    """
+    dim = a1.dim
+    s1, s2 = 1.5 * a1._skew, 1.5 * a2._skew
+    n1, n2 = _line_norm_bound(a1._stack, s1), _line_norm_bound(a2._stack, s2)
+    delta = 2 * _PRODUCT_SLACK * (dim + 2) * n1 * n2 + math.sqrt(dim) * (s2 * n1 + s1 * n2)
+    if not delta <= eps / 4:
+        return False
+    # F - F^H a block of rows at a time, in one reused buffer: a transposed
+    # copy of a whole large grid costs as much as the reverse products
+    step = max(1, _GAP_BLOCK // products[0].size)
+    buffer = np.empty_like(products[:step])
+    for start in range(0, len(products), step):
+        rows = products[start : start + step]
+        gap = buffer[: len(rows)]
+        np.conjugate(rows.swapaxes(2, 3), out=gap)
+        np.subtract(rows, gap, out=gap)
+        parts = gap.view(np.float64)
+        np.abs(parts, out=parts)
+        if not 1.5 * parts.max() + delta <= eps / 2:
+            return False
+    return True
+
+
+def _line_norm_bound(stack: np.ndarray, skew: float) -> float:
+    """A bound on the 2-norm of every row and column of every matrix in the
+    complex `stack`, whose skews E - E^H have no entry above `skew`: a
+    column of E is a row of E^H = E - (E - E^H), so it is within sqrt(d)
+    skew of a row of E."""
+    squares = np.vecdot(stack, stack).real  # each row's sum of |entry|^2
+    return math.sqrt(squares.max()) + math.sqrt(stack.shape[1]) * skew
+
+
+def _check_commutation(a1: Povm, a2: Povm, products: np.ndarray, eps: float) -> None:
+    """The exact commutation test: raise NonCommuting for the first effect
+    pair, row by row, whose computed fl(E2 E1) - fl(E1 E2) has an entry
+    above eps in magnitude, against the forward products `products`."""
+    for l1, left, row in zip(a1.space.labels, a1._stack, products):
+        reverse = a2._stack @ left
+        reverse -= row
+        if _exceeds(reverse, eps):
+            gaps = np.abs(reverse).max(axis=(1, 2))
+            index = np.flatnonzero(gaps > eps)[0]
+            raise NonCommuting(
+                f"effects at {l1!r} and {a2.space.labels[index]!r} do not commute "
+                f"(max deviation {gaps[index]:.3e})"
+            )
 
 
 def check_joint(joint: Povm, a1: Povm, a2: Povm) -> bool:

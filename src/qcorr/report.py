@@ -120,6 +120,8 @@ def _point_header(point: tuple[str, str]) -> str:
 
 _escape = json.encoder.encode_basestring_ascii
 
+_FLOAT_OR_NONE = {float, type(None)}
+
 
 def _float_text(value: float) -> str:
     if value != value:
@@ -142,10 +144,21 @@ def _json_text(obj, indent: str = "\n") -> str:
             return "[]"
         inner = indent + "  "
         sep = "," + inner
-        if set(map(type, obj)) == {float}:
+        kinds = set(map(type, obj))
+        if kinds == {float}:
             text = sep.join(map(float.__repr__, obj))
             if "n" in text:  # "nan" or "inf", which stdlib spells otherwise
                 text = sep.join(map(_float_text, obj))
+        elif kinds == {str}:
+            text = sep.join(map(_escape, obj))
+        elif kinds <= _FLOAT_OR_NONE:  # a density with points off its support
+            text = sep.join(["null" if v is None else _float_text(v) for v in obj])
+        elif kinds == {list} and all(v and set(map(type, v)) == {str} for v in obj):
+            # the outcomes: lists of labels
+            deeper = inner + "  "
+            text = sep.join(
+                ["[" + deeper + ("," + deeper).join(map(_escape, v)) + inner + "]" for v in obj]
+            )
         else:
             text = sep.join([_json_text(v, inner) for v in obj])
         return "[" + inner + text + indent + "]"

@@ -1,5 +1,5 @@
-"""Batched POVM validation, the Cholesky positivity certificate and the
-pairwise projectivity test.
+"""Batched POVM validation, the Cholesky positivity certificate, the
+commutation certificate and the pairwise projectivity test.
 
 `Povm` validates its stacked effects in one batched pass, certifying
 positivity by a shifted Cholesky factorisation where it can and by
@@ -10,7 +10,9 @@ checks hold its verdicts and errors, and those of `DensityOperator` and
 `projective_oracle`, on built observables and on raw stacks. A grid of
 factor pairs tilted to commute up to about eps checks that every pair the
 commutation test passes builds a joint that reports, in the library and
-through the command line.
+through the command line. The commutation certificate in front of the
+joint's exact test is held to the route it takes and to the oracle's
+verdicts, on factors exactly and only nearly Hermitian.
 """
 
 import json
@@ -26,13 +28,18 @@ from qcorr import (
     Povm,
     QcorrError,
     QuantumScenario,
+    ValidationError,
+    bundled_scenario_names,
+    bundled_scenario_text,
     correlation_report,
     joint_from_commuting,
     scenario_to_jsonable,
 )
+from qcorr import observable
 from qcorr.cli import EXIT_OK, main
 from qcorr.hilbert import _max_abs
 from qcorr.observable import _pairwise_projective
+from qcorr.scenario import loads_scenario
 from qcorr.tolerance import EPS, validation_eps
 import projective_oracle
 
@@ -218,6 +225,8 @@ def test_eigensolver_failure_surfaces_as_convergence_failure(monkeypatch):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # the routes below are those of the default eps
+    monkeypatch.delenv("QCORR_EPS", raising=False)
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     # the certificate settles the identity without the eigensolver
     assert Povm(*_as_povm_input([np.eye(16)])).is_projective
@@ -473,6 +482,160 @@ def test_joint_effects_are_the_products_bit_for_bit():
     products = [a1.effect(l1) @ a2.effect(l2) for l1 in a1.space.labels for l2 in a2.space.labels]
     np.testing.assert_array_equal(joint._stack, np.array(products))
     assert not joint._stack.flags.writeable
+
+
+# the commutation certificate -------------------------------------------------
+
+
+@pytest.fixture
+def commutation_routes(monkeypatch):
+    """A list that gains the certificate's verdict on each call, and
+    "reverse" on each run of the exact test, which computes the reverse
+    products."""
+    routes = []
+    certify, check = observable._commutation_certified, observable._check_commutation
+
+    def certifying(*args):
+        routes.append(certify(*args))
+        return routes[-1]
+
+    def checking(*args):
+        routes.append("reverse")
+        return check(*args)
+
+    monkeypatch.setattr(observable, "_commutation_certified", certifying)
+    monkeypatch.setattr(observable, "_check_commutation", checking)
+    return routes
+
+
+def _dsweep_pair(dim, seed):
+    rng = np.random.default_rng(seed)
+    dim_a = int(np.sqrt(dim))
+    a1 = Povm(*_as_povm_input(_dsweep_effects(rng, dim_a, left=True)))
+    a2 = Povm(*_as_povm_input(_dsweep_effects(rng, dim_a, left=False)))
+    return a1, a2
+
+
+def _auto_commuting_pairs():
+    for name in bundled_scenario_names():
+        scenario = loads_scenario(bundled_scenario_text(name), source=name)
+        if isinstance(scenario, QuantumScenario) and scenario.joint is None:
+            yield name, scenario.observable_1, scenario.observable_2
+
+
+def test_dsweep_shapes_and_bundled_files_are_certified(monkeypatch, commutation_routes):
+    monkeypatch.delenv("QCORR_EPS", raising=False)
+    pairs = [_dsweep_pair(dim, dim) for dim in (16, 36, 64)]
+    bundled = [(a1, a2) for _, a1, a2 in _auto_commuting_pairs()]
+    assert len(bundled) == 6
+    for a1, a2 in pairs + bundled:
+        commutation_routes.clear()
+        joint_from_commuting(a1, a2)
+        assert commutation_routes == [True]  # no reverse product
+
+
+def _coordinate_pair(dim_a):
+    """The coordinate projectors of each factor of C^dA (x) C^dA: every row
+    and column norm 1, no skew, and products without rounding."""
+    eye = np.eye(dim_a)
+    units = [np.diag(row) for row in eye]
+    a1 = Povm(*_as_povm_input([np.kron(p, eye) for p in units]))
+    a2 = Povm(*_as_povm_input([np.kron(eye, p) for p in units]))
+    return a1, a2
+
+
+@pytest.mark.parametrize(
+    "pair, routes",
+    [
+        (lambda: _coordinate_pair(2), [True]),
+        (lambda: _coordinate_pair(3), [False, "reverse"]),
+        (lambda: _dsweep_pair(64, 47), [False, "reverse"]),
+    ],
+    ids=["coordinate-d4", "coordinate-d9", "dsweep-d64"],
+)
+def test_tiny_eps_falls_back_to_the_same_joint(monkeypatch, commutation_routes, pair, routes):
+    """At QCORR_EPS=1e-12 the rounding allowance delta of the coordinate
+    pairs is below eps/4 at d = 4 and between eps/4 and eps/2 at d = 9; at
+    d = 64 the dsweep-shaped pair's is above eps/2."""
+    monkeypatch.delenv("QCORR_EPS", raising=False)
+    a1, a2 = pair()
+    certified = joint_from_commuting(a1, a2)
+    monkeypatch.setenv("QCORR_EPS", "1e-12")
+    commutation_routes.clear()
+    exact = joint_from_commuting(a1, a2)
+    assert commutation_routes == routes
+    np.testing.assert_array_equal(exact._stack, certified._stack)
+    products = [a1.effect(l1) @ a2.effect(l2) for l1 in a1.space.labels for l2 in a2.space.labels]
+    np.testing.assert_array_equal(exact._stack, np.array(products))
+
+
+def _skewed(stacks, fraction, rng):
+    """Observables with E + t [E, Z] for each effect E of `stacks`, one
+    Hermitian Z for all: PVMs to first order in t, and commuting to first
+    order where the stacks commute. t puts the largest |E - E^H| at
+    `fraction` eps."""
+    dim = stacks[0].shape[1]
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    z += z.conj().T
+    commutators = [stack @ z - z @ stack for stack in stacks]
+    largest = max(np.abs(c - c.conj().transpose(0, 2, 1)).max() for c in commutators)
+    scale = fraction * validation_eps() / largest
+    return [
+        Povm(*_as_povm_input(list(stack + scale * c))) for stack, c in zip(stacks, commutators)
+    ]
+
+
+def test_nearly_hermitian_factors_fall_back_and_match_oracle(qcorr_eps, commutation_routes):
+    """Factors Hermitian only within eps, where the adjoint of the forward
+    product alone would move the verdict: the certificate declines, and the
+    exact test gives the oracle's verdict and message. The tilt grid's right
+    factors take a skew of 0.25 to 0.9 eps; commuting dsweep-shaped pairs
+    take one of 0.9 eps in both factors, and keep commuting."""
+    eps = validation_eps()
+    rng = np.random.default_rng(43)
+    verdicts = set()
+    grid = list(_tilt_grid(eps))
+    for (_, a1, a2), fraction in zip(grid, np.linspace(0.25, 0.9, len(grid))):
+        (skewed,) = _skewed([a2._stack], fraction, rng)
+        commutation_routes.clear()
+        verdict = assert_same_joint(a1, skewed)
+        assert commutation_routes == [False, "reverse"]
+        verdicts.add(verdict if verdict is True else verdict[0])
+    assert verdicts == {True, NonCommuting}
+    moved = 0
+    for trial in range(80):
+        dim_a = 2 + trial % 2
+        left = np.array(_dsweep_effects(rng, dim_a, left=True), dtype=complex)
+        right = np.array(_dsweep_effects(rng, dim_a, left=False), dtype=complex)
+        try:
+            a1, a2 = _skewed([left, right], 0.9, rng)
+        except ValidationError:
+            continue  # the skew pushed an eigenvalue below -eps
+        commutation_routes.clear()
+        assert assert_same_joint(a1, a2) is True
+        assert commutation_routes == [False, "reverse"]
+        forward = a1._stack[:, None] @ a2._stack
+        moved += _max_abs(forward - forward.conj().transpose(0, 1, 3, 2)) > eps
+    assert moved  # the adjoint alone would call these non-commuting
+
+
+# (commuting pairs certified, commuting pairs tested exactly) on the tilt grid
+TILT_GRID_ROUTES = {None: (46, 53), "1e-6": (46, 53), "1e-12": (16, 83)}
+
+
+def test_tilt_grid_routes(qcorr_eps, commutation_routes):
+    eps = validation_eps()
+    tally = {"certified": 0, "exact": 0, "non-commuting certified": 0}
+    for _, a1, a2 in _tilt_grid(eps):
+        commutation_routes.clear()
+        try:
+            joint_from_commuting(a1, a2)
+        except NonCommuting:
+            tally["non-commuting certified"] += commutation_routes[0]
+            continue
+        tally["certified" if commutation_routes[0] else "exact"] += 1
+    certified, exact = TILT_GRID_ROUTES[qcorr_eps]
+    assert tally == {"certified": certified, "exact": exact, "non-commuting certified": 0}
 
 
 # raw stacks ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from qcorr import (
     run_paper_example,
     run_scenario,
 )
+import qcorr.report
 import qcorr.scenario
 from qcorr.cli import _selftest_jsonable
 from qcorr.report import _json_text
@@ -155,6 +156,35 @@ def test_writer_writes_a_float_array_as_stdlib_writes_its_tolist(first, second):
     document = {"top": first, "nested": [{"array": second, "x": 1.5}, first], "empty": []}
     assert _json_text(document) == json.dumps(_tolist(document), indent=2)
     assert _json_text(second) == json.dumps(second.tolist(), indent=2)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(_FLOATS | st.none(), max_size=6),
+    st.lists(st.lists(_TEXT, max_size=3), max_size=4),
+    st.lists(_TEXT, max_size=4),
+)
+def test_writer_matches_stdlib_on_densities_outcomes_and_labels(density, outcomes, labels):
+    """Density lists holding None, lists of label lists and lists of text,
+    which the writer joins in one pass."""
+    document = {"density": density, "outcomes": outcomes, "nested": [labels, [outcomes, density]]}
+    assert _json_text(document) == json.dumps(document, indent=2)
+
+
+def test_outcomes_densities_and_labels_take_one_call(monkeypatch):
+    calls = []
+    write = qcorr.report._json_text
+
+    def counting(*args):
+        calls.append(None)
+        return write(*args)
+
+    monkeypatch.setattr(qcorr.report, "_json_text", counting)
+    outcomes = [["+1/2", "-1/2"], ["-1/2", "\u00e9\""]]
+    for part in (outcomes, [0.5, None, math.nan, -math.inf], [None, None], ["x", "y"]):
+        calls.clear()
+        assert qcorr.report._json_text(part) == json.dumps(part, indent=2)
+        assert len(calls) == 1
 
 
 def test_writer_rejects_what_stdlib_cannot_write():
