@@ -30,7 +30,9 @@ set to each in turn and compares stdout, stderr and the exit code:
   for the JSON decoder (100000 `[` then `]`), a missing file and bad
   command-line parameters complete the list
 - `selftest --trials 50` at seeds 1, 7, 11 and 42 in both formats, which
-  cover the observables and states the suites build for themselves
+  cover the observables and states the suites build for themselves, and
+  `selftest --seed 5 --trials 200` in both formats, whose d = 4 quantum
+  suites run in more than one stacked chunk
 
 Both trees read the same input files: the bundled ones of HEAD_SRC and the
 variants this script writes to a temporary directory. It prints one line per
@@ -259,6 +261,8 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
     for seed in ("1", "7", "11", "42"):
         for fmt in FORMATS:
             calls.append(["selftest", "--seed", seed, "--trials", "50", "--format", fmt])
+    for fmt in FORMATS:
+        calls.append(["selftest", "--seed", "5", "--trials", "200", "--format", fmt])
 
     variants = _malformed(read("separable.json"))
     variants.update(_malformed_classical(read("classical_fuzzy.json")))

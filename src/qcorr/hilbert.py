@@ -155,20 +155,9 @@ class DensityOperator:
 
     def __init__(self, matrix):
         arr = _as_complex_matrix(matrix, name="density matrix")
-        eps = validation_eps()
-        deviation = _hermitian_deviation(arr)
-        if deviation > eps:
-            raise ValidationError(
-                f"density matrix is not Hermitian (max deviation {deviation:.3e})"
-            )
-        trace = complex(np.trace(arr)).real
-        if abs(trace - 1.0) > eps:
-            raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-        smallest = float(_smallest_eigenvalues(arr[None], eps)[0])
-        if smallest < -eps:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {smallest:.3e}"
-            )
+        fault = _density_fault(arr[None], validation_eps())
+        if fault is not None:
+            raise ValidationError(fault)
         arr.setflags(write=False)
         self._matrix = arr
         self._spectral = None
@@ -195,10 +184,7 @@ class DensityOperator:
                 )
         weights = np.array([weight for weight, _ in components])
         vectors = np.array([state.vector for _, state in components])
-        terms = weights[:, None, None] * (vectors[:, :, None] * vectors.conj()[:, None, :])
-        # numpy sums over the leading axis from +0.0 in component order, as
-        # the running sum of one projector at a time did: the same bits
-        return cls(terms.sum(axis=0))
+        return cls(_mixture_matrix(weights, vectors))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -273,6 +259,27 @@ def _eigvalsh_smallest(stack: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(stack)[:, 0]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+
+
+def _density_fault(stack: np.ndarray, eps: float) -> str | None:
+    """Why `DensityOperator` rejects a matrix of the finite (n, d, d) complex
+    `stack` at eps, or None when it takes them all. Each test runs on the
+    whole stack in turn: the message is of the first matrix off Hermitian,
+    else of the first whose trace is off 1, else of the first with an
+    eigenvalue below -eps, which is only sought once every matrix passed
+    the first two tests."""
+    skew = np.abs(stack - stack.conj().swapaxes(1, 2))  # |D - D^H|, entrywise
+    if skew.max() > eps:
+        for deviation in skew.max(axis=(1, 2)).tolist():
+            if deviation > eps:
+                return f"density matrix is not Hermitian (max deviation {deviation:.3e})"
+    for trace in np.trace(stack, axis1=1, axis2=2).real.tolist():
+        if abs(trace - 1.0) > eps:
+            return f"density matrix trace is {trace!r}, expected 1"
+    for smallest in _smallest_eigenvalues(stack, eps).tolist():
+        if smallest < -eps:
+            return f"density matrix has negative eigenvalue {smallest:.3e}"
+    return None
 
 
 def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -381,17 +388,12 @@ class ConvexDecomposition:
         the arrays read-only."""
         if not len(weights):
             raise ValidationError("decomposition needs at least one component")
-        total = math.fsum(weights.tolist())
-        if abs(total - 1.0) > eps:
-            raise ValidationError(f"decomposition weights sum to {total!r}, expected 1")
+        fault = _mixture_fault(weights[None], vectors[None], target.matrix[None], eps)
+        if fault is not None:
+            raise ValidationError(fault)
         weights.setflags(write=False)
         vectors.setflags(write=False)
         self._weights, self._vectors, self._target = weights, vectors, target
-        error = _max_abs(self.reconstruction() - target.matrix)
-        if error > RECONSTRUCTION_TOL:
-            raise ValidationError(
-                f"decomposition does not reconstruct the target state (max entry error {error:.3e})"
-            )
 
     @classmethod
     def from_components(
@@ -424,13 +426,51 @@ class ConvexDecomposition:
 
     def reconstruction(self) -> np.ndarray:
         """sum(w_i |psi_i><psi_i|) as a fresh matrix."""
-        return (self._vectors.T * self._weights) @ self._vectors.conj()
+        return _reconstruction(self._weights, self._vectors)
 
     def __len__(self) -> int:
         return len(self._weights)
 
     def __repr__(self) -> str:
         return f"ConvexDecomposition(size={len(self)}, dim={self._target.dim})"
+
+
+def _mixture_matrix(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The matrix sum(w_i |psi_i><psi_i|) of `weights` (n,) and rows
+    `vectors` (n, d), one outer product at a time, or of a batch of them
+    along the same leading axes."""
+    terms = weights[..., None, None] * (vectors[..., :, None] * vectors.conj()[..., None, :])
+    # numpy sums over the component axis from +0.0 in component order, as
+    # the running sum of one projector at a time did: the same bits
+    return terms.sum(axis=-3)
+
+
+def _reconstruction(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum(w_i |psi_i><psi_i|) of `weights` (n,) and unit rows `vectors`
+    (n, d), or of a batch of them along the same leading axes."""
+    return (vectors.mT * weights[..., None, :]) @ vectors.conj()
+
+
+def _mixture_fault(
+    weights: np.ndarray, vectors: np.ndarray, targets: np.ndarray, eps: float
+) -> str | None:
+    """Why `ConvexDecomposition` rejects a mixture of a batch, weights
+    (B, n), rows (B, n, d) and target matrices (B, d, d), at eps, or None
+    when it takes them all: the first weight sum (exact, one `math.fsum`
+    per mixture) off 1, else the first reconstruction off its target."""
+    for row in weights.tolist():
+        total = math.fsum(row)
+        if abs(total - 1.0) > eps:
+            return f"decomposition weights sum to {total!r}, expected 1"
+    gap = np.abs(_reconstruction(weights, vectors) - targets)
+    if gap.max() > RECONSTRUCTION_TOL:
+        for error in gap.max(axis=(1, 2)).tolist():
+            if error > RECONSTRUCTION_TOL:
+                return (
+                    "decomposition does not reconstruct the target state "
+                    f"(max entry error {error:.3e})"
+                )
+    return None
 
 
 def spectral_decompose(state: DensityOperator) -> ConvexDecomposition:
@@ -479,14 +519,25 @@ def random_decomposition(
     if _integer(size, "size") < rank:
         raise ValidationError(f"size {size} is below the state rank {rank}")
     draws = rng.normal(size=(2, size, size))
-    ginibre = draws[0] + 1j * draws[1]
-    basis, _ = np.linalg.qr(ginibre)
-    isometry = basis[:, :rank]
-    scaled = np.sqrt(spectral._weights)[:, None] * spectral.vectors  # rank x dim
-    # One row-by-row product per component, batched: a single GEMM would
-    # round differently from the vector-matrix product of each row.
-    rows = np.matmul(isometry[:, None, :], scaled)[:, 0]
-    weights = np.vecdot(rows, rows).real
+    rows, weights = _isometry_rows(draws[0] + 1j * draws[1], spectral._weights, spectral.vectors)
     kept = weights > 1e-12
     weights, rows = weights[kept], rows[kept]
     return ConvexDecomposition._from_rows(weights, rows / np.sqrt(weights)[:, None], state)
+
+
+def _isometry_rows(
+    ginibre: np.ndarray, weights: np.ndarray, vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalised rows (n, d) of the mixture of the spectral
+    components, `weights` (r,) and C-contiguous unit `vectors` (r, d),
+    through the first r columns of the QR basis of `ginibre` (n, n), and
+    each row's squared norm. Every argument may carry the same leading batch
+    axes: one QR and one product per matrix, with the bits of each on its
+    own."""
+    basis, _ = np.linalg.qr(ginibre)
+    isometry = basis[..., : weights.shape[-1]]
+    scaled = np.sqrt(weights)[..., None] * vectors  # rank x dim
+    # One row-by-row product per component, batched: a single GEMM would
+    # round differently from the vector-matrix product of each row.
+    rows = np.matmul(isometry[..., None, :], scaled[..., None, :, :])[..., 0, :]
+    return rows, np.vecdot(rows, rows).real

@@ -372,14 +372,15 @@ def _nanmax(values: np.ndarray) -> float:
 
 def _quotient(num: np.ndarray, den: np.ndarray, outcomes: Sequence) -> np.ndarray:
     """num / den where den exceeds EPS, NaN elsewhere; `outcomes` labels the
-    flat entries for the error at the first point where num escapes den."""
+    flat entries for the error at the first point where num escapes den. A
+    batch of tables along leading axes is labelled table by table."""
     support = den > EPS
     escaped = (num > EPS) > support
     index = escaped.argmax()  # the first escaped point, if any
     if escaped.flat[index]:
         raise AbsoluteContinuityViolation(
-            f"numerator has mass {float(num.flat[index])!r} at {outcomes[index]!r} "
-            "where the denominator vanishes"
+            f"numerator has mass {float(num.flat[index])!r} at "
+            f"{outcomes[index % len(outcomes)]!r} where the denominator vanishes"
         )
     return np.maximum(num, 0.0) / np.where(support, den, np.nan)
 

@@ -102,12 +102,10 @@ class Povm:
         """Validate `stack` at `eps` and keep it: the one validation path of
         both constructors."""
         skew = _check_effects(tuple(space.outcomes), stack, eps)
+        fault = _completeness_fault(stack, eps)
+        if fault is not None:
+            raise ValidationError(fault)
         dim = stack.shape[1]
-        completeness = _max_abs(stack.sum(axis=0) - np.eye(dim))
-        if completeness > eps:
-            raise ValidationError(
-                f"effects do not sum to the identity (max deviation {completeness:.3e})"
-            )
         stack.setflags(write=False)
         self._space = space
         self._stack = stack
@@ -174,23 +172,35 @@ class Povm:
     def born_rows(self, vectors: np.ndarray) -> np.ndarray:
         """Outcome statistics <v|E(x)|v> (n x k) of the unit vectors stacked
         as the rows of `vectors` (n x dim)."""
-        applied = self._stack @ vectors.T  # k x dim x n
-        return np.einsum("na,kan->nk", vectors.conj(), applied).real
+        return _born_rows(self._stack, vectors)
 
     def __repr__(self) -> str:
         kind = "PVM" if self.is_projective else "POVM"
         return f"Povm({kind}, dim={self._dim}, outcomes={len(self._stack)})"
 
 
+def _born_rows(stack: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<v|E(x)|v> (n, k) of the rows of `vectors` (n, d) for the effects of
+    `stack` (k, d, d), or of a batch of both along the same leading axes."""
+    applied = stack @ vectors.mT[..., None, :, :]  # k x dim x n
+    return np.einsum("...na,...kan->...nk", vectors.conj(), applied).real
+
+
+def _trace_rule(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Tr(E(x) D) (k,) for the effects of `stack` (k, d, d) at the matrix D."""
+    return np.einsum("kab,ba->k", stack, matrix).real
+
+
 def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> float:
     """Raise for the first outcome whose effect in the (k, d, d) `stack` is
     not finite, then for the first that is not Hermitian or not PSD; return
-    the largest |Re| or |Im| of any entry of any skew E - E^H."""
+    the largest |Re| or |Im| of any entry of any skew E - E^H. The stack may
+    also hold several observables' effects one after another, (n k, d, d):
+    an error then names the outcome of the first offending effect."""
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
-        raise ValidationError(
-            f"effect at {outcomes[int(finite.argmin())]!r} contains non-finite entries"
-        )
+        index = int(finite.argmin()) % len(outcomes)
+        raise ValidationError(f"effect at {outcomes[index]!r} contains non-finite entries")
     skew = stack - np.conjugate(stack.transpose(0, 2, 1), order="C")
     largest = float(np.abs(skew.view(np.float64)).max())
     # the magnitudes are taken only when some effect is off Hermitian
@@ -202,23 +212,39 @@ def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> float:
     offending = np.flatnonzero((deviation > eps) | (smallest < -eps))
     if offending.size:
         index = offending[0]
+        outcome = outcomes[index % len(outcomes)]
         if deviation[index] > eps:
             raise ValidationError(
-                f"effect at {outcomes[index]!r} is not Hermitian "
+                f"effect at {outcome!r} is not Hermitian "
                 f"(max deviation {deviation[index]:.3e})"
             )
         raise ValidationError(
-            f"effect at {outcomes[index]!r} is not positive semidefinite "
+            f"effect at {outcome!r} is not positive semidefinite "
             f"(eigenvalue {smallest[index]:.3e})"
         )
     return largest
 
 
+def _completeness_fault(stack: np.ndarray, eps: float) -> str | None:
+    """Why `Povm` rejects the effects of the (k, d, d) `stack`, or of every
+    stack in a batch (..., k, d, d), at eps: the first whose effects sum
+    off the identity by more than eps; None when every sum is within."""
+    gap = np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))
+    if gap.max() > eps:
+        for deviation in gap.reshape(-1, gap.shape[-1] ** 2).max(axis=1).tolist():
+            if deviation > eps:
+                return f"effects do not sum to the identity (max deviation {deviation:.3e})"
+    return None
+
+
 def _pairwise_projective(stack: np.ndarray, eps: float) -> bool:
-    """Every max |E_i E_j - δ_ij E_i| within eps: each effect is multiplied
-    by the effects from it onward in one batched product."""
-    for i, effect in enumerate(stack):
-        products = effect @ stack[i:]
+    """Every max |E_i E_j - δ_ij E_i| within eps, for the effects of the
+    (k, d, d) `stack` or of every stack in a batch (..., k, d, d): each
+    effect is multiplied by the effects from it onward in one batched
+    product."""
+    effects = stack.swapaxes(0, -3)  # the effects first, any batch after them
+    for i, effect in enumerate(effects):
+        products = effect @ effects[i:]
         products[0] -= effect
         if _exceeds(products, eps):
             return False
@@ -236,7 +262,7 @@ def outcome_measure(observable: Povm, state: DensityOperator) -> DiscreteMeasure
         raise DimensionMismatch(
             f"observable dimension {observable.dim} does not match state dimension {state.dim}"
         )
-    weights = np.einsum("kab,ba->k", observable._stack, state.matrix).real
+    weights = _trace_rule(observable._stack, state.matrix)
     return _derived(DiscreteMeasure, observable.space, weights)
 
 
@@ -261,7 +287,7 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
     products = np.empty((k1, k2, dim, dim), dtype=complex)
     for left, row in zip(a1._stack, products):
         np.matmul(left, a2._stack, out=row)  # one row of the grid: E1(x) E2(y) for every y
-    if not _commutation_certified(a1, a2, products, eps):
+    if not _commutation_certified(a1._stack, a1._skew, a2._stack, a2._skew, products, eps):
         _check_commutation(a1, a2, products, eps)
     # the products are derived from validated factors and kept unchecked, as
     # measure._derived keeps derived measures: the commutation test is the
@@ -283,10 +309,21 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
     return joint
 
 
-def _commutation_certified(a1: Povm, a2: Povm, products: np.ndarray, eps: float) -> bool:
+def _commutation_certified(
+    stack1: np.ndarray,
+    skew1: float,
+    stack2: np.ndarray,
+    skew2: float,
+    products: np.ndarray,
+    eps: float,
+) -> bool:
     """Whether a rounding bound proves that `_check_commutation` passes on
-    the forward products `products` (k1, k2, d, d) of `a1` and `a2`, without
-    computing a reverse product.
+    the forward products `products` (k1, k2, d, d) of the effect stacks
+    `stack1` (k1, d, d) and `stack2` (k2, d, d), whose validation kept the
+    skews `skew1` and `skew2` (`Povm._skew`), without computing a reverse
+    product. For a batch of pairs, stacks (..., k, d, d) and the products of
+    every pair as rows (n k1, k2, d, d), with the skews of whole batches,
+    it certifies every pair: the bound of each is within the batch's.
 
     For exactly Hermitian factors E2 E1 = (E1 E2)^H, so the computed gap
     fl(E2 E1) - fl(E1 E2) differs from F - F^H, F = fl(E1 E2), by at most
@@ -303,9 +340,9 @@ def _commutation_certified(a1: Povm, a2: Povm, products: np.ndarray, eps: float)
     is not certified, and the exact test decides, as it does wherever a
     tiny eps and a large d put delta above eps/4.
     """
-    dim = a1.dim
-    s1, s2 = 1.5 * a1._skew, 1.5 * a2._skew
-    n1, n2 = _line_norm_bound(a1._stack, s1), _line_norm_bound(a2._stack, s2)
+    dim = stack1.shape[-1]
+    s1, s2 = 1.5 * skew1, 1.5 * skew2
+    n1, n2 = _line_norm_bound(stack1, s1), _line_norm_bound(stack2, s2)
     delta = 2 * _PRODUCT_SLACK * (dim + 2) * n1 * n2 + math.sqrt(dim) * (s2 * n1 + s1 * n2)
     if not delta <= eps / 4:
         return False
@@ -331,7 +368,7 @@ def _line_norm_bound(stack: np.ndarray, skew: float) -> float:
     column of E is a row of E^H = E - (E - E^H), so it is within sqrt(d)
     skew of a row of E."""
     squares = np.vecdot(stack, stack).real  # each row's sum of |entry|^2
-    return math.sqrt(squares.max()) + math.sqrt(stack.shape[1]) * skew
+    return math.sqrt(squares.max()) + math.sqrt(stack.shape[-1]) * skew
 
 
 def _check_commutation(a1: Povm, a2: Povm, products: np.ndarray, eps: float) -> None:

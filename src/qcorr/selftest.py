@@ -2,7 +2,10 @@
 
 Each suite draws its own generator from one seed, so a run is reproducible
 from the single reported number. A suite records the worst deviation it saw;
-a trial fails when that deviation crosses the suite tolerance.
+a trial fails when that deviation crosses the suite tolerance. The three
+d = 4 quantum suites take the draws of a chunk of trials first and compute
+the chunk on stacks, with the bits of their per-trial code, which replays
+any chunk the stacks cannot hold (see `_Stacked`).
 """
 
 from __future__ import annotations
@@ -22,13 +25,18 @@ from .classical_frame import (
     classical_report,
 )
 from .correlation import CorrelationReport, correlation_report
-from .errors import ValidationError
+from .errors import QcorrError, ValidationError
 from .hilbert import (
     ConvexDecomposition,
     DensityOperator,
     PureState,
+    _density_fault,
+    _isometry_rows,
     _kron,
+    _mixture_fault,
+    _mixture_matrix,
     _row_norms,
+    _unit_row_fault,
     random_decomposition,
     spectral_decompose,
 )
@@ -38,11 +46,24 @@ from .measure import (
     OutcomeSpace,
     ProductSpace,
     _integer,
+    _quotient,
     dirac,
     marginal,
+    mix_rows,
 )
-from .observable import Povm, joint_from_commuting, outcome_measure, spin_z_pair
-from .tolerance import PRODUCT_RULE_TOL
+from .observable import (
+    Povm,
+    _born_rows,
+    _check_effects,
+    _commutation_certified,
+    _completeness_fault,
+    _pairwise_projective,
+    _trace_rule,
+    joint_from_commuting,
+    outcome_measure,
+    spin_z_pair,
+)
+from .tolerance import EPS, PRODUCT_RULE_TOL, validation_eps
 
 __all__ = ["SuiteResult", "SelftestReport", "run_selftest"]
 
@@ -87,25 +108,26 @@ def _random_units(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return vectors / _row_norms(vectors)[:, None]
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
+def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random state matrix: a Ginibre matrix G, drawn real part first in
+    one call, as G G^H over its trace. The trial that draws it checks it."""
     draws = rng.normal(size=(2, dim, dim))
     ginibre = draws[0] + 1j * draws[1]
     matrix = ginibre @ ginibre.conj().T
-    return DensityOperator(matrix / np.trace(matrix).real)
+    return matrix / np.trace(matrix).real
 
 
 _BINARY = OutcomeSpace(("0", "1"))
 
 
-def _random_qubit_pvm_pair(rng: np.random.Generator) -> tuple[Povm, Povm]:
-    """Projective qubit observables acting on the two factors of C^2 (x) C^2."""
+def _random_qubit_pvm_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The effect stacks (2, 4, 4) of two projective qubit observables acting
+    on the two factors of C^2 (x) C^2; the trial that draws them checks them."""
     eye = np.eye(2, dtype=complex)
     units = _random_units(rng, 2, 2)
     projectors = units[:, :, None] * units.conj()[:, None, :]
     stacks = np.stack([projectors, eye - projectors], axis=1)
-    a1 = Povm._from_stack(_BINARY, _kron(stacks[0], eye))
-    a2 = Povm._from_stack(_BINARY, _kron(eye, stacks[1]))
-    return a1, a2
+    return _kron(stacks[0], eye), _kron(eye, stacks[1])
 
 
 def _random_simplex(
@@ -156,13 +178,41 @@ def _deviation_from_one(rho: DensityFunction | None) -> float:
     return math.inf if rho is None else rho.deviation_from(1.0)
 
 
-def _quantum_product_rule(rng: np.random.Generator) -> float:
+class _Drawn:
+    """Stands in for the generator of a trial whose draws were taken ahead:
+    hands `random_decomposition` the Ginibre draws it asks for."""
+
+    def __init__(self, normals: np.ndarray):
+        self._normals = normals
+
+    def normal(self, size) -> np.ndarray:
+        return self._normals
+
+
+def _mixing_draws(rng: np.random.Generator) -> np.ndarray:
+    """A decomposition size in 4..7, then the draws (2, size, size) that
+    `random_decomposition` takes for it."""
+    size = int(rng.integers(4, 8))
+    return rng.normal(size=(2, size, size))
+
+
+def _random_mixture(state: DensityOperator, mixing: np.ndarray) -> ConvexDecomposition:
+    """`random_decomposition` of `state` on the drawn `mixing`."""
+    return random_decomposition(state, mixing.shape[-1], _Drawn(mixing))
+
+
+def _product_rule_draws(rng: np.random.Generator) -> tuple:
+    return _random_density(rng, 4), _random_qubit_pvm_pair(rng), _mixing_draws(rng)
+
+
+def _quantum_product_rule(draws: tuple) -> float:
     """rho_c * rho_e recovers rho_t for random states, product projective
     observable pairs, and random decompositions."""
-    state = _random_density(rng, 4)
-    a1, a2 = _random_qubit_pvm_pair(rng)
+    matrix, effects, mixing = draws
+    state = DensityOperator(matrix)
+    a1, a2 = (Povm._from_stack(_BINARY, stack) for stack in effects)
     joint = joint_from_commuting(a1, a2)
-    dec = random_decomposition(state, int(rng.integers(4, 8)), rng)
+    dec = _random_mixture(state, mixing)
     return _residual(correlation_report(joint, a1, a2, dec))
 
 
@@ -178,13 +228,18 @@ def _classical_product_rule(rng: np.random.Generator) -> float:
     return _residual(classical_report(joint, a1, a2, state))
 
 
-def _invariance(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> float:
+def _invariance_draws(rng: np.random.Generator) -> tuple:
+    return _random_density(rng, 4), _mixing_draws(rng)
+
+
+def _invariance(spin: tuple[Povm, Povm, Povm], draws: tuple) -> float:
     """Total correlation depends only on the state: rebuilding the operator
     from two different decompositions leaves rho_t unchanged pointwise."""
     a1, a2, joint = spin
-    state = _random_density(rng, 4)
+    matrix, mixing = draws
+    state = DensityOperator(matrix)
     spectral = spectral_decompose(state)
-    shuffled = random_decomposition(state, int(rng.integers(4, 8)), rng)
+    shuffled = _random_mixture(state, mixing)
     rho_1, rho_2 = (
         correlation_report(
             joint, a1, a2, ConvexDecomposition.from_components(dec.components)
@@ -216,11 +271,16 @@ def _separable(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> float
     return _deviation_from_one(correlation_report(joint, a1, a2, dec).rho_e)
 
 
-def _marginals(rng: np.random.Generator) -> float:
+def _marginals_draws(rng: np.random.Generator) -> tuple:
+    return _random_density(rng, 4), _random_qubit_pvm_pair(rng)
+
+
+def _marginals(draws: tuple) -> float:
     """The joint built from a commuting product pair reproduces both factor
     statistics as marginals."""
-    state = _random_density(rng, 4)
-    a1, a2 = _random_qubit_pvm_pair(rng)
+    matrix, effects = draws
+    state = DensityOperator(matrix)
+    a1, a2 = (Povm._from_stack(_BINARY, stack) for stack in effects)
     joint = joint_from_commuting(a1, a2)
     joint_measure = outcome_measure(joint, state)
     deviation = 0.0
@@ -250,18 +310,231 @@ def _classical_dirac(rng: np.random.Generator) -> float:
     return _deviation_from_one(report.rho_c)
 
 
+# stacked chunks -------------------------------------------------------------
+
+# Trials a stacked suite draws and computes at a time: its stacks hold a few
+# hundred 4 x 4 matrices however many trials a run asks for.
+_CHUNK = 128
+
+
+class _Replay(Exception):
+    """A chunk the stacked kernel cannot hold: it replays trial by trial."""
+
+
+def _require(verdict) -> None:
+    if not verdict:
+        raise _Replay
+
+
+@dataclass(frozen=True)
+class _Stacked:
+    """A trial as `draw`, every generator call of one trial returning its
+    raw arrays, and `compute`, the per-object code on them. `kernel` takes
+    the draws of a whole chunk and returns their deviations, computed on
+    stacks with the bits of `compute`, or raises where `compute` would raise
+    or where a trial does not fit the stacks."""
+
+    draw: Callable[[np.random.Generator], tuple]
+    compute: Callable[[tuple], float]
+    kernel: Callable[[list], list]
+
+    def __call__(self, rng: np.random.Generator) -> float:
+        return self.compute(self.draw(rng))
+
+
+def _chunk_deviations(trial: Callable, rng: np.random.Generator, count: int) -> list:
+    """The deviations of the next `count` trials. A stacked trial draws them
+    all first. When its kernel declines the chunk, or a check it shares with
+    the per-object code raises, every trial is computed from its stored
+    draws in order, so an error is raised at its own trial with its own
+    message."""
+    if not isinstance(trial, _Stacked):
+        return [trial(rng) for _ in range(count)]
+    draws = [trial.draw(rng) for _ in range(count)]
+    try:
+        return trial.kernel(draws)
+    except (_Replay, QcorrError, np.linalg.LinAlgError):
+        return [trial.compute(draw) for draw in draws]
+
+
+def _densities_accepted(matrices: np.ndarray, eps: float) -> bool:
+    """Whether `DensityOperator` takes every matrix of the stack (b, d, d)."""
+    return bool(np.isfinite(matrices).all()) and _density_fault(matrices, eps) is None
+
+
+def _mixtures_accepted(
+    weights: np.ndarray, vectors: np.ndarray, targets: np.ndarray, eps: float
+) -> bool:
+    """Whether `ConvexDecomposition._from_rows` takes every mixture, weights
+    (b, n) and rows (b, n, d), of the targets (b, d, d): its unit-row and
+    positive-weight tests, then the weight sums and reconstructions."""
+    return (
+        _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps) is None
+        and not (~np.isfinite(weights) | (weights <= 0.0)).any()
+        and _mixture_fault(weights, vectors, targets, eps) is None
+    )
+
+
+def _stacked_states(draws: list) -> tuple[np.ndarray, float]:
+    """The chunk's state matrices (B, d, d), checked as `DensityOperator`
+    checks each, and the validation eps."""
+    matrices = np.array([draw[0] for draw in draws])
+    eps = validation_eps()
+    _require(_densities_accepted(matrices, eps))
+    return matrices, eps
+
+
+def _stacked_pairs(draws: list, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk's factor effects (B, k, d, d), each side checked as
+    `Povm._from_stack` checks it, and the joint effects (B, k k, d, d) of
+    each pair, checked as `joint_from_commuting` checks them."""
+    sides = tuple(np.array([draw[1][side] for draw in draws]) for side in (0, 1))
+    count, k, dim, _ = sides[0].shape
+    skews = []
+    for side in sides:
+        skews.append(_check_effects(_BINARY.outcomes, side.reshape(-1, dim, dim), eps))
+        _require(_completeness_fault(side, eps) is None)
+        _require(_pairwise_projective(side, eps))
+    products = np.empty((count, k, k, dim, dim), dtype=complex)
+    np.matmul(sides[0][:, :, None], sides[1][:, None], out=products)
+    rows = products.reshape(count * k, k, dim, dim)
+    _require(_commutation_certified(sides[0], skews[0], sides[1], skews[1], rows, eps))
+    return sides[0], sides[1], products.reshape(count, k * k, dim, dim)
+
+
+def _stacked_spectral(matrices: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """`spectral_decompose` of each state: weights (B, d) and C-contiguous
+    unit rows (B, d, d), when every state keeps all its eigenvalues. The
+    kept weights are then the eigenvalues times sum / sum = 1.0 exactly."""
+    values, vectors = np.linalg.eigh(matrices)
+    weights = values[:, ::-1].copy()
+    _require((weights > EPS).all())
+    rows = np.ascontiguousarray(vectors[:, :, ::-1].transpose(0, 2, 1))
+    _require(_mixtures_accepted(weights, rows, matrices, eps))
+    return weights, rows
+
+
+def _stacked_mixtures(
+    draws: list, weights: np.ndarray, rows: np.ndarray, matrices: np.ndarray, eps: float
+) -> list:
+    """`_random_mixture` of each state on its drawn mixing (the last draw),
+    in groups of one size: (trial indices, weights (b, n), unit rows
+    (b, n, d)) per size n, when no component weighs 1e-12 or less."""
+    sizes = [draw[-1].shape[-1] for draw in draws]
+    groups = []
+    for size in sorted(set(sizes)):
+        index = [i for i, s in enumerate(sizes) if s == size]
+        normals = np.array([draws[i][-1] for i in index])
+        mixed, norms = _isometry_rows(
+            normals[:, 0] + 1j * normals[:, 1], weights[index], rows[index]
+        )
+        _require((norms > 1e-12).all())
+        vectors = mixed / np.sqrt(norms)[..., None]
+        _require(_mixtures_accepted(norms, vectors, matrices[index], eps))
+        groups.append((index, norms, vectors))
+    return groups
+
+
+def _statistics(effects: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """`outcome_measure` weights (B, k) of the effects (B, k, d, d), or one
+    stack (k, d, d) for all, at each state of `matrices` (B, d, d): one
+    trace rule per state, since a batched einsum sums in another order."""
+    effects = np.broadcast_to(effects, (len(matrices),) + effects.shape[-3:])
+    return np.array([_trace_rule(stack, matrix) for stack, matrix in zip(effects, matrices)])
+
+
+def _tables(statistics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The joint and independent tables (B, 2, 2) of `split_report` from the
+    joint, left and right weights (B, 4 + 2 + 2) of each state."""
+    joint = statistics[:, :4].reshape(-1, 2, 2)
+    return joint, statistics[:, 4:6, None] * statistics[:, None, 6:8]
+
+
+def _nanmax_rows(values: np.ndarray) -> np.ndarray:
+    """`measure._nanmax` of each nonnegative table of a batch (B, ...)."""
+    return np.fmax.reduce(values.reshape(len(values), -1), axis=1, initial=0.0)
+
+
+def _finite_list(deviations: np.ndarray) -> list:
+    _require(np.isfinite(deviations).all())
+    return deviations.tolist()
+
+
+def _product_rule_kernel(draws: list) -> list:
+    matrices, eps = _stacked_states(draws)
+    left, right, joints = _stacked_pairs(draws, eps)
+    weights, rows = _stacked_spectral(matrices, eps)
+    joint, independent = _tables(_statistics(np.concatenate([joints, left, right], 1), matrices))
+    points = ProductSpace(_BINARY, _BINARY).points
+    residuals = np.empty(len(draws))
+    for index, mixed, vectors in _stacked_mixtures(draws, weights, rows, matrices, eps):
+        born = _born_rows(np.concatenate([left[index], right[index]], 1), vectors)
+        classical = np.array([mix_rows(w, b[:, :2], b[:, 2:]) for w, b in zip(mixed, born)])
+        rho_t = _quotient(joint[index], independent[index], points)
+        rho_c = _quotient(classical, independent[index], points)
+        rho_e = _quotient(joint[index], classical, points)
+        residuals[index] = _nanmax_rows(np.abs(rho_c * rho_e - rho_t))
+    return _finite_list(residuals)
+
+
+def _rebuilt_rho_t(
+    spin: tuple[Povm, Povm, Povm], weights: np.ndarray, vectors: np.ndarray, eps: float
+) -> np.ndarray:
+    """rho_t (b, 2, 2) at the state `ConvexDecomposition.from_components`
+    rebuilds from each mixture, weights (b, n) and unit rows (b, n, d)."""
+    a1, a2, joint = spin
+    matrices = _mixture_matrix(weights, vectors)
+    _require(_densities_accepted(matrices, eps))
+    _require(_mixtures_accepted(weights, vectors, matrices, eps))
+    effects = np.concatenate([joint._stack, a1._stack, a2._stack])
+    return _quotient(*_tables(_statistics(effects, matrices)), joint.space.points)
+
+
+def _invariance_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
+    matrices, eps = _stacked_states(draws)
+    weights, rows = _stacked_spectral(matrices, eps)
+    spectral = _rebuilt_rho_t(spin, weights, rows, eps)
+    gaps = np.empty(len(draws))
+    for index, mixed, vectors in _stacked_mixtures(draws, weights, rows, matrices, eps):
+        shuffled = _rebuilt_rho_t(spin, mixed, vectors, eps)
+        gaps[index] = _nanmax_rows(np.abs(spectral[index] - shuffled))
+    return _finite_list(gaps)
+
+
+def _marginals_kernel(draws: list) -> list:
+    matrices, eps = _stacked_states(draws)
+    left, right, joints = _stacked_pairs(draws, eps)
+    statistics = _statistics(np.concatenate([joints, left, right], 1), matrices)
+    grid = statistics[:, :4].reshape(-1, 2, 2)
+    reduced = np.concatenate([grid.sum(axis=2), grid.sum(axis=1)], axis=1)
+    gaps = np.abs(reduced - statistics[:, 4:])
+    _require(np.isfinite(gaps).all())
+    return _nanmax_rows(gaps).tolist()
+
+
 def _suites() -> tuple:
     """(name, tolerance, trial) for every suite, in report order. The spin
     pair is built per call, so it follows the validation eps in force."""
     spin = spin_z_pair()
+    product_rule = _Stacked(_product_rule_draws, _quantum_product_rule, _product_rule_kernel)
+    invariance = _Stacked(
+        _invariance_draws, partial(_invariance, spin), partial(_invariance_kernel, spin)
+    )
+    marginals = _Stacked(_marginals_draws, _marginals, _marginals_kernel)
     return (
-        ("quantum-product-rule", PRODUCT_RULE_TOL, _quantum_product_rule),
+        ("quantum-product-rule", PRODUCT_RULE_TOL, product_rule),
         ("classical-product-rule", PRODUCT_RULE_TOL, _classical_product_rule),
-        ("total-correlation-invariance", INVARIANCE_TOL, partial(_invariance, spin)),
+        ("total-correlation-invariance", INVARIANCE_TOL, invariance),
         ("separable-no-entanglement", SEPARABLE_TOL, partial(_separable, spin)),
-        ("joint-marginal-consistency", MARGINAL_TOL, _marginals),
+        ("joint-marginal-consistency", MARGINAL_TOL, marginals),
         ("classical-dirac-triviality", DIRAC_TOL, _classical_dirac),
     )
+
+
+def _deviations(trial: Callable, rng: np.random.Generator, trials: int):
+    """Each trial's deviation in trial order, `_CHUNK` trials at a time."""
+    for start in range(0, trials, _CHUNK):
+        yield from _chunk_deviations(trial, rng, min(_CHUNK, trials - start))
 
 
 def _run_suite(
@@ -273,10 +546,13 @@ def _run_suite(
 ) -> SuiteResult:
     """Run `trial` `trials` times on `rng`; each call draws its inputs and
     returns the deviation that `tolerance` bounds. The worst deviation is
-    folded from 0 in trial order; one at or above `tolerance` is a failure."""
-    deviations = [trial(rng) for _ in range(trials)]
-    failures = sum(deviation >= tolerance for deviation in deviations)
-    return SuiteResult(name, trials, failures, max(0.0, *deviations), tolerance)
+    folded from 0 in trial order, as max(0.0, *deviations) folds it; one at
+    or above `tolerance` is a failure."""
+    failures, worst = 0, 0.0
+    for deviation in _deviations(trial, rng, trials):
+        failures += deviation >= tolerance
+        worst = max(worst, deviation)
+    return SuiteResult(name, trials, failures, worst, tolerance)
 
 
 def run_selftest(seed: int | None = None, trials: int = 200) -> SelftestReport:

@@ -1,6 +1,7 @@
 """The selftest trial loop, its suite table and its input builders."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -81,9 +82,10 @@ def _random_unit(rng, dim):
 
 
 def _reference_random_density(rng, dim):
+    """The state matrix, drawn one Ginibre part at a time and validated."""
     ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     matrix = ginibre @ ginibre.conj().T
-    return DensityOperator(matrix / np.trace(matrix).real)
+    return DensityOperator(matrix / np.trace(matrix).real).matrix
 
 
 def _reference_random_simplex(rng, size, floor=0.0):
@@ -128,7 +130,7 @@ def test_random_density_draws_the_bits_of_two_ginibre_calls(qcorr_eps, dim):
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = qcorr.selftest._random_density(rng, dim)
         want = _reference_random_density(reference_rng, dim)
-        _same_bits_and_stream(got.matrix, want.matrix, rng, reference_rng)
+        _same_bits_and_stream(got, want, rng, reference_rng)
 
 
 @pytest.mark.parametrize("outcomes", [2, 4])
@@ -144,7 +146,8 @@ def test_random_kernel_draws_the_bits_of_one_simplex_per_row(qcorr_eps, points, 
 
 
 def _reference_pvm_pair(rng):
-    """The qubit pair built with np.kron and the mapping constructor."""
+    """The qubit pair's effect stacks, built with np.kron and the mapping
+    constructor."""
     eye = np.eye(2, dtype=complex)
     left = _random_unit(rng, 2)
     right = _random_unit(rng, 2)
@@ -152,7 +155,7 @@ def _reference_pvm_pair(rng):
     q = np.outer(right, right.conj())
     a1 = Povm(_BINARY, {"0": np.kron(p, eye), "1": np.kron(eye - p, eye)})
     a2 = Povm(_BINARY, {"0": np.kron(eye, q), "1": np.kron(eye, eye - q)})
-    return a1, a2
+    return a1._stack, a2._stack
 
 
 def _reference_product_vectors(rng, count):
@@ -188,12 +191,9 @@ def test_pvm_pair_has_the_bits_of_np_kron_and_the_mapping_constructor():
         pair = qcorr.selftest._random_qubit_pvm_pair(rng)
         reference = _reference_pvm_pair(reference_rng)
         for got, want in zip(pair, reference):
-            assert got.space == want.space
-            assert got._stack.dtype == want._stack.dtype
-            assert got._stack.shape == want._stack.shape
-            assert got._stack.tobytes() == want._stack.tobytes()
-            assert not got._stack.flags.writeable
-            stacks.append(got._stack)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            stacks.append(got)
         assert rng.random() == reference_rng.random()
     assert _negative_zeros(stacks) > 0  # the byte comparison saw signed zeros
 
@@ -222,13 +222,34 @@ def test_selftest_reports_the_same_bits_with_the_reference_builders(qcorr_eps, m
 
     seeds = (1, 7, 11, 42)
     built = [deviations(seed) for seed in seeds]
-    monkeypatch.setattr(qcorr.selftest, "_random_qubit_pvm_pair", _reference_pvm_pair)
-    monkeypatch.setattr(qcorr.selftest, "_product_vectors", _reference_product_vectors)
-    monkeypatch.setattr(qcorr.selftest, "spin_z_pair", _reference_spin_z_pair)
-    monkeypatch.setattr(qcorr.selftest, "_random_density", _reference_random_density)
-    monkeypatch.setattr(qcorr.selftest, "_random_kernel", _reference_random_kernel)
-    monkeypatch.setattr(qcorr.selftest, "_random_simplex", _reference_random_simplex)
+    calls = Counter()
+
+    def counted(name, reference):
+        def builder(*args, **kwargs):
+            calls[name] += 1
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(qcorr.selftest, name, builder)
+
+    counted("_random_qubit_pvm_pair", _reference_pvm_pair)
+    counted("_product_vectors", _reference_product_vectors)
+    counted("spin_z_pair", _reference_spin_z_pair)
+    counted("_random_density", _reference_random_density)
+    counted("_random_kernel", _reference_random_kernel)
+    counted("_random_simplex", _reference_random_simplex)
     assert [deviations(seed) for seed in seeds] == built
+    # every reference builder drove the run: the three d = 4 quantum suites
+    # draw a state per trial, two of them a pair, the classical suites two
+    # kernels and the separable and classical product-rule suites a simplex
+    runs = 10 * len(seeds)
+    assert calls == {
+        "_random_density": 3 * runs,
+        "_random_qubit_pvm_pair": 2 * runs,
+        "_product_vectors": runs,
+        "_random_kernel": 4 * runs,
+        "_random_simplex": 2 * runs,
+        "spin_z_pair": len(seeds),
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,278 @@
+"""The stacked chunks of the three d = 4 quantum selftest suites against the
+one-trial-at-a-time oracle in `selftest_oracle`: the same deviation bits per
+trial, the same suite results, and the same errors at the same trial when a
+chunk replays through the per-trial compute step."""
+
+import dataclasses
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+
+import qcorr.selftest
+import selftest_oracle
+from qcorr import AbsoluteContinuityViolation, DensityOperator, ValidationError, spin_z_pair
+from qcorr.hilbert import _density_fault
+from qcorr.measure import _quotient
+from qcorr.observable import (
+    _check_effects,
+    _commutation_certified,
+    _completeness_fault,
+    _pairwise_projective,
+)
+from qcorr.selftest import _BINARY
+from qcorr.tolerance import validation_eps
+
+NAMES = ("quantum-product-rule", "total-correlation-invariance", "joint-marginal-consistency")
+SEEDS = range(24)
+
+
+@pytest.fixture(params=[None, "1e-10", "1e-6", "1e-12"])
+def any_eps(request, monkeypatch):
+    if request.param is None:
+        monkeypatch.delenv("QCORR_EPS", raising=False)
+    else:
+        monkeypatch.setenv("QCORR_EPS", request.param)
+    return request.param
+
+
+def _suite(name):
+    """(tolerance, stacked trial, oracle trial) of the named suite."""
+    for suite, tolerance, trial in qcorr.selftest._suites():
+        if suite == name:
+            break
+    spin = spin_z_pair()
+    oracle = {
+        "quantum-product-rule": selftest_oracle._quantum_product_rule,
+        "total-correlation-invariance": partial(selftest_oracle._invariance, spin),
+        "joint-marginal-consistency": selftest_oracle._marginals,
+    }[name]
+    return tolerance, trial, oracle
+
+
+def _spied(trial):
+    """`trial` with its compute step and kernel counting their calls: the
+    compute step runs only when a chunk replays."""
+    calls = {"compute": 0, "chunks": []}
+
+    def compute(draws):
+        calls["compute"] += 1
+        return trial.compute(draws)
+
+    def kernel(draws):
+        calls["chunks"].append(len(draws))
+        return trial.kernel(draws)
+
+    return dataclasses.replace(trial, compute=compute, kernel=kernel), calls
+
+
+def _oracle_result(oracle, rng, tolerance, trials):
+    deviations = [oracle(rng) for _ in range(trials)]
+    failures = sum(deviation >= tolerance for deviation in deviations)
+    return deviations, failures, max(0.0, *deviations)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("trials, chunk", [(1, None), (2, None), (10, None), (5, 4)])
+def test_stacked_chunks_have_the_oracle_bits(any_eps, monkeypatch, name, trials, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(qcorr.selftest, "_CHUNK", chunk)
+    tolerance, trial, oracle = _suite(name)
+    spied, calls = _spied(trial)
+    for seed in SEEDS:
+        got = list(qcorr.selftest._deviations(spied, np.random.default_rng(seed), trials))
+        result = qcorr.selftest._run_suite(
+            name, tolerance, spied, np.random.default_rng(seed), trials
+        )
+        want, failures, worst = _oracle_result(
+            oracle, np.random.default_rng(seed), tolerance, trials
+        )
+        rng = np.random.default_rng(seed)
+        replayed = [trial(rng) for _ in range(trials)]  # compute(draw(rng)), trial by trial
+        assert all(type(deviation) is float for deviation in got)
+        assert [d.hex() for d in got] == [d.hex() for d in want] == [d.hex() for d in replayed]
+        assert (result.failures, result.max_deviation.hex()) == (failures, worst.hex())
+    # every chunk was held on the stacks: the comparison is with the kernel
+    assert calls["compute"] == 0
+    expected = [chunk, trials - chunk] if chunk else [trials]
+    assert calls["chunks"] == expected * 2 * len(SEEDS)
+
+
+def _corrupting(build, corrupt, at=3):
+    """`build` (rng, dim) with its output at call `at` replaced by
+    `corrupt` of it."""
+    count = iter(range(1, 1 << 30))
+
+    def builder(rng, dim):
+        matrix = build(rng, dim)
+        return corrupt(matrix) if next(count) == at else matrix
+
+    return builder
+
+
+def _with_nan(matrix):
+    matrix = matrix.copy()
+    matrix[1, 2] = math.nan
+    return matrix
+
+
+def _off_hermitian(matrix):
+    matrix = matrix.copy()
+    matrix[0, 1] += 2 * validation_eps()
+    return matrix
+
+
+def _rank_three(matrix):
+    values, vectors = np.linalg.eigh(matrix)
+    values[0] = 0.0
+    rebuilt = (vectors * values) @ vectors.conj().T
+    return rebuilt / np.trace(rebuilt).real
+
+
+def _patched_runs(monkeypatch, name, corrupt):
+    """The stacked and the oracle run of 10 trials of the named suite at
+    seed 4 with the third state corrupted, as (stacked outcome, oracle
+    outcome, spy calls); an outcome is the deviations or the exception."""
+    build = qcorr.selftest._random_density
+    monkeypatch.setattr(qcorr.selftest, "_random_density", _corrupting(build, corrupt))
+    oracle_build = _corrupting(build, corrupt)
+    monkeypatch.setattr(
+        selftest_oracle,
+        "_random_density",
+        lambda rng, dim: DensityOperator(oracle_build(rng, dim)),
+    )
+    _, trial, oracle = _suite(name)
+    spied, calls = _spied(trial)
+
+    def outcome(run):
+        try:
+            return [d.hex() for d in run()]
+        except Exception as exc:  # the error itself is compared
+            return type(exc), str(exc)
+
+    rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+    got = outcome(lambda: list(qcorr.selftest._deviations(spied, rng, 10)))
+    want = outcome(lambda: [oracle(oracle_rng) for _ in range(10)])
+    return got, want, calls
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("corrupt", [_with_nan, _off_hermitian])
+def test_a_chunk_with_an_invalid_state_replays_to_the_oracle_error(
+    any_eps, monkeypatch, name, corrupt
+):
+    got, want, calls = _patched_runs(monkeypatch, name, corrupt)
+    assert isinstance(want, tuple), "the oracle must reject the third state"
+    assert got == want
+    # replayed from the stored draws: trials 1 and 2 computed, 3 raised
+    assert calls["chunks"] == [10]
+    assert calls["compute"] == 3
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_rank_three_state_gives_the_oracle_bits(any_eps, monkeypatch, name):
+    got, want, calls = _patched_runs(monkeypatch, name, _rank_three)
+    assert isinstance(want, list) and got == want
+    if name == "joint-marginal-consistency":
+        # no spectral split: the stacks hold a rank-deficient state
+        assert calls["compute"] == 0
+    else:
+        # the split drops an eigenvalue, so the whole chunk replays
+        assert calls["compute"] == 10
+
+
+def test_draws_are_taken_a_chunk_at_a_time(monkeypatch):
+    monkeypatch.setattr(qcorr.selftest, "_CHUNK", 3)
+    _, trial, _ = _suite("quantum-product-rule")
+    spied, calls = _spied(trial)
+    deviations = qcorr.selftest._deviations(spied, np.random.default_rng(0), 8)
+    next(deviations)
+    assert calls["chunks"] == [3]  # the later chunks are not drawn yet
+    assert len(list(deviations)) == 7
+    assert calls["chunks"] == [3, 3, 2]
+
+
+# the helpers the stacks run through, with a leading batch axis -------------
+
+
+def _qubit_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    pairs = [qcorr.selftest._random_qubit_pvm_pair(rng) for _ in range(count)]
+    return tuple(np.array([pair[side] for pair in pairs]) for side in (0, 1))
+
+
+def test_batched_projectivity_is_every_stack_projective():
+    eps = validation_eps()
+    left, _ = _qubit_pairs(0, 6)
+    assert _pairwise_projective(left, eps)
+    assert all(_pairwise_projective(stack, eps) for stack in left)
+    for index in range(len(left)):
+        tilted = left.copy()
+        tilted[index, 1] += 2 * eps * np.eye(4)  # E1 E1 - E1 is now off by 2 eps
+        assert not _pairwise_projective(tilted[index], eps)
+        assert not _pairwise_projective(tilted, eps)
+
+
+def test_batched_commutation_certificate_certifies_every_pair():
+    eps = validation_eps()
+    left, right = _qubit_pairs(1, 5)
+    skews = [
+        _check_effects(_BINARY.outcomes, side.reshape(-1, 4, 4), eps) for side in (left, right)
+    ]
+    products = left[:, :, None] @ right[:, None]
+    assert _commutation_certified(
+        left, skews[0], right, skews[1], products.reshape(-1, 2, 4, 4), eps
+    )
+    for a, b, grid in zip(left, right, products):
+        single = [_check_effects(_BINARY.outcomes, side, eps) for side in (a, b)]
+        assert _commutation_certified(a, single[0], b, single[1], grid, eps)
+    # one pair that does not commute keeps the batch from being certified
+    bad = right.copy()
+    bad[3] = left[4]  # another pair's projector on the same left factor
+    skews[1] = _check_effects(_BINARY.outcomes, bad.reshape(-1, 4, 4), eps)
+    products = left[:, :, None] @ bad[:, None]
+    assert not _commutation_certified(
+        left, skews[0], bad, skews[1], products.reshape(-1, 2, 4, 4), eps
+    )
+
+
+def test_errors_on_a_batch_name_the_outcome_of_the_first_offender():
+    eps = validation_eps()
+    left, _ = _qubit_pairs(2, 3)
+    flat = left.reshape(-1, 4, 4).copy()
+    flat[3, 0, 1] += 2 * eps  # the second observable's effect at "1"
+    with pytest.raises(ValidationError, match=r"^effect at '1' is not Hermitian"):
+        _check_effects(_BINARY.outcomes, flat, eps)
+    flat[3, 0, 0] = math.nan
+    with pytest.raises(ValidationError, match=r"^effect at '1' contains non-finite entries$"):
+        _check_effects(_BINARY.outcomes, flat, eps)
+    points = ((0, 0), (0, 1), (1, 0), (1, 1))
+    num, den = np.full((3, 2, 2), 0.25), np.full((3, 2, 2), 0.25)
+    den[2, 1, 0] = 0.0
+    with pytest.raises(AbsoluteContinuityViolation, match=r"at \(1, 0\) where"):
+        _quotient(num, den, points)
+
+
+def test_faults_on_a_batch_are_those_of_the_first_offender():
+    eps = validation_eps()
+    rng = np.random.default_rng(3)
+    states = np.array([qcorr.selftest._random_density(rng, 4) for _ in range(4)])
+    assert _density_fault(states, eps) is None
+    bad = states.copy()
+    bad[2, 0, 1] += 3 * eps
+    bad[3, 0, 1] += 2 * eps
+    with pytest.raises(ValidationError) as excinfo:
+        DensityOperator(bad[2])
+    assert _density_fault(bad, eps) == str(excinfo.value)
+    bad = states.copy()
+    bad[1] *= 1 + 4 * eps
+    with pytest.raises(ValidationError) as excinfo:
+        DensityOperator(bad[1])
+    assert _density_fault(bad, eps) == str(excinfo.value)
+    left, _ = _qubit_pairs(4, 3)
+    assert _completeness_fault(left, eps) is None
+    left[1, 0] *= 1 + 4 * eps
+    with pytest.raises(ValidationError) as excinfo:
+        qcorr.Povm._from_stack(_BINARY, left[1].copy())
+    assert _completeness_fault(left, eps) == str(excinfo.value)
