@@ -32,7 +32,9 @@ set to each in turn and compares stdout, stderr and the exit code:
 - `selftest --trials 50` at seeds 1, 7, 11 and 42 in both formats, which
   cover the observables and states the suites build for themselves, and
   `selftest --seed 5 --trials 200` in both formats, whose d = 4 quantum
-  suites run in more than one stacked chunk
+  suites run in more than one stacked chunk, and `selftest --seed 3
+  --trials 129` in both formats, whose last chunk holds one trial, so that
+  every stacked step also runs on a batch of one
 
 Both trees read the same input files: the bundled ones of HEAD_SRC and the
 variants this script writes to a temporary directory. It prints one line per
@@ -263,6 +265,7 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
             calls.append(["selftest", "--seed", seed, "--trials", "50", "--format", fmt])
     for fmt in FORMATS:
         calls.append(["selftest", "--seed", "5", "--trials", "200", "--format", fmt])
+        calls.append(["selftest", "--seed", "3", "--trials", "129", "--format", fmt])
 
     variants = _malformed(read("separable.json"))
     variants.update(_malformed_classical(read("classical_fuzzy.json")))

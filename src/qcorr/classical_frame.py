@@ -118,9 +118,11 @@ class ClassicalObservable:
         return self._matrix
 
     def row(self, point) -> DiscreteMeasure:
+        """The held kernel row at `point`, as checked when the observable was
+        built (or derived from checked rows), not checked again."""
         if point not in self._domain:
             raise UnknownLabel(f"{point!r} is not a phase-space point")
-        return DiscreteMeasure.from_array(self._codomain, self._matrix[self._domain.index[point]])
+        return _derived(DiscreteMeasure, self._codomain, self._matrix[self._domain.index[point]])
 
     def __repr__(self) -> str:
         return (

@@ -9,8 +9,9 @@ part) and rho_e the remainder attributable to the components themselves
 (probabilistic entanglement). Both factors, unlike rho_t, depend on the
 chosen decomposition.
 
-`split_report` computes that split for both frames: it mixes per-component
-outcome rows into the classical product and divides the measures.
+`_split` is that split, the one of both frames and of the stacked selftest
+suites, on one table or a batch: it mixes per-component outcome rows into
+the classical product and divides the measures. `split_report` reports one.
 """
 
 from __future__ import annotations
@@ -115,27 +116,14 @@ def split_report(
 
     Both frames report through here: the rows are the components' Born-rule
     statistics (quantum) or the kernel rows at each phase point (classical).
-    rho_t = joint / product of the marginals, rho_c = classical / product and
-    rho_e = joint / classical. A joint escaping the product's support raises
-    AbsoluteContinuityViolation; a factor that does not exist is recorded
+    The split is `_split`'s; a joint escaping the product's support raises
+    AbsoluteContinuityViolation, a factor that does not exist is recorded
     instead. The size is None for the canonical (classical) split.
     """
     space = joint_measure.space
-    joint = joint_measure.as_array().reshape(len(space.left), len(space.right))
-    independent = np.multiply.outer(marginal_1.as_array(), marginal_2.as_array())
-    classical = mix_rows(weights, rows_1, rows_2)
-    points = space.points
-    rho_t = _quotient(joint, independent, points)
-    factors = []
-    for num, den in ((classical, independent), (joint, classical)):
-        try:
-            factors.append((_quotient(num, den, points), None))
-        except AbsoluteContinuityViolation as exc:
-            factors.append((None, str(exc)))
-    (rho_c, rho_c_error), (rho_e, rho_e_error) = factors
-    residual = None
-    if rho_c is not None and rho_e is not None:
-        residual = _nanmax(np.abs(rho_c * rho_e - rho_t))
+    measures = joint_measure.as_array(), marginal_1.as_array(), marginal_2.as_array()
+    split = _split(*measures, weights, rows_1, rows_2, space.points)
+    independent, rho_t, classical, (rho_c, rho_c_error), (rho_e, rho_e_error), residual = split
 
     def view(values):
         return None if values is None else _derived(DensityFunction, space, values)
@@ -151,7 +139,38 @@ def split_report(
         rho_e=view(rho_e),
         rho_c_error=rho_c_error,
         rho_e_error=rho_e_error,
-        product_rule_residual=residual,
+        product_rule_residual=None if residual is None else float(residual),
         decomposition_source=source,
         decomposition_size=None if source == "canonical" else len(weights),
     )
+
+
+def _total(joint: np.ndarray, marginal_1: np.ndarray, marginal_2: np.ndarray, points) -> tuple:
+    """The joint table (k1, k2) of the joint weights (k1 k2,), the product
+    of the marginal weights (k1,) and (k2,), and rho_t = joint / product,
+    for one table or each of a batch (`_split`); raises at the first escape."""
+    independent = marginal_1[..., :, None] * marginal_2[..., None, :]
+    joint = joint.reshape(independent.shape)
+    return joint, independent, _quotient(joint, independent, points)
+
+
+def _split(joint, marginal_1, marginal_2, weights, rows_1, rows_2, points) -> tuple:
+    """The correlation split of the joint weights (k1 k2,) and marginal
+    weights (k1,) and (k2,), or of each of a batch along the same leading
+    axes: the product of the marginals and rho_t (`_total`), the classical
+    product `mix_rows` of `weights` (n,) over the rows (n, k1) and (n, k2),
+    (rho_c, error), (rho_e, error) and max |rho_c rho_e - rho_t|. A factor
+    that does not exist is None with its first escape, the residual None."""
+    joint, independent, rho_t = _total(joint, marginal_1, marginal_2, points)
+    classical = mix_rows(weights, rows_1, rows_2)
+    factors = []
+    for num, den in ((classical, independent), (joint, classical)):
+        try:
+            factors.append((_quotient(num, den, points), None))
+        except AbsoluteContinuityViolation as exc:
+            factors.append((None, str(exc)))
+    (rho_c, _), (rho_e, _) = factors
+    residual = None
+    if rho_c is not None and rho_e is not None:
+        residual = _nanmax(np.abs(rho_c * rho_e - rho_t).reshape(rho_t.shape[:-2] + (-1,)))
+    return independent, rho_t, classical, factors[0], factors[1], residual

@@ -50,7 +50,7 @@ def _max_abs(arr: np.ndarray) -> float:
 
 
 def _hermitian_deviation(arr: np.ndarray) -> float:
-    return _max_abs(arr - arr.conj().T)
+    return _max_abs(arr - arr.conj().mT)
 
 
 def _exceeds(arr: np.ndarray, eps: float, bound: float | None = None) -> bool:
@@ -295,7 +295,8 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigensystem(arr: np.ndarray, name: str, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """`hermitian_eigensystem` of the finite square `arr`, checked Hermitian at `eps`."""
+    """`hermitian_eigensystem` of the finite square `arr`, or of every matrix
+    of a batch (B, d, d) in one `eigh`, checked Hermitian at `eps`."""
     deviation = _hermitian_deviation(arr)
     if deviation > eps:
         raise NonHermitianInput(f"{name} is not Hermitian (max deviation {deviation:.3e})")
@@ -303,7 +304,7 @@ def _eigensystem(arr: np.ndarray, name: str, eps: float) -> tuple[np.ndarray, np
         values, vectors = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    return values[::-1].copy(), vectors[:, ::-1].copy()
+    return values[..., ::-1].copy(), vectors[..., ::-1].copy()
 
 
 _PAIRS = "decomposition components must be (weight, PureState) pairs"
@@ -352,7 +353,7 @@ class ConvexDecomposition:
                 )
             weights.append(weight)
             vectors.append(state.vector)
-        self._adopt(np.array(weights), np.array(vectors), target, validation_eps())
+        self._adopt(np.array(weights), np.array(vectors), target, validation_eps(), _mixture_fault)
 
     @classmethod
     def _from_rows(
@@ -362,33 +363,30 @@ class ConvexDecomposition:
         (n, d), which it takes over. Runs the checks of building a PureState
         per row and then the public constructor, in that order, with the same
         messages: each row finite and of unit norm, then each weight positive
-        and the dimension, then the sum and the reconstruction."""
+        and the dimension, then the size, the sum and the reconstruction."""
         eps = validation_eps()
-        fault = _unit_row_fault(vectors, eps)
-        if fault is not None:
-            raise ValidationError(fault[1])
-        bad = ~np.isfinite(weights) | (weights <= 0.0)
-        dim_ok = vectors.shape[1] == target.dim
-        if bad.any() and (dim_ok or bad[0]):
-            weight = float(weights[bad.argmax()])
-            raise ValidationError(f"decomposition weight {weight!r} must be positive")
-        if not dim_ok and len(weights):
+        if len(weights) and vectors.shape[1] != target.dim:
+            # the public constructor meets the first dimension before a later weight
+            fault = _rows_fault(weights[None, :1], vectors[None], None, eps)
+            if fault is not None:
+                raise ValidationError(fault)
             raise DimensionMismatch(
                 f"component dimension {vectors.shape[1]} does not match "
                 f"target dimension {target.dim}"
             )
         decomposition = cls.__new__(cls)
-        decomposition._adopt(weights, vectors, target, eps)
+        decomposition._adopt(weights, vectors, target, eps, _rows_fault)
         return decomposition
 
     def _adopt(
-        self, weights: np.ndarray, vectors: np.ndarray, target: DensityOperator, eps: float
+        self, weights: np.ndarray, vectors: np.ndarray, target: DensityOperator, eps: float, check
     ) -> None:
-        """Check the size, the weight sum and the reconstruction, then hold
-        the arrays read-only."""
+        """Check the size, then the arrays at eps with `check`, the fault
+        helper of the constructor (`_mixture_fault` or `_rows_fault`), then
+        hold them read-only."""
         if not len(weights):
             raise ValidationError("decomposition needs at least one component")
-        fault = _mixture_fault(weights[None], vectors[None], target.matrix[None], eps)
+        fault = check(weights[None], vectors[None], target.matrix[None], eps)
         if fault is not None:
             raise ValidationError(fault)
         weights.setflags(write=False)
@@ -451,6 +449,20 @@ def _reconstruction(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (vectors.mT * weights[..., None, :]) @ vectors.conj()
 
 
+def _rows_fault(weights: np.ndarray, vectors: np.ndarray, targets, eps: float) -> str | None:
+    """Why `ConvexDecomposition._from_rows` rejects a mixture of a batch,
+    weights (B, n) and rows (B, n, d), at eps, or None: the first row
+    PureState rejects, else the first weight not positive, else (unless the
+    targets (B, d, d) are None) `_mixture_fault`."""
+    fault = _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps)
+    if fault is not None:
+        return fault[1]
+    bad = ~np.isfinite(weights) | (weights <= 0.0)
+    if bad.any():
+        return f"decomposition weight {float(weights.flat[bad.argmax()])!r} must be positive"
+    return None if targets is None else _mixture_fault(weights, vectors, targets, eps)
+
+
 def _mixture_fault(
     weights: np.ndarray, vectors: np.ndarray, targets: np.ndarray, eps: float
 ) -> str | None:
@@ -494,13 +506,26 @@ def spectral_decompose(state: DensityOperator) -> ConvexDecomposition:
         decomposition._weights, decomposition._vectors = memo[1], memo[2]
         decomposition._target = state
         return decomposition
-    values, vectors = _eigensystem(state.matrix, "matrix", eps)
-    kept = values > EPS
-    weights = values[kept] * (values.sum() / values[kept].sum())
-    decomposition = ConvexDecomposition._from_rows(weights, vectors.T[kept], state)
+    decomposition = ConvexDecomposition._from_rows(*_spectral_split(state.matrix, eps), state)
     # the arrays, not the decomposition, which points back at the state
     state._spectral = (eps, decomposition._weights, decomposition._vectors)
     return decomposition
+
+
+def _spectral_split(matrices: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """`spectral_decompose`'s weights (n,) and C-contiguous unit rows (n, d)
+    of the matrix (d, d), checked Hermitian at eps, or (B, n) and (B, n, d)
+    of a batch (B, d, d) in one `eigh`; a batch that drops an eigenvalue
+    gives None."""
+    values, vectors = _eigensystem(matrices, "matrix", eps)
+    rows = vectors.mT
+    kept = values > EPS
+    total = values.sum(axis=-1, keepdims=True)
+    if kept.ndim == 1:
+        values, rows = values[kept], rows[kept]
+    elif not kept.all():
+        return None
+    return values * (total / values.sum(axis=-1, keepdims=True)), np.ascontiguousarray(rows)
 
 
 def random_decomposition(
@@ -519,25 +544,30 @@ def random_decomposition(
     if _integer(size, "size") < rank:
         raise ValidationError(f"size {size} is below the state rank {rank}")
     draws = rng.normal(size=(2, size, size))
-    rows, weights = _isometry_rows(draws[0] + 1j * draws[1], spectral._weights, spectral.vectors)
-    kept = weights > 1e-12
-    weights, rows = weights[kept], rows[kept]
-    return ConvexDecomposition._from_rows(weights, rows / np.sqrt(weights)[:, None], state)
+    mixture = _random_mixing(draws, spectral._weights, spectral.vectors)
+    return ConvexDecomposition._from_rows(*mixture, state)
 
 
-def _isometry_rows(
-    ginibre: np.ndarray, weights: np.ndarray, vectors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The unnormalised rows (n, d) of the mixture of the spectral
-    components, `weights` (r,) and C-contiguous unit `vectors` (r, d),
-    through the first r columns of the QR basis of `ginibre` (n, n), and
-    each row's squared norm. Every argument may carry the same leading batch
-    axes: one QR and one product per matrix, with the bits of each on its
-    own."""
-    basis, _ = np.linalg.qr(ginibre)
+def _random_mixing(
+    draws: np.ndarray, weights: np.ndarray, vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """`random_decomposition`'s mixture of the spectral components, `weights`
+    (r,) and C-contiguous unit `vectors` (r, d), through the first r columns
+    of the QR basis of the Ginibre matrix whose parts are `draws` (2, n, n):
+    the weights (m,), each row's squared norm, and unit rows (m, d) of the
+    components that weigh more than 1e-12. Every argument may carry one
+    leading batch axis, with one QR and one product per matrix and the bits
+    of each on its own; a batch that drops a component gives None."""
+    basis, _ = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
     isometry = basis[..., : weights.shape[-1]]
     scaled = np.sqrt(weights)[..., None] * vectors  # rank x dim
     # One row-by-row product per component, batched: a single GEMM would
     # round differently from the vector-matrix product of each row.
     rows = np.matmul(isometry[..., None, :], scaled[..., None, :, :])[..., 0, :]
-    return rows, np.vecdot(rows, rows).real
+    norms = np.vecdot(rows, rows).real
+    kept = norms > 1e-12
+    if kept.ndim == 1:
+        rows, norms = rows[kept], norms[kept]
+    elif not kept.all():
+        return None
+    return norms, rows / np.sqrt(norms)[..., None]

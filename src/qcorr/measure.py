@@ -4,8 +4,8 @@ Provides point masses and marginals, plus pointwise density functions
 (likelihood ratios) between measures on the same space.
 Product-space points are ordered row-major: the right factor varies fastest.
 Measures and densities each hold one read-only float array in that order.
-`mix_rows` and `_quotient` are the array steps of the correlation split,
-which `correlation.split_report` computes for both frames.
+`mix_rows`, `_quotient` and `_nanmax` are array steps of the one
+correlation split, `correlation._split`.
 """
 
 from __future__ import annotations
@@ -340,13 +340,13 @@ class DensityFunction:
 
     def deviation_from(self, constant: float) -> float:
         """Largest |value - constant| over the support; 0.0 if support is empty."""
-        return _nanmax(np.abs(self._array - constant))
+        return float(_nanmax(np.abs(self._array - constant)))
 
     def max_difference(self, other: "DensityFunction") -> float:
         """Largest pointwise gap to `other` over the shared support."""
         if self._space != other.space:
             raise SpaceMismatch("densities live on different spaces")
-        return _nanmax(np.abs(self._array - other._array))
+        return float(_nanmax(np.abs(self._array - other._array)))
 
     def __repr__(self) -> str:
         count = int(np.count_nonzero(~np.isnan(self._array)))
@@ -364,10 +364,10 @@ def _checked_density(space: Space, array: np.ndarray, defined: np.ndarray) -> np
     return array
 
 
-def _nanmax(values: np.ndarray) -> float:
-    """Largest non-NaN entry; 0.0 when there is none."""
-    values = values[~np.isnan(values)]
-    return float(values.max()) if values.size else 0.0
+def _nanmax(values: np.ndarray) -> np.ndarray:
+    """Largest non-NaN entry of the nonnegative `values` along the last axis,
+    0.0 where there is none: a scalar for one row, one per row of a batch."""
+    return np.fmax.reduce(values, axis=-1, initial=0.0)
 
 
 def _quotient(num: np.ndarray, den: np.ndarray, outcomes: Sequence) -> np.ndarray:
@@ -387,6 +387,9 @@ def _quotient(num: np.ndarray, den: np.ndarray, outcomes: Sequence) -> np.ndarra
 
 def mix_rows(weights: np.ndarray, rows_1: np.ndarray, rows_2: np.ndarray) -> np.ndarray:
     """Classical product sum_i w_i rows_1[i] (x) rows_2[i] of the per-component
-    outcome rows (n x k1 and n x k2), as a k1 x k2 table."""
+    outcome rows (n x k1 and n x k2), as a k1 x k2 table, or of each mixture
+    of a batch, one at a time: a batched product sums in another order."""
+    if weights.ndim > 1:
+        return np.array([mix_rows(*mixture) for mixture in zip(weights, rows_1, rows_2)])
     pairs = rows_1[:, :, None] * rows_2[:, None, :]
     return (weights @ pairs.reshape(len(weights), -1)).reshape(pairs.shape[1:])

@@ -101,10 +101,7 @@ class Povm:
     def _adopt(self, space, stack: np.ndarray, eps: float) -> None:
         """Validate `stack` at `eps` and keep it: the one validation path of
         both constructors."""
-        skew = _check_effects(tuple(space.outcomes), stack, eps)
-        fault = _completeness_fault(stack, eps)
-        if fault is not None:
-            raise ValidationError(fault)
+        skew = _check_povm(tuple(space.outcomes), stack, eps)
         dim = stack.shape[1]
         stack.setflags(write=False)
         self._space = space
@@ -187,7 +184,12 @@ def _born_rows(stack: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def _trace_rule(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Tr(E(x) D) (k,) for the effects of `stack` (k, d, d) at the matrix D."""
+    """Tr(E(x) D) (k,) for the effects of `stack` (k, d, d) at the matrix D,
+    or (B, k) at each of a batch (B, d, d), of one stack or of a stack each
+    (B, k, d, d), one matrix at a time: a batched einsum sums otherwise."""
+    if matrix.ndim > 2:
+        stacks = np.broadcast_to(stack, matrix.shape[:1] + stack.shape[-3:])
+        return np.array([_trace_rule(*pair) for pair in zip(stacks, matrix)])
     return np.einsum("kab,ba->k", stack, matrix).real
 
 
@@ -223,6 +225,17 @@ def _check_effects(outcomes: tuple, stack: np.ndarray, eps: float) -> float:
             f"(eigenvalue {smallest[index]:.3e})"
         )
     return largest
+
+
+def _check_povm(outcomes: tuple, stack: np.ndarray, eps: float) -> float:
+    """`Povm`'s validation of the effects (k, d, d), or of every observable
+    of a batch (..., k, d, d): `_check_effects`, whose skew bound it
+    returns, then a raise for the first `_completeness_fault`."""
+    skew = _check_effects(outcomes, stack.reshape((-1,) + stack.shape[-2:]), eps)
+    fault = _completeness_fault(stack, eps)
+    if fault is not None:
+        raise ValidationError(fault)
+    return skew
 
 
 def _completeness_fault(stack: np.ndarray, eps: float) -> str | None:
@@ -284,9 +297,7 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
         )
     eps = validation_eps()
     k1, k2, dim = len(a1._stack), len(a2._stack), a1.dim
-    products = np.empty((k1, k2, dim, dim), dtype=complex)
-    for left, row in zip(a1._stack, products):
-        np.matmul(left, a2._stack, out=row)  # one row of the grid: E1(x) E2(y) for every y
+    products = _forward_products(a1._stack, a2._stack)
     if not _commutation_certified(a1._stack, a1._skew, a2._stack, a2._skew, products, eps):
         _check_commutation(a1, a2, products, eps)
     # the products are derived from validated factors and kept unchecked, as
@@ -309,6 +320,17 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
     return joint
 
 
+def _forward_products(stack1: np.ndarray, stack2: np.ndarray) -> np.ndarray:
+    """E1(x) E2(y) (k1, k2, ..., d, d) of the effect stacks `stack1`
+    (k1, ..., d, d) and `stack2` (k2, ..., d, d), where ... is an optional
+    batch of pairs after the effect axis, one row E1(x) E2 of the grid at a
+    time: one product of the whole grid is slower at large d."""
+    products = np.empty((len(stack1),) + stack2.shape, dtype=complex)
+    for left, row in zip(stack1, products):
+        np.matmul(left, stack2, out=row)
+    return products
+
+
 def _commutation_certified(
     stack1: np.ndarray,
     skew1: float,
@@ -322,7 +344,7 @@ def _commutation_certified(
     `stack1` (k1, d, d) and `stack2` (k2, d, d), whose validation kept the
     skews `skew1` and `skew2` (`Povm._skew`), without computing a reverse
     product. For a batch of pairs, stacks (..., k, d, d) and the products of
-    every pair as rows (n k1, k2, d, d), with the skews of whole batches,
+    every pair in any order (n, m, d, d), with the skews of whole batches,
     it certifies every pair: the bound of each is within the batch's.
 
     For exactly Hermitian factors E2 E1 = (E1 E2)^H, so the computed gap

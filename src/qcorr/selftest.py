@@ -4,8 +4,10 @@ Each suite draws its own generator from one seed, so a run is reproducible
 from the single reported number. A suite records the worst deviation it saw;
 a trial fails when that deviation crosses the suite tolerance. The three
 d = 4 quantum suites take the draws of a chunk of trials first and compute
-the chunk on stacks, with the bits of their per-trial code, which replays
-any chunk the stacks cannot hold (see `_Stacked`).
+the chunk on stacks through the engine's own batched steps (the checks,
+the joint's products, the spectral split, the random mixing and the one
+correlation split, `correlation._split`), with the bits of their per-trial
+code, which replays any chunk the stacks cannot hold (see `_Stacked`).
 """
 
 from __future__ import annotations
@@ -24,20 +26,19 @@ from .classical_frame import (
     classical_joint,
     classical_report,
 )
-from .correlation import CorrelationReport, correlation_report
+from .correlation import CorrelationReport, _split, _total, correlation_report
 from .errors import QcorrError, ValidationError
 from .hilbert import (
     ConvexDecomposition,
     DensityOperator,
     PureState,
     _density_fault,
-    _isometry_rows,
     _kron,
-    _mixture_fault,
     _mixture_matrix,
+    _random_mixing,
     _row_norms,
-    _unit_row_fault,
-    random_decomposition,
+    _rows_fault,
+    _spectral_split,
     spectral_decompose,
 )
 from .measure import (
@@ -46,24 +47,23 @@ from .measure import (
     OutcomeSpace,
     ProductSpace,
     _integer,
-    _quotient,
+    _nanmax,
     dirac,
     marginal,
-    mix_rows,
 )
 from .observable import (
     Povm,
     _born_rows,
-    _check_effects,
+    _check_povm,
     _commutation_certified,
-    _completeness_fault,
+    _forward_products,
     _pairwise_projective,
     _trace_rule,
     joint_from_commuting,
     outcome_measure,
     spin_z_pair,
 )
-from .tolerance import EPS, PRODUCT_RULE_TOL, validation_eps
+from .tolerance import PRODUCT_RULE_TOL, validation_eps
 
 __all__ = ["SuiteResult", "SelftestReport", "run_selftest"]
 
@@ -178,17 +178,6 @@ def _deviation_from_one(rho: DensityFunction | None) -> float:
     return math.inf if rho is None else rho.deviation_from(1.0)
 
 
-class _Drawn:
-    """Stands in for the generator of a trial whose draws were taken ahead:
-    hands `random_decomposition` the Ginibre draws it asks for."""
-
-    def __init__(self, normals: np.ndarray):
-        self._normals = normals
-
-    def normal(self, size) -> np.ndarray:
-        return self._normals
-
-
 def _mixing_draws(rng: np.random.Generator) -> np.ndarray:
     """A decomposition size in 4..7, then the draws (2, size, size) that
     `random_decomposition` takes for it."""
@@ -198,7 +187,9 @@ def _mixing_draws(rng: np.random.Generator) -> np.ndarray:
 
 def _random_mixture(state: DensityOperator, mixing: np.ndarray) -> ConvexDecomposition:
     """`random_decomposition` of `state` on the drawn `mixing`."""
-    return random_decomposition(state, mixing.shape[-1], _Drawn(mixing))
+    spectral = spectral_decompose(state)
+    mixture = _random_mixing(mixing, spectral._weights, spectral.vectors)
+    return ConvexDecomposition._from_rows(*mixture, state)
 
 
 def _product_rule_draws(rng: np.random.Generator) -> tuple:
@@ -362,19 +353,6 @@ def _densities_accepted(matrices: np.ndarray, eps: float) -> bool:
     return bool(np.isfinite(matrices).all()) and _density_fault(matrices, eps) is None
 
 
-def _mixtures_accepted(
-    weights: np.ndarray, vectors: np.ndarray, targets: np.ndarray, eps: float
-) -> bool:
-    """Whether `ConvexDecomposition._from_rows` takes every mixture, weights
-    (b, n) and rows (b, n, d), of the targets (b, d, d): its unit-row and
-    positive-weight tests, then the weight sums and reconstructions."""
-    return (
-        _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps) is None
-        and not (~np.isfinite(weights) | (weights <= 0.0)).any()
-        and _mixture_fault(weights, vectors, targets, eps) is None
-    )
-
-
 def _stacked_states(draws: list) -> tuple[np.ndarray, float]:
     """The chunk's state matrices (B, d, d), checked as `DensityOperator`
     checks each, and the validation eps."""
@@ -384,75 +362,27 @@ def _stacked_states(draws: list) -> tuple[np.ndarray, float]:
     return matrices, eps
 
 
-def _stacked_pairs(draws: list, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chunk's factor effects (B, k, d, d), each side checked as
-    `Povm._from_stack` checks it, and the joint effects (B, k k, d, d) of
-    each pair, checked as `joint_from_commuting` checks them."""
-    sides = tuple(np.array([draw[1][side] for draw in draws]) for side in (0, 1))
-    count, k, dim, _ = sides[0].shape
-    skews = []
-    for side in sides:
-        skews.append(_check_effects(_BINARY.outcomes, side.reshape(-1, dim, dim), eps))
-        _require(_completeness_fault(side, eps) is None)
-        _require(_pairwise_projective(side, eps))
-    products = np.empty((count, k, k, dim, dim), dtype=complex)
-    np.matmul(sides[0][:, :, None], sides[1][:, None], out=products)
-    rows = products.reshape(count * k, k, dim, dim)
-    _require(_commutation_certified(sides[0], skews[0], sides[1], skews[1], rows, eps))
-    return sides[0], sides[1], products.reshape(count, k * k, dim, dim)
+def _stacked_decompositions(split, matrices: np.ndarray, eps: float) -> tuple:
+    """`split`, weights (b, n) and unit rows (b, n, d) of the targets
+    `matrices` (b, d, d), once `ConvexDecomposition._from_rows` takes each."""
+    _require(split is not None)
+    _require(_rows_fault(*split, matrices, eps) is None)
+    return split
 
 
-def _stacked_spectral(matrices: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """`spectral_decompose` of each state: weights (B, d) and C-contiguous
-    unit rows (B, d, d), when every state keeps all its eigenvalues. The
-    kept weights are then the eigenvalues times sum / sum = 1.0 exactly."""
-    values, vectors = np.linalg.eigh(matrices)
-    weights = values[:, ::-1].copy()
-    _require((weights > EPS).all())
-    rows = np.ascontiguousarray(vectors[:, :, ::-1].transpose(0, 2, 1))
-    _require(_mixtures_accepted(weights, rows, matrices, eps))
-    return weights, rows
-
-
-def _stacked_mixtures(
-    draws: list, weights: np.ndarray, rows: np.ndarray, matrices: np.ndarray, eps: float
-) -> list:
+def _stacked_mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: float) -> list:
     """`_random_mixture` of each state on its drawn mixing (the last draw),
-    in groups of one size: (trial indices, weights (b, n), unit rows
-    (b, n, d)) per size n, when no component weighs 1e-12 or less."""
+    from the chunk's spectral splits `spectral`, in groups of one size:
+    (trial indices, weights (b, n), unit rows (b, n, d)) per size n."""
+    weights, rows = spectral
     sizes = [draw[-1].shape[-1] for draw in draws]
     groups = []
     for size in sorted(set(sizes)):
         index = [i for i, s in enumerate(sizes) if s == size]
         normals = np.array([draws[i][-1] for i in index])
-        mixed, norms = _isometry_rows(
-            normals[:, 0] + 1j * normals[:, 1], weights[index], rows[index]
-        )
-        _require((norms > 1e-12).all())
-        vectors = mixed / np.sqrt(norms)[..., None]
-        _require(_mixtures_accepted(norms, vectors, matrices[index], eps))
-        groups.append((index, norms, vectors))
+        mixture = _random_mixing(normals, weights[index], rows[index])
+        groups.append((index, *_stacked_decompositions(mixture, matrices[index], eps)))
     return groups
-
-
-def _statistics(effects: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """`outcome_measure` weights (B, k) of the effects (B, k, d, d), or one
-    stack (k, d, d) for all, at each state of `matrices` (B, d, d): one
-    trace rule per state, since a batched einsum sums in another order."""
-    effects = np.broadcast_to(effects, (len(matrices),) + effects.shape[-3:])
-    return np.array([_trace_rule(stack, matrix) for stack, matrix in zip(effects, matrices)])
-
-
-def _tables(statistics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The joint and independent tables (B, 2, 2) of `split_report` from the
-    joint, left and right weights (B, 4 + 2 + 2) of each state."""
-    joint = statistics[:, :4].reshape(-1, 2, 2)
-    return joint, statistics[:, 4:6, None] * statistics[:, None, 6:8]
-
-
-def _nanmax_rows(values: np.ndarray) -> np.ndarray:
-    """`measure._nanmax` of each nonnegative table of a batch (B, ...)."""
-    return np.fmax.reduce(values.reshape(len(values), -1), axis=1, initial=0.0)
 
 
 def _finite_list(deviations: np.ndarray) -> list:
@@ -460,56 +390,68 @@ def _finite_list(deviations: np.ndarray) -> list:
     return deviations.tolist()
 
 
-def _product_rule_kernel(draws: list) -> list:
+def _stacked_statistics(draws: list) -> tuple:
+    """`_stacked_states`, the chunk's factor effects (B, k, d, d), each side
+    checked as `Povm._from_stack` checks it, and the outcome weights
+    (B, k k + k + k) of each pair's joint, built and checked as
+    `joint_from_commuting` builds and checks it, and of the pair."""
     matrices, eps = _stacked_states(draws)
-    left, right, joints = _stacked_pairs(draws, eps)
-    weights, rows = _stacked_spectral(matrices, eps)
-    joint, independent = _tables(_statistics(np.concatenate([joints, left, right], 1), matrices))
+    sides = tuple(np.array([draw[1][side] for draw in draws]) for side in (0, 1))
+    skews = [_check_povm(_BINARY.outcomes, side, eps) for side in sides]
+    _require(all(_pairwise_projective(side, eps) for side in sides))
+    products = _forward_products(*(side.swapaxes(0, 1) for side in sides))  # (k, k, B, d, d)
+    k, _, count, dim, _ = products.shape
+    rows = products.reshape(k, k * count, dim, dim)
+    _require(_commutation_certified(sides[0], skews[0], sides[1], skews[1], rows, eps))
+    joints = products.transpose(2, 0, 1, 3, 4).reshape(count, k * k, dim, dim)
+    statistics = _trace_rule(np.concatenate([joints, *sides], 1), matrices)
+    return matrices, eps, *sides, statistics
+
+
+def _product_rule_kernel(draws: list) -> list:
+    matrices, eps, left, right, statistics = _stacked_statistics(draws)
+    spectral = _stacked_decompositions(_spectral_split(matrices, eps), matrices, eps)
     points = ProductSpace(_BINARY, _BINARY).points
     residuals = np.empty(len(draws))
-    for index, mixed, vectors in _stacked_mixtures(draws, weights, rows, matrices, eps):
+    for index, mixed, vectors in _stacked_mixtures(draws, spectral, matrices, eps):
         born = _born_rows(np.concatenate([left[index], right[index]], 1), vectors)
-        classical = np.array([mix_rows(w, b[:, :2], b[:, 2:]) for w, b in zip(mixed, born)])
-        rho_t = _quotient(joint[index], independent[index], points)
-        rho_c = _quotient(classical, independent[index], points)
-        rho_e = _quotient(joint[index], classical, points)
-        residuals[index] = _nanmax_rows(np.abs(rho_c * rho_e - rho_t))
+        measures = statistics[index, :4], statistics[index, 4:6], statistics[index, 6:]
+        residual = _split(*measures, mixed, born[..., :2], born[..., 2:], points)[-1]
+        _require(residual is not None)
+        residuals[index] = residual
     return _finite_list(residuals)
 
 
-def _rebuilt_rho_t(
-    spin: tuple[Povm, Povm, Povm], weights: np.ndarray, vectors: np.ndarray, eps: float
-) -> np.ndarray:
+def _rebuilt_rho_t(spin: tuple[Povm, Povm, Povm], mixture: tuple, eps: float) -> np.ndarray:
     """rho_t (b, 2, 2) at the state `ConvexDecomposition.from_components`
     rebuilds from each mixture, weights (b, n) and unit rows (b, n, d)."""
     a1, a2, joint = spin
-    matrices = _mixture_matrix(weights, vectors)
+    matrices = _mixture_matrix(*mixture)
     _require(_densities_accepted(matrices, eps))
-    _require(_mixtures_accepted(weights, vectors, matrices, eps))
-    effects = np.concatenate([joint._stack, a1._stack, a2._stack])
-    return _quotient(*_tables(_statistics(effects, matrices)), joint.space.points)
+    _stacked_decompositions(mixture, matrices, eps)
+    statistics = _trace_rule(np.concatenate([joint._stack, a1._stack, a2._stack]), matrices)
+    measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
+    return _total(*measures, joint.space.points)[-1]
 
 
 def _invariance_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
     matrices, eps = _stacked_states(draws)
-    weights, rows = _stacked_spectral(matrices, eps)
-    spectral = _rebuilt_rho_t(spin, weights, rows, eps)
+    spectral = _stacked_decompositions(_spectral_split(matrices, eps), matrices, eps)
+    rho_t = _rebuilt_rho_t(spin, spectral, eps)
     gaps = np.empty(len(draws))
-    for index, mixed, vectors in _stacked_mixtures(draws, weights, rows, matrices, eps):
-        shuffled = _rebuilt_rho_t(spin, mixed, vectors, eps)
-        gaps[index] = _nanmax_rows(np.abs(spectral[index] - shuffled))
+    for index, mixed, vectors in _stacked_mixtures(draws, spectral, matrices, eps):
+        shuffled = _rebuilt_rho_t(spin, (mixed, vectors), eps)
+        gaps[index] = _nanmax(np.abs(rho_t[index] - shuffled).reshape(len(index), -1))
     return _finite_list(gaps)
 
 
 def _marginals_kernel(draws: list) -> list:
-    matrices, eps = _stacked_states(draws)
-    left, right, joints = _stacked_pairs(draws, eps)
-    statistics = _statistics(np.concatenate([joints, left, right], 1), matrices)
+    statistics = _stacked_statistics(draws)[-1]
     grid = statistics[:, :4].reshape(-1, 2, 2)
     reduced = np.concatenate([grid.sum(axis=2), grid.sum(axis=1)], axis=1)
     gaps = np.abs(reduced - statistics[:, 4:])
     _require(np.isfinite(gaps).all())
-    return _nanmax_rows(gaps).tolist()
+    return _nanmax(gaps).tolist()
 
 
 def _suites() -> tuple:

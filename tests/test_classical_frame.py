@@ -185,6 +185,30 @@ def test_canonical_joint_is_the_rowwise_outer_product():
         assert np.array_equal(joint.row(point).as_array(), expected)
 
 
+def test_row_of_a_canonical_joint_is_held_as_derived(monkeypatch):
+    # at the default eps each factor row, summing to 1 + 9e-10, is valid;
+    # their products sum to about 1 + 1.8e-9, which a re-check would reject
+    monkeypatch.delenv("QCORR_EPS", raising=False)
+    off = [[0.6 + 9e-10, 0.4], [0.5, 0.5 + 9e-10]]
+    a1 = ClassicalObservable.from_matrix(PHASE, BITS, off)
+    a2 = ClassicalObservable.from_matrix(PHASE, BITS, off[::-1])
+    joint = classical_joint(a1, a2)
+    for i, point in enumerate(PHASE.labels):
+        row = joint.row(point)
+        assert math.fsum(row.as_array().tolist()) - 1.0 > validation_eps()
+        assert np.array_equal(row.as_array(), joint.matrix[i])
+
+
+def test_row_read_under_a_tighter_eps_is_the_accepted_row(monkeypatch):
+    monkeypatch.setenv("QCORR_EPS", "1e-6")
+    observable = ClassicalObservable.from_matrix(PHASE, BITS, [[0.7 + 5e-7, 0.3], [0.3, 0.7]])
+    monkeypatch.setenv("QCORR_EPS", "1e-12")
+    row = observable.row("alpha")
+    assert row.as_array().tolist() == [0.7 + 5e-7, 0.3]
+    with pytest.raises(ValueError):
+        row.as_array()[0] = 0.0
+
+
 def test_marginal_consistency_detects_mismatch():
     a1 = fuzzy()
     a2 = fuzzy()
