@@ -30,11 +30,14 @@ set to each in turn and compares stdout, stderr and the exit code:
   for the JSON decoder (100000 `[` then `]`), a missing file and bad
   command-line parameters complete the list
 - `selftest --trials 50` at seeds 1, 7, 11 and 42 in both formats, which
-  cover the observables and states the suites build for themselves, and
-  `selftest --seed 5 --trials 200` in both formats, whose d = 4 quantum
-  suites run in more than one stacked chunk, and `selftest --seed 3
-  --trials 129` in both formats, whose last chunk holds one trial, so that
-  every stacked step also runs on a batch of one
+  cover the observables and states the suites build for themselves,
+  `selftest --trials 10` at seeds 2 and 9 in both formats, the benchmark's
+  op size: one chunk per suite, in which the suites whose trials differ in
+  shape stack many groups of one or two trials, `selftest --seed 5
+  --trials 200` in both formats, whose suites run in more than one stacked
+  chunk, and `selftest --seed 3 --trials 129` in both formats, whose last
+  chunk holds one trial, so that every stacked step also runs on a batch
+  of one
 
 Both trees read the same input files: the bundled ones of HEAD_SRC and the
 variants this script writes to a temporary directory. It prints one line per
@@ -263,6 +266,9 @@ def invocations(head_src: Path, workdir: Path) -> list[list[str]]:
     for seed in ("1", "7", "11", "42"):
         for fmt in FORMATS:
             calls.append(["selftest", "--seed", seed, "--trials", "50", "--format", fmt])
+    for seed in ("2", "9"):
+        for fmt in FORMATS:
+            calls.append(["selftest", "--seed", seed, "--trials", "10", "--format", fmt])
     for fmt in FORMATS:
         calls.append(["selftest", "--seed", "5", "--trials", "200", "--format", fmt])
         calls.append(["selftest", "--seed", "3", "--trials", "129", "--format", fmt])

@@ -89,9 +89,7 @@ class ClassicalObservable:
         array = _number_array(matrix, "kernel matrix", f"kernel matrix must have shape {shape}")
         if array.shape != shape:
             raise ValidationError(f"kernel matrix must have shape {shape}, got {array.shape}")
-        eps = validation_eps()
-        for row in array:
-            _checked_weights(codomain, row, eps)
+        _checked_weights(codomain, array, validation_eps())
         observable = cls.__new__(cls)
         observable._set(domain, codomain, array)
         return observable
@@ -147,7 +145,15 @@ def apply(observable: ClassicalObservable, state: DiscreteMeasure) -> DiscreteMe
     """
     if state.space != observable.domain:
         raise SpaceMismatch("state does not live on the observable's phase space")
-    return _derived(DiscreteMeasure, observable.codomain, state.as_array() @ observable.matrix)
+    statistics = _pushed(state.as_array(), observable.matrix)
+    return _derived(DiscreteMeasure, observable.codomain, statistics)
+
+
+def _pushed(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The statistics `weights` (n,) @ `matrix` (n, k) of a kernel at a state,
+    or of each of a batch, (B, n) and (B, n, k): one vector-matrix product
+    per state, as `matmul` takes a stack of them."""
+    return (weights[..., None, :] @ matrix)[..., 0, :]
 
 
 def is_deterministic(observable: ClassicalObservable) -> bool:
@@ -165,11 +171,17 @@ def classical_joint(a1: ClassicalObservable, a2: ClassicalObservable) -> Classic
     if a1.domain != a2.domain:
         raise SpaceMismatch("observables live on different phase spaces")
     codomain = ProductSpace(a1.codomain, a2.codomain)
-    m1, m2 = a1.matrix, a2.matrix
     joint = ClassicalJoint.__new__(ClassicalJoint)
     # products of validated rows: held without re-testing their sums
-    joint._set(a1.domain, codomain, (m1[:, :, None] * m2[:, None, :]).reshape(len(m1), -1))
+    joint._set(a1.domain, codomain, _product_rows(a1.matrix, a2.matrix))
     return joint
+
+
+def _product_rows(rows_1: np.ndarray, rows_2: np.ndarray) -> np.ndarray:
+    """The canonical joint's rows (n, k1 k2), row-major, of the kernel rows
+    (n, k1) and (n, k2), or of each of a batch along the same leading axes."""
+    pairs = rows_1[..., :, None] * rows_2[..., None, :]
+    return pairs.reshape(pairs.shape[:-2] + (-1,))
 
 
 def is_marginally_consistent(

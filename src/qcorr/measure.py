@@ -248,17 +248,37 @@ class DiscreteMeasure:
 
 
 def _checked_weights(space: Space, array: np.ndarray, eps: float) -> np.ndarray:
-    """`array`, one float weight per outcome, checked finite, not below -eps, summing to 1."""
-    for index in (array.argmin(), array.argmax()):  # the extremes; both find a NaN
-        value, outcome = float(array[index]), space.outcomes[index]
-        if not math.isfinite(value):
-            raise ValidationError(f"weight at {outcome!r} is not finite")
-        if value < -eps:
-            raise ValidationError(f"negative weight {value!r} at {outcome!r}")
-    total = math.fsum(array.tolist())
-    if abs(total - 1.0) > eps:
-        raise ValidationError(f"weights sum to {total!r}, expected 1")
+    """`array`, one float weight per outcome, or rows of them, checked finite,
+    not below -eps, summing to 1 (`_weights_fault`)."""
+    fault = _weights_fault(space, array, eps)
+    if fault is not None:
+        raise ValidationError(fault)
     return array
+
+
+def _weights_fault(space: Space, rows: np.ndarray, eps: float) -> str | None:
+    """Why `_checked_weights` rejects a row of `rows` (..., k), each one float
+    weight per outcome of `space`, at eps, or None: the message of the first
+    row, in order, with an extreme (its argmin, then its argmax) not finite
+    or below -eps, or whose exact sum (one `math.fsum` per row) is off 1 by
+    more than eps."""
+    rows = rows.reshape(-1, rows.shape[-1])
+    flat = rows.reshape(-1)
+    # when the extremes of the whole batch pass (a NaN fails), every row's do
+    passed = flat[flat.argmin()] >= -eps and flat[flat.argmax()] < math.inf
+    for number, values in enumerate(rows.tolist()):
+        if not passed:
+            row = rows[number]
+            for index in (row.argmin(), row.argmax()):  # the extremes; both find a NaN
+                value, outcome = float(row[index]), space.outcomes[index]
+                if not math.isfinite(value):
+                    return f"weight at {outcome!r} is not finite"
+                if value < -eps:
+                    return f"negative weight {value!r} at {outcome!r}"
+        total = math.fsum(values)
+        if abs(total - 1.0) > eps:
+            return f"weights sum to {total!r}, expected 1"
+    return None
 
 
 def dirac(space: Space, outcome) -> DiscreteMeasure:

@@ -2,12 +2,14 @@
 
 Each suite draws its own generator from one seed, so a run is reproducible
 from the single reported number. A suite records the worst deviation it saw;
-a trial fails when that deviation crosses the suite tolerance. The three
-d = 4 quantum suites take the draws of a chunk of trials first and compute
-the chunk on stacks through the engine's own batched steps (the checks,
-the joint's products, the spectral split, the random mixing and the one
-correlation split, `correlation._split`), with the bits of their per-trial
-code, which replays any chunk the stacks cannot hold (see `_Stacked`).
+a trial fails when that deviation crosses the suite tolerance. Every suite
+takes the draws of a chunk of trials first and computes the chunk on stacks
+through the engine's own batched steps (the checks, the joint's products,
+the spectral split, the random mixing and the one correlation split,
+`correlation._split`), with the bits of its per-trial code, which replays
+any chunk the stacks cannot hold (see `_Stacked`). The suites whose trials
+differ in shape (phase-space size, codomains, component count) stack each
+group of one shape.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .classical_frame import (
     ClassicalJoint,
     ClassicalObservable,
     PhaseSpace,
+    _product_rows,
+    _pushed,
     classical_joint,
     classical_report,
 )
@@ -48,6 +52,7 @@ from .measure import (
     ProductSpace,
     _integer,
     _nanmax,
+    _weights_fault,
     dirac,
     marginal,
 )
@@ -118,16 +123,24 @@ def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 _BINARY = OutcomeSpace(("0", "1"))
+_BINARY_PAIRS = ProductSpace(_BINARY, _BINARY)
 
 
-def _random_qubit_pvm_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The effect stacks (2, 4, 4) of two projective qubit observables acting
-    on the two factors of C^2 (x) C^2; the trial that draws them checks them."""
+def _random_qubit_pvm_pair(rng: np.random.Generator) -> np.ndarray:
+    """The unit vectors (2, 2) of C^2, left factor first, whose projectors
+    give a pair of projective qubit observables (`_qubit_effects`)."""
+    return _random_units(rng, 2, 2)
+
+
+def _qubit_effects(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The effect stacks (2, 4, 4) of the two projective qubit observables
+    {P, I - P} of the unit vectors `units` (2, 2), acting on the two factors
+    of C^2 (x) C^2, or (B, 2, 4, 4) of each pair of a batch (B, 2, 2); the
+    trial that draws the units checks the effects."""
     eye = np.eye(2, dtype=complex)
-    units = _random_units(rng, 2, 2)
-    projectors = units[:, :, None] * units.conj()[:, None, :]
-    stacks = np.stack([projectors, eye - projectors], axis=1)
-    return _kron(stacks[0], eye), _kron(eye, stacks[1])
+    projectors = units[..., :, None] * units.conj()[..., None, :]
+    stacks = np.stack([projectors, eye - projectors], axis=-3)  # (..., side, outcome, 2, 2)
+    return _kron(stacks[..., 0, :, :, :], eye), _kron(eye, stacks[..., 1, :, :, :])
 
 
 def _random_simplex(
@@ -139,29 +152,28 @@ def _random_simplex(
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def _random_phase_space(rng: np.random.Generator) -> PhaseSpace:
-    size = int(rng.integers(2, 5))
-    return PhaseSpace(tuple(f"p{i}" for i in range(size)))
+def _labels(prefix: str, size: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i}" for i in range(size))
 
 
-def _random_kernel(
-    rng: np.random.Generator, phase: PhaseSpace, codomain: OutcomeSpace
-) -> ClassicalObservable:
-    rows = _random_simplex(rng, (len(phase), len(codomain)), floor=0.05)
-    return ClassicalObservable.from_matrix(phase, codomain, rows)
+def _random_kernel(rng: np.random.Generator, points: int, outcomes: int) -> np.ndarray:
+    """Kernel rows (points, outcomes), one random simplex each; the trial
+    that draws them checks them."""
+    return _random_simplex(rng, (points, outcomes), floor=0.05)
 
 
-def _frechet_coupling(rng: np.random.Generator, p: float, q: float) -> list[float]:
-    """A random coupling of two binary rows with the given success weights,
-    row-major over (0,0), (0,1), (1,0), (1,1).
+def _frechet_coupling(p: np.ndarray, q: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Random couplings (n, 4) of binary rows with the success weights `p`
+    and `q` (n,), each placed by one uniform draw of `cells` (n,), row-major
+    over (0,0), (0,1), (1,0), (1,1); or (B, n, 4) of a batch (B, n).
 
     Any value of the (0,0) cell between the Frechet bounds yields a joint row
     whose marginals are exactly (p, 1-p) and (q, 1-q).
     """
-    low = max(0.0, p + q - 1.0)
-    high = min(p, q)
-    c = low + (high - low) * rng.random()
-    return [c, p - c, q - c, 1.0 - p - q + c]
+    low = np.maximum(0.0, p + q - 1.0)
+    high = np.minimum(p, q)
+    c = low + (high - low) * cells
+    return np.stack([c, p - c, q - c, 1.0 - p - q + c], axis=-1)
 
 
 # suites ---------------------------------------------------------------------
@@ -192,6 +204,11 @@ def _random_mixture(state: DensityOperator, mixing: np.ndarray) -> ConvexDecompo
     return ConvexDecomposition._from_rows(*mixture, state)
 
 
+def _qubit_pair(units: np.ndarray) -> tuple[Povm, Povm]:
+    """The checked pair of projective qubit observables of `units` (2, 2)."""
+    return tuple(Povm._from_stack(_BINARY, stack) for stack in _qubit_effects(units))
+
+
 def _product_rule_draws(rng: np.random.Generator) -> tuple:
     return _random_density(rng, 4), _random_qubit_pvm_pair(rng), _mixing_draws(rng)
 
@@ -199,23 +216,32 @@ def _product_rule_draws(rng: np.random.Generator) -> tuple:
 def _quantum_product_rule(draws: tuple) -> float:
     """rho_c * rho_e recovers rho_t for random states, product projective
     observable pairs, and random decompositions."""
-    matrix, effects, mixing = draws
+    matrix, units, mixing = draws
     state = DensityOperator(matrix)
-    a1, a2 = (Povm._from_stack(_BINARY, stack) for stack in effects)
+    a1, a2 = _qubit_pair(units)
     joint = joint_from_commuting(a1, a2)
     dec = _random_mixture(state, mixing)
     return _residual(correlation_report(joint, a1, a2, dec))
 
 
-def _classical_product_rule(rng: np.random.Generator) -> float:
+def _classical_product_rule_draws(rng: np.random.Generator) -> tuple:
+    """A phase-space size in 2..4, both kernels' rows, one uniform draw per
+    coupling cell and the state's weights."""
+    size = int(rng.integers(2, 5))
+    rows_1, rows_2 = _random_kernel(rng, size, 2), _random_kernel(rng, size, 2)
+    return rows_1, rows_2, rng.random(size), _random_simplex(rng, size, floor=0.05)
+
+
+def _classical_product_rule(draws: tuple) -> float:
     """Same product rule in the classical frame, with joints drawn between
     the Frechet bounds so marginal consistency holds by construction."""
-    phase = _random_phase_space(rng)
-    a1 = _random_kernel(rng, phase, _BINARY)
-    a2 = _random_kernel(rng, phase, _BINARY)
-    rows = [_frechet_coupling(rng, p, q) for p, q in zip(a1.matrix[:, 0], a2.matrix[:, 0])]
-    joint = ClassicalJoint.from_matrix(phase, ProductSpace(_BINARY, _BINARY), rows)
-    state = DiscreteMeasure.from_array(phase, _random_simplex(rng, len(phase), floor=0.05))
+    rows_1, rows_2, cells, weights = draws
+    phase = PhaseSpace(_labels("p", len(weights)))
+    a1 = ClassicalObservable.from_matrix(phase, _BINARY, rows_1)
+    a2 = ClassicalObservable.from_matrix(phase, _BINARY, rows_2)
+    rows = _frechet_coupling(a1.matrix[:, 0], a2.matrix[:, 0], cells)
+    joint = ClassicalJoint.from_matrix(phase, _BINARY_PAIRS, rows)
+    state = DiscreteMeasure.from_array(phase, weights)
     return _residual(classical_report(joint, a1, a2, state))
 
 
@@ -247,16 +273,18 @@ def _product_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
     return _kron(units[0::2], units[1::2], core=1)
 
 
-def _separable(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> float:
+def _separable_draws(rng: np.random.Generator) -> tuple:
+    """A component count in 1..8, the weights and the product vectors."""
+    count = int(rng.integers(1, 9))
+    return _random_simplex(rng, count, floor=0.02), _product_vectors(rng, count)
+
+
+def _separable(spin: tuple[Povm, Povm, Povm], draws: tuple) -> float:
     """Mixtures of product pure states carry no entanglement-type correlation
     relative to their product decomposition."""
     a1, a2, joint = spin
-    count = int(rng.integers(1, 9))
-    weights = _random_simplex(rng, count, floor=0.02)
-    components = [
-        (w, PureState(vector))
-        for w, vector in zip(weights.tolist(), _product_vectors(rng, count))
-    ]
+    weights, vectors = draws
+    components = [(w, PureState(vector)) for w, vector in zip(weights.tolist(), vectors)]
     state = DensityOperator.from_mixture(components)
     dec = ConvexDecomposition(components, state)
     return _deviation_from_one(correlation_report(joint, a1, a2, dec).rho_e)
@@ -269,9 +297,9 @@ def _marginals_draws(rng: np.random.Generator) -> tuple:
 def _marginals(draws: tuple) -> float:
     """The joint built from a commuting product pair reproduces both factor
     statistics as marginals."""
-    matrix, effects = draws
+    matrix, units = draws
     state = DensityOperator(matrix)
-    a1, a2 = (Povm._from_stack(_BINARY, stack) for stack in effects)
+    a1, a2 = _qubit_pair(units)
     joint = joint_from_commuting(a1, a2)
     joint_measure = outcome_measure(joint, state)
     deviation = 0.0
@@ -288,17 +316,32 @@ def _marginals(draws: tuple) -> float:
     return deviation
 
 
-def _classical_dirac(rng: np.random.Generator) -> float:
+def _classical_dirac_draws(rng: np.random.Generator) -> tuple:
+    """Phase-space and both codomain sizes, both kernels' rows and the
+    point's index (a numpy integer)."""
+    size, k1, k2 = (int(rng.integers(2, high)) for high in (5, 4, 4))
+    rows_1, rows_2 = _random_kernel(rng, size, k1), _random_kernel(rng, size, k2)
+    return rows_1, rows_2, rng.integers(0, size)
+
+
+def _classical_dirac(draws: tuple) -> float:
     """Classical correlation is constant 1 at every point-mass state: a sharp
     phase-space point leaves nothing for the mixing to correlate."""
-    phase = _random_phase_space(rng)
-    codomain_1 = OutcomeSpace(tuple(f"x{i}" for i in range(int(rng.integers(2, 4)))))
-    codomain_2 = OutcomeSpace(tuple(f"y{i}" for i in range(int(rng.integers(2, 4)))))
-    a1 = _random_kernel(rng, phase, codomain_1)
-    a2 = _random_kernel(rng, phase, codomain_2)
-    point = phase.labels[int(rng.integers(0, len(phase)))]
-    report = classical_report(classical_joint(a1, a2), a1, a2, dirac(phase, point))
+    rows_1, rows_2, point = draws
+    phase = PhaseSpace(_labels("p", len(rows_1)))
+    codomain_1, codomain_2 = _dirac_codomains(rows_1, rows_2)
+    a1 = ClassicalObservable.from_matrix(phase, codomain_1, rows_1)
+    a2 = ClassicalObservable.from_matrix(phase, codomain_2, rows_2)
+    report = classical_report(classical_joint(a1, a2), a1, a2, dirac(phase, phase.labels[point]))
     return _deviation_from_one(report.rho_c)
+
+
+def _dirac_codomains(rows_1: np.ndarray, rows_2: np.ndarray) -> tuple:
+    """The codomains of the Dirac suite's kernel rows (..., k1) and (..., k2)."""
+    return tuple(
+        OutcomeSpace(_labels(prefix, rows.shape[-1]))
+        for prefix, rows in (("x", rows_1), ("y", rows_2))
+    )
 
 
 # stacked chunks -------------------------------------------------------------
@@ -348,6 +391,17 @@ def _chunk_deviations(trial: Callable, rng: np.random.Generator, count: int) -> 
         return [trial.compute(draw) for draw in draws]
 
 
+def _shape_groups(draws: list):
+    """The chunk's trials grouped by the shapes of their draws, numpy arrays
+    or scalars, in order of first appearance: (trial indices, each draw of
+    the group's trials stacked) per group."""
+    groups = {}
+    for trial, draw in enumerate(draws):
+        groups.setdefault(tuple([array.shape for array in draw]), []).append(trial)
+    for index in groups.values():
+        yield index, tuple(np.array(stack) for stack in zip(*(draws[i] for i in index)))
+
+
 def _densities_accepted(matrices: np.ndarray, eps: float) -> bool:
     """Whether `DensityOperator` takes every matrix of the stack (b, d, d)."""
     return bool(np.isfinite(matrices).all()) and _density_fault(matrices, eps) is None
@@ -375,11 +429,8 @@ def _stacked_mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: f
     from the chunk's spectral splits `spectral`, in groups of one size:
     (trial indices, weights (b, n), unit rows (b, n, d)) per size n."""
     weights, rows = spectral
-    sizes = [draw[-1].shape[-1] for draw in draws]
     groups = []
-    for size in sorted(set(sizes)):
-        index = [i for i, s in enumerate(sizes) if s == size]
-        normals = np.array([draws[i][-1] for i in index])
+    for index, (normals,) in _shape_groups([draw[-1:] for draw in draws]):
         mixture = _random_mixing(normals, weights[index], rows[index])
         groups.append((index, *_stacked_decompositions(mixture, matrices[index], eps)))
     return groups
@@ -396,7 +447,7 @@ def _stacked_statistics(draws: list) -> tuple:
     (B, k k + k + k) of each pair's joint, built and checked as
     `joint_from_commuting` builds and checks it, and of the pair."""
     matrices, eps = _stacked_states(draws)
-    sides = tuple(np.array([draw[1][side] for draw in draws]) for side in (0, 1))
+    sides = _qubit_effects(np.array([draw[1] for draw in draws]))
     skews = [_check_povm(_BINARY.outcomes, side, eps) for side in sides]
     _require(all(_pairwise_projective(side, eps) for side in sides))
     products = _forward_products(*(side.swapaxes(0, 1) for side in sides))  # (k, k, B, d, d)
@@ -411,12 +462,40 @@ def _stacked_statistics(draws: list) -> tuple:
 def _product_rule_kernel(draws: list) -> list:
     matrices, eps, left, right, statistics = _stacked_statistics(draws)
     spectral = _stacked_decompositions(_spectral_split(matrices, eps), matrices, eps)
-    points = ProductSpace(_BINARY, _BINARY).points
+    points = _BINARY_PAIRS.points
     residuals = np.empty(len(draws))
     for index, mixed, vectors in _stacked_mixtures(draws, spectral, matrices, eps):
         born = _born_rows(np.concatenate([left[index], right[index]], 1), vectors)
         measures = statistics[index, :4], statistics[index, 4:6], statistics[index, 6:]
         residual = _split(*measures, mixed, born[..., :2], born[..., 2:], points)[-1]
+        _require(residual is not None)
+        residuals[index] = residual
+    return _finite_list(residuals)
+
+
+def _require_weights(space, rows: np.ndarray, eps: float) -> None:
+    """Require that `ClassicalObservable.from_matrix` (or, for one row per
+    trial, `DiscreteMeasure.from_array`) takes every trial's `rows`."""
+    _require(_weights_fault(space, rows, eps) is None)
+
+
+def _classical_split(weights: np.ndarray, joint: np.ndarray, rows_1, rows_2, points) -> tuple:
+    """`classical_report`'s split of the states `weights` (b, n) through the
+    joint rows (b, n, k1 k2) and kernel rows (b, n, k1) and (b, n, k2)."""
+    measures = (_pushed(weights, rows) for rows in (joint, rows_1, rows_2))
+    return _split(*measures, weights, rows_1, rows_2, points)
+
+
+def _classical_product_rule_kernel(draws: list) -> list:
+    eps = validation_eps()
+    residuals = np.empty(len(draws))
+    for index, (rows_1, rows_2, cells, weights) in _shape_groups(draws):
+        _require_weights(_BINARY, rows_1, eps)
+        _require_weights(_BINARY, rows_2, eps)
+        joint = _frechet_coupling(rows_1[..., 0], rows_2[..., 0], cells)
+        _require_weights(_BINARY_PAIRS, joint, eps)
+        _require_weights(PhaseSpace(_labels("p", weights.shape[-1])), weights, eps)
+        residual = _classical_split(weights, joint, rows_1, rows_2, _BINARY_PAIRS.points)[-1]
         _require(residual is not None)
         residuals[index] = residual
     return _finite_list(residuals)
@@ -445,6 +524,28 @@ def _invariance_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
     return _finite_list(gaps)
 
 
+def _separable_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
+    a1, a2, joint = spin
+    eps = validation_eps()
+    groups = [
+        (index, *mixture, _mixture_matrix(*mixture)) for index, mixture in _shape_groups(draws)
+    ]
+    # every state is 4 x 4: one density check for the whole chunk
+    _require(_densities_accepted(np.concatenate([group[-1] for group in groups]), eps))
+    sides = np.concatenate([a1._stack, a2._stack])
+    stack = np.concatenate([joint._stack, sides])
+    deviations = np.empty(len(draws))
+    for index, weights, vectors, matrices in groups:
+        _require(_rows_fault(weights, vectors, matrices, eps) is None)
+        statistics = _trace_rule(stack, matrices)
+        born = _born_rows(sides, vectors)
+        measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
+        rho_e = _split(*measures, weights, born[..., :2], born[..., 2:], joint.space.points)[4][0]
+        _require(rho_e is not None)
+        deviations[index] = _nanmax(np.abs(rho_e - 1.0).reshape(len(index), -1))
+    return _finite_list(deviations)
+
+
 def _marginals_kernel(draws: list) -> list:
     statistics = _stacked_statistics(draws)[-1]
     grid = statistics[:, :4].reshape(-1, 2, 2)
@@ -454,22 +555,45 @@ def _marginals_kernel(draws: list) -> list:
     return _nanmax(gaps).tolist()
 
 
+def _classical_dirac_kernel(draws: list) -> list:
+    eps = validation_eps()
+    deviations = np.empty(len(draws))
+    for index, (rows_1, rows_2, point) in _shape_groups(draws):
+        codomains = _dirac_codomains(rows_1, rows_2)
+        _require_weights(codomains[0], rows_1, eps)
+        _require_weights(codomains[1], rows_2, eps)
+        states = np.eye(rows_1.shape[1])[point]  # each trial's point mass
+        joint = _product_rows(rows_1, rows_2)
+        outcomes = ProductSpace(*codomains).points
+        rho_c = _classical_split(states, joint, rows_1, rows_2, outcomes)[3][0]
+        _require(rho_c is not None)
+        deviations[index] = _nanmax(np.abs(rho_c - 1.0).reshape(len(index), -1))
+    return _finite_list(deviations)
+
+
 def _suites() -> tuple:
     """(name, tolerance, trial) for every suite, in report order. The spin
     pair is built per call, so it follows the validation eps in force."""
     spin = spin_z_pair()
     product_rule = _Stacked(_product_rule_draws, _quantum_product_rule, _product_rule_kernel)
+    classical_product_rule = _Stacked(
+        _classical_product_rule_draws, _classical_product_rule, _classical_product_rule_kernel
+    )
     invariance = _Stacked(
         _invariance_draws, partial(_invariance, spin), partial(_invariance_kernel, spin)
     )
+    separable = _Stacked(
+        _separable_draws, partial(_separable, spin), partial(_separable_kernel, spin)
+    )
     marginals = _Stacked(_marginals_draws, _marginals, _marginals_kernel)
+    dirac_triviality = _Stacked(_classical_dirac_draws, _classical_dirac, _classical_dirac_kernel)
     return (
         ("quantum-product-rule", PRODUCT_RULE_TOL, product_rule),
-        ("classical-product-rule", PRODUCT_RULE_TOL, _classical_product_rule),
+        ("classical-product-rule", PRODUCT_RULE_TOL, classical_product_rule),
         ("total-correlation-invariance", INVARIANCE_TOL, invariance),
-        ("separable-no-entanglement", SEPARABLE_TOL, partial(_separable, spin)),
+        ("separable-no-entanglement", SEPARABLE_TOL, separable),
         ("joint-marginal-consistency", MARGINAL_TOL, marginals),
-        ("classical-dirac-triviality", DIRAC_TOL, _classical_dirac),
+        ("classical-dirac-triviality", DIRAC_TOL, dirac_triviality),
     )
 
 

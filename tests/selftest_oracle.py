@@ -1,9 +1,9 @@
-"""Reference oracle: the three d = 4 quantum selftest trials as one function
-each, drawing and computing one trial at a time.
+"""Reference oracle: the six selftest trials as one function each, drawing
+and computing one trial at a time.
 
 These are the trial functions `qcorr.selftest` ran before it split each into
 a draw step and a compute step and computed whole chunks of trials on
-stacks, with the two input builders they called. Each takes the suite's
+stacks, with the input builders they called. Each takes the suite's
 generator, draws one trial's inputs from it, builds and validates every
 object through the public constructors and returns the trial's deviation.
 Tests compare the package's per-trial deviations, suite results and errors
@@ -14,12 +14,26 @@ import math
 
 import numpy as np
 
-from qcorr import ConvexDecomposition, DensityOperator, Povm
+from qcorr import ConvexDecomposition, DensityOperator, Povm, PureState
+from qcorr.classical_frame import (
+    ClassicalJoint,
+    ClassicalObservable,
+    PhaseSpace,
+    classical_joint,
+    classical_report,
+)
 from qcorr.correlation import CorrelationReport, correlation_report
 from qcorr.hilbert import _kron, random_decomposition, spectral_decompose
-from qcorr.measure import marginal
+from qcorr.measure import (
+    DensityFunction,
+    DiscreteMeasure,
+    OutcomeSpace,
+    ProductSpace,
+    dirac,
+    marginal,
+)
 from qcorr.observable import joint_from_commuting, outcome_measure
-from qcorr.selftest import _BINARY, _random_units
+from qcorr.selftest import _BINARY, _random_simplex, _random_units
 
 
 def _random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
@@ -40,10 +54,47 @@ def _random_qubit_pvm_pair(rng: np.random.Generator) -> tuple[Povm, Povm]:
     return a1, a2
 
 
+def _random_phase_space(rng: np.random.Generator) -> PhaseSpace:
+    size = int(rng.integers(2, 5))
+    return PhaseSpace(tuple(f"p{i}" for i in range(size)))
+
+
+def _random_kernel(
+    rng: np.random.Generator, phase: PhaseSpace, codomain: OutcomeSpace
+) -> ClassicalObservable:
+    rows = _random_simplex(rng, (len(phase), len(codomain)), floor=0.05)
+    return ClassicalObservable.from_matrix(phase, codomain, rows)
+
+
+def _frechet_coupling(rng: np.random.Generator, p: float, q: float) -> list[float]:
+    """A random coupling of two binary rows with the given success weights,
+    row-major over (0,0), (0,1), (1,0), (1,1).
+
+    Any value of the (0,0) cell between the Frechet bounds yields a joint row
+    whose marginals are exactly (p, 1-p) and (q, 1-q).
+    """
+    low = max(0.0, p + q - 1.0)
+    high = min(p, q)
+    c = low + (high - low) * rng.random()
+    return [c, p - c, q - c, 1.0 - p - q + c]
+
+
+def _product_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random product unit vectors of C^2 (x) C^2 as rows, each drawn
+    left factor first."""
+    units = _random_units(rng, 2 * count, 2)
+    return _kron(units[0::2], units[1::2], core=1)
+
+
 def _residual(report: CorrelationReport) -> float:
     """The report's product-rule residual; a missing factor is an infinite miss."""
     residual = report.product_rule_residual
     return math.inf if residual is None else residual
+
+
+def _deviation_from_one(rho: DensityFunction | None) -> float:
+    """Largest |rho - 1| on the support; a missing density is an infinite miss."""
+    return math.inf if rho is None else rho.deviation_from(1.0)
 
 
 def _quantum_product_rule(rng: np.random.Generator) -> float:
@@ -54,6 +105,18 @@ def _quantum_product_rule(rng: np.random.Generator) -> float:
     joint = joint_from_commuting(a1, a2)
     dec = random_decomposition(state, int(rng.integers(4, 8)), rng)
     return _residual(correlation_report(joint, a1, a2, dec))
+
+
+def _classical_product_rule(rng: np.random.Generator) -> float:
+    """Same product rule in the classical frame, with joints drawn between
+    the Frechet bounds so marginal consistency holds by construction."""
+    phase = _random_phase_space(rng)
+    a1 = _random_kernel(rng, phase, _BINARY)
+    a2 = _random_kernel(rng, phase, _BINARY)
+    rows = [_frechet_coupling(rng, p, q) for p, q in zip(a1.matrix[:, 0], a2.matrix[:, 0])]
+    joint = ClassicalJoint.from_matrix(phase, ProductSpace(_BINARY, _BINARY), rows)
+    state = DiscreteMeasure.from_array(phase, _random_simplex(rng, len(phase), floor=0.05))
+    return _residual(classical_report(joint, a1, a2, state))
 
 
 def _invariance(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> float:
@@ -91,3 +154,31 @@ def _marginals(rng: np.random.Generator) -> float:
             ),
         )
     return deviation
+
+
+def _separable(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> float:
+    """Mixtures of product pure states carry no entanglement-type correlation
+    relative to their product decomposition."""
+    a1, a2, joint = spin
+    count = int(rng.integers(1, 9))
+    weights = _random_simplex(rng, count, floor=0.02)
+    components = [
+        (w, PureState(vector))
+        for w, vector in zip(weights.tolist(), _product_vectors(rng, count))
+    ]
+    state = DensityOperator.from_mixture(components)
+    dec = ConvexDecomposition(components, state)
+    return _deviation_from_one(correlation_report(joint, a1, a2, dec).rho_e)
+
+
+def _classical_dirac(rng: np.random.Generator) -> float:
+    """Classical correlation is constant 1 at every point-mass state: a sharp
+    phase-space point leaves nothing for the mixing to correlate."""
+    phase = _random_phase_space(rng)
+    codomain_1 = OutcomeSpace(tuple(f"x{i}" for i in range(int(rng.integers(2, 4)))))
+    codomain_2 = OutcomeSpace(tuple(f"y{i}" for i in range(int(rng.integers(2, 4)))))
+    a1 = _random_kernel(rng, phase, codomain_1)
+    a2 = _random_kernel(rng, phase, codomain_2)
+    point = phase.labels[int(rng.integers(0, len(phase)))]
+    report = classical_report(classical_joint(a1, a2), a1, a2, dirac(phase, point))
+    return _deviation_from_one(report.rho_c)

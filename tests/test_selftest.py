@@ -93,9 +93,8 @@ def _reference_random_simplex(rng, size, floor=0.0):
     return weights / weights.sum()
 
 
-def _reference_random_kernel(rng, phase, codomain):
-    rows = [_reference_random_simplex(rng, len(codomain), floor=0.05) for _ in phase.labels]
-    return ClassicalObservable.from_matrix(phase, codomain, rows)
+def _reference_random_kernel(rng, points, outcomes):
+    return np.array([_reference_random_simplex(rng, outcomes, floor=0.05) for _ in range(points)])
 
 
 def _same_bits_and_stream(got, want, rng, reference_rng):
@@ -140,17 +139,25 @@ def test_random_kernel_draws_the_bits_of_one_simplex_per_row(qcorr_eps, points, 
     codomain = OutcomeSpace(tuple(f"x{i}" for i in range(outcomes)))
     for seed in range(10):
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = qcorr.selftest._random_kernel(rng, phase, codomain)
-        want = _reference_random_kernel(reference_rng, phase, codomain)
-        _same_bits_and_stream(got.matrix, want.matrix, rng, reference_rng)
+        got = qcorr.selftest._random_kernel(rng, points, outcomes)
+        want = _reference_random_kernel(reference_rng, points, outcomes)
+        ClassicalObservable.from_matrix(phase, codomain, want)  # valid rows
+        _same_bits_and_stream(got, want, rng, reference_rng)
 
 
-def _reference_pvm_pair(rng):
+def _reference_pvm_units(rng):
+    """The qubit pair's two unit vectors, drawn one at a time."""
+    return np.array([_random_unit(rng, 2), _random_unit(rng, 2)])
+
+
+def _reference_qubit_effects(units):
     """The qubit pair's effect stacks, built with np.kron and the mapping
-    constructor."""
+    constructor, or of each pair of a batch, one at a time."""
+    if units.ndim > 2:
+        pairs = [_reference_qubit_effects(pair) for pair in units]
+        return tuple(np.array([pair[side] for pair in pairs]) for side in (0, 1))
     eye = np.eye(2, dtype=complex)
-    left = _random_unit(rng, 2)
-    right = _random_unit(rng, 2)
+    left, right = units
     p = np.outer(left, left.conj())
     q = np.outer(right, right.conj())
     a1 = Povm(_BINARY, {"0": np.kron(p, eye), "1": np.kron(eye - p, eye)})
@@ -185,17 +192,26 @@ def _negative_zeros(arrays) -> int:
 
 
 def test_pvm_pair_has_the_bits_of_np_kron_and_the_mapping_constructor():
-    stacks = []
+    stacks, drawn = [], []
     for seed in range(300):
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        pair = qcorr.selftest._random_qubit_pvm_pair(rng)
-        reference = _reference_pvm_pair(reference_rng)
+        units = qcorr.selftest._random_qubit_pvm_pair(rng)
+        reference_units = _reference_pvm_units(reference_rng)
+        assert units.tobytes() == reference_units.tobytes()
+        pair = qcorr.selftest._qubit_effects(units)
+        reference = _reference_qubit_effects(reference_units)
         for got, want in zip(pair, reference):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             stacks.append(got)
         assert rng.random() == reference_rng.random()
+        drawn.append(units)
     assert _negative_zeros(stacks) > 0  # the byte comparison saw signed zeros
+    # a batch of pairs, as a stacked chunk builds them, has each pair's bits
+    batch = qcorr.selftest._qubit_effects(np.array(drawn))
+    for side, got in enumerate(batch):
+        assert got.shape == (300, 2, 4, 4)
+        assert got.tobytes() == np.array(stacks[side::2]).tobytes()
 
 
 def test_product_vectors_have_the_bits_of_np_kron():
@@ -231,7 +247,8 @@ def test_selftest_reports_the_same_bits_with_the_reference_builders(qcorr_eps, m
 
         monkeypatch.setattr(qcorr.selftest, name, builder)
 
-    counted("_random_qubit_pvm_pair", _reference_pvm_pair)
+    counted("_random_qubit_pvm_pair", _reference_pvm_units)
+    counted("_qubit_effects", _reference_qubit_effects)
     counted("_product_vectors", _reference_product_vectors)
     counted("spin_z_pair", _reference_spin_z_pair)
     counted("_random_density", _reference_random_density)
@@ -239,12 +256,14 @@ def test_selftest_reports_the_same_bits_with_the_reference_builders(qcorr_eps, m
     counted("_random_simplex", _reference_random_simplex)
     assert [deviations(seed) for seed in seeds] == built
     # every reference builder drove the run: the three d = 4 quantum suites
-    # draw a state per trial, two of them a pair, the classical suites two
-    # kernels and the separable and classical product-rule suites a simplex
+    # draw a state per trial, two of them a pair, whose effects their
+    # kernels build once per chunk, the classical suites two kernels and
+    # the separable and classical product-rule suites a simplex
     runs = 10 * len(seeds)
     assert calls == {
         "_random_density": 3 * runs,
         "_random_qubit_pvm_pair": 2 * runs,
+        "_qubit_effects": 2 * len(seeds),
         "_product_vectors": runs,
         "_random_kernel": 4 * runs,
         "_random_simplex": 2 * runs,

@@ -1,4 +1,4 @@
-"""The stacked chunks of the three d = 4 quantum selftest suites against the
+"""The stacked chunks of the six selftest suites against the
 one-trial-at-a-time oracle in `selftest_oracle`: the same deviation bits per
 trial, the same suite results, and the same errors at the same trial when a
 chunk replays through the per-trial compute step."""
@@ -10,11 +10,19 @@ from functools import partial
 import numpy as np
 import pytest
 
+import qcorr.correlation
 import qcorr.selftest
 import selftest_oracle
-from qcorr import AbsoluteContinuityViolation, DensityOperator, ValidationError, spin_z_pair
+from qcorr import (
+    AbsoluteContinuityViolation,
+    DensityOperator,
+    OutcomeSpace,
+    ProductSpace,
+    ValidationError,
+    spin_z_pair,
+)
 from qcorr.hilbert import _density_fault
-from qcorr.measure import _quotient
+from qcorr.measure import _quotient, _weights_fault
 from qcorr.observable import (
     _check_effects,
     _commutation_certified,
@@ -24,7 +32,14 @@ from qcorr.observable import (
 from qcorr.selftest import _BINARY
 from qcorr.tolerance import validation_eps
 
-NAMES = ("quantum-product-rule", "total-correlation-invariance", "joint-marginal-consistency")
+NAMES = (
+    "quantum-product-rule",
+    "classical-product-rule",
+    "total-correlation-invariance",
+    "separable-no-entanglement",
+    "joint-marginal-consistency",
+    "classical-dirac-triviality",
+)
 SEEDS = range(24)
 
 
@@ -45,8 +60,11 @@ def _suite(name):
     spin = spin_z_pair()
     oracle = {
         "quantum-product-rule": selftest_oracle._quantum_product_rule,
+        "classical-product-rule": selftest_oracle._classical_product_rule,
         "total-correlation-invariance": partial(selftest_oracle._invariance, spin),
+        "separable-no-entanglement": partial(selftest_oracle._separable, spin),
         "joint-marginal-consistency": selftest_oracle._marginals,
+        "classical-dirac-triviality": selftest_oracle._classical_dirac,
     }[name]
     return tolerance, trial, oracle
 
@@ -99,14 +117,13 @@ def test_stacked_chunks_have_the_oracle_bits(any_eps, monkeypatch, name, trials,
     assert calls["chunks"] == expected * 2 * len(SEEDS)
 
 
-def _corrupting(build, corrupt, at=3):
-    """`build` (rng, dim) with its output at call `at` replaced by
-    `corrupt` of it."""
+def _corrupting(build, corrupt, at):
+    """`build` with its output at call `at` replaced by `corrupt` of it."""
     count = iter(range(1, 1 << 30))
 
-    def builder(rng, dim):
-        matrix = build(rng, dim)
-        return corrupt(matrix) if next(count) == at else matrix
+    def builder(*args, **kwargs):
+        array = build(*args, **kwargs)
+        return corrupt(array) if next(count) == at else array
 
     return builder
 
@@ -130,18 +147,38 @@ def _rank_three(matrix):
     return rebuilt / np.trace(rebuilt).real
 
 
-def _patched_runs(monkeypatch, name, corrupt):
+def _nan_row(rows):
+    rows = rows.copy()
+    rows[-1, 0] = math.nan
+    return rows
+
+
+def _negative_weight(weights):
+    weights = weights.copy()
+    weights.flat[0] = -0.25
+    return weights
+
+
+def _non_unit(units):
+    units = units.copy()
+    units[0] *= 1.5
+    return units
+
+
+def _patched_runs(monkeypatch, name, corrupt, builder="_random_density", at=3):
     """The stacked and the oracle run of 10 trials of the named suite at
-    seed 4 with the third state corrupted, as (stacked outcome, oracle
-    outcome, spy calls); an outcome is the deviations or the exception."""
-    build = qcorr.selftest._random_density
-    monkeypatch.setattr(qcorr.selftest, "_random_density", _corrupting(build, corrupt))
-    oracle_build = _corrupting(build, corrupt)
-    monkeypatch.setattr(
-        selftest_oracle,
-        "_random_density",
-        lambda rng, dim: DensityOperator(oracle_build(rng, dim)),
-    )
+    seed 4 with the output of call `at` of the input builder `builder` (by
+    default the third state) corrupted, as (stacked outcome, oracle outcome,
+    spy calls); an outcome is the deviations or the exception."""
+    build = getattr(qcorr.selftest, builder)
+    monkeypatch.setattr(qcorr.selftest, builder, _corrupting(build, corrupt, at))
+    oracle_build = _corrupting(build, corrupt, at)
+    if builder == "_random_density":  # the oracle's builder checks the state it draws
+        monkeypatch.setattr(
+            selftest_oracle, builder, lambda rng, dim: DensityOperator(oracle_build(rng, dim))
+        )
+    else:
+        monkeypatch.setattr(selftest_oracle, builder, oracle_build)
     _, trial, oracle = _suite(name)
     spied, calls = _spied(trial)
 
@@ -157,7 +194,10 @@ def _patched_runs(monkeypatch, name, corrupt):
     return got, want, calls
 
 
-@pytest.mark.parametrize("name", NAMES)
+QUANTUM = ("quantum-product-rule", "total-correlation-invariance", "joint-marginal-consistency")
+
+
+@pytest.mark.parametrize("name", QUANTUM)
 @pytest.mark.parametrize("corrupt", [_with_nan, _off_hermitian])
 def test_a_chunk_with_an_invalid_state_replays_to_the_oracle_error(
     any_eps, monkeypatch, name, corrupt
@@ -170,7 +210,32 @@ def test_a_chunk_with_an_invalid_state_replays_to_the_oracle_error(
     assert calls["compute"] == 3
 
 
-@pytest.mark.parametrize("name", NAMES)
+# (suite, corruption, builder, call): the third trial's draw, at the
+# builder's calls per trial (three simplices in the classical product rule,
+# two in the Dirac suite, one simplex and one set of units in the separable)
+CORRUPT_DRAWS = [
+    ("classical-product-rule", _nan_row, "_random_simplex", 7),
+    ("classical-product-rule", _negative_weight, "_random_simplex", 9),
+    ("classical-dirac-triviality", _nan_row, "_random_simplex", 5),
+    ("classical-dirac-triviality", _negative_weight, "_random_simplex", 6),
+    ("separable-no-entanglement", _negative_weight, "_random_simplex", 3),
+    ("separable-no-entanglement", _non_unit, "_random_units", 3),
+]
+
+
+@pytest.mark.parametrize("name, corrupt, builder, at", CORRUPT_DRAWS)
+def test_a_chunk_with_a_corrupted_draw_replays_to_the_oracle_error(
+    any_eps, monkeypatch, name, corrupt, builder, at
+):
+    got, want, calls = _patched_runs(monkeypatch, name, corrupt, builder, at)
+    assert isinstance(want, tuple), "the oracle must reject the third trial"
+    assert issubclass(want[0], ValidationError)
+    assert got == want
+    assert calls["chunks"] == [10]
+    assert calls["compute"] == 3
+
+
+@pytest.mark.parametrize("name", QUANTUM)
 def test_a_rank_three_state_gives_the_oracle_bits(any_eps, monkeypatch, name):
     got, want, calls = _patched_runs(monkeypatch, name, _rank_three)
     assert isinstance(want, list) and got == want
@@ -182,9 +247,10 @@ def test_a_rank_three_state_gives_the_oracle_bits(any_eps, monkeypatch, name):
         assert calls["compute"] == 10
 
 
-def test_draws_are_taken_a_chunk_at_a_time(monkeypatch):
+@pytest.mark.parametrize("name", NAMES)
+def test_draws_are_taken_a_chunk_at_a_time(monkeypatch, name):
     monkeypatch.setattr(qcorr.selftest, "_CHUNK", 3)
-    _, trial, _ = _suite("quantum-product-rule")
+    _, trial, _ = _suite(name)
     spied, calls = _spied(trial)
     deviations = qcorr.selftest._deviations(spied, np.random.default_rng(0), 8)
     next(deviations)
@@ -193,13 +259,37 @@ def test_draws_are_taken_a_chunk_at_a_time(monkeypatch):
     assert calls["chunks"] == [3, 3, 2]
 
 
+def test_a_scaled_classical_product_fails_the_suites_that_pin_its_scale(monkeypatch):
+    # rho_c rho_e = joint / independent whatever the classical product's
+    # scale: only the closed forms rho_e = 1 (separable) and rho_c = 1
+    # (Dirac) see a classical product off by a common factor
+    mix_rows, suites = qcorr.correlation.mix_rows, qcorr.selftest._suites
+    monkeypatch.setattr(qcorr.correlation, "mix_rows", lambda *rows: 1.001 * mix_rows(*rows))
+    calls = []
+
+    def spied_suites():
+        spied = []
+        for name, tolerance, trial in suites():
+            trial, count = _spied(trial)
+            calls.append(count)
+            spied.append((name, tolerance, trial))
+        return tuple(spied)
+
+    monkeypatch.setattr(qcorr.selftest, "_suites", spied_suites)
+    report = qcorr.selftest.run_selftest(1, 10)
+    failed = {suite.name for suite in report.suites if not suite.passed}
+    assert failed == {"separable-no-entanglement", "classical-dirac-triviality"}
+    assert [count["compute"] for count in calls] == [0] * 6  # no chunk replayed
+    assert all(count["chunks"] == [10] for count in calls)
+
+
 # the helpers the stacks run through, with a leading batch axis -------------
 
 
 def _qubit_pairs(seed, count):
     rng = np.random.default_rng(seed)
-    pairs = [qcorr.selftest._random_qubit_pvm_pair(rng) for _ in range(count)]
-    return tuple(np.array([pair[side] for pair in pairs]) for side in (0, 1))
+    units = [qcorr.selftest._random_qubit_pvm_pair(rng) for _ in range(count)]
+    return qcorr.selftest._qubit_effects(np.array(units))
 
 
 def test_batched_projectivity_is_every_stack_projective():
@@ -276,3 +366,59 @@ def test_faults_on_a_batch_are_those_of_the_first_offender():
     with pytest.raises(ValidationError) as excinfo:
         qcorr.Povm._from_stack(_BINARY, left[1].copy())
     assert _completeness_fault(left, eps) == str(excinfo.value)
+
+
+def _reference_weights_fault(space, array, eps):
+    """The message of the per-row weight check, one row at a time, or None."""
+    for index in (array.argmin(), array.argmax()):
+        value, outcome = float(array[index]), space.outcomes[index]
+        if not math.isfinite(value):
+            return f"weight at {outcome!r} is not finite"
+        if value < -eps:
+            return f"negative weight {value!r} at {outcome!r}"
+    total = math.fsum(array.tolist())
+    if abs(total - 1.0) > eps:
+        return f"weights sum to {total!r}, expected 1"
+    return None
+
+
+def _first_row_fault(space, rows, eps):
+    faults = (_reference_weights_fault(space, row, eps) for row in rows.reshape(-1, len(space)))
+    return next((fault for fault in faults if fault is not None), None)
+
+
+def _set(*cells):
+    """A corruption writing each (at, value), `at` a (trial, row, column)."""
+
+    def corrupt(rows):
+        rows = rows.copy()
+        for at, value in cells:
+            rows[at] = value
+        return rows
+
+    return corrupt
+
+
+WEIGHT_FAULTS = [
+    _set(((2, 1, 0), math.nan)),
+    _set(((2, 1, 0), math.nan), ((1, 2, 1), math.inf)),
+    _set(((1, 2, 0), -math.inf), ((1, 2, 2), math.inf)),
+    _set(((3, 0, 1), -0.5), ((3, 0, 2), 1.5)),
+    _set(((2, 0, 1), 0.5), ((2, 1, 0), math.nan)),  # a sum before a NaN
+    _set(((2, 2, 1), 0.5), ((2, 1, 0), math.nan)),  # a NaN before a sum
+    _set(((1, 1, 2), 1e-300), ((0, 2, 0), -1e-300)),  # both within eps
+]
+
+
+@pytest.mark.parametrize("corrupt", WEIGHT_FAULTS)
+def test_weight_faults_on_a_batch_are_those_of_the_first_offender(any_eps, corrupt):
+    eps = validation_eps()
+    rows = qcorr.selftest._random_kernel(np.random.default_rng(5), 12, 3).reshape(4, 3, 3)
+    space = OutcomeSpace(("x0", "x1", "x2"))
+    assert _weights_fault(space, rows, eps) is None
+    bad = corrupt(rows)
+    assert _weights_fault(space, bad, eps) == _first_row_fault(space, bad, eps)
+    pairs = ProductSpace(OutcomeSpace(("a",)), space)  # messages name product points
+    assert _weights_fault(pairs, bad, eps) == _first_row_fault(pairs, bad, eps)
+    for trial in bad:
+        assert _weights_fault(space, trial, eps) == _first_row_fault(space, trial, eps)

@@ -13,16 +13,38 @@ import numpy as np
 import pytest
 
 import qcorr.selftest
-from qcorr import ConvexDecomposition, DensityOperator, Povm, correlation_report, spin_z_pair
+from qcorr import (
+    ConvexDecomposition,
+    DensityOperator,
+    DiscreteMeasure,
+    OutcomeSpace,
+    Povm,
+    PureState,
+    correlation_report,
+    spin_z_pair,
+)
+from qcorr.classical_frame import (
+    ClassicalObservable,
+    PhaseSpace,
+    _product_rows,
+    _pushed,
+    classical_joint,
+    classical_report,
+)
 from qcorr.correlation import _split, _total
 from qcorr.hilbert import (
+    _density_fault,
+    _mixture_fault,
+    _mixture_matrix,
     _random_mixing,
     _rows_fault,
     _spectral_split,
     random_decomposition,
     spectral_decompose,
 )
+from qcorr.measure import _quotient, _weights_fault, mix_rows
 from qcorr.observable import (
+    _born_rows,
     _check_povm,
     _forward_products,
     _trace_rule,
@@ -32,8 +54,11 @@ from qcorr.observable import (
 from qcorr.selftest import _BINARY
 
 PRODUCT_RULE = "quantum-product-rule"
+CLASSICAL_PRODUCT_RULE = "classical-product-rule"
 INVARIANCE = "total-correlation-invariance"
+SEPARABLE = "separable-no-entanglement"
 MARGINALS = "joint-marginal-consistency"
+DIRAC = "classical-dirac-triviality"
 
 
 def _executed(run) -> Counter:
@@ -58,8 +83,9 @@ def _state(seed=0):
 
 
 def _qubit_pair(seed=0):
-    effects = qcorr.selftest._random_qubit_pvm_pair(np.random.default_rng(seed))
-    return tuple(Povm._from_stack(_BINARY, stack) for stack in effects)
+    return qcorr.selftest._qubit_pair(
+        qcorr.selftest._random_qubit_pvm_pair(np.random.default_rng(seed))
+    )
 
 
 def _report():
@@ -100,23 +126,98 @@ def _measure():
     return lambda: outcome_measure(joint, state)
 
 
-# each step, and the set-up of the single-object call it serves
-SINGLE = {
-    _split: _report,
-    _total: _report,
-    _spectral_split: _spectral,
-    _random_mixing: _random,
-    _rows_fault: _from_rows,
-    _forward_products: _joint,
-    _check_povm: _povm,
-    _trace_rule: _measure,
-}
+def _density():
+    matrix = _state().matrix
+    return lambda: DensityOperator(matrix)
+
+
+def _components():
+    rng = np.random.default_rng(3)
+    weights = qcorr.selftest._random_simplex(rng, 3)
+    vectors = qcorr.selftest._product_vectors(rng, 3)
+    return [(w, PureState(vector)) for w, vector in zip(weights.tolist(), vectors)]
+
+
+def _from_mixture():
+    components = _components()
+    return lambda: DensityOperator.from_mixture(components)
+
+
+def _decomposition():
+    components = _components()
+    state = DensityOperator.from_mixture(components)
+    return lambda: ConvexDecomposition(components, state)
+
+
+def _kernels(seed=0):
+    """Two checked kernels on a three-point phase space and a state on it."""
+    rng = np.random.default_rng(seed)
+    phase = PhaseSpace(("p0", "p1", "p2"))
+    a1, a2 = (
+        ClassicalObservable.from_matrix(
+            phase, OutcomeSpace(labels), qcorr.selftest._random_kernel(rng, 3, len(labels))
+        )
+        for labels in (("x0", "x1"), ("y0", "y1", "y2"))
+    )
+    state = DiscreteMeasure.from_array(phase, qcorr.selftest._random_simplex(rng, 3))
+    return phase, a1, a2, state
+
+
+def _from_matrix():
+    phase, a1, _, _ = _kernels()
+    rows = a1.matrix.copy()
+    return lambda: ClassicalObservable.from_matrix(phase, a1.codomain, rows)
+
+
+def _from_array():
+    phase, _, _, state = _kernels()
+    weights = state.as_array().copy()
+    return lambda: DiscreteMeasure.from_array(phase, weights)
+
+
+def _classical_joint():
+    _, a1, a2, _ = _kernels()
+    return lambda: classical_joint(a1, a2)
+
+
+def _classical_report():
+    _, a1, a2, state = _kernels()
+    joint = classical_joint(a1, a2)
+    return lambda: classical_report(joint, a1, a2, state)
+
+
+# each step, and the set-up of a single-object call it serves
+SINGLE = [
+    (_split, _report),
+    (_total, _report),
+    (mix_rows, _report),
+    (_quotient, _report),
+    (_born_rows, _report),
+    (_spectral_split, _spectral),
+    (_random_mixing, _random),
+    (_rows_fault, _from_rows),
+    (_forward_products, _joint),
+    (_check_povm, _povm),
+    (_trace_rule, _measure),
+    (_density_fault, _density),
+    (_mixture_matrix, _from_mixture),
+    (_mixture_fault, _decomposition),
+    (_weights_fault, _from_matrix),
+    (_weights_fault, _from_array),
+    (_product_rows, _classical_joint),
+    (_pushed, _classical_report),
+    (_split, _classical_report),
+]
 
 STACKED = [
     (PRODUCT_RULE, (_split, _total, _spectral_split, _random_mixing, _rows_fault)),
-    (PRODUCT_RULE, (_forward_products, _check_povm, _trace_rule)),
+    (PRODUCT_RULE, (_forward_products, _check_povm, _trace_rule, _born_rows)),
+    (CLASSICAL_PRODUCT_RULE, (_weights_fault, _pushed, _split, _total, mix_rows, _quotient)),
     (INVARIANCE, (_total, _spectral_split, _random_mixing, _rows_fault, _trace_rule)),
+    (SEPARABLE, (_density_fault, _mixture_matrix, _rows_fault, _mixture_fault)),
+    (SEPARABLE, (_trace_rule, _born_rows, _split, _total, mix_rows, _quotient)),
     (MARGINALS, (_forward_products, _check_povm, _trace_rule)),
+    (DIRAC, (_weights_fault, _product_rows, _pushed, _split, _total, mix_rows, _quotient)),
 ]
 
 
@@ -139,6 +240,8 @@ def test_stacked_chunks_run_the_engine_steps(name, steps, trials):
         assert codes[step.__code__] > 0, step.__name__
 
 
-@pytest.mark.parametrize("step", list(SINGLE), ids=lambda step: step.__name__)
-def test_single_object_calls_run_the_engine_steps(step):
-    assert _executed(SINGLE[step]())[step.__code__] > 0
+@pytest.mark.parametrize(
+    "step, setup", SINGLE, ids=[f"{step.__name__}-{setup.__name__}" for step, setup in SINGLE]
+)
+def test_single_object_calls_run_the_engine_steps(step, setup):
+    assert _executed(setup())[step.__code__] > 0
