@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsoluteContinuityViolation, JointMarginalMismatch
-from .hilbert import ConvexDecomposition, DensityOperator, spectral_decompose
+from .hilbert import ConvexDecomposition, DensityOperator, _in_halves, spectral_decompose
 from .measure import DensityFunction, DiscreteMeasure, _derived, _nanmax, _quotient, mix_rows
 from .observable import Povm, check_joint, outcome_measure
 from .tolerance import PRODUCT_RULE_TOL
@@ -96,7 +96,11 @@ def correlation_report(
         joint, a1, a2, outcome_measure
     )
     vectors = decomposition.vectors
-    rows_1, rows_2 = a1.born_rows(vectors), a2.born_rows(vectors)
+    rows_1, rows_2 = _in_halves(
+        lambda: a1.born_rows(vectors),
+        lambda: a2.born_rows(vectors),
+        (len(a1._stack) + len(a2._stack)) * vectors.size * a1.dim,
+    )
     return split_report(
         joint_measure, marginal_1, marginal_2, decomposition._weights, rows_1, rows_2, source
     )

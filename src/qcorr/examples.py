@@ -45,7 +45,7 @@ from importlib import resources
 
 from .errors import UnknownExample, ValidationError
 from .hilbert import ConvexDecomposition, DensityOperator
-from .measure import _number
+from .measure import _exact_sum, _number
 from .report import ReportDocument
 from .scenario import QuantumScenario, Scenario, loads_scenario, run_scenario
 from .tolerance import validation_eps
@@ -80,7 +80,7 @@ def _four_weights(values: dict, file_weights: tuple) -> tuple[float, ...]:
     for w in weights:
         if w < 0.0:
             raise ValidationError(f"weight {w!r} must be nonnegative")
-    total = math.fsum(weights)
+    total = _exact_sum(weights)
     if abs(total - 1.0) > validation_eps():
         raise ValidationError(f"weights sum to {total!r}, expected 1")
     return weights

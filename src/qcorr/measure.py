@@ -260,7 +260,7 @@ def _weights_fault(space: Space, rows: np.ndarray, eps: float) -> str | None:
     """Why `_checked_weights` rejects a row of `rows` (..., k), each one float
     weight per outcome of `space`, at eps, or None: the message of the first
     row, in order, with an extreme (its argmin, then its argmax) not finite
-    or below -eps, or whose exact sum (one `math.fsum` per row) is off 1 by
+    or below -eps, or whose exact sum (one `_exact_sum` per row) is off 1 by
     more than eps."""
     rows = rows.reshape(-1, rows.shape[-1])
     flat = rows.reshape(-1)
@@ -275,10 +275,19 @@ def _weights_fault(space: Space, rows: np.ndarray, eps: float) -> str | None:
                     return f"weight at {outcome!r} is not finite"
                 if value < -eps:
                     return f"negative weight {value!r} at {outcome!r}"
-        total = math.fsum(values)
+        total = _exact_sum(values)
         if abs(total - 1.0) > eps:
             return f"weights sum to {total!r}, expected 1"
     return None
+
+
+def _exact_sum(weights) -> float:
+    """`math.fsum` of finite `weights`, none far below zero, with a sum past
+    the float range read as inf: `math.fsum` raises OverflowError there."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        return math.inf
 
 
 def dirac(space: Space, outcome) -> DiscreteMeasure:

@@ -88,6 +88,12 @@ def test_from_matrix_checks_the_shape():
         ClassicalObservable.from_matrix(PHASE, BITS, [0.5, 0.5])
 
 
+def test_from_matrix_rejects_rows_summing_past_the_float_range():
+    with pytest.raises(ValidationError) as excinfo:
+        ClassicalObservable.from_matrix(PHASE, BITS, [[0.5, 0.5], [1e308, 1e308]])
+    assert str(excinfo.value) == "weights sum to inf, expected 1"
+
+
 def test_from_matrix_rejects_ragged_and_non_numeric_input():
     with pytest.raises(ValidationError) as excinfo:
         ClassicalObservable.from_matrix(PHASE, BITS, [[1.0, 0.0], [1.0]])

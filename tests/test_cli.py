@@ -252,6 +252,51 @@ def test_validate_names_an_integer_beyond_the_float_range(tmp_path, capsys):
     }
 
 
+def _weights_past_the_float_range(name: str) -> dict:
+    """A bundled file whose state (classical) or first decomposition
+    (quantum) has finite weights that sum past the float range."""
+    doc = json.loads(bundled_scenario_text(name))
+    if doc["mode"] == "classical":
+        doc["state"] = [1e308] * len(doc["state"])
+    else:
+        for component in next(iter(doc["decompositions"].values())):
+            component["weight"] = 1e308
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("classical_fuzzy.json", "state: weights sum to inf, expected 1"),
+        (
+            "separable.json",
+            "decompositions['product-basis']: decomposition weights sum to inf, expected 1",
+        ),
+    ],
+)
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_weights_summing_past_the_float_range_are_a_validation_error(
+    name, message, verb, tmp_path, capsys
+):
+    path = tmp_path / name
+    path.write_text(json.dumps(_weights_past_the_float_range(name)))
+
+    assert main([verb, str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+    assert main([verb, str(path), "--format", "json"]) == EXIT_VALIDATION
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"type": "ValidationError", "message": message}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_paper_example_weights_summing_past_the_float_range(fmt, capsys):
+    argv = ["paper-example", "i", "--params", "w1=1e308,w2=1e308", "--format", fmt]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "weights sum to inf, expected 1" in captured.out + captured.err
+
+
 def test_engine_error_exits_2(tmp_path, capsys):
     # Deterministic kernels pin the marginals to ("0", "0"), but the explicit
     # joint puts all its mass at ("1", "1"): the total-correlation density

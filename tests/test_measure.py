@@ -105,6 +105,15 @@ def test_dirac_is_valid_by_construction_and_reads_no_eps(monkeypatch):
         DiscreteMeasure.from_array(TRITS, [0.0, 0.0, 1.0])
 
 
+def test_weights_summing_past_the_float_range_sum_to_inf():
+    # math.fsum raises OverflowError on such a sum; it reads as inf
+    with pytest.raises(ValidationError) as excinfo:
+        DiscreteMeasure.from_array(BITS, [1e308, 1e308])
+    assert str(excinfo.value) == "weights sum to inf, expected 1"
+    with pytest.raises(ValidationError, match="^weights sum to inf, expected 1$"):
+        DiscreteMeasure(BITS, {"0": 1e308, "1": 1e308})
+
+
 @given(measures(BITS), measures(TRITS))
 def test_product_marginals_recover_factors(nu1, nu2):
     space = ProductSpace(BITS, TRITS)
