@@ -3,13 +3,13 @@
 Each suite draws its own generator from one seed, so a run is reproducible
 from the single reported number. A suite records the worst deviation it saw;
 a trial fails when that deviation crosses the suite tolerance. Every suite
-takes the draws of a chunk of trials first and computes the chunk on stacks
-through the engine's own batched steps (the checks, the joint's products,
-the spectral split, the random mixing and the one correlation split,
-`correlation._split`), with the bits of its per-trial code, which replays
-any chunk the stacks cannot hold (see `_Stacked`). The suites whose trials
-differ in shape (phase-space size, codomains, component count) stack each
-group of one shape.
+takes the raw draws of a chunk of trials first, builds the chunk's inputs
+from them and computes the chunk on stacks through the engine's own batched
+steps (the checks, the joint's products, the spectral split, the random
+mixing and the one correlation split, `correlation._split`), with the bits
+of its per-trial code, which replays any chunk the stacks cannot hold (see
+`_Stacked`). The suites whose trials differ in shape (phase-space size,
+codomains, component count) stack each group of one shape.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -104,32 +104,45 @@ class SelftestReport:
 
 # random draws ---------------------------------------------------------------
 
-
-def _random_units(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """`count` random unit vectors of C^dim as rows, each drawn real part
-    first, in one call."""
-    draws = rng.normal(size=(count, 2, dim))
-    vectors = draws[:, 0] + 1j * draws[:, 1]
-    return vectors / _row_norms(vectors)[:, None]
+# A trial's draw step makes only its generator calls and returns their raw
+# arrays. The helpers below build its inputs from them, each on one trial's
+# draws or on a stack of trials' (leading axes), with the same bits either way.
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A random state matrix: a Ginibre matrix G, drawn real part first in
-    one call, as G G^H over its trace. The trial that draws it checks it."""
-    draws = rng.normal(size=(2, dim, dim))
-    ginibre = draws[0] + 1j * draws[1]
-    matrix = ginibre @ ginibre.conj().T
-    return matrix / np.trace(matrix).real
+def _ginibre_states(draws: np.ndarray) -> np.ndarray:
+    """The state matrices (..., d, d) of Ginibre draws (..., 2, d, d), real
+    part first: G G^H over its trace. The trial that draws them checks them."""
+    ginibre = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+    matrices = ginibre @ ginibre.conj().swapaxes(-1, -2)
+    return matrices / np.trace(matrices, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _units(draws: np.ndarray) -> np.ndarray:
+    """The unit vectors (..., d) of C^d of normal draws (..., 2, d), real
+    part first."""
+    vectors = draws[..., 0, :] + 1j * draws[..., 1, :]
+    return vectors / _row_norms(vectors)[..., None]
+
+
+def _product_vectors(draws: np.ndarray) -> np.ndarray:
+    """The product unit vectors (..., n, 4) of C^2 (x) C^2 of the unit draws
+    (..., 2 n, 2, 2), each left factor first."""
+    units = _units(draws)
+    return _kron(units[..., 0::2, :], units[..., 1::2, :], core=1)
+
+
+def _simplex_rows(uniforms: np.ndarray, floor: float) -> np.ndarray:
+    """Probability rows (..., n) of uniform draws (..., n) raised by `floor`:
+    kernel rows and weights; the trial that draws them checks them."""
+    weights = uniforms + floor
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 _BINARY = OutcomeSpace(("0", "1"))
 _BINARY_PAIRS = ProductSpace(_BINARY, _BINARY)
-
-
-def _random_qubit_pvm_pair(rng: np.random.Generator) -> np.ndarray:
-    """The unit vectors (2, 2) of C^2, left factor first, whose projectors
-    give a pair of projective qubit observables (`_qubit_effects`)."""
-    return _random_units(rng, 2, 2)
+# the normal draws of a d = 4 quantum trial's state and of its qubit pair
+_STATE_DRAWS = (2, 4, 4)
+_PAIR_DRAWS = (2, 2, 2)
 
 
 def _qubit_effects(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,23 +156,8 @@ def _qubit_effects(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _kron(stacks[..., 0, :, :, :], eye), _kron(eye, stacks[..., 1, :, :, :])
 
 
-def _random_simplex(
-    rng: np.random.Generator, size: int | tuple[int, int], floor: float = 0.0
-) -> np.ndarray:
-    """Random probability rows: `size` weights, or a matrix of rows, drawn
-    in one call."""
-    weights = rng.random(size) + floor
-    return weights / weights.sum(axis=-1, keepdims=True)
-
-
 def _labels(prefix: str, size: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(size))
-
-
-def _random_kernel(rng: np.random.Generator, points: int, outcomes: int) -> np.ndarray:
-    """Kernel rows (points, outcomes), one random simplex each; the trial
-    that draws them checks them."""
-    return _random_simplex(rng, (points, outcomes), floor=0.05)
 
 
 def _frechet_coupling(p: np.ndarray, q: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -204,38 +202,39 @@ def _random_mixture(state: DensityOperator, mixing: np.ndarray) -> ConvexDecompo
     return ConvexDecomposition._from_rows(*mixture, state)
 
 
-def _qubit_pair(units: np.ndarray) -> tuple[Povm, Povm]:
-    """The checked pair of projective qubit observables of `units` (2, 2)."""
-    return tuple(Povm._from_stack(_BINARY, stack) for stack in _qubit_effects(units))
+def _qubit_pair(draws: np.ndarray) -> tuple[Povm, Povm]:
+    """The checked pair of projective qubit observables of the unit draws
+    `draws` (2, 2, 2)."""
+    return tuple(Povm._from_stack(_BINARY, stack) for stack in _qubit_effects(_units(draws)))
 
 
 def _product_rule_draws(rng: np.random.Generator) -> tuple:
-    return _random_density(rng, 4), _random_qubit_pvm_pair(rng), _mixing_draws(rng)
+    return rng.normal(size=_STATE_DRAWS), rng.normal(size=_PAIR_DRAWS), _mixing_draws(rng)
 
 
 def _quantum_product_rule(draws: tuple) -> float:
     """rho_c * rho_e recovers rho_t for random states, product projective
     observable pairs, and random decompositions."""
-    matrix, units, mixing = draws
-    state = DensityOperator(matrix)
-    a1, a2 = _qubit_pair(units)
+    normals, pair, mixing = draws
+    state = DensityOperator(_ginibre_states(normals))
+    a1, a2 = _qubit_pair(pair)
     joint = joint_from_commuting(a1, a2)
     dec = _random_mixture(state, mixing)
     return _residual(correlation_report(joint, a1, a2, dec))
 
 
 def _classical_product_rule_draws(rng: np.random.Generator) -> tuple:
-    """A phase-space size in 2..4, both kernels' rows, one uniform draw per
-    coupling cell and the state's weights."""
+    """A phase-space size in 2..4, the uniforms of both kernels' rows, one
+    uniform per coupling cell and the uniforms of the state's weights."""
     size = int(rng.integers(2, 5))
-    rows_1, rows_2 = _random_kernel(rng, size, 2), _random_kernel(rng, size, 2)
-    return rows_1, rows_2, rng.random(size), _random_simplex(rng, size, floor=0.05)
+    return rng.random((size, 2)), rng.random((size, 2)), rng.random(size), rng.random(size)
 
 
 def _classical_product_rule(draws: tuple) -> float:
     """Same product rule in the classical frame, with joints drawn between
     the Frechet bounds so marginal consistency holds by construction."""
-    rows_1, rows_2, cells, weights = draws
+    uniforms_1, uniforms_2, cells, uniforms = draws
+    rows_1, rows_2, weights = (_simplex_rows(u, 0.05) for u in (uniforms_1, uniforms_2, uniforms))
     phase = PhaseSpace(_labels("p", len(weights)))
     a1 = ClassicalObservable.from_matrix(phase, _BINARY, rows_1)
     a2 = ClassicalObservable.from_matrix(phase, _BINARY, rows_2)
@@ -246,15 +245,15 @@ def _classical_product_rule(draws: tuple) -> float:
 
 
 def _invariance_draws(rng: np.random.Generator) -> tuple:
-    return _random_density(rng, 4), _mixing_draws(rng)
+    return rng.normal(size=_STATE_DRAWS), _mixing_draws(rng)
 
 
 def _invariance(spin: tuple[Povm, Povm, Povm], draws: tuple) -> float:
     """Total correlation depends only on the state: rebuilding the operator
     from two different decompositions leaves rho_t unchanged pointwise."""
     a1, a2, joint = spin
-    matrix, mixing = draws
-    state = DensityOperator(matrix)
+    normals, mixing = draws
+    state = DensityOperator(_ginibre_states(normals))
     spectral = spectral_decompose(state)
     shuffled = _random_mixture(state, mixing)
     rho_1, rho_2 = (
@@ -266,24 +265,25 @@ def _invariance(spin: tuple[Povm, Povm, Povm], draws: tuple) -> float:
     return rho_1.max_difference(rho_2)
 
 
-def _product_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` random product unit vectors of C^2 (x) C^2 as rows, each drawn
-    left factor first."""
-    units = _random_units(rng, 2 * count, 2)
-    return _kron(units[0::2], units[1::2], core=1)
-
-
 def _separable_draws(rng: np.random.Generator) -> tuple:
-    """A component count in 1..8, the weights and the product vectors."""
+    """A component count n in 1..8, the uniforms of the weights and the unit
+    draws (2 n, 2, 2) of the product vectors."""
     count = int(rng.integers(1, 9))
-    return _random_simplex(rng, count, floor=0.02), _product_vectors(rng, count)
+    return rng.random(count), rng.normal(size=(2 * count, 2, 2))
+
+
+def _separable_mixture(draws: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (..., n) and product vectors (..., n, 4) of the separable
+    suite's draws, of one trial or of a group of one count."""
+    uniforms, normals = draws
+    return _simplex_rows(uniforms, 0.02), _product_vectors(normals)
 
 
 def _separable(spin: tuple[Povm, Povm, Povm], draws: tuple) -> float:
     """Mixtures of product pure states carry no entanglement-type correlation
     relative to their product decomposition."""
     a1, a2, joint = spin
-    weights, vectors = draws
+    weights, vectors = _separable_mixture(draws)
     components = [(w, PureState(vector)) for w, vector in zip(weights.tolist(), vectors)]
     state = DensityOperator.from_mixture(components)
     dec = ConvexDecomposition(components, state)
@@ -291,15 +291,15 @@ def _separable(spin: tuple[Povm, Povm, Povm], draws: tuple) -> float:
 
 
 def _marginals_draws(rng: np.random.Generator) -> tuple:
-    return _random_density(rng, 4), _random_qubit_pvm_pair(rng)
+    return rng.normal(size=_STATE_DRAWS), rng.normal(size=_PAIR_DRAWS)
 
 
 def _marginals(draws: tuple) -> float:
     """The joint built from a commuting product pair reproduces both factor
     statistics as marginals."""
-    matrix, units = draws
-    state = DensityOperator(matrix)
-    a1, a2 = _qubit_pair(units)
+    normals, pair = draws
+    state = DensityOperator(_ginibre_states(normals))
+    a1, a2 = _qubit_pair(pair)
     joint = joint_from_commuting(a1, a2)
     joint_measure = outcome_measure(joint, state)
     deviation = 0.0
@@ -317,17 +317,17 @@ def _marginals(draws: tuple) -> float:
 
 
 def _classical_dirac_draws(rng: np.random.Generator) -> tuple:
-    """Phase-space and both codomain sizes, both kernels' rows and the
-    point's index (a numpy integer)."""
+    """Phase-space and both codomain sizes, the uniforms of both kernels'
+    rows and the point's index (a numpy integer)."""
     size, k1, k2 = (int(rng.integers(2, high)) for high in (5, 4, 4))
-    rows_1, rows_2 = _random_kernel(rng, size, k1), _random_kernel(rng, size, k2)
-    return rows_1, rows_2, rng.integers(0, size)
+    return rng.random((size, k1)), rng.random((size, k2)), rng.integers(0, size)
 
 
 def _classical_dirac(draws: tuple) -> float:
     """Classical correlation is constant 1 at every point-mass state: a sharp
     phase-space point leaves nothing for the mixing to correlate."""
-    rows_1, rows_2, point = draws
+    uniforms_1, uniforms_2, point = draws
+    rows_1, rows_2 = _simplex_rows(uniforms_1, 0.05), _simplex_rows(uniforms_2, 0.05)
     phase = PhaseSpace(_labels("p", len(rows_1)))
     codomain_1, codomain_2 = _dirac_codomains(rows_1, rows_2)
     a1 = ClassicalObservable.from_matrix(phase, codomain_1, rows_1)
@@ -363,10 +363,11 @@ def _require(verdict) -> None:
 @dataclass(frozen=True)
 class _Stacked:
     """A trial as `draw`, every generator call of one trial returning its
-    raw arrays, and `compute`, the per-object code on them. `kernel` takes
-    the draws of a whole chunk and returns their deviations, computed on
-    stacks with the bits of `compute`, or raises where `compute` would raise
-    or where a trial does not fit the stacks."""
+    raw arrays, and `compute`, which builds the trial's inputs from them and
+    runs the per-object code. `kernel` takes the draws of a whole chunk and
+    returns their deviations, computed on stacks with the bits of `compute`,
+    or raises where `compute` would raise or where a trial does not fit the
+    stacks."""
 
     draw: Callable[[np.random.Generator], tuple]
     compute: Callable[[tuple], float]
@@ -408,9 +409,10 @@ def _densities_accepted(matrices: np.ndarray, eps: float) -> bool:
 
 
 def _stacked_states(draws: list) -> tuple[np.ndarray, float]:
-    """The chunk's state matrices (B, d, d), checked as `DensityOperator`
-    checks each, and the validation eps."""
-    matrices = np.array([draw[0] for draw in draws])
+    """The chunk's state matrices (B, d, d), built from its Ginibre draws (the
+    first draw) and checked as `DensityOperator` checks each, and the
+    validation eps."""
+    matrices = _ginibre_states(np.array([draw[0] for draw in draws]))
     eps = validation_eps()
     _require(_densities_accepted(matrices, eps))
     return matrices, eps
@@ -447,7 +449,7 @@ def _stacked_statistics(draws: list) -> tuple:
     (B, k k + k + k) of each pair's joint, built and checked as
     `joint_from_commuting` builds and checks it, and of the pair."""
     matrices, eps = _stacked_states(draws)
-    sides = _qubit_effects(np.array([draw[1] for draw in draws]))
+    sides = _qubit_effects(_units(np.array([draw[1] for draw in draws])))
     skews = [_check_povm(_BINARY.outcomes, side, eps) for side in sides]
     _require(all(_pairwise_projective(side, eps) for side in sides))
     products = _forward_products(*(side.swapaxes(0, 1) for side in sides))  # (k, k, B, d, d)
@@ -489,7 +491,10 @@ def _classical_split(weights: np.ndarray, joint: np.ndarray, rows_1, rows_2, poi
 def _classical_product_rule_kernel(draws: list) -> list:
     eps = validation_eps()
     residuals = np.empty(len(draws))
-    for index, (rows_1, rows_2, cells, weights) in _shape_groups(draws):
+    for index, (uniforms_1, uniforms_2, cells, uniforms) in _shape_groups(draws):
+        rows_1, rows_2, weights = (
+            _simplex_rows(u, 0.05) for u in (uniforms_1, uniforms_2, uniforms)
+        )
         _require_weights(_BINARY, rows_1, eps)
         _require_weights(_BINARY, rows_2, eps)
         joint = _frechet_coupling(rows_1[..., 0], rows_2[..., 0], cells)
@@ -527,9 +532,10 @@ def _invariance_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
 def _separable_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
     a1, a2, joint = spin
     eps = validation_eps()
-    groups = [
-        (index, *mixture, _mixture_matrix(*mixture)) for index, mixture in _shape_groups(draws)
-    ]
+    groups = []
+    for index, group in _shape_groups(draws):
+        mixture = _separable_mixture(group)
+        groups.append((index, *mixture, _mixture_matrix(*mixture)))
     # every state is 4 x 4: one density check for the whole chunk
     _require(_densities_accepted(np.concatenate([group[-1] for group in groups]), eps))
     sides = np.concatenate([a1._stack, a2._stack])
@@ -558,7 +564,8 @@ def _marginals_kernel(draws: list) -> list:
 def _classical_dirac_kernel(draws: list) -> list:
     eps = validation_eps()
     deviations = np.empty(len(draws))
-    for index, (rows_1, rows_2, point) in _shape_groups(draws):
+    for index, (uniforms_1, uniforms_2, point) in _shape_groups(draws):
+        rows_1, rows_2 = _simplex_rows(uniforms_1, 0.05), _simplex_rows(uniforms_2, 0.05)
         codomains = _dirac_codomains(rows_1, rows_2)
         _require_weights(codomains[0], rows_1, eps)
         _require_weights(codomains[1], rows_2, eps)
@@ -571,10 +578,17 @@ def _classical_dirac_kernel(draws: list) -> list:
     return _finite_list(deviations)
 
 
+@cache
+def _spin_pair(eps: float) -> tuple[Povm, Povm, Povm]:
+    """`spin_z_pair` built and checked under the validation eps `eps`, which
+    its observables keep; they are read-only, so runs share them."""
+    return spin_z_pair()
+
+
 def _suites() -> tuple:
-    """(name, tolerance, trial) for every suite, in report order. The spin
-    pair is built per call, so it follows the validation eps in force."""
-    spin = spin_z_pair()
+    """(name, tolerance, trial) for every suite, in report order, with the
+    spin pair of the validation eps in force."""
+    spin = _spin_pair(validation_eps())
     product_rule = _Stacked(_product_rule_draws, _quantum_product_rule, _product_rule_kernel)
     classical_product_rule = _Stacked(
         _classical_product_rule_draws, _classical_product_rule, _classical_product_rule_kernel

@@ -3,11 +3,13 @@ and computing one trial at a time.
 
 These are the trial functions `qcorr.selftest` ran before it split each into
 a draw step and a compute step and computed whole chunks of trials on
-stacks, with the input builders they called. Each takes the suite's
-generator, draws one trial's inputs from it, builds and validates every
-object through the public constructors and returns the trial's deviation.
-Tests compare the package's per-trial deviations, suite results and errors
-with them.
+stacks. Each takes the suite's generator, draws one trial's inputs from it
+through the one-at-a-time builders below, builds and validates every object
+through the public constructors and returns the trial's deviation. The
+builders draw one unit vector, one Ginibre part or one probability row per
+generator call, as the package drew them before it batched its draws, and
+share no code with the package's draw helpers. Tests compare the package's
+per-trial deviations, suite results, errors and built inputs with them.
 """
 
 import math
@@ -23,7 +25,7 @@ from qcorr.classical_frame import (
     classical_report,
 )
 from qcorr.correlation import CorrelationReport, correlation_report
-from qcorr.hilbert import _kron, random_decomposition, spectral_decompose
+from qcorr.hilbert import random_decomposition, spectral_decompose
 from qcorr.measure import (
     DensityFunction,
     DiscreteMeasure,
@@ -33,25 +35,59 @@ from qcorr.measure import (
     marginal,
 )
 from qcorr.observable import joint_from_commuting, outcome_measure
-from qcorr.selftest import _BINARY, _random_simplex, _random_units
+
+_BINARY = OutcomeSpace(("0", "1"))
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
-    draws = rng.normal(size=(2, dim, dim))
-    ginibre = draws[0] + 1j * draws[1]
+def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return vector / np.linalg.norm(vector)
+
+
+def _random_units(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """`count` random unit vectors of C^dim as rows, drawn one at a time."""
+    return np.array([_random_unit(rng, dim) for _ in range(count)])
+
+
+def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The state matrix G G^H over its trace, its Ginibre matrix G drawn one
+    part at a time; the trial that draws it checks it."""
+    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     matrix = ginibre @ ginibre.conj().T
-    return DensityOperator(matrix / np.trace(matrix).real)
+    return matrix / np.trace(matrix).real
+
+
+def _random_row(rng: np.random.Generator, size: int, floor: float) -> np.ndarray:
+    weights = rng.random(size) + floor
+    return weights / weights.sum()
+
+
+def _random_simplex(
+    rng: np.random.Generator, size: int | tuple[int, int], floor: float = 0.0
+) -> np.ndarray:
+    """Random probability weights, or a matrix of rows, one row at a time."""
+    if isinstance(size, tuple):
+        return np.array([_random_row(rng, size[1], floor) for _ in range(size[0])])
+    return _random_row(rng, size, floor)
+
+
+def _qubit_effects(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The effect stacks of the projective qubit observables {P, I - P} of
+    the unit vectors `units` (2, 2) on the two factors of C^2 (x) C^2, built
+    with np.kron and the mapping constructor."""
+    eye = np.eye(2, dtype=complex)
+    left, right = units
+    p = np.outer(left, left.conj())
+    q = np.outer(right, right.conj())
+    a1 = Povm(_BINARY, {"0": np.kron(p, eye), "1": np.kron(eye - p, eye)})
+    a2 = Povm(_BINARY, {"0": np.kron(eye, q), "1": np.kron(eye, eye - q)})
+    return a1._stack, a2._stack
 
 
 def _random_qubit_pvm_pair(rng: np.random.Generator) -> tuple[Povm, Povm]:
     """Projective qubit observables acting on the two factors of C^2 (x) C^2."""
-    eye = np.eye(2, dtype=complex)
     units = _random_units(rng, 2, 2)
-    projectors = units[:, :, None] * units.conj()[:, None, :]
-    stacks = np.stack([projectors, eye - projectors], axis=1)
-    a1 = Povm._from_stack(_BINARY, _kron(stacks[0], eye))
-    a2 = Povm._from_stack(_BINARY, _kron(eye, stacks[1]))
-    return a1, a2
+    return tuple(Povm._from_stack(_BINARY, stack) for stack in _qubit_effects(units))
 
 
 def _random_phase_space(rng: np.random.Generator) -> PhaseSpace:
@@ -80,10 +116,10 @@ def _frechet_coupling(rng: np.random.Generator, p: float, q: float) -> list[floa
 
 
 def _product_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` random product unit vectors of C^2 (x) C^2 as rows, each drawn
-    left factor first."""
+    """`count` random product unit vectors of C^2 (x) C^2 as rows, one
+    np.kron each, each drawn left factor first."""
     units = _random_units(rng, 2 * count, 2)
-    return _kron(units[0::2], units[1::2], core=1)
+    return np.array([np.kron(left, right) for left, right in zip(units[0::2], units[1::2])])
 
 
 def _residual(report: CorrelationReport) -> float:
@@ -100,7 +136,7 @@ def _deviation_from_one(rho: DensityFunction | None) -> float:
 def _quantum_product_rule(rng: np.random.Generator) -> float:
     """rho_c * rho_e recovers rho_t for random states, product projective
     observable pairs, and random decompositions."""
-    state = _random_density(rng, 4)
+    state = DensityOperator(_random_density(rng, 4))
     a1, a2 = _random_qubit_pvm_pair(rng)
     joint = joint_from_commuting(a1, a2)
     dec = random_decomposition(state, int(rng.integers(4, 8)), rng)
@@ -123,7 +159,7 @@ def _invariance(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> floa
     """Total correlation depends only on the state: rebuilding the operator
     from two different decompositions leaves rho_t unchanged pointwise."""
     a1, a2, joint = spin
-    state = _random_density(rng, 4)
+    state = DensityOperator(_random_density(rng, 4))
     spectral = spectral_decompose(state)
     shuffled = random_decomposition(state, int(rng.integers(4, 8)), rng)
     rho_1, rho_2 = (
@@ -138,7 +174,7 @@ def _invariance(spin: tuple[Povm, Povm, Povm], rng: np.random.Generator) -> floa
 def _marginals(rng: np.random.Generator) -> float:
     """The joint built from a commuting product pair reproduces both factor
     statistics as marginals."""
-    state = _random_density(rng, 4)
+    state = DensityOperator(_random_density(rng, 4))
     a1, a2 = _random_qubit_pvm_pair(rng)
     joint = joint_from_commuting(a1, a2)
     joint_measure = outcome_measure(joint, state)

@@ -343,7 +343,7 @@ def test_a_negative_eigenvalue_within_eps_is_a_valid_state(monkeypatch):
 @pytest.mark.xfail(
     strict=True,
     raises=ValidationError,
-    reason="ROADMAP item 3: the spectral decomposition drops the -5e-7 eigenvalue "
+    reason="ROADMAP item 2: the spectral decomposition drops the -5e-7 eigenvalue "
     "and misses the state by 2e-7, beyond RECONSTRUCTION_TOL",
 )
 def test_a_state_valid_at_a_relaxed_eps_has_a_spectral_report(monkeypatch, spin_pair):

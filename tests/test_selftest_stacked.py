@@ -117,13 +117,35 @@ def test_stacked_chunks_have_the_oracle_bits(any_eps, monkeypatch, name, trials,
     assert calls["chunks"] == expected * 2 * len(SEEDS)
 
 
-def _corrupting(build, corrupt, at):
-    """`build` with its output at call `at` replaced by `corrupt` of it."""
+def _corrupting(build, corrupt, at, seen):
+    """`build` with its output at call `at` replaced by `corrupt` of it; the
+    output it replaced is appended to `seen`."""
     count = iter(range(1, 1 << 30))
 
     def builder(*args, **kwargs):
         array = build(*args, **kwargs)
-        return corrupt(array) if next(count) == at else array
+        if next(count) != at:
+            return array
+        seen.append(array)
+        return corrupt(array)
+
+    return builder
+
+
+def _corrupting_built(build, want, corrupt):
+    """`build` with each trial's input in its output, one trial's or a
+    stack's, replaced by `corrupt` of it where it equals `want`: the same
+    trial's input is corrupted on the stacks and on the replay path."""
+
+    def builder(*args, **kwargs):
+        built = build(*args, **kwargs)
+        if built.shape[built.ndim - want.ndim :] != want.shape:
+            return built
+        trials = built.reshape(-1, *want.shape).copy()
+        for trial, array in enumerate(trials):
+            if array.tobytes() == want.tobytes():
+                trials[trial] = corrupt(array)
+        return trials.reshape(built.shape)
 
     return builder
 
@@ -165,20 +187,24 @@ def _non_unit(units):
     return units
 
 
+# the package's helper that builds the input each oracle builder draws
+BUILT_BY = {
+    "_random_density": "_ginibre_states",
+    "_random_simplex": "_simplex_rows",
+    "_random_units": "_units",
+}
+
+
 def _patched_runs(monkeypatch, name, corrupt, builder="_random_density", at=3):
     """The stacked and the oracle run of 10 trials of the named suite at
-    seed 4 with the output of call `at` of the input builder `builder` (by
-    default the third state) corrupted, as (stacked outcome, oracle outcome,
-    spy calls); an outcome is the deviations or the exception."""
-    build = getattr(qcorr.selftest, builder)
-    monkeypatch.setattr(qcorr.selftest, builder, _corrupting(build, corrupt, at))
-    oracle_build = _corrupting(build, corrupt, at)
-    if builder == "_random_density":  # the oracle's builder checks the state it draws
-        monkeypatch.setattr(
-            selftest_oracle, builder, lambda rng, dim: DensityOperator(oracle_build(rng, dim))
-        )
-    else:
-        monkeypatch.setattr(selftest_oracle, builder, oracle_build)
+    seed 4 with the output of call `at` of the oracle's input builder
+    `builder` (by default the third state) corrupted, and that input
+    corrupted wherever the package's helper builds it, on the stacks and on
+    the replay path, as (stacked outcome, oracle outcome, spy calls); an
+    outcome is the deviations or the exception."""
+    seen = []
+    oracle_build = _corrupting(getattr(selftest_oracle, builder), corrupt, at, seen)
+    monkeypatch.setattr(selftest_oracle, builder, oracle_build)
     _, trial, oracle = _suite(name)
     spied, calls = _spied(trial)
 
@@ -188,9 +214,13 @@ def _patched_runs(monkeypatch, name, corrupt, builder="_random_density", at=3):
         except Exception as exc:  # the error itself is compared
             return type(exc), str(exc)
 
-    rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
-    got = outcome(lambda: list(qcorr.selftest._deviations(spied, rng, 10)))
+    oracle_rng = np.random.default_rng(4)
     want = outcome(lambda: [oracle(oracle_rng) for _ in range(10)])
+    helper = BUILT_BY[builder]
+    build = getattr(qcorr.selftest, helper)
+    monkeypatch.setattr(qcorr.selftest, helper, _corrupting_built(build, seen[0], corrupt))
+    rng = np.random.default_rng(4)
+    got = outcome(lambda: list(qcorr.selftest._deviations(spied, rng, 10)))
     return got, want, calls
 
 
@@ -210,9 +240,10 @@ def test_a_chunk_with_an_invalid_state_replays_to_the_oracle_error(
     assert calls["compute"] == 3
 
 
-# (suite, corruption, builder, call): the third trial's draw, at the
-# builder's calls per trial (three simplices in the classical product rule,
-# two in the Dirac suite, one simplex and one set of units in the separable)
+# (suite, corruption, oracle builder, call): the third trial's input, at
+# the oracle builder's calls per trial (three simplices in the classical
+# product rule, two in the Dirac suite, one simplex and one set of units in
+# the separable)
 CORRUPT_DRAWS = [
     ("classical-product-rule", _nan_row, "_random_simplex", 7),
     ("classical-product-rule", _negative_weight, "_random_simplex", 9),
@@ -259,6 +290,18 @@ def test_draws_are_taken_a_chunk_at_a_time(monkeypatch, name):
     assert calls["chunks"] == [3, 3, 2]
 
 
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("batch", [1, 10, 128])
+def test_a_chunks_draws_leave_the_generator_where_the_oracle_leaves_it(name, batch):
+    _, trial, oracle = _suite(name)
+    rng, oracle_rng = np.random.default_rng(batch), np.random.default_rng(batch)
+    draws = [trial.draw(rng) for _ in range(batch)]
+    deviations = [oracle(oracle_rng) for _ in range(batch)]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # and the chunk built from those draws has the oracle's deviations
+    assert [d.hex() for d in trial.kernel(draws)] == [d.hex() for d in deviations]
+
+
 def test_a_scaled_classical_product_fails_the_suites_that_pin_its_scale(monkeypatch):
     # rho_c rho_e = joint / independent whatever the classical product's
     # scale: only the closed forms rho_e = 1 (separable) and rho_c = 1
@@ -287,9 +330,8 @@ def test_a_scaled_classical_product_fails_the_suites_that_pin_its_scale(monkeypa
 
 
 def _qubit_pairs(seed, count):
-    rng = np.random.default_rng(seed)
-    units = [qcorr.selftest._random_qubit_pvm_pair(rng) for _ in range(count)]
-    return qcorr.selftest._qubit_effects(np.array(units))
+    draws = np.random.default_rng(seed).normal(size=(count, *qcorr.selftest._PAIR_DRAWS))
+    return qcorr.selftest._qubit_effects(qcorr.selftest._units(draws))
 
 
 def test_batched_projectivity_is_every_stack_projective():
@@ -347,7 +389,7 @@ def test_errors_on_a_batch_name_the_outcome_of_the_first_offender():
 def test_faults_on_a_batch_are_those_of_the_first_offender():
     eps = validation_eps()
     rng = np.random.default_rng(3)
-    states = np.array([qcorr.selftest._random_density(rng, 4) for _ in range(4)])
+    states = qcorr.selftest._ginibre_states(rng.normal(size=(4, 2, 4, 4)))
     assert _density_fault(states, eps) is None
     bad = states.copy()
     bad[2, 0, 1] += 3 * eps
@@ -413,7 +455,7 @@ WEIGHT_FAULTS = [
 @pytest.mark.parametrize("corrupt", WEIGHT_FAULTS)
 def test_weight_faults_on_a_batch_are_those_of_the_first_offender(any_eps, corrupt):
     eps = validation_eps()
-    rows = qcorr.selftest._random_kernel(np.random.default_rng(5), 12, 3).reshape(4, 3, 3)
+    rows = qcorr.selftest._simplex_rows(np.random.default_rng(5).random((4, 3, 3)), 0.05)
     space = OutcomeSpace(("x0", "x1", "x2"))
     assert _weights_fault(space, rows, eps) is None
     bad = corrupt(rows)

@@ -51,7 +51,7 @@ from qcorr.observable import (
     joint_from_commuting,
     outcome_measure,
 )
-from qcorr.selftest import _BINARY
+from qcorr.selftest import _BINARY, _simplex_rows
 
 PRODUCT_RULE = "quantum-product-rule"
 CLASSICAL_PRODUCT_RULE = "classical-product-rule"
@@ -79,13 +79,12 @@ def _executed(run) -> Counter:
 
 
 def _state(seed=0):
-    return DensityOperator(qcorr.selftest._random_density(np.random.default_rng(seed), 4))
+    draws = np.random.default_rng(seed).normal(size=(2, 4, 4))
+    return DensityOperator(qcorr.selftest._ginibre_states(draws))
 
 
 def _qubit_pair(seed=0):
-    return qcorr.selftest._qubit_pair(
-        qcorr.selftest._random_qubit_pvm_pair(np.random.default_rng(seed))
-    )
+    return qcorr.selftest._qubit_pair(np.random.default_rng(seed).normal(size=(2, 2, 2)))
 
 
 def _report():
@@ -133,8 +132,8 @@ def _density():
 
 def _components():
     rng = np.random.default_rng(3)
-    weights = qcorr.selftest._random_simplex(rng, 3)
-    vectors = qcorr.selftest._product_vectors(rng, 3)
+    weights = _simplex_rows(rng.random(3), 0.0)
+    vectors = qcorr.selftest._product_vectors(rng.normal(size=(6, 2, 2)))
     return [(w, PureState(vector)) for w, vector in zip(weights.tolist(), vectors)]
 
 
@@ -155,11 +154,11 @@ def _kernels(seed=0):
     phase = PhaseSpace(("p0", "p1", "p2"))
     a1, a2 = (
         ClassicalObservable.from_matrix(
-            phase, OutcomeSpace(labels), qcorr.selftest._random_kernel(rng, 3, len(labels))
+            phase, OutcomeSpace(labels), _simplex_rows(rng.random((3, len(labels))), 0.05)
         )
         for labels in (("x0", "x1"), ("y0", "y1", "y2"))
     )
-    state = DiscreteMeasure.from_array(phase, qcorr.selftest._random_simplex(rng, 3))
+    state = DiscreteMeasure.from_array(phase, _simplex_rows(rng.random(3), 0.0))
     return phase, a1, a2, state
 
 
