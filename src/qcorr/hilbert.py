@@ -324,12 +324,14 @@ def _eigvalsh_smallest(stack: np.ndarray) -> np.ndarray:
 
 
 def _density_fault(stack: np.ndarray, eps: float) -> str | None:
-    """Why `DensityOperator` rejects a matrix of the finite (n, d, d) complex
-    `stack` at eps, or None when it takes them all. Each test runs on the
-    whole stack in turn: the message is of the first matrix off Hermitian,
-    else of the first whose trace is off 1, else of the first with an
-    eigenvalue below -eps, which is only sought once every matrix passed
-    the first two tests."""
+    """Why `DensityOperator` rejects a matrix of the (n, d, d) complex `stack`
+    at eps, or None when it takes them all. Each test runs on the whole
+    stack in turn: the message is of a non-finite entry, else of the first
+    matrix off Hermitian, else of the first whose trace is off 1, else of
+    the first with an eigenvalue below -eps, which is only sought once every
+    matrix passed the earlier tests."""
+    if not np.isfinite(stack).all():
+        return "density matrix contains non-finite entries"
     skew = np.abs(stack - stack.conj().swapaxes(1, 2))  # |D - D^H|, entrywise
     if skew.max() > eps:
         for deviation in skew.max(axis=(1, 2)).tolist():
@@ -514,24 +516,24 @@ def _reconstruction(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def _rows_fault(weights: np.ndarray, vectors: np.ndarray, targets, eps: float) -> str | None:
     """Why `ConvexDecomposition._from_rows` rejects a mixture of a batch,
     weights (B, n) and rows (B, n, d), at eps, or None: the first row
-    PureState rejects, else the first weight not positive, else (unless the
-    targets (B, d, d) are None) `_mixture_fault`."""
+    PureState rejects, else `_mixture_fault`."""
     fault = _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps)
     if fault is not None:
         return fault[1]
+    return _mixture_fault(weights, vectors, targets, eps)
+
+
+def _mixture_fault(weights: np.ndarray, vectors: np.ndarray, targets, eps: float) -> str | None:
+    """Why `ConvexDecomposition` rejects a mixture of a batch, weights
+    (B, n), rows (B, n, d) and target matrices (B, d, d), at eps, or None
+    when it takes them all: the first weight not positive, else (unless the
+    targets are None) the first weight sum (exact, one `_exact_sum` per
+    mixture) off 1, else the first reconstruction off its target."""
     bad = ~np.isfinite(weights) | (weights <= 0.0)
     if bad.any():
         return f"decomposition weight {float(weights.flat[bad.argmax()])!r} must be positive"
-    return None if targets is None else _mixture_fault(weights, vectors, targets, eps)
-
-
-def _mixture_fault(
-    weights: np.ndarray, vectors: np.ndarray, targets: np.ndarray, eps: float
-) -> str | None:
-    """Why `ConvexDecomposition` rejects a mixture of a batch, weights
-    (B, n), rows (B, n, d) and target matrices (B, d, d), at eps, or None
-    when it takes them all: the first weight sum (exact, one `_exact_sum`
-    per mixture) off 1, else the first reconstruction off its target."""
+    if targets is None:
+        return None
     for row in weights.tolist():
         total = _exact_sum(row)
         if abs(total - 1.0) > eps:
@@ -577,14 +579,14 @@ def spectral_decompose(state: DensityOperator) -> ConvexDecomposition:
 def _spectral_split(matrices: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray] | None:
     """`spectral_decompose`'s weights (n,) and C-contiguous unit rows (n, d)
     of the matrix (d, d), checked Hermitian at eps, or (B, n) and (B, n, d)
-    of a batch (B, d, d) in one `eigh`; a batch that drops an eigenvalue
-    gives None."""
+    of a batch (B, d, d) in one `eigh`. A batch of one drops eigenvalues as
+    one matrix does; a larger batch that drops one gives None."""
     values, vectors = _eigensystem(matrices, "matrix", eps)
     rows = vectors.mT
     kept = values > EPS
     total = values.sum(axis=-1, keepdims=True)
-    if kept.ndim == 1:
-        values, rows = values[kept], rows[kept]
+    if kept.size == kept.shape[-1]:  # one matrix
+        values, rows = values[..., kept.ravel()], rows[..., kept.ravel(), :]
     elif not kept.all():
         return None
     return values * (total / values.sum(axis=-1, keepdims=True)), np.ascontiguousarray(rows)
@@ -619,7 +621,8 @@ def _random_mixing(
     the weights (m,), each row's squared norm, and unit rows (m, d) of the
     components that weigh more than 1e-12. Every argument may carry one
     leading batch axis, with one QR and one product per matrix and the bits
-    of each on its own; a batch that drops a component gives None."""
+    of each on its own. A batch of one drops components as one mixture
+    does; a larger batch that drops one gives None."""
     basis, _ = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
     isometry = basis[..., : weights.shape[-1]]
     scaled = np.sqrt(weights)[..., None] * vectors  # rank x dim
@@ -628,8 +631,8 @@ def _random_mixing(
     rows = np.matmul(isometry[..., None, :], scaled[..., None, :, :])[..., 0, :]
     norms = np.vecdot(rows, rows).real
     kept = norms > 1e-12
-    if kept.ndim == 1:
-        rows, norms = rows[kept], norms[kept]
+    if kept.size == kept.shape[-1]:  # one mixture
+        rows, norms = rows[..., kept.ravel(), :], norms[..., kept.ravel()]
     elif not kept.all():
         return None
     return norms, rows / np.sqrt(norms)[..., None]

@@ -399,11 +399,14 @@ def _nanmax(values: np.ndarray) -> np.ndarray:
     return np.fmax.reduce(values, axis=-1, initial=0.0)
 
 
-def _quotient(num: np.ndarray, den: np.ndarray, outcomes: Sequence) -> np.ndarray:
-    """num / den where den exceeds EPS, NaN elsewhere; `outcomes` labels the
-    flat entries for the error at the first point where num escapes den. A
-    batch of tables along leading axes is labelled table by table."""
-    support = den > EPS
+def _quotient(
+    num: np.ndarray, den: np.ndarray, support: np.ndarray, outcomes: Sequence
+) -> np.ndarray:
+    """num / den on den's `support` (a boolean table) where den is positive,
+    NaN elsewhere; `outcomes` labels the flat entries for the error at the
+    first point off it where num exceeds EPS. A batch of tables along
+    leading axes is labelled table by table."""
+    support = support & (den > 0.0)
     escaped = (num > EPS) > support
     index = escaped.argmax()  # the first escaped point, if any
     if escaped.flat[index]:

@@ -307,7 +307,7 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
     dim = a1.dim
     products = _forward_products(a1._stack, a2._stack)
     if not _commutation_certified(a1._stack, a1._skew, a2._stack, a2._skew, products, eps):
-        _check_commutation(a1, a2, products, eps)
+        _check_commutation(a1.space.labels, a1._stack, a2.space.labels, a2._stack, products, eps)
     # the products are derived from validated factors and kept unchecked, as
     # measure._derived keeps derived measures: the commutation test is the
     # joint's only gate. Their sum is the product of the factors' sums, and
@@ -406,18 +406,23 @@ def _line_norm_bound(stack: np.ndarray, skew: float) -> float:
     return math.sqrt(squares.max()) + math.sqrt(stack.shape[-1]) * skew
 
 
-def _check_commutation(a1: Povm, a2: Povm, products: np.ndarray, eps: float) -> None:
+def _check_commutation(
+    labels1: tuple, stack1: np.ndarray, labels2: tuple, stack2: np.ndarray, products, eps: float
+) -> None:
     """The exact commutation test: raise NonCommuting for the first effect
     pair, row by row, whose computed fl(E2 E1) - fl(E1 E2) has an entry
-    above eps in magnitude, against the forward products `products`."""
-    for l1, left, row in zip(a1.space.labels, a1._stack, products):
-        reverse = a2._stack @ left
+    above eps in magnitude, against the forward products `products`
+    (k1, k2, ..., d, d) of the effect stacks `stack1` (k1, ..., d, d) and
+    `stack2` (k2, ..., d, d), labelled `labels1` and `labels2`; ... is an
+    optional batch of pairs, whose largest gap the message gives."""
+    for l1, left, row in zip(labels1, stack1, products):
+        reverse = stack2 @ left
         reverse -= row
         if _exceeds(reverse, eps):
-            gaps = np.abs(reverse).max(axis=(1, 2))
+            gaps = np.abs(reverse).max(axis=tuple(range(1, reverse.ndim)))
             index = np.flatnonzero(gaps > eps)[0]
             raise NonCommuting(
-                f"effects at {l1!r} and {a2.space.labels[index]!r} do not commute "
+                f"effects at {l1!r} and {labels2[index]!r} do not commute "
                 f"(max deviation {gaps[index]:.3e})"
             )
 

@@ -2,14 +2,16 @@
 
 Each suite draws its own generator from one seed, so a run is reproducible
 from the single reported number. A suite records the worst deviation it saw;
-a trial fails when that deviation crosses the suite tolerance. Every suite
-takes the raw draws of a chunk of trials first, builds the chunk's inputs
-from them and computes the chunk on stacks through the engine's own batched
-steps (the checks, the joint's products, the spectral split, the random
-mixing and the one correlation split, `correlation._split`), with the bits
-of its per-trial code, which replays any chunk the stacks cannot hold (see
-`_Stacked`). The suites whose trials differ in shape (phase-space size,
-codomains, component count) stack each group of one shape.
+a trial fails when that deviation crosses the suite tolerance. A suite is
+one draw step, which makes one trial's generator calls, and one kernel,
+which builds a chunk of trials' inputs from their draws and computes them
+on stacks through the engine's own batched steps (the checks, the joint's
+products, the spectral split, the random mixing and the one correlation
+split, `correlation._split`). On one trial the kernel has the bits and the
+errors of the public constructors, and a chunk it cannot hold, or that
+fails a check, is computed again through it one trial at a time (see
+`_chunk_deviations`). The suites whose trials differ in shape (phase-space
+size, codomains, component count) stack each group of one shape.
 """
 
 from __future__ import annotations
@@ -21,51 +23,30 @@ from functools import cache, partial
 
 import numpy as np
 
-from .classical_frame import (
-    ClassicalJoint,
-    ClassicalObservable,
-    PhaseSpace,
-    _product_rows,
-    _pushed,
-    classical_joint,
-    classical_report,
-)
-from .correlation import CorrelationReport, _split, _total, correlation_report
-from .errors import QcorrError, ValidationError
+from .classical_frame import PhaseSpace, _product_rows, _pushed
+from .correlation import _split, _total
+from .errors import NotProjective, QcorrError, ValidationError
 from .hilbert import (
-    ConvexDecomposition,
-    DensityOperator,
-    PureState,
     _density_fault,
     _kron,
+    _mixture_fault,
     _mixture_matrix,
     _random_mixing,
     _row_norms,
     _rows_fault,
     _spectral_split,
-    spectral_decompose,
+    _unit_row_fault,
 )
-from .measure import (
-    DensityFunction,
-    DiscreteMeasure,
-    OutcomeSpace,
-    ProductSpace,
-    _integer,
-    _nanmax,
-    _weights_fault,
-    dirac,
-    marginal,
-)
+from .measure import OutcomeSpace, ProductSpace, _checked_weights, _integer, _nanmax
 from .observable import (
     Povm,
     _born_rows,
+    _check_commutation,
     _check_povm,
     _commutation_certified,
     _forward_products,
     _pairwise_projective,
     _trace_rule,
-    joint_from_commuting,
-    outcome_measure,
     spin_z_pair,
 )
 from .tolerance import PRODUCT_RULE_TOL, validation_eps
@@ -176,16 +157,9 @@ def _frechet_coupling(p: np.ndarray, q: np.ndarray, cells: np.ndarray) -> np.nda
 
 # suites ---------------------------------------------------------------------
 
-
-def _residual(report: CorrelationReport) -> float:
-    """The report's product-rule residual; a missing factor is an infinite miss."""
-    residual = report.product_rule_residual
-    return math.inf if residual is None else residual
-
-
-def _deviation_from_one(rho: DensityFunction | None) -> float:
-    """Largest |rho - 1| on the support; a missing density is an infinite miss."""
-    return math.inf if rho is None else rho.deviation_from(1.0)
+# Each suite is a draw step, which makes every generator call of one trial
+# and returns its raw arrays, and a kernel over a chunk of those draws (see
+# `_Stacked`).
 
 
 def _mixing_draws(rng: np.random.Generator) -> np.ndarray:
@@ -195,32 +169,8 @@ def _mixing_draws(rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=(2, size, size))
 
 
-def _random_mixture(state: DensityOperator, mixing: np.ndarray) -> ConvexDecomposition:
-    """`random_decomposition` of `state` on the drawn `mixing`."""
-    spectral = spectral_decompose(state)
-    mixture = _random_mixing(mixing, spectral._weights, spectral.vectors)
-    return ConvexDecomposition._from_rows(*mixture, state)
-
-
-def _qubit_pair(draws: np.ndarray) -> tuple[Povm, Povm]:
-    """The checked pair of projective qubit observables of the unit draws
-    `draws` (2, 2, 2)."""
-    return tuple(Povm._from_stack(_BINARY, stack) for stack in _qubit_effects(_units(draws)))
-
-
 def _product_rule_draws(rng: np.random.Generator) -> tuple:
     return rng.normal(size=_STATE_DRAWS), rng.normal(size=_PAIR_DRAWS), _mixing_draws(rng)
-
-
-def _quantum_product_rule(draws: tuple) -> float:
-    """rho_c * rho_e recovers rho_t for random states, product projective
-    observable pairs, and random decompositions."""
-    normals, pair, mixing = draws
-    state = DensityOperator(_ginibre_states(normals))
-    a1, a2 = _qubit_pair(pair)
-    joint = joint_from_commuting(a1, a2)
-    dec = _random_mixture(state, mixing)
-    return _residual(correlation_report(joint, a1, a2, dec))
 
 
 def _classical_product_rule_draws(rng: np.random.Generator) -> tuple:
@@ -230,39 +180,8 @@ def _classical_product_rule_draws(rng: np.random.Generator) -> tuple:
     return rng.random((size, 2)), rng.random((size, 2)), rng.random(size), rng.random(size)
 
 
-def _classical_product_rule(draws: tuple) -> float:
-    """Same product rule in the classical frame, with joints drawn between
-    the Frechet bounds so marginal consistency holds by construction."""
-    uniforms_1, uniforms_2, cells, uniforms = draws
-    rows_1, rows_2, weights = (_simplex_rows(u, 0.05) for u in (uniforms_1, uniforms_2, uniforms))
-    phase = PhaseSpace(_labels("p", len(weights)))
-    a1 = ClassicalObservable.from_matrix(phase, _BINARY, rows_1)
-    a2 = ClassicalObservable.from_matrix(phase, _BINARY, rows_2)
-    rows = _frechet_coupling(a1.matrix[:, 0], a2.matrix[:, 0], cells)
-    joint = ClassicalJoint.from_matrix(phase, _BINARY_PAIRS, rows)
-    state = DiscreteMeasure.from_array(phase, weights)
-    return _residual(classical_report(joint, a1, a2, state))
-
-
 def _invariance_draws(rng: np.random.Generator) -> tuple:
     return rng.normal(size=_STATE_DRAWS), _mixing_draws(rng)
-
-
-def _invariance(spin: tuple[Povm, Povm, Povm], draws: tuple) -> float:
-    """Total correlation depends only on the state: rebuilding the operator
-    from two different decompositions leaves rho_t unchanged pointwise."""
-    a1, a2, joint = spin
-    normals, mixing = draws
-    state = DensityOperator(_ginibre_states(normals))
-    spectral = spectral_decompose(state)
-    shuffled = _random_mixture(state, mixing)
-    rho_1, rho_2 = (
-        correlation_report(
-            joint, a1, a2, ConvexDecomposition.from_components(dec.components)
-        ).rho_t
-        for dec in (spectral, shuffled)
-    )
-    return rho_1.max_difference(rho_2)
 
 
 def _separable_draws(rng: np.random.Generator) -> tuple:
@@ -279,41 +198,8 @@ def _separable_mixture(draws: tuple) -> tuple[np.ndarray, np.ndarray]:
     return _simplex_rows(uniforms, 0.02), _product_vectors(normals)
 
 
-def _separable(spin: tuple[Povm, Povm, Povm], draws: tuple) -> float:
-    """Mixtures of product pure states carry no entanglement-type correlation
-    relative to their product decomposition."""
-    a1, a2, joint = spin
-    weights, vectors = _separable_mixture(draws)
-    components = [(w, PureState(vector)) for w, vector in zip(weights.tolist(), vectors)]
-    state = DensityOperator.from_mixture(components)
-    dec = ConvexDecomposition(components, state)
-    return _deviation_from_one(correlation_report(joint, a1, a2, dec).rho_e)
-
-
 def _marginals_draws(rng: np.random.Generator) -> tuple:
     return rng.normal(size=_STATE_DRAWS), rng.normal(size=_PAIR_DRAWS)
-
-
-def _marginals(draws: tuple) -> float:
-    """The joint built from a commuting product pair reproduces both factor
-    statistics as marginals."""
-    normals, pair = draws
-    state = DensityOperator(_ginibre_states(normals))
-    a1, a2 = _qubit_pair(pair)
-    joint = joint_from_commuting(a1, a2)
-    joint_measure = outcome_measure(joint, state)
-    deviation = 0.0
-    for side, single in (("left", a1), ("right", a2)):
-        reduced = marginal(joint_measure, side)
-        direct = outcome_measure(single, state)
-        deviation = max(
-            deviation,
-            max(
-                abs(reduced.weight(label) - direct.weight(label))
-                for label in single.space.labels
-            ),
-        )
-    return deviation
 
 
 def _classical_dirac_draws(rng: np.random.Generator) -> tuple:
@@ -321,19 +207,6 @@ def _classical_dirac_draws(rng: np.random.Generator) -> tuple:
     rows and the point's index (a numpy integer)."""
     size, k1, k2 = (int(rng.integers(2, high)) for high in (5, 4, 4))
     return rng.random((size, k1)), rng.random((size, k2)), rng.integers(0, size)
-
-
-def _classical_dirac(draws: tuple) -> float:
-    """Classical correlation is constant 1 at every point-mass state: a sharp
-    phase-space point leaves nothing for the mixing to correlate."""
-    uniforms_1, uniforms_2, point = draws
-    rows_1, rows_2 = _simplex_rows(uniforms_1, 0.05), _simplex_rows(uniforms_2, 0.05)
-    phase = PhaseSpace(_labels("p", len(rows_1)))
-    codomain_1, codomain_2 = _dirac_codomains(rows_1, rows_2)
-    a1 = ClassicalObservable.from_matrix(phase, codomain_1, rows_1)
-    a2 = ClassicalObservable.from_matrix(phase, codomain_2, rows_2)
-    report = classical_report(classical_joint(a1, a2), a1, a2, dirac(phase, phase.labels[point]))
-    return _deviation_from_one(report.rho_c)
 
 
 def _dirac_codomains(rows_1: np.ndarray, rows_2: np.ndarray) -> tuple:
@@ -352,44 +225,40 @@ _CHUNK = 128
 
 
 class _Replay(Exception):
-    """A chunk the stacked kernel cannot hold: it replays trial by trial."""
-
-
-def _require(verdict) -> None:
-    if not verdict:
-        raise _Replay
+    """A chunk of more than one trial that the stacks cannot hold: a spectral
+    split or a random mixing in it drops a component."""
 
 
 @dataclass(frozen=True)
 class _Stacked:
-    """A trial as `draw`, every generator call of one trial returning its
-    raw arrays, and `compute`, which builds the trial's inputs from them and
-    runs the per-object code. `kernel` takes the draws of a whole chunk and
-    returns their deviations, computed on stacks with the bits of `compute`,
-    or raises where `compute` would raise or where a trial does not fit the
-    stacks."""
+    """A suite's trial as `draw`, every generator call of one trial returning
+    its raw arrays, and `kernel`, which takes the draws of a chunk, builds
+    the trials' inputs from them and returns their deviations, computed on
+    stacks. On one trial the kernel returns the deviation, or raises the
+    error (type and message), of building and checking every object through
+    the public constructors and reporting it."""
 
     draw: Callable[[np.random.Generator], tuple]
-    compute: Callable[[tuple], float]
     kernel: Callable[[list], list]
 
-    def __call__(self, rng: np.random.Generator) -> float:
-        return self.compute(self.draw(rng))
 
-
-def _chunk_deviations(trial: Callable, rng: np.random.Generator, count: int) -> list:
-    """The deviations of the next `count` trials. A stacked trial draws them
-    all first. When its kernel declines the chunk, or a check it shares with
-    the per-object code raises, every trial is computed from its stored
-    draws in order, so an error is raised at its own trial with its own
-    message."""
-    if not isinstance(trial, _Stacked):
-        return [trial(rng) for _ in range(count)]
+def _chunk_deviations(trial: _Stacked, rng: np.random.Generator, count: int) -> list:
+    """The deviations of the next `count` trials, all drawn first. When the
+    kernel raises on a chunk of more than one trial (a check failed, or the
+    stacks cannot hold it) or returns a deviation that is not finite, every
+    trial is computed again from its stored draws through the same kernel,
+    one trial at a time and in order, so an error is raised at its own
+    trial with its own message."""
     draws = [trial.draw(rng) for _ in range(count)]
-    try:
-        return trial.kernel(draws)
-    except (_Replay, QcorrError, np.linalg.LinAlgError):
-        return [trial.compute(draw) for draw in draws]
+    if count > 1:
+        try:
+            deviations = trial.kernel(draws)
+        except (_Replay, QcorrError, np.linalg.LinAlgError):
+            pass
+        else:
+            if all(map(math.isfinite, deviations)):
+                return deviations
+    return [trial.kernel([draw])[0] for draw in draws]
 
 
 def _shape_groups(draws: list):
@@ -403,82 +272,78 @@ def _shape_groups(draws: list):
         yield index, tuple(np.array(stack) for stack in zip(*(draws[i] for i in index)))
 
 
-def _densities_accepted(matrices: np.ndarray, eps: float) -> bool:
-    """Whether `DensityOperator` takes every matrix of the stack (b, d, d)."""
-    return bool(np.isfinite(matrices).all()) and _density_fault(matrices, eps) is None
+def _raise(fault: str | None) -> None:
+    """Raise a fault helper's message as the constructor that asks it does."""
+    if fault is not None:
+        raise ValidationError(fault)
 
 
-def _stacked_states(draws: list) -> tuple[np.ndarray, float]:
+def _states(draws: list) -> tuple[np.ndarray, float]:
     """The chunk's state matrices (B, d, d), built from its Ginibre draws (the
     first draw) and checked as `DensityOperator` checks each, and the
     validation eps."""
     matrices = _ginibre_states(np.array([draw[0] for draw in draws]))
     eps = validation_eps()
-    _require(_densities_accepted(matrices, eps))
+    _raise(_density_fault(matrices, eps))
     return matrices, eps
 
 
-def _stacked_decompositions(split, matrices: np.ndarray, eps: float) -> tuple:
+def _decomposed(split, matrices: np.ndarray, eps: float) -> tuple:
     """`split`, weights (b, n) and unit rows (b, n, d) of the targets
-    `matrices` (b, d, d), once `ConvexDecomposition._from_rows` takes each."""
-    _require(split is not None)
-    _require(_rows_fault(*split, matrices, eps) is None)
+    `matrices` (b, d, d), once `ConvexDecomposition._from_rows` takes each;
+    a split that a larger batch cannot hold (None) replays the chunk."""
+    if split is None:
+        raise _Replay
+    _raise(_rows_fault(*split, matrices, eps))
     return split
 
 
-def _stacked_mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: float) -> list:
-    """`_random_mixture` of each state on its drawn mixing (the last draw),
-    from the chunk's spectral splits `spectral`, in groups of one size:
-    (trial indices, weights (b, n), unit rows (b, n, d)) per size n."""
+def _mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: float) -> list:
+    """`random_decomposition` of each state on its drawn mixing (the last
+    draw), from the chunk's spectral splits `spectral`, in groups of one
+    size: (trial indices, weights (b, n), unit rows (b, n, d)) per size n."""
     weights, rows = spectral
     groups = []
     for index, (normals,) in _shape_groups([draw[-1:] for draw in draws]):
         mixture = _random_mixing(normals, weights[index], rows[index])
-        groups.append((index, *_stacked_decompositions(mixture, matrices[index], eps)))
+        groups.append((index, *_decomposed(mixture, matrices[index], eps)))
     return groups
 
 
-def _finite_list(deviations: np.ndarray) -> list:
-    _require(np.isfinite(deviations).all())
-    return deviations.tolist()
-
-
-def _stacked_statistics(draws: list) -> tuple:
-    """`_stacked_states`, the chunk's factor effects (B, k, d, d), each side
-    checked as `Povm._from_stack` checks it, and the outcome weights
-    (B, k k + k + k) of each pair's joint, built and checked as
-    `joint_from_commuting` builds and checks it, and of the pair."""
-    matrices, eps = _stacked_states(draws)
+def _statistics(draws: list) -> tuple:
+    """`_states`, the chunk's factor effects (B, k, d, d), each side checked
+    as `Povm._from_stack` checks it and the pair as `joint_from_commuting`
+    checks it, and the outcome weights (B, k k + k + k) of each pair's
+    joint, built as `joint_from_commuting` builds it, and of the pair."""
+    matrices, eps = _states(draws)
     sides = _qubit_effects(_units(np.array([draw[1] for draw in draws])))
     skews = [_check_povm(_BINARY.outcomes, side, eps) for side in sides]
-    _require(all(_pairwise_projective(side, eps) for side in sides))
-    products = _forward_products(*(side.swapaxes(0, 1) for side in sides))  # (k, k, B, d, d)
+    for name, side in zip(("first", "second"), sides):
+        if not _pairwise_projective(side, eps):
+            raise NotProjective(f"{name} observable is not projective")
+    effects = [side.swapaxes(0, 1) for side in sides]  # (k, B, d, d)
+    products = _forward_products(*effects)  # (k, k, B, d, d)
     k, _, count, dim, _ = products.shape
     rows = products.reshape(k, k * count, dim, dim)
-    _require(_commutation_certified(sides[0], skews[0], sides[1], skews[1], rows, eps))
+    if not _commutation_certified(sides[0], skews[0], sides[1], skews[1], rows, eps):
+        _check_commutation(_BINARY.labels, effects[0], _BINARY.labels, effects[1], products, eps)
     joints = products.transpose(2, 0, 1, 3, 4).reshape(count, k * k, dim, dim)
     statistics = _trace_rule(np.concatenate([joints, *sides], 1), matrices)
     return matrices, eps, *sides, statistics
 
 
 def _product_rule_kernel(draws: list) -> list:
-    matrices, eps, left, right, statistics = _stacked_statistics(draws)
-    spectral = _stacked_decompositions(_spectral_split(matrices, eps), matrices, eps)
-    points = _BINARY_PAIRS.points
+    """rho_c * rho_e recovers rho_t for random states, product projective
+    observable pairs, and random decompositions."""
+    matrices, eps, left, right, statistics = _statistics(draws)
+    spectral = _decomposed(_spectral_split(matrices, eps), matrices, eps)
     residuals = np.empty(len(draws))
-    for index, mixed, vectors in _stacked_mixtures(draws, spectral, matrices, eps):
+    for index, mixed, vectors in _mixtures(draws, spectral, matrices, eps):
         born = _born_rows(np.concatenate([left[index], right[index]], 1), vectors)
         measures = statistics[index, :4], statistics[index, 4:6], statistics[index, 6:]
-        residual = _split(*measures, mixed, born[..., :2], born[..., 2:], points)[-1]
-        _require(residual is not None)
-        residuals[index] = residual
-    return _finite_list(residuals)
-
-
-def _require_weights(space, rows: np.ndarray, eps: float) -> None:
-    """Require that `ClassicalObservable.from_matrix` (or, for one row per
-    trial, `DiscreteMeasure.from_array`) takes every trial's `rows`."""
-    _require(_weights_fault(space, rows, eps) is None)
+        residual = _split(*measures, mixed, born[..., :2], born[..., 2:], _BINARY_PAIRS.points)[-1]
+        residuals[index] = math.inf if residual is None else residual
+    return residuals.tolist()
 
 
 def _classical_split(weights: np.ndarray, joint: np.ndarray, rows_1, rows_2, points) -> tuple:
@@ -489,21 +354,25 @@ def _classical_split(weights: np.ndarray, joint: np.ndarray, rows_1, rows_2, poi
 
 
 def _classical_product_rule_kernel(draws: list) -> list:
+    """Same product rule in the classical frame, with joints drawn between
+    the Frechet bounds so marginal consistency holds by construction. The
+    rows are checked as `ClassicalObservable.from_matrix`, the joint's as
+    `ClassicalJoint.from_matrix` and the state as `DiscreteMeasure.from_array`
+    check them."""
     eps = validation_eps()
     residuals = np.empty(len(draws))
     for index, (uniforms_1, uniforms_2, cells, uniforms) in _shape_groups(draws):
         rows_1, rows_2, weights = (
             _simplex_rows(u, 0.05) for u in (uniforms_1, uniforms_2, uniforms)
         )
-        _require_weights(_BINARY, rows_1, eps)
-        _require_weights(_BINARY, rows_2, eps)
+        _checked_weights(_BINARY, rows_1, eps)
+        _checked_weights(_BINARY, rows_2, eps)
         joint = _frechet_coupling(rows_1[..., 0], rows_2[..., 0], cells)
-        _require_weights(_BINARY_PAIRS, joint, eps)
-        _require_weights(PhaseSpace(_labels("p", weights.shape[-1])), weights, eps)
+        _checked_weights(_BINARY_PAIRS, joint, eps)
+        _checked_weights(PhaseSpace(_labels("p", weights.shape[-1])), weights, eps)
         residual = _classical_split(weights, joint, rows_1, rows_2, _BINARY_PAIRS.points)[-1]
-        _require(residual is not None)
-        residuals[index] = residual
-    return _finite_list(residuals)
+        residuals[index] = math.inf if residual is None else residual
+    return residuals.tolist()
 
 
 def _rebuilt_rho_t(spin: tuple[Povm, Povm, Povm], mixture: tuple, eps: float) -> np.ndarray:
@@ -511,71 +380,88 @@ def _rebuilt_rho_t(spin: tuple[Povm, Povm, Povm], mixture: tuple, eps: float) ->
     rebuilds from each mixture, weights (b, n) and unit rows (b, n, d)."""
     a1, a2, joint = spin
     matrices = _mixture_matrix(*mixture)
-    _require(_densities_accepted(matrices, eps))
-    _stacked_decompositions(mixture, matrices, eps)
+    _raise(_density_fault(matrices, eps))
+    _raise(_mixture_fault(*mixture, matrices, eps))
     statistics = _trace_rule(np.concatenate([joint._stack, a1._stack, a2._stack]), matrices)
     measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
     return _total(*measures, joint.space.points)[-1]
 
 
 def _invariance_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
-    matrices, eps = _stacked_states(draws)
-    spectral = _stacked_decompositions(_spectral_split(matrices, eps), matrices, eps)
+    """Total correlation depends only on the state: rebuilding the operator
+    from two different decompositions (the spectral one and a random one)
+    leaves rho_t unchanged pointwise."""
+    matrices, eps = _states(draws)
+    spectral = _decomposed(_spectral_split(matrices, eps), matrices, eps)
+    mixtures = _mixtures(draws, spectral, matrices, eps)
     rho_t = _rebuilt_rho_t(spin, spectral, eps)
     gaps = np.empty(len(draws))
-    for index, mixed, vectors in _stacked_mixtures(draws, spectral, matrices, eps):
-        shuffled = _rebuilt_rho_t(spin, (mixed, vectors), eps)
+    for index, *mixture in mixtures:
+        shuffled = _rebuilt_rho_t(spin, mixture, eps)
         gaps[index] = _nanmax(np.abs(rho_t[index] - shuffled).reshape(len(index), -1))
-    return _finite_list(gaps)
+    return gaps.tolist()
+
+
+def _from_one(rho: np.ndarray | None, count: int):
+    """Largest |rho - 1| on the support of each of `count` densities (count,
+    k1, k2); a missing density (None) is an infinite miss."""
+    return math.inf if rho is None else _nanmax(np.abs(rho - 1.0).reshape(count, -1))
 
 
 def _separable_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
+    """Mixtures of product pure states carry no entanglement-type correlation
+    relative to their product decomposition. Each mixture is checked as
+    `PureState` checks its rows, then as `DensityOperator.from_mixture` and
+    `ConvexDecomposition` check it."""
     a1, a2, joint = spin
     eps = validation_eps()
     groups = []
     for index, group in _shape_groups(draws):
-        mixture = _separable_mixture(group)
-        groups.append((index, *mixture, _mixture_matrix(*mixture)))
+        weights, vectors = _separable_mixture(group)
+        fault = _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps)
+        _raise(None if fault is None else fault[1])
+        groups.append((index, weights, vectors, _mixture_matrix(weights, vectors)))
     # every state is 4 x 4: one density check for the whole chunk
-    _require(_densities_accepted(np.concatenate([group[-1] for group in groups]), eps))
+    _raise(_density_fault(np.concatenate([group[-1] for group in groups]), eps))
     sides = np.concatenate([a1._stack, a2._stack])
     stack = np.concatenate([joint._stack, sides])
     deviations = np.empty(len(draws))
     for index, weights, vectors, matrices in groups:
-        _require(_rows_fault(weights, vectors, matrices, eps) is None)
+        _raise(_mixture_fault(weights, vectors, matrices, eps))
         statistics = _trace_rule(stack, matrices)
         born = _born_rows(sides, vectors)
         measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
         rho_e = _split(*measures, weights, born[..., :2], born[..., 2:], joint.space.points)[4][0]
-        _require(rho_e is not None)
-        deviations[index] = _nanmax(np.abs(rho_e - 1.0).reshape(len(index), -1))
-    return _finite_list(deviations)
+        deviations[index] = _from_one(rho_e, len(index))
+    return deviations.tolist()
 
 
 def _marginals_kernel(draws: list) -> list:
-    statistics = _stacked_statistics(draws)[-1]
+    """The joint built from a commuting product pair reproduces both factor
+    statistics as marginals."""
+    statistics = _statistics(draws)[-1]
     grid = statistics[:, :4].reshape(-1, 2, 2)
     reduced = np.concatenate([grid.sum(axis=2), grid.sum(axis=1)], axis=1)
-    gaps = np.abs(reduced - statistics[:, 4:])
-    _require(np.isfinite(gaps).all())
-    return _nanmax(gaps).tolist()
+    return _nanmax(np.abs(reduced - statistics[:, 4:])).tolist()
 
 
 def _classical_dirac_kernel(draws: list) -> list:
+    """Classical correlation is constant 1 at every point-mass state: a sharp
+    phase-space point leaves nothing for the mixing to correlate. The rows
+    are checked as `ClassicalObservable.from_matrix` checks them."""
     eps = validation_eps()
     deviations = np.empty(len(draws))
     for index, (uniforms_1, uniforms_2, point) in _shape_groups(draws):
         rows_1, rows_2 = _simplex_rows(uniforms_1, 0.05), _simplex_rows(uniforms_2, 0.05)
         codomains = _dirac_codomains(rows_1, rows_2)
-        _require_weights(codomains[0], rows_1, eps)
-        _require_weights(codomains[1], rows_2, eps)
+        _checked_weights(codomains[0], rows_1, eps)
+        _checked_weights(codomains[1], rows_2, eps)
         states = np.eye(rows_1.shape[1])[point]  # each trial's point mass
         joint = _product_rows(rows_1, rows_2)
         outcomes = ProductSpace(*codomains).points
         rho_c = _classical_split(states, joint, rows_1, rows_2, outcomes)[3][0]
-        _require(rho_c is not None)
-        deviations[index] = _nanmax(np.abs(rho_c - 1.0).reshape(len(index), -1))
-    return _finite_list(deviations)
+        deviations[index] = _from_one(rho_c, len(index))
+    return deviations.tolist()
 
 
 @cache
@@ -589,18 +475,12 @@ def _suites() -> tuple:
     """(name, tolerance, trial) for every suite, in report order, with the
     spin pair of the validation eps in force."""
     spin = _spin_pair(validation_eps())
-    product_rule = _Stacked(_product_rule_draws, _quantum_product_rule, _product_rule_kernel)
-    classical_product_rule = _Stacked(
-        _classical_product_rule_draws, _classical_product_rule, _classical_product_rule_kernel
-    )
-    invariance = _Stacked(
-        _invariance_draws, partial(_invariance, spin), partial(_invariance_kernel, spin)
-    )
-    separable = _Stacked(
-        _separable_draws, partial(_separable, spin), partial(_separable_kernel, spin)
-    )
-    marginals = _Stacked(_marginals_draws, _marginals, _marginals_kernel)
-    dirac_triviality = _Stacked(_classical_dirac_draws, _classical_dirac, _classical_dirac_kernel)
+    product_rule = _Stacked(_product_rule_draws, _product_rule_kernel)
+    classical_product_rule = _Stacked(_classical_product_rule_draws, _classical_product_rule_kernel)
+    invariance = _Stacked(_invariance_draws, partial(_invariance_kernel, spin))
+    separable = _Stacked(_separable_draws, partial(_separable_kernel, spin))
+    marginals = _Stacked(_marginals_draws, _marginals_kernel)
+    dirac_triviality = _Stacked(_classical_dirac_draws, _classical_dirac_kernel)
     return (
         ("quantum-product-rule", PRODUCT_RULE_TOL, product_rule),
         ("classical-product-rule", PRODUCT_RULE_TOL, classical_product_rule),
@@ -611,7 +491,7 @@ def _suites() -> tuple:
     )
 
 
-def _deviations(trial: Callable, rng: np.random.Generator, trials: int):
+def _deviations(trial: _Stacked, rng: np.random.Generator, trials: int):
     """Each trial's deviation in trial order, `_CHUNK` trials at a time."""
     for start in range(0, trials, _CHUNK):
         yield from _chunk_deviations(trial, rng, min(_CHUNK, trials - start))
@@ -620,12 +500,12 @@ def _deviations(trial: Callable, rng: np.random.Generator, trials: int):
 def _run_suite(
     name: str,
     tolerance: float,
-    trial: Callable[[np.random.Generator], float],
+    trial: _Stacked,
     rng: np.random.Generator,
     trials: int,
 ) -> SuiteResult:
-    """Run `trial` `trials` times on `rng`; each call draws its inputs and
-    returns the deviation that `tolerance` bounds. The worst deviation is
+    """Run `trials` trials of `trial` on `rng`, each drawing its inputs and
+    giving the deviation that `tolerance` bounds. The worst deviation is
     folded from 0 in trial order, as max(0.0, *deviations) folds it; one at
     or above `tolerance` is a failure."""
     failures, worst = 0, 0.0

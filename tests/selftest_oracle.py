@@ -2,14 +2,18 @@
 and computing one trial at a time.
 
 These are the trial functions `qcorr.selftest` ran before it split each into
-a draw step and a compute step and computed whole chunks of trials on
-stacks. Each takes the suite's generator, draws one trial's inputs from it
-through the one-at-a-time builders below, builds and validates every object
-through the public constructors and returns the trial's deviation. The
-builders draw one unit vector, one Ginibre part or one probability row per
-generator call, as the package drew them before it batched its draws, and
-share no code with the package's draw helpers. Tests compare the package's
-per-trial deviations, suite results, errors and built inputs with them.
+a draw step and a kernel over chunks of trials. Each takes the suite's
+generator, draws one trial's inputs from it through the one-at-a-time
+builders below, builds and validates every object through the public
+constructors and returns the trial's deviation. The builders draw one unit
+vector, one Ginibre part or one probability row per generator call, as the
+package drew them before it batched its draws, and share no code with the
+package's draw helpers. A suite's kernel must give these bits on a chunk,
+and on a single trial also raise the error (type and message) its oracle
+raises there, in the order its oracle checks: a chunk that fails a check
+is computed again through the kernel one trial at a time. Tests compare
+the package's per-trial deviations, suite results, errors and built inputs
+with them.
 """
 
 import math

@@ -6,6 +6,8 @@ array kernel `qcorr.measure.correlation_split` replaced it. It mixes with
 `math.fsum`, divides point by point, and builds every per-component
 statistic through its own copy of the trace rule `expectation` at the
 component's density operator, so it shares no arithmetic with the kernel.
+Each denominator's support is taken from linear quantities, as the kernel
+takes it: the points where some part's weighted factors both exceed EPS.
 `reference_kernel` is the row-by-row validation `ClassicalObservable` ran
 before it held one matrix. Tests compare the package with both.
 """
@@ -89,16 +91,28 @@ def _product(nu1, nu2):
 
 
 def _mix(parts):
-    outcomes = parts[0][1].keys()
-    return {o: math.fsum(w * nu[o] for w, nu in parts) for o in outcomes}
+    """The mixture sum_i w_i p1_i (x) p2_i of the parts (w_i, p1_i, p2_i) and
+    its support: the points where w_i p1_i and w_i p2_i both exceed EPS for
+    some i."""
+    products = [(w, _product(p1, p2)) for w, p1, p2 in parts]
+    mixed = {o: math.fsum(w * nu[o] for w, nu in products) for o in products[0][1]}
+    support = {
+        (l, r)
+        for w, p1, p2 in parts
+        for l in p1
+        for r in p2
+        if w * p1[l] > EPS and w * p2[r] > EPS
+    }
+    return mixed, support
 
 
-def density(num, den):
-    """Quotient on den's support; raises where num has mass off it."""
+def density(num, den, support):
+    """Quotient on `support` where den is positive; raises where num has
+    mass off it."""
     values = {}
     for outcome, n in num.items():
         d = den[outcome]
-        if d > EPS:
+        if outcome in support and d > 0.0:
             values[outcome] = max(n, 0.0) / d
         elif n > EPS:
             raise AbsoluteContinuityViolation(
@@ -107,24 +121,28 @@ def density(num, den):
     return values
 
 
-def _split(joint, marginal_1, marginal_2, classical):
-    product = _product(marginal_1, marginal_2)
+def _split(joint, marginal_1, marginal_2, parts):
+    product, held = _mix([(1.0, marginal_1, marginal_2)])
+    classical, mixed = _mix(parts)
     out = {
         "joint": joint,
         "marginal_1": marginal_1,
         "marginal_2": marginal_2,
         "product": product,
         "classical": classical,
-        "rho_t": density(joint, product),
+        "rho_t": density(joint, product, held),
         "rho_c": None,
         "rho_e": None,
         "rho_c_error": None,
         "rho_e_error": None,
         "residual": None,
     }
-    for name, num, den in (("rho_c", classical, product), ("rho_e", joint, classical)):
+    for name, num, den, support in (
+        ("rho_c", classical, product, held),
+        ("rho_e", joint, classical, mixed),
+    ):
         try:
-            out[name] = density(num, den)
+            out[name] = density(num, den, support)
         except AbsoluteContinuityViolation as exc:
             out[f"{name}_error"] = str(exc)
     rho_c, rho_e, rho_t = out["rho_c"], out["rho_e"], out["rho_t"]
@@ -142,10 +160,8 @@ def quantum_split(joint, a1, a2, decomposition):
     parts = []
     for weight, component in decomposition.components:
         pure = DensityOperator.from_pure(component)
-        parts.append((weight, _product(_trace_rule(a1, pure), _trace_rule(a2, pure))))
-    return _split(
-        _trace_rule(joint, state), _trace_rule(a1, state), _trace_rule(a2, state), _mix(parts)
-    )
+        parts.append((weight, _trace_rule(a1, pure), _trace_rule(a2, pure)))
+    return _split(_trace_rule(joint, state), _trace_rule(a1, state), _trace_rule(a2, state), parts)
 
 
 def _apply(observable, state):
@@ -161,10 +177,7 @@ def _apply(observable, state):
 def classical_split(joint, a1, a2, state):
     """The split `run_scenario` reports for a classical scenario."""
     parts = [
-        (
-            state.weight(point),
-            _product(dict(a1.row(point).items()), dict(a2.row(point).items())),
-        )
+        (state.weight(point), dict(a1.row(point).items()), dict(a2.row(point).items()))
         for point in state.space.labels
     ]
-    return _split(_apply(joint, state), _apply(a1, state), _apply(a2, state), _mix(parts))
+    return _split(_apply(joint, state), _apply(a1, state), _apply(a2, state), parts)

@@ -242,6 +242,23 @@ def test_rho_t_accepts_inconsistent_joint_until_support_escapes():
         classical_report(joint, a1, a2, dirac(PHASE, "alpha"))
 
 
+def test_an_inconsistent_joint_escapes_the_classical_product():
+    """A genuine escape, not a threshold artifact: at the uniform state the
+    joint puts mass 1/2 at ('0', '1'), where no phase-space point gives
+    both readouts any mass, so rho_e does not exist while rho_t does."""
+    a1 = readout({"alpha": "0", "beta": "1"})
+    a2 = readout({"alpha": "0", "beta": "1"})
+    kernel = {"alpha": {("0", "1"): 1.0}, "beta": {("1", "0"): 1.0}}
+    joint = ClassicalJoint(PHASE, ProductSpace(BITS, BITS), kernel)
+    state = DiscreteMeasure(PHASE, {"alpha": 0.5, "beta": 0.5})
+    report = classical_report(joint, a1, a2, state)
+    np.testing.assert_array_equal(report.rho_t.as_array(), [0.0, 2.0, 2.0, 0.0])
+    assert report.rho_e is None
+    assert report.rho_e_error == (
+        "numerator has mass 0.5 at ('0', '1') where the denominator vanishes"
+    )
+
+
 def test_rho_c_is_one_at_dirac_states():
     a1 = fuzzy()
     a2 = readout({"alpha": "0", "beta": "1"})

@@ -467,6 +467,38 @@ def test_valid_inputs_whose_derived_sums_drift_past_eps_run(case, tmp_path, caps
     assert report["decompositions"][0]["product_rule_pass"] is True
 
 
+# inputs whose masses at the far corner are linear in a small weight m, so
+# the products of marginals and the classical products there are of order
+# m^2, below EPS: (argv, or None for the classical file, and rho_t = 1/m)
+SMALL_MASSES = {
+    "example-i": (["paper-example", "i", "--params", "w1=0.99997,w2=0.00003,w3=0,w4=0"], 3e-5),
+    "appendix-px": (["paper-example", "appendix-px", "--params", "w=0.99997"], 1 - 0.99997),
+    "classical-uniform": (None, 3e-5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_MASSES))
+def test_small_masses_have_their_densities_in_both_formats(case, tmp_path, capsys):
+    argv, mass = SMALL_MASSES[case]
+    if argv is None:
+        doc = json.loads(bundled_scenario_text("classical_uniform.json"))
+        doc["state"] = [1 - mass, mass]
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["run", str(path)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "33333.3" in captured.out and "FAIL" not in captured.out
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["total_correlation"][-1] == pytest.approx(1 / mass, rel=1e-9)
+    for block in report["decompositions"]:
+        assert block["product_rule_pass"] is True
+
+
 def test_selftest_table(capsys):
     assert main(["selftest", "--seed", "7", "--trials", "5"]) == EXIT_OK
     out = capsys.readouterr().out

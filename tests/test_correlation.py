@@ -13,7 +13,6 @@ import pytest
 import qcorr.correlation
 from qcorr import (
     PRODUCT_RULE_TOL,
-    AbsoluteContinuityViolation,
     ConvexDecomposition,
     DensityOperator,
     JointMarginalMismatch,
@@ -175,21 +174,31 @@ def test_bell_state_entanglement_factor(spin_pair, bell_phi_plus):
     assert rho_e.value(("+1/2", "-1/2")) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_entanglement_absolute_continuity_violation(spin_pair):
-    """A slightly tilted product state puts joint mass ~eps^2 at the far
-    corner while the classical product weight there is eps^4, which sits
-    below the support threshold: the density must refuse, not clip. The
-    pure state's marginal product vanishes there too, so the report fails
-    already at rho_t."""
+def _tilted(eps):
+    return PureState(np.sqrt(1 - eps**2) * np.kron(UP, UP) + eps * np.kron(DOWN, DOWN))
+
+
+def _values(rho):
+    return rho.as_array().reshape(2, 2)
+
+
+def test_tilted_product_state_has_every_density_at_the_far_corner(spin_pair):
+    """A slightly tilted product state puts joint mass b = eps^2 at the far
+    corner, where the product of the marginals and the classical product
+    are b^2, below EPS. Both supports are taken from the linear masses,
+    b in each marginal and in each component row, so every density exists
+    there: rho_t = rho_e = 1/b, and rho_c = 1 for one pure component."""
     a1, a2, joint = spin_pair
     eps = 1e-3
-    psi = PureState(
-        np.sqrt(1 - eps**2) * np.kron(UP, UP) + eps * np.kron(DOWN, DOWN)
-    )
-    state = DensityOperator.from_pure(psi)
-    dec = ConvexDecomposition([(1.0, psi)], state)
-    with pytest.raises(AbsoluteContinuityViolation, match=r"at \('-1/2', '-1/2'\)"):
-        correlation_report(joint, a1, a2, dec)
+    a, b = 1 - eps**2, eps**2
+    psi = _tilted(eps)
+    dec = ConvexDecomposition([(1.0, psi)], DensityOperator.from_pure(psi))
+    report = correlation_report(joint, a1, a2, dec)
+    rho_t = np.array([[1 / a, 0.0], [0.0, 1 / b]])
+    np.testing.assert_allclose(_values(report.rho_t), rho_t, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_values(report.rho_c), np.ones((2, 2)), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_values(report.rho_e), rho_t, rtol=1e-12, atol=0)
+    assert report.product_rule_residual < 1e-9
 
 
 def test_pure_state_trivial_decomposition_all_ones(spin_pair):
@@ -224,23 +233,27 @@ def test_decomposition_size_is_the_number_of_components(spin_pair):
     assert spectral.decomposition_size == len(spectral_decompose(state)) == 3
 
 
-def test_correlation_report_records_density_failures(spin_pair):
-    # a second component keeps both marginals healthy, so rho_t exists while
-    # the entanglement factor still dies at the far corner
+def test_a_mixture_has_its_entanglement_factor_at_the_far_corner(spin_pair):
+    # a second component keeps both marginals healthy; the classical product
+    # at the far corner is b^2 / 2, below EPS, but the tilted component's
+    # weighted rows carry b / 2 there, so rho_e exists and is 1/b
     a1, a2, joint = spin_pair
     eps = 1e-3
-    psi = PureState(
-        np.sqrt(1 - eps**2) * np.kron(UP, UP) + eps * np.kron(DOWN, DOWN)
-    )
-    components = [(0.5, psi), (0.5, PureState(np.kron(DOWN, UP)))]
-    state = DensityOperator.from_mixture(components)
-    dec = ConvexDecomposition(components, state)
+    a, b = 1 - eps**2, eps**2
+    components = [(0.5, _tilted(eps)), (0.5, PureState(np.kron(DOWN, UP)))]
+    dec = ConvexDecomposition(components, DensityOperator.from_mixture(components))
     report = correlation_report(joint, a1, a2, dec)
-    assert report.rho_t.value(("-1/2", "-1/2")) == pytest.approx(2.0, abs=1e-5)
-    assert report.rho_c is not None
-    assert report.rho_e is None
-    assert "vanishes" in report.rho_e_error
-    assert report.product_rule_residual is None
+    joint_table = np.array([[a, 0.0], [1.0, b]]) / 2
+    product = np.outer([a, b + 1], [a + 1, b]) / 4
+    classical = (np.outer([a, b], [a, b]) + np.array([[0.0, 0.0], [1.0, 0.0]])) / 2
+    for rho, num, den in (
+        (report.rho_t, joint_table, product),
+        (report.rho_c, classical, product),
+        (report.rho_e, joint_table, classical),
+    ):
+        np.testing.assert_allclose(_values(rho), num / den, rtol=1e-12, atol=0)
+    assert report.rho_e_error is None
+    assert report.product_rule_residual < 1e-9
 
 
 def test_total_correlation_rejects_mismatched_joint(spin_pair):

@@ -27,13 +27,15 @@ def qcorr_eps(request, monkeypatch):
 
 
 def _fake_trial(deviations, seen):
+    """A trial whose draws are the given deviations and whose kernel returns
+    them as drawn."""
     values = iter(deviations)
 
-    def trial(rng):
+    def draw(rng):
         seen.append(rng)
         return next(values)
 
-    return trial
+    return qcorr.selftest._Stacked(draw, list)
 
 
 def test_run_suite_counts_a_deviation_at_the_tolerance_as_a_failure():

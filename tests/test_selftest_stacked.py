@@ -1,7 +1,7 @@
 """The stacked chunks of the six selftest suites against the
 one-trial-at-a-time oracle in `selftest_oracle`: the same deviation bits per
 trial, the same suite results, and the same errors at the same trial when a
-chunk replays through the per-trial compute step."""
+chunk replays through its kernel one trial at a time."""
 
 import dataclasses
 import math
@@ -16,17 +16,22 @@ import selftest_oracle
 from qcorr import (
     AbsoluteContinuityViolation,
     DensityOperator,
+    NonCommuting,
     OutcomeSpace,
+    Povm,
     ProductSpace,
     ValidationError,
+    joint_from_commuting,
     spin_z_pair,
 )
-from qcorr.hilbert import _density_fault
+from qcorr.hilbert import _density_fault, _random_mixing, _spectral_split
 from qcorr.measure import _quotient, _weights_fault
 from qcorr.observable import (
+    _check_commutation,
     _check_effects,
     _commutation_certified,
     _completeness_fault,
+    _forward_products,
     _pairwise_projective,
 )
 from qcorr.selftest import _BINARY
@@ -70,19 +75,15 @@ def _suite(name):
 
 
 def _spied(trial):
-    """`trial` with its compute step and kernel counting their calls: the
-    compute step runs only when a chunk replays."""
-    calls = {"compute": 0, "chunks": []}
-
-    def compute(draws):
-        calls["compute"] += 1
-        return trial.compute(draws)
+    """`trial` with its kernel recording the size of each chunk it computes:
+    a chunk that replays shows up as one call per trial, on one trial each."""
+    calls = []
 
     def kernel(draws):
-        calls["chunks"].append(len(draws))
+        calls.append(len(draws))
         return trial.kernel(draws)
 
-    return dataclasses.replace(trial, compute=compute, kernel=kernel), calls
+    return dataclasses.replace(trial, kernel=kernel), calls
 
 
 def _oracle_result(oracle, rng, tolerance, trials):
@@ -107,14 +108,13 @@ def test_stacked_chunks_have_the_oracle_bits(any_eps, monkeypatch, name, trials,
             oracle, np.random.default_rng(seed), tolerance, trials
         )
         rng = np.random.default_rng(seed)
-        replayed = [trial(rng) for _ in range(trials)]  # compute(draw(rng)), trial by trial
+        replayed = [trial.kernel([trial.draw(rng)])[0] for _ in range(trials)]  # trial by trial
         assert all(type(deviation) is float for deviation in got)
         assert [d.hex() for d in got] == [d.hex() for d in want] == [d.hex() for d in replayed]
         assert (result.failures, result.max_deviation.hex()) == (failures, worst.hex())
-    # every chunk was held on the stacks: the comparison is with the kernel
-    assert calls["compute"] == 0
+    # every chunk was held on the stacks: no kernel call on one trial of many
     expected = [chunk, trials - chunk] if chunk else [trials]
-    assert calls["chunks"] == expected * 2 * len(SEEDS)
+    assert calls == expected * 2 * len(SEEDS)
 
 
 def _corrupting(build, corrupt, at, seen):
@@ -236,8 +236,7 @@ def test_a_chunk_with_an_invalid_state_replays_to_the_oracle_error(
     assert isinstance(want, tuple), "the oracle must reject the third state"
     assert got == want
     # replayed from the stored draws: trials 1 and 2 computed, 3 raised
-    assert calls["chunks"] == [10]
-    assert calls["compute"] == 3
+    assert calls == [10, 1, 1, 1]
 
 
 # (suite, corruption, oracle builder, call): the third trial's input, at
@@ -262,8 +261,7 @@ def test_a_chunk_with_a_corrupted_draw_replays_to_the_oracle_error(
     assert isinstance(want, tuple), "the oracle must reject the third trial"
     assert issubclass(want[0], ValidationError)
     assert got == want
-    assert calls["chunks"] == [10]
-    assert calls["compute"] == 3
+    assert calls == [10, 1, 1, 1]
 
 
 @pytest.mark.parametrize("name", QUANTUM)
@@ -272,10 +270,10 @@ def test_a_rank_three_state_gives_the_oracle_bits(any_eps, monkeypatch, name):
     assert isinstance(want, list) and got == want
     if name == "joint-marginal-consistency":
         # no spectral split: the stacks hold a rank-deficient state
-        assert calls["compute"] == 0
+        assert calls == [10]
     else:
         # the split drops an eigenvalue, so the whole chunk replays
-        assert calls["compute"] == 10
+        assert calls == [10] + [1] * 10
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -285,9 +283,9 @@ def test_draws_are_taken_a_chunk_at_a_time(monkeypatch, name):
     spied, calls = _spied(trial)
     deviations = qcorr.selftest._deviations(spied, np.random.default_rng(0), 8)
     next(deviations)
-    assert calls["chunks"] == [3]  # the later chunks are not drawn yet
+    assert calls == [3]  # the later chunks are not drawn yet
     assert len(list(deviations)) == 7
-    assert calls["chunks"] == [3, 3, 2]
+    assert calls == [3, 3, 2]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -322,8 +320,32 @@ def test_a_scaled_classical_product_fails_the_suites_that_pin_its_scale(monkeypa
     report = qcorr.selftest.run_selftest(1, 10)
     failed = {suite.name for suite in report.suites if not suite.passed}
     assert failed == {"separable-no-entanglement", "classical-dirac-triviality"}
-    assert [count["compute"] for count in calls] == [0] * 6  # no chunk replayed
-    assert all(count["chunks"] == [10] for count in calls)
+    assert calls == [[10]] * 6  # no chunk replayed
+
+
+def test_a_tiny_eps_keeps_every_chunk_on_the_stacks(monkeypatch):
+    # at 1e-13 the d = 4 commutation certificate declines (its rounding
+    # allowance, about 1.7e-13, is above eps/4), so the exact commutation
+    # test runs on each quantum chunk and no chunk replays
+    monkeypatch.setenv("QCORR_EPS", "1e-13")
+    check, pairs = qcorr.selftest._check_commutation, []
+
+    def checking(*args):
+        products = args[-2]  # (k1, k2, ..., d, d), a batch of pairs or one
+        pairs.append(products[0, 0].size // products.shape[-1] ** 2)
+        return check(*args)
+
+    monkeypatch.setattr(qcorr.selftest, "_check_commutation", checking)
+    for name in NAMES:
+        tolerance, trial, oracle = _suite(name)
+        spied, calls = _spied(trial)
+        got = list(qcorr.selftest._deviations(spied, np.random.default_rng(3), 200))
+        want = _oracle_result(oracle, np.random.default_rng(3), tolerance, 200)[0]
+        assert [d.hex() for d in got] == [d.hex() for d in want]
+        assert calls == [128, 72], name
+    # the exact test ran once per chunk of the product rule and of the
+    # marginals suite, on the chunk's pairs
+    assert pairs == [128, 72] * 2
 
 
 # the helpers the stacks run through, with a leading batch axis -------------
@@ -369,6 +391,63 @@ def test_batched_commutation_certificate_certifies_every_pair():
     )
 
 
+def test_batched_exact_commutation_test_names_the_first_pair_that_does_not_commute():
+    eps = validation_eps()
+    left, right = _qubit_pairs(1, 5)
+    right[3] = left[4]  # another pair's projector on the same left factor
+    effects = left.swapaxes(0, 1), right.swapaxes(0, 1)  # (k, B, d, d)
+    products = _forward_products(*effects)
+    labels = _BINARY.labels
+    with pytest.raises(NonCommuting, match=r"^effects at '0' and '0' do not commute"):
+        _check_commutation(labels, effects[0], labels, effects[1], products, eps)
+    first = [side[:, :3] for side in effects]  # the three pairs before it commute
+    _check_commutation(labels, first[0], labels, first[1], products[:, :, :3], eps)
+    # a batch of one gives the message of the single pair, and of its joint
+    one = [side[:, 3:4] for side in effects]
+    with pytest.raises(NonCommuting) as batched:
+        _check_commutation(labels, one[0], labels, one[1], _forward_products(*one), eps)
+    with pytest.raises(NonCommuting) as single:
+        products = _forward_products(left[3], right[3])
+        _check_commutation(labels, left[3], labels, right[3], products, eps)
+    with pytest.raises(NonCommuting) as joint:
+        joint_from_commuting(*(Povm._from_stack(_BINARY, side[3].copy()) for side in (left, right)))
+    assert str(batched.value) == str(single.value) == str(joint.value)
+
+
+def _rank_three_state(seed):
+    matrix = qcorr.selftest._ginibre_states(np.random.default_rng(seed).normal(size=(2, 4, 4)))
+    return _rank_three(matrix)
+
+
+def test_a_rank_deficient_batch_of_one_is_split_as_one_matrix():
+    eps = validation_eps()
+    matrix = _rank_three_state(0)
+    single = _spectral_split(matrix, eps)
+    assert single[0].shape == (3,)  # the split drops the vanishing eigenvalue
+    batched = _spectral_split(matrix[None], eps)
+    for got, want in zip(batched, single):
+        assert got.shape == (1, *want.shape)
+        assert got.tobytes() == want.tobytes()
+    full = qcorr.selftest._ginibre_states(np.random.default_rng(1).normal(size=(2, 4, 4)))
+    assert _spectral_split(np.stack([full, matrix]), eps) is None
+
+
+def test_a_batch_of_one_that_drops_a_component_is_mixed_as_one_mixture():
+    eps = validation_eps()
+    weights, vectors = _spectral_split(_rank_three_state(2), eps)
+    draws = np.random.default_rng(4).normal(size=(2, 5, 5))
+    draws[:, 4, :3] = 0.0  # the first three columns of the basis miss the last row
+    single = _random_mixing(draws, weights, vectors)
+    assert single[0].shape == (4,)  # the row of weight about 1e-33 is dropped
+    batched = _random_mixing(draws[None], weights[None], vectors[None])
+    for got, want in zip(batched, single):
+        assert got.shape == (1, *want.shape)
+        assert got.tobytes() == want.tobytes()
+    kept = np.random.default_rng(5).normal(size=(2, 5, 5))
+    pair = np.stack([kept, draws]), np.stack([weights] * 2), np.stack([vectors] * 2)
+    assert _random_mixing(*pair) is None
+
+
 def test_errors_on_a_batch_name_the_outcome_of_the_first_offender():
     eps = validation_eps()
     left, _ = _qubit_pairs(2, 3)
@@ -383,7 +462,7 @@ def test_errors_on_a_batch_name_the_outcome_of_the_first_offender():
     num, den = np.full((3, 2, 2), 0.25), np.full((3, 2, 2), 0.25)
     den[2, 1, 0] = 0.0
     with pytest.raises(AbsoluteContinuityViolation, match=r"at \(1, 0\) where"):
-        _quotient(num, den, points)
+        _quotient(num, den, np.full(den.shape, True), points)  # held only where den > 0
 
 
 def test_faults_on_a_batch_are_those_of_the_first_offender():

@@ -1,11 +1,11 @@
 """The stacked selftest kernels and the object API run the same engine steps.
 
 A profile hook records the Python functions a call executes. Each step runs
-in a stacked chunk of each suite that uses it, with no trial replayed
-through the per-trial compute step, and in the single-object call it
-serves.
+in a stacked chunk of each suite that uses it, with no trial replayed one at
+a time, and in the single-object call it serves.
 """
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -39,6 +39,7 @@ from qcorr.hilbert import (
     _random_mixing,
     _rows_fault,
     _spectral_split,
+    _unit_row_fault,
     random_decomposition,
     spectral_decompose,
 )
@@ -84,7 +85,10 @@ def _state(seed=0):
 
 
 def _qubit_pair(seed=0):
-    return qcorr.selftest._qubit_pair(np.random.default_rng(seed).normal(size=(2, 2, 2)))
+    """The checked pair of projective qubit observables of one selftest draw."""
+    draws = np.random.default_rng(seed).normal(size=qcorr.selftest._PAIR_DRAWS)
+    effects = qcorr.selftest._qubit_effects(qcorr.selftest._units(draws))
+    return tuple(Povm._from_stack(_BINARY, stack) for stack in effects)
 
 
 def _report():
@@ -213,28 +217,34 @@ STACKED = [
     (PRODUCT_RULE, (_forward_products, _check_povm, _trace_rule, _born_rows)),
     (CLASSICAL_PRODUCT_RULE, (_weights_fault, _pushed, _split, _total, mix_rows, _quotient)),
     (INVARIANCE, (_total, _spectral_split, _random_mixing, _rows_fault, _trace_rule)),
-    (SEPARABLE, (_density_fault, _mixture_matrix, _rows_fault, _mixture_fault)),
+    (SEPARABLE, (_density_fault, _mixture_matrix, _unit_row_fault, _mixture_fault)),
     (SEPARABLE, (_trace_rule, _born_rows, _split, _total, mix_rows, _quotient)),
     (MARGINALS, (_forward_products, _check_povm, _trace_rule)),
     (DIRAC, (_weights_fault, _product_rows, _pushed, _split, _total, mix_rows, _quotient)),
 ]
 
 
-def _chunk(name: str, trials: int) -> tuple[Counter, object]:
+def _chunk(name: str, trials: int) -> tuple[Counter, list]:
     """What one chunk of `trials` trials of the named suite executes, and
-    the code of its per-trial compute step."""
+    the size of each chunk its kernel computed."""
     trial = next(trial for suite, _, trial in qcorr.selftest._suites() if suite == name)
+    sizes = []
+
+    def kernel(draws):
+        sizes.append(len(draws))
+        return trial.kernel(draws)
+
+    spied = dataclasses.replace(trial, kernel=kernel)
     rng = np.random.default_rng(7)
-    codes = _executed(lambda: list(qcorr.selftest._deviations(trial, rng, trials)))
-    compute = getattr(trial.compute, "func", trial.compute)  # the invariance step is a partial
-    return codes, compute.__code__
+    codes = _executed(lambda: list(qcorr.selftest._deviations(spied, rng, trials)))
+    return codes, sizes
 
 
 @pytest.mark.parametrize("trials", [1, 5])
 @pytest.mark.parametrize("name, steps", STACKED)
 def test_stacked_chunks_run_the_engine_steps(name, steps, trials):
-    codes, compute = _chunk(name, trials)
-    assert codes[compute] == 0, "the chunk replayed through the per-trial step"
+    codes, sizes = _chunk(name, trials)
+    assert sizes == [trials], "the chunk replayed one trial at a time"
     for step in steps:
         assert codes[step.__code__] > 0, step.__name__
 
