@@ -149,22 +149,13 @@ def split_report(
     )
 
 
-def _support(rows_1: np.ndarray, rows_2: np.ndarray) -> np.ndarray:
-    """The support (..., k1, k2) of sum_i rows_1[i] (x) rows_2[i], of the rows
-    (..., n, k1) and (..., n, k2), from linear quantities: the points where
-    both rows of some i exceed EPS (a boolean matmul ORs the ANDs). A
-    product of small masses can fall below EPS where the linear masses,
-    and the joint's, do not."""
-    return (rows_1 > EPS).mT @ (rows_2 > EPS)
-
-
 def _total(joint: np.ndarray, marginal_1: np.ndarray, marginal_2: np.ndarray, points) -> tuple:
     """The joint table (k1, k2) of the joint weights (k1 k2,), the product
     of the marginal weights (k1,) and (k2,), its support supp(marginal_1) x
     supp(marginal_2) and rho_t = joint / product, for one table or each of
     a batch (`_split`); raises at the first escape."""
     independent = marginal_1[..., :, None] * marginal_2[..., None, :]
-    support = _support(marginal_1[..., None, :], marginal_2[..., None, :])
+    support = (marginal_1 > EPS)[..., :, None] & (marginal_2 > EPS)[..., None, :]
     joint = joint.reshape(independent.shape)
     return joint, independent, support, _quotient(joint, independent, support, points)
 
@@ -175,13 +166,15 @@ def _split(joint, marginal_1, marginal_2, weights, rows_1, rows_2, points) -> tu
     axes: the product of the marginals and rho_t (`_total`), the classical
     product `mix_rows` of `weights` (n,) over the rows (n, k1) and (n, k2),
     (rho_c, error), (rho_e, error) and max |rho_c rho_e - rho_t|. The
-    classical product's support is the union over i of supp(w_i rows_1[i]) x
-    supp(w_i rows_2[i]). A factor that does not exist is None with its first
+    classical product is supported where sum_i min(w_i rows_1[i], w_i
+    rows_2[i]), which bounds both the joint and the classical product from
+    above, exceeds EPS. A factor that does not exist is None with its first
     escape, the residual None."""
     joint, independent, support, rho_t = _total(joint, marginal_1, marginal_2, points)
     classical = mix_rows(weights, rows_1, rows_2)
-    scaled = weights[..., None]
-    mixed = _support(scaled * rows_1, scaled * rows_2)
+    scaled = weights[..., :, None, None]
+    bounds = np.minimum(scaled * rows_1[..., :, :, None], scaled * rows_2[..., :, None, :])
+    mixed = bounds.sum(axis=-3) > EPS
     factors = []
     for num, den, held in ((classical, independent, support), (joint, classical, mixed)):
         try:

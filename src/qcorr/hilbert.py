@@ -324,14 +324,12 @@ def _eigvalsh_smallest(stack: np.ndarray) -> np.ndarray:
 
 
 def _density_fault(stack: np.ndarray, eps: float) -> str | None:
-    """Why `DensityOperator` rejects a matrix of the (n, d, d) complex `stack`
-    at eps, or None when it takes them all. Each test runs on the whole
-    stack in turn: the message is of a non-finite entry, else of the first
-    matrix off Hermitian, else of the first whose trace is off 1, else of
-    the first with an eigenvalue below -eps, which is only sought once every
-    matrix passed the earlier tests."""
-    if not np.isfinite(stack).all():
-        return "density matrix contains non-finite entries"
+    """Why `DensityOperator` rejects a matrix of the finite (n, d, d) complex
+    `stack` at eps, or None when it takes them all. Each test runs on the
+    whole stack in turn: the message is of the first matrix off Hermitian,
+    else of the first whose trace is off 1, else of the first with an
+    eigenvalue below -eps, which is only sought once every matrix passed
+    the first two tests."""
     skew = np.abs(stack - stack.conj().swapaxes(1, 2))  # |D - D^H|, entrywise
     if skew.max() > eps:
         for deviation in skew.max(axis=(1, 2)).tolist():

@@ -278,13 +278,21 @@ def _raise(fault: str | None) -> None:
         raise ValidationError(fault)
 
 
+def _check_density(matrices: np.ndarray, eps: float) -> None:
+    """Raise as `DensityOperator` raises at the first of `matrices` (n, d, d)
+    it rejects at eps."""
+    if not np.isfinite(matrices).all():
+        raise ValidationError("density matrix contains non-finite entries")
+    _raise(_density_fault(matrices, eps))
+
+
 def _states(draws: list) -> tuple[np.ndarray, float]:
     """The chunk's state matrices (B, d, d), built from its Ginibre draws (the
     first draw) and checked as `DensityOperator` checks each, and the
     validation eps."""
     matrices = _ginibre_states(np.array([draw[0] for draw in draws]))
     eps = validation_eps()
-    _raise(_density_fault(matrices, eps))
+    _check_density(matrices, eps)
     return matrices, eps
 
 
@@ -380,7 +388,7 @@ def _rebuilt_rho_t(spin: tuple[Povm, Povm, Povm], mixture: tuple, eps: float) ->
     rebuilds from each mixture, weights (b, n) and unit rows (b, n, d)."""
     a1, a2, joint = spin
     matrices = _mixture_matrix(*mixture)
-    _raise(_density_fault(matrices, eps))
+    _check_density(matrices, eps)
     _raise(_mixture_fault(*mixture, matrices, eps))
     statistics = _trace_rule(np.concatenate([joint._stack, a1._stack, a2._stack]), matrices)
     measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
@@ -422,7 +430,7 @@ def _separable_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
         _raise(None if fault is None else fault[1])
         groups.append((index, weights, vectors, _mixture_matrix(weights, vectors)))
     # every state is 4 x 4: one density check for the whole chunk
-    _raise(_density_fault(np.concatenate([group[-1] for group in groups]), eps))
+    _check_density(np.concatenate([group[-1] for group in groups]), eps)
     sides = np.concatenate([a1._stack, a2._stack])
     stack = np.concatenate([joint._stack, sides])
     deviations = np.empty(len(draws))

@@ -7,7 +7,8 @@ array kernel `qcorr.measure.correlation_split` replaced it. It mixes with
 statistic through its own copy of the trace rule `expectation` at the
 component's density operator, so it shares no arithmetic with the kernel.
 Each denominator's support is taken from linear quantities, as the kernel
-takes it: the points where some part's weighted factors both exceed EPS.
+takes it: the points where the sum over parts of the smaller weighted
+factor exceeds EPS.
 `reference_kernel` is the row-by-row validation `ClassicalObservable` ran
 before it held one matrix. Tests compare the package with both.
 """
@@ -92,18 +93,11 @@ def _product(nu1, nu2):
 
 def _mix(parts):
     """The mixture sum_i w_i p1_i (x) p2_i of the parts (w_i, p1_i, p2_i) and
-    its support: the points where w_i p1_i and w_i p2_i both exceed EPS for
-    some i."""
+    its support: the points where sum_i min(w_i p1_i, w_i p2_i) exceeds EPS."""
     products = [(w, _product(p1, p2)) for w, p1, p2 in parts]
     mixed = {o: math.fsum(w * nu[o] for w, nu in products) for o in products[0][1]}
-    support = {
-        (l, r)
-        for w, p1, p2 in parts
-        for l in p1
-        for r in p2
-        if w * p1[l] > EPS and w * p2[r] > EPS
-    }
-    return mixed, support
+    bound = {o: math.fsum(min(w * p1[o[0]], w * p2[o[1]]) for w, p1, p2 in parts) for o in mixed}
+    return mixed, {o for o, mass in bound.items() if mass > EPS}
 
 
 def density(num, den, support):

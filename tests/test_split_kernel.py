@@ -284,6 +284,58 @@ def test_tilted_mixture_matches_at_the_far_corner(spin_pair):
     assert_matches(correlation_report(joint, a1, a2, dec), expected)
 
 
+SMALL = 1.5e-9  # above EPS, though each component below carries a share under it
+
+
+@pytest.mark.parametrize("count, second", [(2, UP), (10, DOWN)])
+def test_component_masses_under_eps_add_up_to_the_support(spin_pair, count, second):
+    """`count` equal components sqrt(1 - m)|up, up> + w^k sqrt(m)|down, second>,
+    w = exp(2 pi i / count), m = SMALL: each puts m / count, under EPS, on
+    the first spin's down outcome, and the joint has mass m at (down,
+    second). Their sum bounds the joint there, so rho_e exists: 1 where the
+    classical product is m (second = UP, product components) and 1/m where
+    it is m^2 (second = DOWN)."""
+    a1, a2, joint = spin_pair
+    m = SMALL
+    components = [
+        (
+            1 / count,
+            PureState(
+                np.sqrt(1 - m) * np.kron(UP, UP)
+                + np.exp(2j * np.pi * k / count) * np.sqrt(m) * np.kron(DOWN, second)
+            ),
+        )
+        for k in range(count)
+    ]
+    dec = ConvexDecomposition(components, DensityOperator.from_mixture(components))
+    expected = split_oracle.quantum_split(joint, a1, a2, dec)
+    report = correlation_report(joint, a1, a2, dec)
+    point = ("-1/2", "+1/2" if second is UP else "-1/2")
+    assert report.rho_e_error is None
+    np.testing.assert_allclose(
+        report.rho_e.value(point), 1.0 if second is UP else 1 / m, rtol=1e-6
+    )
+    assert_matches(report, expected)
+
+
+def test_classical_row_masses_under_eps_add_up_to_the_support():
+    """The classical form of the case above: at the uniform state each of
+    two points gives the first readout mass m = SMALL at '1', so each
+    weighted row carries m / 2, under EPS, while the joint and the
+    classical product at ('1', '1') are both m, and rho_e = 1 there."""
+    m = SMALL
+    phase, bits = PhaseSpace(("alpha", "beta")), OutcomeSpace(("0", "1"))
+    state = DiscreteMeasure(phase, {"alpha": 0.5, "beta": 0.5})
+    a1 = ClassicalObservable.from_matrix(phase, bits, [[1 - m, m], [1 - m, m]])
+    a2 = ClassicalObservable.from_matrix(phase, bits, [[0.0, 1.0], [0.0, 1.0]])
+    joint = classical_joint(a1, a2)
+    report = classical_report(joint, a1, a2, state)
+    assert report.rho_e_error is None
+    np.testing.assert_allclose(report.rho_e.value(("1", "1")), 1.0, rtol=1e-6)
+    assert report.product_rule_pass
+    assert_matches(report, split_oracle.classical_split(joint, a1, a2, state))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_inputs_off_by_nine_tenths_of_eps_run_in_both_frames(sign):
     """State and kernel rows (classical) or state trace and effects (quantum)
