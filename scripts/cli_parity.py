@@ -33,7 +33,7 @@ set to each in turn and compares stdout, stderr and the exit code:
   cover the observables and states the suites build for themselves,
   `selftest --trials 10` at seeds 2 and 9 in both formats, the benchmark's
   op size: one chunk per suite, in which the suites whose trials differ in
-  shape stack many groups of one or two trials, `selftest --seed 5
+  shape pad them to the chunk's largest shape, `selftest --seed 5
   --trials 200` in both formats, whose suites run in more than one stacked
   chunk, and `selftest --seed 3 --trials 129` in both formats, whose last
   chunk holds one trial, so that every stacked step also runs on a batch

@@ -12,6 +12,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterable
+from functools import cache
 
 import numpy as np
 
@@ -260,18 +261,44 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+@cache
+def _one_blas_thread() -> bool:
+    """Whether numpy's bundled OpenBLAS runs on one thread, read once per
+    process. At more threads each product of a split step already runs on
+    several CPUs, and the worker's products compete with them; a BLAS that
+    reports no count (not the bundled OpenBLAS) counts as more than one."""
+    # imported here, at the first step large enough to split, so that no
+    # import of qcorr and no d <= 36 process pays for them
+    import ctypes
+    import glob
+
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(pattern):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            threads = getattr(library, symbol, None)
+            if threads is not None:
+                threads.restype = ctypes.c_int
+                return threads() == 1
+    return False
+
+
 def _in_halves(first: Callable, second: Callable, work: int) -> tuple:
     """(first(), second()): `second` on the worker thread while the caller
-    runs `first` when `work` reaches `_SPLIT_FROM_WORK` and the process may
-    run on two CPUs, otherwise one after the other. The halves must not
-    write to the same memory; each makes the same numpy calls on either
-    path, so the results are the same bits.
+    runs `first` when `work` reaches `_SPLIT_FROM_WORK`, the process may
+    run on two CPUs and the BLAS runs on one thread (`_one_blas_thread`),
+    otherwise one after the other. The halves must not write to the same
+    memory; each makes the same numpy calls on either path, so the results
+    are the same bits.
 
     The caller returns or raises only after both halves have finished, and
     an error keeps the serial order: one raised by `first` wins, as
     `second` would not have run."""
     global _POOL
-    if work < _SPLIT_FROM_WORK or _cpus() < 2:
+    if work < _SPLIT_FROM_WORK or _cpus() < 2 or not _one_blas_thread():
         return first(), second()
     # imported here, so that a process which never splits (any at d <= 36)
     # does not pay for it and for logging at start-up
@@ -511,23 +538,32 @@ def _reconstruction(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (vectors.mT * weights[..., None, :]) @ vectors.conj()
 
 
-def _rows_fault(weights: np.ndarray, vectors: np.ndarray, targets, eps: float) -> str | None:
+def _rows_fault(
+    weights: np.ndarray, vectors: np.ndarray, targets, eps: float, real=None
+) -> str | None:
     """Why `ConvexDecomposition._from_rows` rejects a mixture of a batch,
     weights (B, n) and rows (B, n, d), at eps, or None: the first row
     PureState rejects, else `_mixture_fault`."""
     fault = _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps)
     if fault is not None:
         return fault[1]
-    return _mixture_fault(weights, vectors, targets, eps)
+    return _mixture_fault(weights, vectors, targets, eps, real)
 
 
-def _mixture_fault(weights: np.ndarray, vectors: np.ndarray, targets, eps: float) -> str | None:
+def _mixture_fault(
+    weights: np.ndarray, vectors: np.ndarray, targets, eps: float, real=None
+) -> str | None:
     """Why `ConvexDecomposition` rejects a mixture of a batch, weights
     (B, n), rows (B, n, d) and target matrices (B, d, d), at eps, or None
     when it takes them all: the first weight not positive, else (unless the
     targets are None) the first weight sum (exact, one `_exact_sum` per
-    mixture) off 1, else the first reconstruction off its target."""
+    mixture) off 1, else the first reconstruction off its target. Mixtures
+    of several sizes may be padded to one with zero weights on unit rows;
+    the boolean `real` (B, n) then marks the components, the only weights
+    that must be positive."""
     bad = ~np.isfinite(weights) | (weights <= 0.0)
+    if real is not None:
+        bad &= real
     if bad.any():
         return f"decomposition weight {float(weights.flat[bad.argmax()])!r} must be positive"
     if targets is None:

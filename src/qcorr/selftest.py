@@ -10,8 +10,13 @@ products, the spectral split, the random mixing and the one correlation
 split, `correlation._split`). On one trial the kernel has the bits and the
 errors of the public constructors, and a chunk it cannot hold, or that
 fails a check, is computed again through it one trial at a time (see
-`_chunk_deviations`). The suites whose trials differ in shape (phase-space
-size, codomains, component count) stack each group of one shape.
+`_chunk_deviations`). Where trials differ in shape (phase-space size and
+codomains in the Dirac suite, component count in the separable and both
+quantum suites), each trial's inputs are built with those of its shape and
+padded with zeros to the chunk's largest shape (`_padded`), one stack per
+chunk; every step on a padded axis gives each trial the bits it has alone,
+and the checks skip the pads. The classical product rule stacks each group
+of one phase-space size: its pushes sum over that axis in BLAS.
 """
 
 from __future__ import annotations
@@ -272,6 +277,30 @@ def _shape_groups(draws: list):
         yield index, tuple(np.array(stack) for stack in zip(*(draws[i] for i in index)))
 
 
+def _padded(groups: list, count: int, *fills) -> tuple:
+    """The arrays of `groups`, (trial indices, arrays (b, m, ...)) each,
+    as one stack (count, n, ...) per position over the chunk's `count`
+    trials, every axis as long as its longest and the position's fill past
+    each trial's own end; then where the first array of each trial holds an
+    entry (count, n). A chunk of one shape has no pad."""
+    if len(groups) == 1:  # every trial, in order
+        arrays = groups[0][1:]
+        return (*arrays, np.ones(arrays[0].shape[:2], bool))
+    stacks = []
+    for position, fill in enumerate(fills, 1):
+        shape = tuple(map(max, zip(*(group[position].shape[1:] for group in groups))))
+        stack = np.full((count, *shape), fill, groups[0][position].dtype)
+        for group in groups:
+            corner = tuple(map(slice, group[position].shape[1:]))
+            for trial, block in zip(group[0], group[position]):
+                stack[(trial, *corner)] = block
+        stacks.append(stack)
+    sizes = np.zeros(count, int)
+    for index, array, *_ in groups:
+        sizes[index] = array.shape[1]
+    return (*stacks, np.arange(stacks[0].shape[1]) < sizes[:, None])
+
+
 def _raise(fault: str | None) -> None:
     """Raise a fault helper's message as the constructor that asks it does."""
     if fault is not None:
@@ -297,8 +326,8 @@ def _states(draws: list) -> tuple[np.ndarray, float]:
 
 
 def _decomposed(split, matrices: np.ndarray, eps: float) -> tuple:
-    """`split`, weights (b, n) and unit rows (b, n, d) of the targets
-    `matrices` (b, d, d), once `ConvexDecomposition._from_rows` takes each;
+    """`split`, weights (B, n) and unit rows (B, n, d) of the targets
+    `matrices` (B, d, d), once `ConvexDecomposition._from_rows` takes each;
     a split that a larger batch cannot hold (None) replays the chunk."""
     if split is None:
         raise _Replay
@@ -306,16 +335,26 @@ def _decomposed(split, matrices: np.ndarray, eps: float) -> tuple:
     return split
 
 
-def _mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: float) -> list:
+# the unit row that carries a padded mixture's zero weights
+_PAD_ROW = np.eye(4, dtype=complex)[0]
+
+
+def _mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: float) -> tuple:
     """`random_decomposition` of each state on its drawn mixing (the last
-    draw), from the chunk's spectral splits `spectral`, in groups of one
-    size: (trial indices, weights (b, n), unit rows (b, n, d)) per size n."""
+    draw), from the chunk's spectral splits `spectral`, one QR batch per
+    size n: weights (B, n) and unit rows (B, n, d) padded to the largest
+    size, and where they hold a component (B, n), once
+    `ConvexDecomposition._from_rows` takes each."""
     weights, rows = spectral
     groups = []
     for index, (normals,) in _shape_groups([draw[-1:] for draw in draws]):
         mixture = _random_mixing(normals, weights[index], rows[index])
-        groups.append((index, *_decomposed(mixture, matrices[index], eps)))
-    return groups
+        if mixture is None:
+            raise _Replay
+        groups.append((index, *mixture))
+    mixed, vectors, real = _padded(groups, len(draws), 0.0, _PAD_ROW)
+    _raise(_rows_fault(mixed, vectors, matrices, eps, real))
+    return mixed, vectors, real
 
 
 def _statistics(draws: list) -> tuple:
@@ -345,13 +384,11 @@ def _product_rule_kernel(draws: list) -> list:
     observable pairs, and random decompositions."""
     matrices, eps, left, right, statistics = _statistics(draws)
     spectral = _decomposed(_spectral_split(matrices, eps), matrices, eps)
-    residuals = np.empty(len(draws))
-    for index, mixed, vectors in _mixtures(draws, spectral, matrices, eps):
-        born = _born_rows(np.concatenate([left[index], right[index]], 1), vectors)
-        measures = statistics[index, :4], statistics[index, 4:6], statistics[index, 6:]
-        residual = _split(*measures, mixed, born[..., :2], born[..., 2:], _BINARY_PAIRS.points)[-1]
-        residuals[index] = math.inf if residual is None else residual
-    return residuals.tolist()
+    weights, vectors, _ = _mixtures(draws, spectral, matrices, eps)
+    born = _born_rows(np.concatenate([left, right], 1), vectors)
+    measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
+    residual = _split(*measures, weights, born[..., :2], born[..., 2:], _BINARY_PAIRS.points)[-1]
+    return [math.inf] * len(draws) if residual is None else residual.tolist()
 
 
 def _classical_split(weights: np.ndarray, joint: np.ndarray, rows_1, rows_2, points) -> tuple:
@@ -383,13 +420,16 @@ def _classical_product_rule_kernel(draws: list) -> list:
     return residuals.tolist()
 
 
-def _rebuilt_rho_t(spin: tuple[Povm, Povm, Povm], mixture: tuple, eps: float) -> np.ndarray:
-    """rho_t (b, 2, 2) at the state `ConvexDecomposition.from_components`
-    rebuilds from each mixture, weights (b, n) and unit rows (b, n, d)."""
+def _rebuilt_rho_t(
+    spin: tuple[Povm, Povm, Povm], weights: np.ndarray, vectors: np.ndarray, eps: float, real=None
+) -> np.ndarray:
+    """rho_t (B, 2, 2) at the state `ConvexDecomposition.from_components`
+    rebuilds from each mixture, weights (B, n) and unit rows (B, n, d), its
+    components `real` when it is padded (`_mixture_fault`)."""
     a1, a2, joint = spin
-    matrices = _mixture_matrix(*mixture)
+    matrices = _mixture_matrix(weights, vectors)
     _check_density(matrices, eps)
-    _raise(_mixture_fault(*mixture, matrices, eps))
+    _raise(_mixture_fault(weights, vectors, matrices, eps, real))
     statistics = _trace_rule(np.concatenate([joint._stack, a1._stack, a2._stack]), matrices)
     measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
     return _total(*measures, joint.space.points)[-1]
@@ -401,19 +441,18 @@ def _invariance_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
     leaves rho_t unchanged pointwise."""
     matrices, eps = _states(draws)
     spectral = _decomposed(_spectral_split(matrices, eps), matrices, eps)
-    mixtures = _mixtures(draws, spectral, matrices, eps)
-    rho_t = _rebuilt_rho_t(spin, spectral, eps)
-    gaps = np.empty(len(draws))
-    for index, *mixture in mixtures:
-        shuffled = _rebuilt_rho_t(spin, mixture, eps)
-        gaps[index] = _nanmax(np.abs(rho_t[index] - shuffled).reshape(len(index), -1))
-    return gaps.tolist()
+    weights, vectors, real = _mixtures(draws, spectral, matrices, eps)
+    rho_t = _rebuilt_rho_t(spin, *spectral, eps)
+    shuffled = _rebuilt_rho_t(spin, weights, vectors, eps, real)
+    return _nanmax(np.abs(rho_t - shuffled).reshape(len(draws), -1)).tolist()
 
 
-def _from_one(rho: np.ndarray | None, count: int):
+def _from_one(rho: np.ndarray | None, count: int) -> list:
     """Largest |rho - 1| on the support of each of `count` densities (count,
-    k1, k2); a missing density (None) is an infinite miss."""
-    return math.inf if rho is None else _nanmax(np.abs(rho - 1.0).reshape(count, -1))
+    k1, k2); a missing density (None) is an infinite miss for each."""
+    if rho is None:
+        return [math.inf] * count
+    return _nanmax(np.abs(rho - 1.0).reshape(count, -1)).tolist()
 
 
 def _separable_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
@@ -423,25 +462,19 @@ def _separable_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
     `ConvexDecomposition` check it."""
     a1, a2, joint = spin
     eps = validation_eps()
-    groups = []
-    for index, group in _shape_groups(draws):
-        weights, vectors = _separable_mixture(group)
-        fault = _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps)
-        _raise(None if fault is None else fault[1])
-        groups.append((index, weights, vectors, _mixture_matrix(weights, vectors)))
-    # every state is 4 x 4: one density check for the whole chunk
-    _check_density(np.concatenate([group[-1] for group in groups]), eps)
+    groups = [(index, *_separable_mixture(group)) for index, group in _shape_groups(draws)]
+    weights, vectors, real = _padded(groups, len(draws), 0.0, _PAD_ROW)
+    fault = _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps)
+    _raise(None if fault is None else fault[1])
+    matrices = _mixture_matrix(weights, vectors)
+    _check_density(matrices, eps)
+    _raise(_mixture_fault(weights, vectors, matrices, eps, real))
     sides = np.concatenate([a1._stack, a2._stack])
-    stack = np.concatenate([joint._stack, sides])
-    deviations = np.empty(len(draws))
-    for index, weights, vectors, matrices in groups:
-        _raise(_mixture_fault(weights, vectors, matrices, eps))
-        statistics = _trace_rule(stack, matrices)
-        born = _born_rows(sides, vectors)
-        measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
-        rho_e = _split(*measures, weights, born[..., :2], born[..., 2:], joint.space.points)[4][0]
-        deviations[index] = _from_one(rho_e, len(index))
-    return deviations.tolist()
+    statistics = _trace_rule(np.concatenate([joint._stack, sides]), matrices)
+    born = _born_rows(sides, vectors)
+    measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
+    rho_e = _split(*measures, weights, born[..., :2], born[..., 2:], joint.space.points)[4][0]
+    return _from_one(rho_e, len(draws))
 
 
 def _marginals_kernel(draws: list) -> list:
@@ -458,18 +491,21 @@ def _classical_dirac_kernel(draws: list) -> list:
     phase-space point leaves nothing for the mixing to correlate. The rows
     are checked as `ClassicalObservable.from_matrix` checks them."""
     eps = validation_eps()
-    deviations = np.empty(len(draws))
-    for index, (uniforms_1, uniforms_2, point) in _shape_groups(draws):
-        rows_1, rows_2 = _simplex_rows(uniforms_1, 0.05), _simplex_rows(uniforms_2, 0.05)
-        codomains = _dirac_codomains(rows_1, rows_2)
-        _checked_weights(codomains[0], rows_1, eps)
-        _checked_weights(codomains[1], rows_2, eps)
-        states = np.eye(rows_1.shape[1])[point]  # each trial's point mass
-        joint = _product_rows(rows_1, rows_2)
-        outcomes = ProductSpace(*codomains).points
-        rho_c = _classical_split(states, joint, rows_1, rows_2, outcomes)[3][0]
-        deviations[index] = _from_one(rho_c, len(index))
-    return deviations.tolist()
+    groups = [
+        (index, _simplex_rows(uniforms_1, 0.05), _simplex_rows(uniforms_2, 0.05))
+        for index, (uniforms_1, uniforms_2, _) in _shape_groups(draws)
+    ]
+    # the phase points padded with zero rows, the outcomes with zeros
+    rows_1, rows_2, real = _padded(groups, len(draws), 0.0, 0.0)
+    codomains = _dirac_codomains(rows_1, rows_2)
+    _checked_weights(codomains[0], rows_1[real], eps)
+    _checked_weights(codomains[1], rows_2[real], eps)
+    states = np.zeros(real.shape)
+    states[range(len(draws)), [draw[-1] for draw in draws]] = 1.0  # each trial's point mass
+    joint = _product_rows(rows_1, rows_2)
+    outcomes = ProductSpace(*codomains).points
+    rho_c = _classical_split(states, joint, rows_1, rows_2, outcomes)[3][0]
+    return _from_one(rho_c, len(draws))
 
 
 @cache

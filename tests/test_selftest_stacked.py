@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qcorr.correlation
+import qcorr.measure
 import qcorr.selftest
 import selftest_oracle
 from qcorr import (
@@ -346,6 +347,92 @@ def test_a_tiny_eps_keeps_every_chunk_on_the_stacks(monkeypatch):
     # the exact test ran once per chunk of the product rule and of the
     # marginals suite, on the chunk's pairs
     assert pairs == [128, 72] * 2
+
+
+# chunks of many shapes, padded to one stack --------------------------------
+
+
+def _every_shape(name, rng):
+    """Draws of the named suite, one trial of every shape it draws, twice,
+    in a shuffled order: every Dirac (n, k1, k2), every separable count and
+    every mixing size."""
+    normal = rng.normal
+    if name == "classical-dirac-triviality":
+        draws = [
+            (rng.random((n, k1)), rng.random((n, k2)), rng.integers(0, n))
+            for n in (2, 3, 4)
+            for k1 in (2, 3)
+            for k2 in (2, 3)
+        ]
+    elif name == "separable-no-entanglement":
+        draws = [(rng.random(count), normal(size=(2 * count, 2, 2))) for count in range(1, 9)]
+    elif name == "quantum-product-rule":
+        draws = [
+            (normal(size=(2, 4, 4)), normal(size=(2, 2, 2)), normal(size=(2, n, n)))
+            for n in range(4, 8)
+        ]
+    else:
+        draws = [(normal(size=(2, 4, 4)), normal(size=(2, n, n))) for n in range(4, 8)]
+    draws = 2 * draws
+    return [draws[i] for i in rng.permutation(len(draws))]
+
+
+PADDED = (
+    "quantum-product-rule",
+    "total-correlation-invariance",
+    "separable-no-entanglement",
+    "classical-dirac-triviality",
+)
+
+
+@pytest.mark.parametrize("name", PADDED)
+def test_a_chunk_of_every_shape_gives_each_trial_its_own_bits(any_eps, name):
+    _, trial, _ = _suite(name)
+    for seed in range(12):
+        draws = _every_shape(name, np.random.default_rng(seed))
+        got = trial.kernel(draws)  # on the stacks: a replay would call it per trial
+        want = [trial.kernel([draw])[0] for draw in draws]
+        assert [d.hex() for d in got] == [d.hex() for d in want]
+
+
+@pytest.mark.parametrize("name", PADDED)
+def test_a_padded_suite_splits_each_chunk_once(monkeypatch, name):
+    # the invariance suite has no split; it rebuilds rho_t from both
+    # decompositions of the chunk, once each
+    step = "_rebuilt_rho_t" if name == "total-correlation-invariance" else "_split"
+    original, calls = getattr(qcorr.selftest, step), []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qcorr.selftest, step, spy)
+    _, trial, _ = _suite(name)
+    spied, chunks = _spied(trial)
+    for seed in range(6):
+        list(qcorr.selftest._deviations(spied, np.random.default_rng(seed), 10))
+        trial.kernel(_every_shape(name, np.random.default_rng(seed)))
+    assert chunks == [10] * 6
+    assert len(calls) == (2 if step == "_rebuilt_rho_t" else 1) * 12
+
+
+def test_a_batch_of_mixtures_with_zero_tails_has_each_mixtures_bits():
+    rng = np.random.default_rng(8)
+    for _ in range(1000):
+        size, padded = rng.integers(1, 9), rng.integers(1, 4)
+        k1, k2 = rng.integers(1, 5, size=2)
+        batch = rng.integers(1, 6)
+        weights = np.zeros((batch, size + padded))
+        rows_1 = np.zeros((batch, size + padded, k1))
+        rows_2 = np.zeros((batch, size + padded, k2))
+        alone = []
+        for mixture in range(batch):
+            n = rng.integers(1, size + 1)
+            w, r1, r2 = rng.random(n), rng.random((n, k1)), rng.random((n, k2))
+            weights[mixture, :n], rows_1[mixture, :n], rows_2[mixture, :n] = w, r1, r2
+            alone.append(qcorr.measure.mix_rows(w, r1, r2))
+        got = qcorr.measure.mix_rows(weights, rows_1, rows_2)
+        assert got.tobytes() == np.array(alone).tobytes()
 
 
 # the helpers the stacks run through, with a leading batch axis -------------

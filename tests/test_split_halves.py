@@ -2,12 +2,14 @@
 
 The split runs the very numpy calls of the serial path, so every array,
 verdict and error must be the same bits whichever path runs. Each test
-forces its path: `_SPLIT_FROM_WORK` at 0 with two CPUs splits every step,
-a huge one splits none.
+forces its path: `_SPLIT_FROM_WORK` at 0 with two CPUs and one BLAS thread
+splits every step, a huge one splits none.
 """
 
+import _ctypes
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -44,16 +46,23 @@ def eps_setting(request, monkeypatch):
         monkeypatch.setenv("QCORR_EPS", request.param)
 
 
+def _two_cpus_one_blas_thread(monkeypatch) -> None:
+    """Two CPUs whatever the affinity mask holds, and one BLAS thread
+    whatever the BLAS reports."""
+    monkeypatch.setattr(qcorr.hilbert, "_cpus", lambda: 2)
+    monkeypatch.setattr(qcorr.hilbert, "_one_blas_thread", lambda: True)
+
+
 @pytest.fixture()
 def fresh_pool(monkeypatch):
-    """No worker yet, and two CPUs whatever the affinity mask holds."""
+    """No worker yet, two CPUs and one BLAS thread."""
     monkeypatch.setattr(qcorr.hilbert, "_POOL", None)
-    monkeypatch.setattr(qcorr.hilbert, "_cpus", lambda: 2)
+    _two_cpus_one_blas_thread(monkeypatch)
 
 
 def _take(monkeypatch, path: str) -> None:
     monkeypatch.setattr(qcorr.hilbert, "_SPLIT_FROM_WORK", 0 if path == SPLIT else 1 << 62)
-    monkeypatch.setattr(qcorr.hilbert, "_cpus", lambda: 2)
+    _two_cpus_one_blas_thread(monkeypatch)
 
 
 def _haar_unitary(rng, n: int) -> np.ndarray:
@@ -183,6 +192,51 @@ def test_one_cpu_in_the_affinity_mask_splits_nothing(monkeypatch):
     caller = threading.get_ident()
     assert _in_halves(threading.get_ident, threading.get_ident, 1 << 62) == (caller, caller)
     assert qcorr.hilbert._POOL is None
+
+
+def test_more_than_one_blas_thread_splits_nothing(fresh_pool, monkeypatch):
+    monkeypatch.setattr(qcorr.hilbert, "_one_blas_thread", lambda: False)
+    caller = threading.get_ident()
+    assert _in_halves(threading.get_ident, threading.get_ident, 1 << 62) == (caller, caller)
+    assert qcorr.hilbert._POOL is None
+
+
+def test_a_blas_that_reports_no_thread_count_splits_nothing(monkeypatch):
+    read = qcorr.hilbert._one_blas_thread.__wrapped__  # past the once-per-process cache
+    monkeypatch.setattr("glob.glob", lambda pattern: [])  # no bundled OpenBLAS
+    assert read() is False
+    # a library without OpenBLAS's thread-count symbols
+    monkeypatch.setattr("glob.glob", lambda pattern: [_ctypes.__file__])
+    assert read() is False
+
+
+def _blas_gate(threads: str, code: str) -> str:
+    """The output of `code` run after importing qcorr in a fresh interpreter
+    with `threads` OpenBLAS threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import qcorr.hilbert as h\n" + code],
+        capture_output=True, text=True, timeout=120, check=True, env=env,
+    )
+    return done.stdout.split()
+
+
+def test_the_blas_thread_count_is_read_once_at_the_first_step_large_enough_to_split():
+    code = (
+        "import qcorr\n"
+        "qcorr.run_selftest(1, 10)\n"  # d = 4: no step reaches the threshold
+        "print(h._one_blas_thread.cache_info().misses)\n"
+        "h._cpus = lambda: 2\n"
+        "h._in_halves(int, int, h._SPLIT_FROM_WORK)\n"
+        "h._in_halves(int, int, h._SPLIT_FROM_WORK)\n"
+        "print(h._one_blas_thread.cache_info().misses, h._one_blas_thread())"
+    )
+    bundled = _blas_gate("1", "print(h._one_blas_thread())") == ["True"]
+    if not bundled:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS that reports its threads")
+    assert _blas_gate("1", code) == ["0", "1", "True"]
+    # OpenBLAS runs no more threads than the affinity mask holds CPUs
+    assert _blas_gate("2", code) == ["0", "1", str(qcorr.hilbert._cpus() < 2)]
 
 
 def test_a_worker_error_reaches_the_caller_after_both_halves(fresh_pool, monkeypatch):
