@@ -420,10 +420,12 @@ def _quotient(
 def mix_rows(weights: np.ndarray, rows_1: np.ndarray, rows_2: np.ndarray) -> np.ndarray:
     """Classical product sum_i w_i rows_1[i] (x) rows_2[i] of the per-component
     outcome rows (n x k1 and n x k2), as a k1 x k2 table, or of each mixture
-    of a batch (B, n), (B, n, k1) and (B, n, k2), one at a time: a batched
+    of a batch along the same leading axes, one at a time: a batched
     product sums in another order. A mixture of a batch is summed up to its
     last nonzero weight, so one padded with zero weights has the bits of
     the mixture alone."""
+    if weights.ndim > 2:
+        return np.array([mix_rows(*batch) for batch in zip(weights, rows_1, rows_2)])
     if weights.ndim > 1:
         ends = weights.shape[-1] - (weights[:, ::-1] != 0.0).argmax(axis=-1)
         mixtures = zip(weights, rows_1, rows_2, ends.tolist())

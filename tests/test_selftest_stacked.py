@@ -433,6 +433,9 @@ def test_a_batch_of_mixtures_with_zero_tails_has_each_mixtures_bits():
             alone.append(qcorr.measure.mix_rows(w, r1, r2))
         got = qcorr.measure.mix_rows(weights, rows_1, rows_2)
         assert got.tobytes() == np.array(alone).tobytes()
+        # and along two leading axes
+        twice = (np.stack([array] * 2) for array in (weights, rows_1, rows_2))
+        assert qcorr.measure.mix_rows(*twice).tobytes() == np.array([alone] * 2).tobytes()
 
 
 # the helpers the stacks run through, with a leading batch axis -------------
