@@ -10,13 +10,22 @@ products, the spectral split, the random mixing and the one correlation
 split, `correlation._split`). On one trial the kernel has the bits and the
 errors of the public constructors, and a chunk it cannot hold, or that
 fails a check, is computed again through it one trial at a time (see
-`_chunk_deviations`). Where trials differ in shape (phase-space size and
+`_chunk_outcomes`). A run is chunk-major (`_deviations`): for each chunk
+of trials every suite draws its chunk, and the three d = 4 quantum suites
+share one kernel (`_quantum_kernel`, each suite's a `_Slot` of it), which
+computes their chunks together: one stack of states, one pass over the
+product rule's and the marginals' qubit pairs, one spectral split and
+random mixing over the product rule's and the invariance suite's states,
+then each suite's own tail. A run raises what running the suites one after
+another would: the first error, in trial order, of the lowest-numbered
+suite that has one. Where trials differ in shape (phase-space size and
 codomains in the Dirac suite, component count in the separable and both
-quantum suites), each trial's inputs are built with those of its shape and
-padded with zeros to the chunk's largest shape (`_padded`), one stack per
-chunk; every step on a padded axis gives each trial the bits it has alone,
-and the checks skip the pads. The classical product rule stacks each group
-of one phase-space size: its pushes sum over that axis in BLAS.
+decomposing quantum suites), each trial's inputs are built with those of
+its shape and padded with zeros to the chunk's largest shape (`_padded`),
+one stack per chunk; every step on a padded axis gives each trial the bits
+it has alone, and the checks skip the pads. The classical product rule
+stacks each group of one phase-space size: its pushes sum over that axis
+in BLAS.
 """
 
 from __future__ import annotations
@@ -247,23 +256,89 @@ class _Stacked:
     kernel: Callable[[list], list]
 
 
-def _chunk_deviations(trial: _Stacked, rng: np.random.Generator, count: int) -> list:
-    """The deviations of the next `count` trials, all drawn first. When the
-    kernel raises on a chunk of more than one trial (a check failed, or the
-    stacks cannot hold it) or returns a deviation that is not finite, every
-    trial is computed again from its stored draws through the same kernel,
-    one trial at a time and in order, so an error is raised at its own
-    trial with its own message."""
-    draws = [trial.draw(rng) for _ in range(count)]
-    if count > 1:
+@dataclass(frozen=True)
+class _Slot:
+    """The kernel of one of the suites whose chunks `shared` computes
+    together: `shared` takes the chunks of draws of some of them by index
+    and returns every suite's deviations by index, this suite's at `index`.
+    Called on this suite's draws, it computes them alone."""
+
+    shared: Callable[[dict], tuple]
+    index: int
+
+    def __call__(self, draws: list) -> list:
+        return self.shared({self.index: draws})[self.index]
+
+
+def _together(trials: list, chunks: list) -> list:
+    """The deviations of each of `trials`' chunks of draws `chunks`, from one
+    call of the kernel their `_Slot`s share, or of the one trial's kernel."""
+    kernel = trials[0].kernel
+    if not isinstance(kernel, _Slot):
+        return [kernel(chunks[0])]
+    computed = kernel.shared({trial.kernel.index: chunk for trial, chunk in zip(trials, chunks)})
+    return [computed[trial.kernel.index] for trial in trials]
+
+
+def _chunk_outcomes(trials: list, chunks: list) -> list:
+    """(deviations, the error raised or None) of each of `trials`' chunks of
+    draws `chunks`, computed together (`_together`). When that raises on
+    more than one trial (a check failed, or the stacks cannot hold them) or
+    gives a deviation that is not finite, each suite's trials are computed
+    again from their stored draws through its own kernel, one trial at a
+    time and in order, so an error is raised at its own trial with its own
+    message; no suite after the first that raises is computed."""
+    if sum(map(len, chunks)) > 1:
         try:
-            deviations = trial.kernel(draws)
+            computed = _together(trials, chunks)
         except (_Replay, QcorrError, np.linalg.LinAlgError):
             pass
         else:
-            if all(map(math.isfinite, deviations)):
-                return deviations
-    return [trial.kernel([draw])[0] for draw in draws]
+            if all(math.isfinite(deviation) for got in computed for deviation in got):
+                return [(got, None) for got in computed]
+    outcomes = []
+    for trial, chunk in zip(trials, chunks):
+        got = []
+        try:
+            for draw in chunk:
+                got += trial.kernel([draw])
+        except Exception as error:  # the run raises it unless a lower suite raises
+            outcomes.append((got, error))
+            break
+        outcomes.append((got, None))
+    return outcomes
+
+
+def _deviations(trials: list, rngs: list, count: int) -> list:
+    """The deviations of `count` trials of each of `trials` on its generator
+    in `rngs`, one list per suite in trial order, chunk-major: for each
+    chunk of at most `_CHUNK` trials, the suites that one kernel computes
+    together (those whose `_Slot`s share it, or a suite alone) draw their
+    chunks, in trial order, and compute them (`_chunk_outcomes`). Raises
+    what computing the suites one after another raises: the first error,
+    in trial order, of the lowest-numbered suite that has one; the suites
+    after it compute none of their later chunks."""
+    groups = {}
+    for number, trial in enumerate(trials):
+        key = trial.kernel.shared if isinstance(trial.kernel, _Slot) else number
+        groups.setdefault(key, []).append(number)
+    deviations = [[] for _ in trials]
+    errors = {}
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        for group in groups.values():
+            live = [number for number in group if number < min(errors, default=len(trials))]
+            if not live:
+                continue
+            chunks = [[trials[number].draw(rngs[number]) for _ in range(size)] for number in live]
+            outcomes = _chunk_outcomes([trials[number] for number in live], chunks)
+            for number, (got, error) in zip(live, outcomes):
+                deviations[number] += got
+                if error is not None:
+                    errors[number] = error
+    if errors:
+        raise errors[min(errors)]
+    return deviations
 
 
 def _shape_groups(draws: list):
@@ -315,16 +390,6 @@ def _check_density(matrices: np.ndarray, eps: float) -> None:
     _raise(_density_fault(matrices, eps))
 
 
-def _states(draws: list) -> tuple[np.ndarray, float]:
-    """The chunk's state matrices (B, d, d), built from its Ginibre draws (the
-    first draw) and checked as `DensityOperator` checks each, and the
-    validation eps."""
-    matrices = _ginibre_states(np.array([draw[0] for draw in draws]))
-    eps = validation_eps()
-    _check_density(matrices, eps)
-    return matrices, eps
-
-
 def _decomposed(split, matrices: np.ndarray, eps: float) -> tuple:
     """`split`, weights (B, n) and unit rows (B, n, d) of the targets
     `matrices` (B, d, d), once `ConvexDecomposition._from_rows` takes each;
@@ -357,12 +422,12 @@ def _mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: float) ->
     return mixed, vectors, real
 
 
-def _statistics(draws: list) -> tuple:
-    """`_states`, the chunk's factor effects (B, k, d, d), each side checked
-    as `Povm._from_stack` checks it and the pair as `joint_from_commuting`
-    checks it, and the outcome weights (B, k k + k + k) of each pair's
-    joint, built as `joint_from_commuting` builds it, and of the pair."""
-    matrices, eps = _states(draws)
+def _pair_statistics(draws: list, matrices: np.ndarray, eps: float) -> tuple:
+    """The factor effects (B, k, d, d) of the qubit pairs of `draws` (each
+    trial's second draw), each side checked as `Povm._from_stack` checks it
+    and the pair as `joint_from_commuting` checks it, then the outcome
+    weights (B, k k + k + k) at `matrices` (B, d, d) of each pair's joint,
+    built as `joint_from_commuting` builds it, and of the pair."""
     sides = _qubit_effects(_units(np.array([draw[1] for draw in draws])))
     skews = [_check_povm(_BINARY.outcomes, side, eps) for side in sides]
     for name, side in zip(("first", "second"), sides):
@@ -375,49 +440,7 @@ def _statistics(draws: list) -> tuple:
     if not _commutation_certified(sides[0], skews[0], sides[1], skews[1], rows, eps):
         _check_commutation(_BINARY.labels, effects[0], _BINARY.labels, effects[1], products, eps)
     joints = products.transpose(2, 0, 1, 3, 4).reshape(count, k * k, dim, dim)
-    statistics = _trace_rule(np.concatenate([joints, *sides], 1), matrices)
-    return matrices, eps, *sides, statistics
-
-
-def _product_rule_kernel(draws: list) -> list:
-    """rho_c * rho_e recovers rho_t for random states, product projective
-    observable pairs, and random decompositions."""
-    matrices, eps, left, right, statistics = _statistics(draws)
-    spectral = _decomposed(_spectral_split(matrices, eps), matrices, eps)
-    weights, vectors, _ = _mixtures(draws, spectral, matrices, eps)
-    born = _born_rows(np.concatenate([left, right], 1), vectors)
-    measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
-    residual = _split(*measures, weights, born[..., :2], born[..., 2:], _BINARY_PAIRS.points)[-1]
-    return [math.inf] * len(draws) if residual is None else residual.tolist()
-
-
-def _classical_split(weights: np.ndarray, joint: np.ndarray, rows_1, rows_2, points) -> tuple:
-    """`classical_report`'s split of the states `weights` (b, n) through the
-    joint rows (b, n, k1 k2) and kernel rows (b, n, k1) and (b, n, k2)."""
-    measures = (_pushed(weights, rows) for rows in (joint, rows_1, rows_2))
-    return _split(*measures, weights, rows_1, rows_2, points)
-
-
-def _classical_product_rule_kernel(draws: list) -> list:
-    """Same product rule in the classical frame, with joints drawn between
-    the Frechet bounds so marginal consistency holds by construction. The
-    rows are checked as `ClassicalObservable.from_matrix`, the joint's as
-    `ClassicalJoint.from_matrix` and the state as `DiscreteMeasure.from_array`
-    check them."""
-    eps = validation_eps()
-    residuals = np.empty(len(draws))
-    for index, (uniforms_1, uniforms_2, cells, uniforms) in _shape_groups(draws):
-        rows_1, rows_2, weights = (
-            _simplex_rows(u, 0.05) for u in (uniforms_1, uniforms_2, uniforms)
-        )
-        _checked_weights(_BINARY, rows_1, eps)
-        _checked_weights(_BINARY, rows_2, eps)
-        joint = _frechet_coupling(rows_1[..., 0], rows_2[..., 0], cells)
-        _checked_weights(_BINARY_PAIRS, joint, eps)
-        _checked_weights(PhaseSpace(_labels("p", weights.shape[-1])), weights, eps)
-        residual = _classical_split(weights, joint, rows_1, rows_2, _BINARY_PAIRS.points)[-1]
-        residuals[index] = math.inf if residual is None else residual
-    return residuals.tolist()
+    return *sides, _trace_rule(np.concatenate([joints, *sides], 1), matrices)
 
 
 def _rebuilt_rho_t(
@@ -435,16 +458,85 @@ def _rebuilt_rho_t(
     return _total(*measures, joint.space.points)[-1]
 
 
-def _invariance_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
-    """Total correlation depends only on the state: rebuilding the operator
-    from two different decompositions (the spectral one and a random one)
-    leaves rho_t unchanged pointwise."""
-    matrices, eps = _states(draws)
-    spectral = _decomposed(_spectral_split(matrices, eps), matrices, eps)
-    weights, vectors, real = _mixtures(draws, spectral, matrices, eps)
-    rho_t = _rebuilt_rho_t(spin, *spectral, eps)
-    shuffled = _rebuilt_rho_t(spin, weights, vectors, eps, real)
-    return _nanmax(np.abs(rho_t - shuffled).reshape(len(draws), -1)).tolist()
+def _quantum_kernel(spin: tuple[Povm, Povm, Povm], eps: float, chunks: dict) -> tuple:
+    """The deviations of the product rule's, the invariance suite's and the
+    marginals suite's chunks of draws, `chunks` at 0, 1 and 2 (a suite not
+    there has none), computed together: every state in one stack and one
+    density check, the product rule's and the marginals' qubit pairs in one
+    pass, the product rule's and the invariance suite's spectral splits and
+    random mixings in one batch, then each suite's own tail on its slice.
+    On one suite's draws alone it runs that suite's checks in the order its
+    oracle runs them.
+
+    - product rule: rho_c * rho_e recovers rho_t for random states, product
+      projective observable pairs, and random decompositions;
+    - invariance: total correlation depends only on the state: rebuilding
+      the operator from two different decompositions (the spectral one and
+      a random one) leaves rho_t unchanged pointwise;
+    - marginals: the joint built from a commuting product pair reproduces
+      both factor statistics as marginals.
+    """
+    product_rule, invariance, marginals = (chunks.get(index, []) for index in range(3))
+    # the states in the order invariance, product rule, marginals: the first
+    # two suites decompose theirs, the last two measure a qubit pair on them
+    mixed, paired = invariance + product_rule, product_rule + marginals
+    inv, rule = len(invariance), len(product_rule)
+    matrices = _ginibre_states(np.array([draw[0] for draw in mixed + marginals]))
+    _check_density(matrices, eps)
+    if paired:
+        left, right, statistics = _pair_statistics(paired, matrices[inv:], eps)
+    if mixed:
+        targets = matrices[: len(mixed)]
+        spectral = _decomposed(_spectral_split(targets, eps), targets, eps)
+        weights, vectors, real = _mixtures(mixed, spectral, targets, eps)
+    residuals = []
+    if product_rule:
+        born = _born_rows(np.concatenate([left[:rule], right[:rule]], 1), vectors[inv:])
+        rows = statistics[:rule]
+        measures = rows[:, :4], rows[:, 4:6], rows[:, 6:]
+        points = _BINARY_PAIRS.points
+        residual = _split(*measures, weights[inv:], born[..., :2], born[..., 2:], points)[-1]
+        residuals = [math.inf] * rule if residual is None else residual.tolist()
+    gaps = []
+    if invariance:
+        rho_t = _rebuilt_rho_t(spin, spectral[0][:inv], spectral[1][:inv], eps)
+        shuffled = _rebuilt_rho_t(spin, weights[:inv], vectors[:inv], eps, real[:inv])
+        gaps = _nanmax(np.abs(rho_t - shuffled).reshape(inv, -1)).tolist()
+    misses = []
+    if marginals:
+        rows = statistics[rule:]
+        grid = rows[:, :4].reshape(-1, 2, 2)
+        reduced = np.concatenate([grid.sum(axis=2), grid.sum(axis=1)], axis=1)
+        misses = _nanmax(np.abs(reduced - rows[:, 4:])).tolist()
+    return residuals, gaps, misses
+
+
+def _classical_split(weights: np.ndarray, joint: np.ndarray, rows_1, rows_2, points) -> tuple:
+    """`classical_report`'s split of the states `weights` (b, n) through the
+    joint rows (b, n, k1 k2) and kernel rows (b, n, k1) and (b, n, k2)."""
+    measures = (_pushed(weights, rows) for rows in (joint, rows_1, rows_2))
+    return _split(*measures, weights, rows_1, rows_2, points)
+
+
+def _classical_product_rule_kernel(eps: float, draws: list) -> list:
+    """Same product rule in the classical frame, with joints drawn between
+    the Frechet bounds so marginal consistency holds by construction. The
+    rows are checked as `ClassicalObservable.from_matrix`, the joint's as
+    `ClassicalJoint.from_matrix` and the state as `DiscreteMeasure.from_array`
+    check them."""
+    residuals = np.empty(len(draws))
+    for index, (uniforms_1, uniforms_2, cells, uniforms) in _shape_groups(draws):
+        rows_1, rows_2, weights = (
+            _simplex_rows(u, 0.05) for u in (uniforms_1, uniforms_2, uniforms)
+        )
+        _checked_weights(_BINARY, rows_1, eps)
+        _checked_weights(_BINARY, rows_2, eps)
+        joint = _frechet_coupling(rows_1[..., 0], rows_2[..., 0], cells)
+        _checked_weights(_BINARY_PAIRS, joint, eps)
+        _checked_weights(PhaseSpace(_labels("p", weights.shape[-1])), weights, eps)
+        residual = _classical_split(weights, joint, rows_1, rows_2, _BINARY_PAIRS.points)[-1]
+        residuals[index] = math.inf if residual is None else residual
+    return residuals.tolist()
 
 
 def _from_one(rho: np.ndarray | None, count: int) -> list:
@@ -455,13 +547,12 @@ def _from_one(rho: np.ndarray | None, count: int) -> list:
     return _nanmax(np.abs(rho - 1.0).reshape(count, -1)).tolist()
 
 
-def _separable_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
+def _separable_kernel(spin: tuple[Povm, Povm, Povm], eps: float, draws: list) -> list:
     """Mixtures of product pure states carry no entanglement-type correlation
     relative to their product decomposition. Each mixture is checked as
     `PureState` checks its rows, then as `DensityOperator.from_mixture` and
     `ConvexDecomposition` check it."""
     a1, a2, joint = spin
-    eps = validation_eps()
     groups = [(index, *_separable_mixture(group)) for index, group in _shape_groups(draws)]
     weights, vectors, real = _padded(groups, len(draws), 0.0, _PAD_ROW)
     fault = _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps)
@@ -477,20 +568,10 @@ def _separable_kernel(spin: tuple[Povm, Povm, Povm], draws: list) -> list:
     return _from_one(rho_e, len(draws))
 
 
-def _marginals_kernel(draws: list) -> list:
-    """The joint built from a commuting product pair reproduces both factor
-    statistics as marginals."""
-    statistics = _statistics(draws)[-1]
-    grid = statistics[:, :4].reshape(-1, 2, 2)
-    reduced = np.concatenate([grid.sum(axis=2), grid.sum(axis=1)], axis=1)
-    return _nanmax(np.abs(reduced - statistics[:, 4:])).tolist()
-
-
-def _classical_dirac_kernel(draws: list) -> list:
+def _classical_dirac_kernel(eps: float, draws: list) -> list:
     """Classical correlation is constant 1 at every point-mass state: a sharp
     phase-space point leaves nothing for the mixing to correlate. The rows
     are checked as `ClassicalObservable.from_matrix` checks them."""
-    eps = validation_eps()
     groups = [
         (index, _simplex_rows(uniforms_1, 0.05), _simplex_rows(uniforms_2, 0.05))
         for index, (uniforms_1, uniforms_2, _) in _shape_groups(draws)
@@ -515,16 +596,20 @@ def _spin_pair(eps: float) -> tuple[Povm, Povm, Povm]:
     return spin_z_pair()
 
 
-def _suites() -> tuple:
+def _suites(eps: float) -> tuple:
     """(name, tolerance, trial) for every suite, in report order, with the
-    spin pair of the validation eps in force."""
-    spin = _spin_pair(validation_eps())
-    product_rule = _Stacked(_product_rule_draws, _product_rule_kernel)
-    classical_product_rule = _Stacked(_classical_product_rule_draws, _classical_product_rule_kernel)
-    invariance = _Stacked(_invariance_draws, partial(_invariance_kernel, spin))
-    separable = _Stacked(_separable_draws, partial(_separable_kernel, spin))
-    marginals = _Stacked(_marginals_draws, _marginals_kernel)
-    dirac_triviality = _Stacked(_classical_dirac_draws, _classical_dirac_kernel)
+    validation eps `eps` and its spin pair; the three d = 4 quantum suites
+    share `_quantum_kernel`."""
+    spin = _spin_pair(eps)
+    quantum = partial(_quantum_kernel, spin, eps)
+    product_rule = _Stacked(_product_rule_draws, _Slot(quantum, 0))
+    classical_product_rule = _Stacked(
+        _classical_product_rule_draws, partial(_classical_product_rule_kernel, eps)
+    )
+    invariance = _Stacked(_invariance_draws, _Slot(quantum, 1))
+    separable = _Stacked(_separable_draws, partial(_separable_kernel, spin, eps))
+    marginals = _Stacked(_marginals_draws, _Slot(quantum, 2))
+    dirac_triviality = _Stacked(_classical_dirac_draws, partial(_classical_dirac_kernel, eps))
     return (
         ("quantum-product-rule", PRODUCT_RULE_TOL, product_rule),
         ("classical-product-rule", PRODUCT_RULE_TOL, classical_product_rule),
@@ -535,28 +620,16 @@ def _suites() -> tuple:
     )
 
 
-def _deviations(trial: _Stacked, rng: np.random.Generator, trials: int):
-    """Each trial's deviation in trial order, `_CHUNK` trials at a time."""
-    for start in range(0, trials, _CHUNK):
-        yield from _chunk_deviations(trial, rng, min(_CHUNK, trials - start))
-
-
-def _run_suite(
-    name: str,
-    tolerance: float,
-    trial: _Stacked,
-    rng: np.random.Generator,
-    trials: int,
-) -> SuiteResult:
-    """Run `trials` trials of `trial` on `rng`, each drawing its inputs and
-    giving the deviation that `tolerance` bounds. The worst deviation is
-    folded from 0 in trial order, as max(0.0, *deviations) folds it; one at
-    or above `tolerance` is a failure."""
+def _suite_result(name: str, tolerance: float, deviations: list) -> SuiteResult:
+    """The result of a suite whose trials gave `deviations`, in trial order,
+    each bounded by `tolerance`. The worst deviation is folded from 0 in
+    trial order, as max(0.0, *deviations) folds it; one at or above
+    `tolerance` is a failure."""
     failures, worst = 0, 0.0
-    for deviation in _deviations(trial, rng, trials):
+    for deviation in deviations:
         failures += deviation >= tolerance
         worst = max(worst, deviation)
-    return SuiteResult(name, trials, failures, worst, tolerance)
+    return SuiteResult(name, len(deviations), failures, worst, tolerance)
 
 
 def run_selftest(seed: int | None = None, trials: int = 200) -> SelftestReport:
@@ -573,10 +646,12 @@ def run_selftest(seed: int | None = None, trials: int = 200) -> SelftestReport:
         seed = _integer(seed, "seed")
         if seed < 0:
             raise ValidationError(f"seed must be non-negative, got {seed}")
-    suites = _suites()
+    suites = _suites(validation_eps())
     streams = np.random.SeedSequence(seed).spawn(len(suites))
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    deviations = _deviations([trial for _, _, trial in suites], rngs, trials)
     results = tuple(
-        _run_suite(name, tolerance, trial, np.random.default_rng(stream), trials)
-        for (name, tolerance, trial), stream in zip(suites, streams)
+        _suite_result(name, tolerance, got)
+        for (name, tolerance, _), got in zip(suites, deviations)
     )
     return SelftestReport(seed=seed, trials=trials, suites=results)

@@ -12,7 +12,8 @@ from qcorr import OutcomeSpace, Povm, SuiteResult, ValidationError, joint_from_c
 from qcorr.classical_frame import ClassicalObservable, PhaseSpace
 from qcorr.hilbert import DensityOperator
 from qcorr.observable import SPIN_LABELS
-from qcorr.selftest import _run_suite
+from qcorr.selftest import _deviations, _suite_result
+from qcorr.tolerance import validation_eps
 
 TOL = 1e-7
 
@@ -36,6 +37,11 @@ def _fake_trial(deviations, seen):
         return next(values)
 
     return qcorr.selftest._Stacked(draw, list)
+
+
+def _run_suite(name, tolerance, trial, rng, trials):
+    """The result of `trials` trials of the one suite `trial` on `rng`."""
+    return _suite_result(name, tolerance, _deviations([trial], [rng], trials)[0])
 
 
 def test_run_suite_counts_a_deviation_at_the_tolerance_as_a_failure():
@@ -313,7 +319,7 @@ def _reference_qubit_effects(units):
 def _group_count(seed, suite, trials):
     """How many shape groups the chunk of `trials` of suite number `suite`
     holds in a run at `seed`."""
-    _, _, trial = qcorr.selftest._suites()[suite]
+    _, _, trial = qcorr.selftest._suites(validation_eps())[suite]
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(6)[suite])
     return len({tuple(np.shape(array) for array in trial.draw(rng)) for _ in range(trials)})
 
@@ -344,17 +350,18 @@ def test_selftest_reports_the_same_bits_with_the_reference_builders(
     counted("_qubit_effects", _reference_qubit_effects)
     counted("spin_z_pair", _reference_spin_z_pair)
     assert [deviations(seed) for seed in seeds] == built
-    # every reference builder drove the run, once per chunk: the three d = 4
-    # quantum suites build their states, two of them their pairs' units and
-    # effects; once per shape group: both kernels' rows and the weights in
+    # every reference builder drove the run, once per chunk round: the three
+    # d = 4 quantum suites build their states together, and the product rule
+    # and the marginals suite their pairs' units and effects together; once
+    # per shape group: both kernels' rows and the weights in
     # the classical product rule (suite 1), the mixture in the separable
     # suite (3) and both kernels' rows in the Dirac suite (5); and the spin
     # pair once for the eps in force
     groups = {suite: sum(_group_count(seed, suite, 10) for seed in seeds) for suite in (1, 3, 5)}
     assert calls == {
-        "_ginibre_states": 3 * len(seeds),
-        "_units": 2 * len(seeds),
-        "_qubit_effects": 2 * len(seeds),
+        "_ginibre_states": len(seeds),
+        "_units": len(seeds),
+        "_qubit_effects": len(seeds),
         "_product_vectors": groups[3],
         "_simplex_rows": 3 * groups[1] + groups[3] + 2 * groups[5],
         "spin_z_pair": 1,

@@ -60,7 +60,7 @@ def any_eps(request, monkeypatch):
 
 def _suite(name):
     """(tolerance, stacked trial, oracle trial) of the named suite."""
-    for suite, tolerance, trial in qcorr.selftest._suites():
+    for suite, tolerance, trial in qcorr.selftest._suites(validation_eps()):
         if suite == name:
             break
     spin = spin_z_pair()
@@ -87,6 +87,11 @@ def _spied(trial):
     return dataclasses.replace(trial, kernel=kernel), calls
 
 
+def _deviations(trial, rng, trials):
+    """Each deviation of `trials` trials of the one suite `trial` on `rng`."""
+    return qcorr.selftest._deviations([trial], [rng], trials)[0]
+
+
 def _oracle_result(oracle, rng, tolerance, trials):
     deviations = [oracle(rng) for _ in range(trials)]
     failures = sum(deviation >= tolerance for deviation in deviations)
@@ -101,10 +106,9 @@ def test_stacked_chunks_have_the_oracle_bits(any_eps, monkeypatch, name, trials,
     tolerance, trial, oracle = _suite(name)
     spied, calls = _spied(trial)
     for seed in SEEDS:
-        got = list(qcorr.selftest._deviations(spied, np.random.default_rng(seed), trials))
-        result = qcorr.selftest._run_suite(
-            name, tolerance, spied, np.random.default_rng(seed), trials
-        )
+        got = _deviations(spied, np.random.default_rng(seed), trials)
+        again = _deviations(spied, np.random.default_rng(seed), trials)
+        result = qcorr.selftest._suite_result(name, tolerance, again)
         want, failures, worst = _oracle_result(
             oracle, np.random.default_rng(seed), tolerance, trials
         )
@@ -221,7 +225,7 @@ def _patched_runs(monkeypatch, name, corrupt, builder="_random_density", at=3):
     build = getattr(qcorr.selftest, helper)
     monkeypatch.setattr(qcorr.selftest, helper, _corrupting_built(build, seen[0], corrupt))
     rng = np.random.default_rng(4)
-    got = outcome(lambda: list(qcorr.selftest._deviations(spied, rng, 10)))
+    got = outcome(lambda: _deviations(spied, rng, 10))
     return got, want, calls
 
 
@@ -281,12 +285,20 @@ def test_a_rank_three_state_gives_the_oracle_bits(any_eps, monkeypatch, name):
 def test_draws_are_taken_a_chunk_at_a_time(monkeypatch, name):
     monkeypatch.setattr(qcorr.selftest, "_CHUNK", 3)
     _, trial, _ = _suite(name)
-    spied, calls = _spied(trial)
-    deviations = qcorr.selftest._deviations(spied, np.random.default_rng(0), 8)
-    next(deviations)
-    assert calls == [3]  # the later chunks are not drawn yet
-    assert len(list(deviations)) == 7
-    assert calls == [3, 3, 2]
+    events = []
+
+    def draw(rng):
+        events.append("draw")
+        return trial.draw(rng)
+
+    def kernel(draws):
+        events.append(len(draws))
+        return trial.kernel(draws)
+
+    spied = qcorr.selftest._Stacked(draw, kernel)
+    assert len(_deviations(spied, np.random.default_rng(0), 8)) == 8
+    # a chunk is drawn only once the chunk before it is computed
+    assert events == ["draw"] * 3 + [3] + ["draw"] * 3 + [3] + ["draw"] * 2 + [2]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -301,27 +313,48 @@ def test_a_chunks_draws_leave_the_generator_where_the_oracle_leaves_it(name, bat
     assert [d.hex() for d in trial.kernel(draws)] == [d.hex() for d in deviations]
 
 
+KERNELS = (
+    "_quantum_kernel",
+    "_classical_product_rule_kernel",
+    "_separable_kernel",
+    "_classical_dirac_kernel",
+)
+
+
+def _spied_kernels(monkeypatch):
+    """The package's four suite kernels, each recording the size of every
+    chunk of draws it is called on, as a tuple per call: the shared quantum
+    kernel takes a chunk per suite by index."""
+    calls = {name: [] for name in KERNELS}
+    for name in KERNELS:
+        kernel = getattr(qcorr.selftest, name)
+
+        def spy(*args, kernel=kernel, name=name):
+            chunks = args[-1] if isinstance(args[-1], dict) else {0: args[-1]}
+            calls[name].append(tuple(len(chunk) for chunk in chunks.values()))
+            return kernel(*args)
+
+        monkeypatch.setattr(qcorr.selftest, name, spy)
+    return calls
+
+
 def test_a_scaled_classical_product_fails_the_suites_that_pin_its_scale(monkeypatch):
     # rho_c rho_e = joint / independent whatever the classical product's
     # scale: only the closed forms rho_e = 1 (separable) and rho_c = 1
     # (Dirac) see a classical product off by a common factor
-    mix_rows, suites = qcorr.correlation.mix_rows, qcorr.selftest._suites
+    mix_rows = qcorr.correlation.mix_rows
     monkeypatch.setattr(qcorr.correlation, "mix_rows", lambda *rows: 1.001 * mix_rows(*rows))
-    calls = []
-
-    def spied_suites():
-        spied = []
-        for name, tolerance, trial in suites():
-            trial, count = _spied(trial)
-            calls.append(count)
-            spied.append((name, tolerance, trial))
-        return tuple(spied)
-
-    monkeypatch.setattr(qcorr.selftest, "_suites", spied_suites)
+    calls = _spied_kernels(monkeypatch)
     report = qcorr.selftest.run_selftest(1, 10)
     failed = {suite.name for suite in report.suites if not suite.passed}
     assert failed == {"separable-no-entanglement", "classical-dirac-triviality"}
-    assert calls == [[10]] * 6  # no chunk replayed
+    # the three quantum suites' chunks in one call, and no chunk replayed
+    assert calls == {
+        "_quantum_kernel": [(10, 10, 10)],
+        "_classical_product_rule_kernel": [(10,)],
+        "_separable_kernel": [(10,)],
+        "_classical_dirac_kernel": [(10,)],
+    }
 
 
 def test_a_tiny_eps_keeps_every_chunk_on_the_stacks(monkeypatch):
@@ -337,16 +370,113 @@ def test_a_tiny_eps_keeps_every_chunk_on_the_stacks(monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(qcorr.selftest, "_check_commutation", checking)
-    for name in NAMES:
+    streams = np.random.SeedSequence(3).spawn(len(NAMES))
+    results = []
+    for name, stream in zip(NAMES, streams):
         tolerance, trial, oracle = _suite(name)
         spied, calls = _spied(trial)
-        got = list(qcorr.selftest._deviations(spied, np.random.default_rng(3), 200))
-        want = _oracle_result(oracle, np.random.default_rng(3), tolerance, 200)[0]
+        got = _deviations(spied, np.random.default_rng(stream), 200)
+        want = _oracle_result(oracle, np.random.default_rng(stream), tolerance, 200)[0]
         assert [d.hex() for d in got] == [d.hex() for d in want]
         assert calls == [128, 72], name
+        results.append(qcorr.selftest._suite_result(name, tolerance, got))
     # the exact test ran once per chunk of the product rule and of the
     # marginals suite, on the chunk's pairs
     assert pairs == [128, 72] * 2
+    # and once per chunk of a whole run, on both suites' pairs together
+    pairs.clear()
+    calls = _spied_kernels(monkeypatch)
+    assert qcorr.selftest.run_selftest(3, 200).suites == tuple(results)
+    assert pairs == [256, 144]
+    assert calls["_quantum_kernel"] == [(128, 128, 128), (72, 72, 72)]
+
+
+def test_a_run_gives_each_suite_its_oracle_result():
+    for seed in (0, 1):
+        for trials in (1, 129):
+            report = qcorr.selftest.run_selftest(seed, trials)
+            streams = np.random.SeedSequence(seed).spawn(len(NAMES))
+            for suite, name, stream in zip(report.suites, NAMES, streams):
+                tolerance, _, oracle = _suite(name)
+                rng = np.random.default_rng(stream)
+                _, failures, worst = _oracle_result(oracle, rng, tolerance, trials)
+                assert suite.name == name
+                assert (suite.failures, suite.max_deviation.hex()) == (failures, worst.hex())
+
+
+# which error a chunk-major run raises ---------------------------------------
+
+
+def _oracle_error(monkeypatch, seed, name, corrupt, builder, at):
+    """The input that the oracle builder `builder` builds at call `at` in
+    200 trials of the named suite on that suite's stream of a run at `seed`,
+    and the error (type, message) those trials raise with it corrupted."""
+    build, seen = getattr(selftest_oracle, builder), []
+    oracle = _suite(name)[2]
+    stream = np.random.SeedSequence(seed).spawn(len(NAMES))[NAMES.index(name)]
+    rng = np.random.default_rng(stream)
+    with monkeypatch.context() as patched:
+        patched.setattr(selftest_oracle, builder, _corrupting(build, corrupt, at, seen))
+        with pytest.raises(ValidationError) as excinfo:
+            for _ in range(200):
+                oracle(rng)
+    return seen[0], (type(excinfo.value), str(excinfo.value))
+
+
+def _run_error(monkeypatch, seed, faults):
+    """What `run_selftest(seed, 200)` raises with each (input, corruption,
+    oracle builder) of `faults` corrupted wherever the package builds that
+    input, and (suite number, trial in its chunk, error) of each error a
+    chunk gave."""
+    chunk_outcomes, raised, eps = qcorr.selftest._chunk_outcomes, [], validation_eps()
+
+    def spied(trials, chunks):
+        outcomes = chunk_outcomes(trials, chunks)
+        for trial, (got, error) in zip(trials, outcomes):
+            if error is not None:
+                number = [suite[2].draw for suite in qcorr.selftest._suites(eps)].index(trial.draw)
+                raised.append((number, len(got), (type(error), str(error))))
+        return outcomes
+
+    with monkeypatch.context() as patched:
+        patched.setattr(qcorr.selftest, "_chunk_outcomes", spied)
+        for want, corrupt, builder in faults:
+            helper = BUILT_BY[builder]
+            build = getattr(qcorr.selftest, helper)
+            patched.setattr(qcorr.selftest, helper, _corrupting_built(build, want, corrupt))
+        with pytest.raises(Exception) as excinfo:
+            qcorr.selftest.run_selftest(seed, 200)
+    return (type(excinfo.value), str(excinfo.value)), raised
+
+
+# (later suite, corruption, oracle builder, call): a trial in the suite's
+# first chunk, the sixth at one built input per trial
+LATER_FAULTS = [
+    ("total-correlation-invariance", _off_hermitian, "_random_density", 6),
+    ("separable-no-entanglement", _negative_weight, "_random_simplex", 6),
+    ("joint-marginal-consistency", _with_nan, "_random_density", 6),
+]
+
+
+@pytest.mark.parametrize("later, corrupt, builder, at", LATER_FAULTS)
+def test_a_run_raises_the_first_error_of_the_lowest_suite_that_has_one(
+    monkeypatch, later, corrupt, builder, at
+):
+    seed = 4
+    # the product rule's state of trial 130, the third of its second chunk
+    rule = _oracle_error(monkeypatch, seed, NAMES[0], _with_nan, "_random_density", 131)
+    other = _oracle_error(monkeypatch, seed, later, corrupt, builder, at)
+    number = NAMES.index(later)
+    error, raised = _run_error(
+        monkeypatch, seed, [(rule[0], _with_nan, "_random_density"), (other[0], corrupt, builder)]
+    )
+    assert error == rule[1]
+    # the later suite raised in its first chunk, the product rule in its second
+    assert raised == [(number, at - 1, other[1]), (0, 2, rule[1])]
+    # with the product rule's draw clean, the later suite's error at its trial
+    error, raised = _run_error(monkeypatch, seed, [(other[0], corrupt, builder)])
+    assert error == other[1]
+    assert raised == [(number, at - 1, other[1])]
 
 
 # chunks of many shapes, padded to one stack --------------------------------
@@ -395,6 +525,25 @@ def test_a_chunk_of_every_shape_gives_each_trial_its_own_bits(any_eps, name):
         assert [d.hex() for d in got] == [d.hex() for d in want]
 
 
+def _pairs(rng):
+    """Draws of the marginals suite: eight states and qubit pairs."""
+    return [(rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 2, 2))) for _ in range(8)]
+
+
+def test_a_shared_chunk_gives_each_trial_its_own_bits(any_eps):
+    # the three quantum suites in one call of the kernel they share: one
+    # stack of states, one of qubit pairs, and every mixing size of both
+    # decomposing suites in one QR batch per size and one padded stack
+    trials = [_suite(name)[1] for name in QUANTUM]
+    shared = trials[0].kernel.shared
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        chunks = [_every_shape(name, rng) for name in QUANTUM[:2]] + [_pairs(rng)]
+        for trial, chunk, got in zip(trials, chunks, shared(dict(enumerate(chunks)))):
+            want = [trial.kernel([draw])[0] for draw in chunk]
+            assert [d.hex() for d in got] == [d.hex() for d in want]
+
+
 @pytest.mark.parametrize("name", PADDED)
 def test_a_padded_suite_splits_each_chunk_once(monkeypatch, name):
     # the invariance suite has no split; it rebuilds rho_t from both
@@ -410,7 +559,7 @@ def test_a_padded_suite_splits_each_chunk_once(monkeypatch, name):
     _, trial, _ = _suite(name)
     spied, chunks = _spied(trial)
     for seed in range(6):
-        list(qcorr.selftest._deviations(spied, np.random.default_rng(seed), 10))
+        _deviations(spied, np.random.default_rng(seed), 10)
         trial.kernel(_every_shape(name, np.random.default_rng(seed)))
     assert chunks == [10] * 6
     assert len(calls) == (2 if step == "_rebuilt_rho_t" else 1) * 12

@@ -53,6 +53,7 @@ from qcorr.observable import (
     outcome_measure,
 )
 from qcorr.selftest import _BINARY, _simplex_rows
+from qcorr.tolerance import validation_eps
 
 PRODUCT_RULE = "quantum-product-rule"
 CLASSICAL_PRODUCT_RULE = "classical-product-rule"
@@ -227,7 +228,8 @@ STACKED = [
 def _chunk(name: str, trials: int) -> tuple[Counter, list]:
     """What one chunk of `trials` trials of the named suite executes, and
     the size of each chunk its kernel computed."""
-    trial = next(trial for suite, _, trial in qcorr.selftest._suites() if suite == name)
+    suites = qcorr.selftest._suites(validation_eps())
+    trial = next(trial for suite, _, trial in suites if suite == name)
     sizes = []
 
     def kernel(draws):
@@ -236,7 +238,7 @@ def _chunk(name: str, trials: int) -> tuple[Counter, list]:
 
     spied = dataclasses.replace(trial, kernel=kernel)
     rng = np.random.default_rng(7)
-    codes = _executed(lambda: list(qcorr.selftest._deviations(spied, rng, trials)))
+    codes = _executed(lambda: qcorr.selftest._deviations([spied], [rng], trials))
     return codes, sizes
 
 
@@ -247,6 +249,26 @@ def test_stacked_chunks_run_the_engine_steps(name, steps, trials):
     assert sizes == [trials], "the chunk replayed one trial at a time"
     for step in steps:
         assert codes[step.__code__] > 0, step.__name__
+
+
+# the steps the three d = 4 quantum suites share, each run once per chunk
+# of a whole run on all their trials
+SHARED = [
+    qcorr.selftest._quantum_kernel,
+    qcorr.selftest._ginibre_states,
+    qcorr.selftest._qubit_effects,
+    qcorr.selftest._pair_statistics,
+    _spectral_split,
+    qcorr.selftest._mixtures,
+]
+
+
+@pytest.mark.parametrize("trials", [1, 5, 200])
+def test_a_run_computes_the_quantum_suites_together_once_per_chunk(trials):
+    codes = _executed(lambda: qcorr.selftest.run_selftest(7, trials))
+    chunks = -(-trials // qcorr.selftest._CHUNK)
+    for step in SHARED:
+        assert codes[step.__code__] == chunks, step.__name__
 
 
 @pytest.mark.parametrize(
