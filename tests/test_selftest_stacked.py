@@ -454,7 +454,7 @@ def _run_error(monkeypatch, seed, faults):
 LATER_FAULTS = [
     ("total-correlation-invariance", _off_hermitian, "_random_density", 6),
     ("separable-no-entanglement", _negative_weight, "_random_simplex", 6),
-    ("joint-marginal-consistency", _with_nan, "_random_density", 6),
+    ("joint-marginal-consistency", _off_hermitian, "_random_density", 6),
 ]
 
 
