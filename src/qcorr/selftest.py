@@ -2,30 +2,22 @@
 
 Each suite draws its own generator from one seed, so a run is reproducible
 from the single reported number. A suite records the worst deviation it saw;
-a trial fails when that deviation crosses the suite tolerance. A suite is
-one draw step, which makes one trial's generator calls, and one kernel,
-which builds a chunk of trials' inputs from their draws and computes them
-on stacks through the engine's own batched steps (the checks, the joint's
-products, the spectral split, the random mixing and the one correlation
-split, `correlation._split`). On one trial the kernel has the bits and the
-errors of the public constructors, and a chunk it cannot hold, or that
-fails a check, is computed again through it one trial at a time (see
-`_chunk_outcomes`). A run is chunk-major (`_deviations`): for each chunk
-of trials every suite draws its chunk, and the three d = 4 quantum suites
-share one kernel (`_quantum_kernel`, each suite's a `_Slot` of it), which
-computes their chunks together: one stack of states, one pass over the
-product rule's and the marginals' qubit pairs, one spectral split and
-random mixing over the product rule's and the invariance suite's states,
-then each suite's own tail. A run raises what running the suites one after
-another would: the first error, in trial order, of the lowest-numbered
-suite that has one. Where trials differ in shape (phase-space size and
-codomains in the Dirac suite, component count in the separable and both
-decomposing quantum suites), each trial's inputs are built with those of
-its shape and padded with zeros to the chunk's largest shape (`_padded`),
-one stack per chunk; every step on a padded axis gives each trial the bits
-it has alone, and the checks skip the pads. The classical product rule
-stacks each group of one phase-space size: its pushes sum over that axis
-in BLAS.
+a trial fails when that deviation crosses the suite tolerance. A suite is a
+draw step, which makes one trial's generator calls, and a kernel, which
+builds a chunk of trials' inputs from their draws and computes them on
+stacks through the engine's own batched steps; on one trial it has the bits
+and the errors of the public constructors. A run is chunk-major
+(`_deviations`): every suite draws its chunk, and the four d = 4 quantum
+suites share one kernel (`_quantum_kernel`, each suite's a `_Slot` of it).
+A chunk that fails a check, or that the stacks cannot hold, is computed
+again suite by suite on its stacks, and a suite that fails there too one
+trial at a time (`_chunk_outcomes`), so a run raises what running the suites
+one after another would. Trials of several shapes (phase-space size,
+codomains, component count) are built once per chunk on draws padded with
+zeros to its largest shape (`_padded`): every step on a padded axis gives
+each trial its own bits, and the checks skip the pads. Only the random
+mixing runs once per size, and the classical product rule's pushes, BLAS
+sums over the phase axis, once per phase-space size (`_pushed`).
 """
 
 from __future__ import annotations
@@ -126,11 +118,20 @@ def _product_vectors(draws: np.ndarray) -> np.ndarray:
     return _kron(units[..., 0::2, :], units[..., 1::2, :], core=1)
 
 
-def _simplex_rows(uniforms: np.ndarray, floor: float) -> np.ndarray:
+def _simplex_rows(uniforms: np.ndarray, floor: float, real=None) -> np.ndarray:
     """Probability rows (..., n) of uniform draws (..., n) raised by `floor`:
-    kernel rows and weights; the trial that draws them checks them."""
+    kernel rows and weights; the trial that draws them checks them. Rows of
+    draws padded past their own entries, `real` (..., n), are zero there
+    and keep the bits of the row alone while n is at most 8."""
     weights = uniforms + floor
-    return weights / weights.sum(axis=-1, keepdims=True)
+    if real is None:
+        return weights / weights.sum(axis=-1, keepdims=True)
+    weights = np.where(real, weights, 0.0)
+    # numpy sums a row shorter than 8 left to right, so a zero tail adds
+    # nothing, but a row of 8 pairwise: only a row that fills 8 sums them all
+    sums = weights.sum(axis=-1, keepdims=True), weights[..., :7].sum(axis=-1, keepdims=True)
+    totals = np.where(np.broadcast_to(real, weights.shape)[..., -1:], *sums)
+    return np.divide(weights, totals, out=np.zeros_like(weights), where=real)
 
 
 _BINARY = OutcomeSpace(("0", "1"))
@@ -171,10 +172,6 @@ def _frechet_coupling(p: np.ndarray, q: np.ndarray, cells: np.ndarray) -> np.nda
 
 # suites ---------------------------------------------------------------------
 
-# Each suite is a draw step, which makes every generator call of one trial
-# and returns its raw arrays, and a kernel over a chunk of those draws (see
-# `_Stacked`).
-
 
 def _mixing_draws(rng: np.random.Generator) -> np.ndarray:
     """A decomposition size in 4..7, then the draws (2, size, size) that
@@ -205,13 +202,6 @@ def _separable_draws(rng: np.random.Generator) -> tuple:
     return rng.random(count), rng.normal(size=(2 * count, 2, 2))
 
 
-def _separable_mixture(draws: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The weights (..., n) and product vectors (..., n, 4) of the separable
-    suite's draws, of one trial or of a group of one count."""
-    uniforms, normals = draws
-    return _simplex_rows(uniforms, 0.02), _product_vectors(normals)
-
-
 def _marginals_draws(rng: np.random.Generator) -> tuple:
     return rng.normal(size=_STATE_DRAWS), rng.normal(size=_PAIR_DRAWS)
 
@@ -223,14 +213,6 @@ def _classical_dirac_draws(rng: np.random.Generator) -> tuple:
     return rng.random((size, k1)), rng.random((size, k2)), rng.integers(0, size)
 
 
-def _dirac_codomains(rows_1: np.ndarray, rows_2: np.ndarray) -> tuple:
-    """The codomains of the Dirac suite's kernel rows (..., k1) and (..., k2)."""
-    return tuple(
-        OutcomeSpace(_labels(prefix, rows.shape[-1]))
-        for prefix, rows in (("x", rows_1), ("y", rows_2))
-    )
-
-
 # stacked chunks -------------------------------------------------------------
 
 # Trials a stacked suite draws and computes at a time: its stacks hold a few
@@ -239,18 +221,15 @@ _CHUNK = 128
 
 
 class _Replay(Exception):
-    """A chunk of more than one trial that the stacks cannot hold: a spectral
-    split or a random mixing in it drops a component."""
+    """A chunk of several trials the stacks cannot hold: a split or mixing drops a component."""
 
 
 @dataclass(frozen=True)
 class _Stacked:
-    """A suite's trial as `draw`, every generator call of one trial returning
-    its raw arrays, and `kernel`, which takes the draws of a chunk, builds
-    the trials' inputs from them and returns their deviations, computed on
-    stacks. On one trial the kernel returns the deviation, or raises the
-    error (type and message), of building and checking every object through
-    the public constructors and reporting it."""
+    """A suite's trial: `draw` makes every generator call of one trial and
+    returns its raw arrays; `kernel` builds a chunk's inputs from their draws
+    and returns their deviations, computed on stacks. On one trial it has
+    the deviation, or raises the error, of the public constructors."""
 
     draw: Callable[[np.random.Generator], tuple]
     kernel: Callable[[list], list]
@@ -270,34 +249,42 @@ class _Slot:
         return self.shared({self.index: draws})[self.index]
 
 
-def _together(trials: list, chunks: list) -> list:
+def _on_stacks(trials: list, chunks: list) -> list | None:
     """The deviations of each of `trials`' chunks of draws `chunks`, from one
-    call of the kernel their `_Slot`s share, or of the one trial's kernel."""
+    call of the kernel their `_Slot`s share, or of the one trial's kernel;
+    None when that raises on the stacks (a check failed, or the stacks
+    cannot hold the trials) or gives a deviation that is not finite."""
     kernel = trials[0].kernel
-    if not isinstance(kernel, _Slot):
-        return [kernel(chunks[0])]
-    computed = kernel.shared({trial.kernel.index: chunk for trial, chunk in zip(trials, chunks)})
-    return [computed[trial.kernel.index] for trial in trials]
+    try:
+        if isinstance(kernel, _Slot):
+            indices = [trial.kernel.index for trial in trials]
+            computed = kernel.shared(dict(zip(indices, chunks)))
+            computed = [computed[index] for index in indices]
+        else:
+            computed = [kernel(chunks[0])]
+    except (_Replay, QcorrError, np.linalg.LinAlgError):
+        return None
+    return computed if all(map(math.isfinite, sum(computed, []))) else None
 
 
 def _chunk_outcomes(trials: list, chunks: list) -> list:
     """(deviations, the error raised or None) of each of `trials`' chunks of
-    draws `chunks`, computed together (`_together`). When that raises on
-    more than one trial (a check failed, or the stacks cannot hold them) or
-    gives a deviation that is not finite, each suite's trials are computed
-    again from their stored draws through its own kernel, one trial at a
-    time and in order, so an error is raised at its own trial with its own
-    message; no suite after the first that raises is computed."""
+    draws `chunks`, computed together when that holds on the stacks
+    (`_on_stacks`). Otherwise each suite's chunk is computed alone on its
+    stacks, and a suite whose chunk fails there too, or is one trial, is
+    computed again from its stored draws through its own kernel, one trial
+    at a time and in order, so an error is raised at its own trial with its
+    own message; no suite after the first that raises is computed."""
     if sum(map(len, chunks)) > 1:
-        try:
-            computed = _together(trials, chunks)
-        except (_Replay, QcorrError, np.linalg.LinAlgError):
-            pass
-        else:
-            if all(math.isfinite(deviation) for got in computed for deviation in got):
-                return [(got, None) for got in computed]
+        together = _on_stacks(trials, chunks)
+        if together is not None:
+            return [(got, None) for got in together]
     outcomes = []
     for trial, chunk in zip(trials, chunks):
+        alone = _on_stacks([trial], [chunk]) if len(trials) > 1 and len(chunk) > 1 else None
+        if alone is not None:
+            outcomes.append((alone[0], None))
+            continue
         got = []
         try:
             for draw in chunk:
@@ -341,39 +328,39 @@ def _deviations(trials: list, rngs: list, count: int) -> list:
     return deviations
 
 
-def _shape_groups(draws: list):
-    """The chunk's trials grouped by the shapes of their draws, numpy arrays
-    or scalars, in order of first appearance: (trial indices, each draw of
-    the group's trials stacked) per group."""
+def _padded(stacks: list, fill=0.0) -> np.ndarray:
+    """The arrays `stacks` (b, ...) as one stack along their first axis,
+    every other axis as long as its longest and `fill` past each array's
+    own end."""
+    shape = tuple(map(max, zip(*(stack.shape[1:] for stack in stacks))))
+    if all(stack.shape[1:] == shape for stack in stacks):
+        return np.concatenate(stacks)
+    padded, start = np.full((sum(map(len, stacks)), *shape), fill, stacks[0].dtype), 0
+    for stack in stacks:
+        padded[(slice(start, start + len(stack)), *map(slice, stack.shape[1:]))] = stack
+        start += len(stack)
+    return padded
+
+
+def _padded_draws(draws: list, *fills) -> tuple:
+    """The first draws of a chunk's trials `draws`, one stack (B, ...) per
+    draw padded with its fill in `fills` (`_padded`)."""
+    return tuple(_padded([draw[i][None] for draw in draws], fill) for i, fill in enumerate(fills))
+
+
+def _within(lengths) -> np.ndarray:
+    """Where each of a chunk's trials, of `lengths` (B,) entries along an
+    axis padded to the longest, holds an entry (B, longest)."""
+    return np.arange(max(lengths)) < np.asarray(lengths)[:, None]
+
+
+def _shape_groups(arrays: list) -> list:
+    """The chunk's trials, one array each, grouped by its shape in order of
+    first appearance: (trial indices, their arrays stacked) per group."""
     groups = {}
-    for trial, draw in enumerate(draws):
-        groups.setdefault(tuple([array.shape for array in draw]), []).append(trial)
-    for index in groups.values():
-        yield index, tuple(np.array(stack) for stack in zip(*(draws[i] for i in index)))
-
-
-def _padded(groups: list, count: int, *fills) -> tuple:
-    """The arrays of `groups`, (trial indices, arrays (b, m, ...)) each,
-    as one stack (count, n, ...) per position over the chunk's `count`
-    trials, every axis as long as its longest and the position's fill past
-    each trial's own end; then where the first array of each trial holds an
-    entry (count, n). A chunk of one shape has no pad."""
-    if len(groups) == 1:  # every trial, in order
-        arrays = groups[0][1:]
-        return (*arrays, np.ones(arrays[0].shape[:2], bool))
-    stacks = []
-    for position, fill in enumerate(fills, 1):
-        shape = tuple(map(max, zip(*(group[position].shape[1:] for group in groups))))
-        stack = np.full((count, *shape), fill, groups[0][position].dtype)
-        for group in groups:
-            corner = tuple(map(slice, group[position].shape[1:]))
-            for trial, block in zip(group[0], group[position]):
-                stack[(trial, *corner)] = block
-        stacks.append(stack)
-    sizes = np.zeros(count, int)
-    for index, array, *_ in groups:
-        sizes[index] = array.shape[1]
-    return (*stacks, np.arange(stacks[0].shape[1]) < sizes[:, None])
+    for trial, array in enumerate(arrays):
+        groups.setdefault(array.shape, []).append(trial)
+    return [(index, np.array([arrays[i] for i in index])) for index in groups.values()]
 
 
 def _raise(fault: str | None) -> None:
@@ -390,18 +377,18 @@ def _check_density(matrices: np.ndarray, eps: float) -> None:
     _raise(_density_fault(matrices, eps))
 
 
-def _decomposed(split, matrices: np.ndarray, eps: float) -> tuple:
-    """`split`, weights (B, n) and unit rows (B, n, d) of the targets
-    `matrices` (B, d, d), once `ConvexDecomposition._from_rows` takes each;
-    a split that a larger batch cannot hold (None) replays the chunk."""
-    if split is None:
-        raise _Replay
-    _raise(_rows_fault(*split, matrices, eps))
-    return split
-
-
-# the unit row that carries a padded mixture's zero weights
+# the unit row that carries a padded mixture's zero weights, and the normal
+# draws of the unit vector (1, 0) of C^2, whose product with itself it is
 _PAD_ROW = np.eye(4, dtype=complex)[0]
+_PAD_DRAW = np.array([[1.0, 0.0], [0.0, 0.0]])
+
+
+def _joined(*mixtures) -> tuple:
+    """Mixtures, each weights (b, n), unit rows (b, n, d) and where they
+    hold a component (b, n), as one batch padded to the most components
+    with zero weights on `_PAD_ROW`."""
+    fills = (0.0, _PAD_ROW, False)
+    return tuple(_padded(list(stacks), fill) for stacks, fill in zip(zip(*mixtures), fills))
 
 
 def _mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: float) -> tuple:
@@ -411,15 +398,28 @@ def _mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: float) ->
     size, and where they hold a component (B, n), once
     `ConvexDecomposition._from_rows` takes each."""
     weights, rows = spectral
-    groups = []
-    for index, (normals,) in _shape_groups([draw[-1:] for draw in draws]):
-        mixture = _random_mixing(normals, weights[index], rows[index])
+    index, groups = [], []
+    for group, normals in _shape_groups([draw[-1] for draw in draws]):
+        mixture = _random_mixing(normals, weights[group], rows[group])
         if mixture is None:
             raise _Replay
-        groups.append((index, *mixture))
-    mixed, vectors, real = _padded(groups, len(draws), 0.0, _PAD_ROW)
+        index += group
+        groups.append((*mixture, np.ones(mixture[0].shape, bool)))
+    mixed, vectors, real = (array[np.argsort(index)] for array in _joined(*groups))
     _raise(_rows_fault(mixed, vectors, matrices, eps, real))
     return mixed, vectors, real
+
+
+def _separable_mixtures(draws: list, eps: float) -> tuple:
+    """The separable suite's weights (B, n) and product vectors (B, n, 4),
+    padded to the largest count, and where they hold a component (B, n),
+    once `PureState` takes each row."""
+    uniforms, normals = _padded_draws(draws, 0.0, _PAD_DRAW)
+    real = _within([len(draw[0]) for draw in draws])
+    weights, vectors = _simplex_rows(uniforms, 0.02, real), _product_vectors(normals)
+    fault = _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps)
+    _raise(None if fault is None else fault[1])
+    return weights, vectors, real
 
 
 def _pair_statistics(draws: list, matrices: np.ndarray, eps: float) -> tuple:
@@ -443,79 +443,93 @@ def _pair_statistics(draws: list, matrices: np.ndarray, eps: float) -> tuple:
     return *sides, _trace_rule(np.concatenate([joints, *sides], 1), matrices)
 
 
-def _rebuilt_rho_t(
-    spin: tuple[Povm, Povm, Povm], weights: np.ndarray, vectors: np.ndarray, eps: float, real=None
-) -> np.ndarray:
-    """rho_t (B, 2, 2) at the state `ConvexDecomposition.from_components`
-    rebuilds from each mixture, weights (B, n) and unit rows (B, n, d), its
-    components `real` when it is padded (`_mixture_fault`)."""
-    a1, a2, joint = spin
+def _rebuilt_statistics(spin: tuple, weights, vectors, real, eps: float) -> np.ndarray:
+    """The spin pair's outcome weights (B, 4 + 2 + 2), joint first, at the
+    state `DensityOperator.from_mixture` builds from each mixture, weights
+    (B, n) on unit rows (B, n, d) where `real`, once `ConvexDecomposition`
+    takes it."""
     matrices = _mixture_matrix(weights, vectors)
     _check_density(matrices, eps)
     _raise(_mixture_fault(weights, vectors, matrices, eps, real))
-    statistics = _trace_rule(np.concatenate([joint._stack, a1._stack, a2._stack]), matrices)
-    measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
-    return _total(*measures, joint.space.points)[-1]
+    return _trace_rule(np.concatenate([spin[2]._stack, spin[0]._stack, spin[1]._stack]), matrices)
 
 
-def _quantum_kernel(spin: tuple[Povm, Povm, Povm], eps: float, chunks: dict) -> tuple:
-    """The deviations of the product rule's, the invariance suite's and the
-    marginals suite's chunks of draws, `chunks` at 0, 1 and 2 (a suite not
-    there has none), computed together: every state in one stack and one
-    density check, the product rule's and the marginals' qubit pairs in one
-    pass, the product rule's and the invariance suite's spectral splits and
-    random mixings in one batch, then each suite's own tail on its slice.
-    On one suite's draws alone it runs that suite's checks in the order its
-    oracle runs them.
+def _quantum_kernel(spin: tuple[Povm, Povm, Povm], eps: float, chunks: dict) -> list:
+    """The deviations of the product rule's, the invariance suite's, the
+    separable suite's and the marginals suite's chunks of draws, `chunks`
+    at 0, 1, 2 and 3 (a suite not there has none), computed together: one
+    pass each over the Ginibre states, the qubit pairs, the decompositions,
+    the rebuilt states (invariance and separable) and the split (product
+    rule and separable), then each suite's own tail. On one suite's draws
+    alone it runs that suite's checks in the order its oracle runs them.
 
     - product rule: rho_c * rho_e recovers rho_t for random states, product
       projective observable pairs, and random decompositions;
-    - invariance: total correlation depends only on the state: rebuilding
-      the operator from two different decompositions (the spectral one and
-      a random one) leaves rho_t unchanged pointwise;
+    - invariance: rebuilding the state from two of its decompositions (the
+      spectral one and a random one) leaves rho_t unchanged pointwise;
+    - separable: mixtures of product pure states carry no entanglement-type
+      correlation relative to their product decomposition;
     - marginals: the joint built from a commuting product pair reproduces
       both factor statistics as marginals.
     """
-    product_rule, invariance, marginals = (chunks.get(index, []) for index in range(3))
+    product_rule, invariance, separable, marginals = (chunks.get(index, []) for index in range(4))
     # the states in the order invariance, product rule, marginals: the first
     # two suites decompose theirs, the last two measure a qubit pair on them
     mixed, paired = invariance + product_rule, product_rule + marginals
     inv, rule = len(invariance), len(product_rule)
-    matrices = _ginibre_states(np.array([draw[0] for draw in mixed + marginals]))
-    _check_density(matrices, eps)
+    if mixed or marginals:
+        matrices = _ginibre_states(np.array([draw[0] for draw in mixed + marginals]))
+        _check_density(matrices, eps)
     if paired:
         left, right, statistics = _pair_statistics(paired, matrices[inv:], eps)
     if mixed:
         targets = matrices[: len(mixed)]
-        spectral = _decomposed(_spectral_split(targets, eps), targets, eps)
+        spectral = _spectral_split(targets, eps)
+        if spectral is None:  # a state of a larger batch drops an eigenvalue
+            raise _Replay
+        _raise(_rows_fault(*spectral, targets, eps))
         weights, vectors, real = _mixtures(mixed, spectral, targets, eps)
-    residuals = []
+    # the invariance suite's states rebuilt from its spectral and its random
+    # decompositions, then the separable mixtures: a spectral one can fail
+    # only the trace test, which the density check runs first on them all
+    rebuilt = []
+    if invariance:
+        sets = (*spectral, np.ones(spectral[0].shape, bool)), (weights, vectors, real)
+        rebuilt += [tuple(array[:inv] for array in arrays) for arrays in sets]
+    if separable:
+        rebuilt.append(_separable_mixtures(separable, eps))
+    if rebuilt:
+        measured = _rebuilt_statistics(spin, *_joined(*rebuilt), eps)
+    # one split of the product rule's mixtures and the separable ones, each
+    # suite's Born rows at its own width (a zero tail changes their bits)
+    # and joined with the components innermost, as `_born_rows` lays them
+    # out: `mix_rows` sums in that layout's order
+    split = []
     if product_rule:
         born = _born_rows(np.concatenate([left[:rule], right[:rule]], 1), vectors[inv:])
-        rows = statistics[:rule]
-        measures = rows[:, :4], rows[:, 4:6], rows[:, 6:]
-        points = _BINARY_PAIRS.points
-        residual = _split(*measures, weights[inv:], born[..., :2], born[..., 2:], points)[-1]
-        residuals = [math.inf] * rule if residual is None else residual.tolist()
-    gaps = []
+        split.append((statistics[:rule], weights[inv:], born.mT))
+    if separable:
+        sides = np.concatenate([spin[0]._stack, spin[1]._stack])
+        mixture, components, _ = rebuilt[-1]  # the separable mixtures
+        split.append((measured[2 * inv :], mixture, _born_rows(sides, components).mT))
+    if split:
+        rows, mixture, born = (_padded(list(arrays)) for arrays in zip(*split))
+        born, points = born.mT, (_BINARY_PAIRS if product_rule else spin[2].space).points
+        measures = np.split(rows, [4, 6], axis=1)  # the joint's, then each side's
+        *_, (rho_e, _), residual = _split(*measures, mixture, born[..., :2], born[..., 2:], points)
+    deviations = [[], [], [], []]
+    if product_rule:
+        deviations[0] = [math.inf] * rule if residual is None else residual[:rule].tolist()
     if invariance:
-        rho_t = _rebuilt_rho_t(spin, spectral[0][:inv], spectral[1][:inv], eps)
-        shuffled = _rebuilt_rho_t(spin, weights[:inv], vectors[:inv], eps, real[:inv])
-        gaps = _nanmax(np.abs(rho_t - shuffled).reshape(inv, -1)).tolist()
-    misses = []
+        rho_t = _total(*np.split(measured[: 2 * inv], [4, 6], axis=1), spin[2].space.points)[-1]
+        deviations[1] = _nanmax(np.abs(rho_t[:inv] - rho_t[inv:]).reshape(inv, -1)).tolist()
+    if separable:
+        deviations[2] = _from_one(None if rho_e is None else rho_e[rule:], len(separable))
     if marginals:
-        rows = statistics[rule:]
-        grid = rows[:, :4].reshape(-1, 2, 2)
+        grid = statistics[rule:, :4].reshape(-1, 2, 2)
         reduced = np.concatenate([grid.sum(axis=2), grid.sum(axis=1)], axis=1)
-        misses = _nanmax(np.abs(reduced - rows[:, 4:])).tolist()
-    return residuals, gaps, misses
-
-
-def _classical_split(weights: np.ndarray, joint: np.ndarray, rows_1, rows_2, points) -> tuple:
-    """`classical_report`'s split of the states `weights` (b, n) through the
-    joint rows (b, n, k1 k2) and kernel rows (b, n, k1) and (b, n, k2)."""
-    measures = (_pushed(weights, rows) for rows in (joint, rows_1, rows_2))
-    return _split(*measures, weights, rows_1, rows_2, points)
+        deviations[3] = _nanmax(np.abs(reduced - statistics[rule:, 4:])).tolist()
+    return deviations
 
 
 def _classical_product_rule_kernel(eps: float, draws: list) -> list:
@@ -523,20 +537,21 @@ def _classical_product_rule_kernel(eps: float, draws: list) -> list:
     the Frechet bounds so marginal consistency holds by construction. The
     rows are checked as `ClassicalObservable.from_matrix`, the joint's as
     `ClassicalJoint.from_matrix` and the state as `DiscreteMeasure.from_array`
-    check them."""
-    residuals = np.empty(len(draws))
-    for index, (uniforms_1, uniforms_2, cells, uniforms) in _shape_groups(draws):
-        rows_1, rows_2, weights = (
-            _simplex_rows(u, 0.05) for u in (uniforms_1, uniforms_2, uniforms)
-        )
-        _checked_weights(_BINARY, rows_1, eps)
-        _checked_weights(_BINARY, rows_2, eps)
-        joint = _frechet_coupling(rows_1[..., 0], rows_2[..., 0], cells)
-        _checked_weights(_BINARY_PAIRS, joint, eps)
-        _checked_weights(PhaseSpace(_labels("p", weights.shape[-1])), weights, eps)
-        residual = _classical_split(weights, joint, rows_1, rows_2, _BINARY_PAIRS.points)[-1]
-        residuals[index] = math.inf if residual is None else residual
-    return residuals.tolist()
+    check them. The phase points are padded with zero rows and weights."""
+    sizes = np.array([len(draw[-1]) for draw in draws])
+    phase = _within(sizes)
+    uniforms_1, uniforms_2, cells, uniforms = _padded_draws(draws, 0.0, 0.0, 0.0, 0.0)
+    rows_1, rows_2 = (_simplex_rows(u, 0.05, phase[..., None]) for u in (uniforms_1, uniforms_2))
+    weights = _simplex_rows(uniforms, 0.05, phase)
+    _checked_weights(_BINARY, rows_1[phase], eps)
+    _checked_weights(_BINARY, rows_2[phase], eps)
+    joint = _frechet_coupling(rows_1[..., 0], rows_2[..., 0], cells)
+    _checked_weights(_BINARY_PAIRS, joint[phase], eps)
+    _checked_weights(PhaseSpace(_labels("p", phase.shape[-1])), weights, eps)
+    # `classical_report`'s split, each state pushed at its own size
+    measures = (_pushed(weights, rows, sizes) for rows in (joint, rows_1, rows_2))
+    residual = _split(*measures, weights, rows_1, rows_2, _BINARY_PAIRS.points)[-1]
+    return [math.inf] * len(draws) if residual is None else residual.tolist()
 
 
 def _from_one(rho: np.ndarray | None, count: int) -> list:
@@ -547,45 +562,23 @@ def _from_one(rho: np.ndarray | None, count: int) -> list:
     return _nanmax(np.abs(rho - 1.0).reshape(count, -1)).tolist()
 
 
-def _separable_kernel(spin: tuple[Povm, Povm, Povm], eps: float, draws: list) -> list:
-    """Mixtures of product pure states carry no entanglement-type correlation
-    relative to their product decomposition. Each mixture is checked as
-    `PureState` checks its rows, then as `DensityOperator.from_mixture` and
-    `ConvexDecomposition` check it."""
-    a1, a2, joint = spin
-    groups = [(index, *_separable_mixture(group)) for index, group in _shape_groups(draws)]
-    weights, vectors, real = _padded(groups, len(draws), 0.0, _PAD_ROW)
-    fault = _unit_row_fault(vectors.reshape(-1, vectors.shape[-1]), eps)
-    _raise(None if fault is None else fault[1])
-    matrices = _mixture_matrix(weights, vectors)
-    _check_density(matrices, eps)
-    _raise(_mixture_fault(weights, vectors, matrices, eps, real))
-    sides = np.concatenate([a1._stack, a2._stack])
-    statistics = _trace_rule(np.concatenate([joint._stack, sides]), matrices)
-    born = _born_rows(sides, vectors)
-    measures = statistics[:, :4], statistics[:, 4:6], statistics[:, 6:]
-    rho_e = _split(*measures, weights, born[..., :2], born[..., 2:], joint.space.points)[4][0]
-    return _from_one(rho_e, len(draws))
-
-
 def _classical_dirac_kernel(eps: float, draws: list) -> list:
     """Classical correlation is constant 1 at every point-mass state: a sharp
     phase-space point leaves nothing for the mixing to correlate. The rows
-    are checked as `ClassicalObservable.from_matrix` checks them."""
-    groups = [
-        (index, _simplex_rows(uniforms_1, 0.05), _simplex_rows(uniforms_2, 0.05))
-        for index, (uniforms_1, uniforms_2, _) in _shape_groups(draws)
-    ]
-    # the phase points padded with zero rows, the outcomes with zeros
-    rows_1, rows_2, real = _padded(groups, len(draws), 0.0, 0.0)
-    codomains = _dirac_codomains(rows_1, rows_2)
-    _checked_weights(codomains[0], rows_1[real], eps)
-    _checked_weights(codomains[1], rows_2[real], eps)
-    states = np.zeros(real.shape)
+    are checked as `ClassicalObservable.from_matrix` checks them. The phase
+    points are padded with zero rows, the outcomes with zeros."""
+    phase = _within([len(draw[0]) for draw in draws])
+    rows, codomains = [], []
+    for side, (prefix, uniforms) in enumerate(zip("xy", _padded_draws(draws, 0.0, 0.0))):
+        outcomes = _within([draw[side].shape[1] for draw in draws])
+        rows.append(_simplex_rows(uniforms, 0.05, phase[..., None] & outcomes[:, None, :]))
+        codomains.append(OutcomeSpace(_labels(prefix, outcomes.shape[1])))
+        _checked_weights(codomains[side], rows[side][phase], eps)
+    states = np.zeros(phase.shape)
     states[range(len(draws)), [draw[-1] for draw in draws]] = 1.0  # each trial's point mass
-    joint = _product_rows(rows_1, rows_2)
-    outcomes = ProductSpace(*codomains).points
-    rho_c = _classical_split(states, joint, rows_1, rows_2, outcomes)[3][0]
+    # `classical_report`'s split: a push of a point mass is exact on the pads
+    measures = (_pushed(states, kernel) for kernel in (_product_rows(*rows), *rows))
+    rho_c = _split(*measures, states, *rows, ProductSpace(*codomains).points)[3][0]
     return _from_one(rho_c, len(draws))
 
 
@@ -598,17 +591,16 @@ def _spin_pair(eps: float) -> tuple[Povm, Povm, Povm]:
 
 def _suites(eps: float) -> tuple:
     """(name, tolerance, trial) for every suite, in report order, with the
-    validation eps `eps` and its spin pair; the three d = 4 quantum suites
+    validation eps `eps` and its spin pair; the four d = 4 quantum suites
     share `_quantum_kernel`."""
-    spin = _spin_pair(eps)
-    quantum = partial(_quantum_kernel, spin, eps)
+    quantum = partial(_quantum_kernel, _spin_pair(eps), eps)
     product_rule = _Stacked(_product_rule_draws, _Slot(quantum, 0))
     classical_product_rule = _Stacked(
         _classical_product_rule_draws, partial(_classical_product_rule_kernel, eps)
     )
     invariance = _Stacked(_invariance_draws, _Slot(quantum, 1))
-    separable = _Stacked(_separable_draws, partial(_separable_kernel, spin, eps))
-    marginals = _Stacked(_marginals_draws, _Slot(quantum, 2))
+    separable = _Stacked(_separable_draws, _Slot(quantum, 2))
+    marginals = _Stacked(_marginals_draws, _Slot(quantum, 3))
     dirac_triviality = _Stacked(_classical_dirac_draws, partial(_classical_dirac_kernel, eps))
     return (
         ("quantum-product-rule", PRODUCT_RULE_TOL, product_rule),

@@ -194,20 +194,22 @@ def test_separable_draws_build_the_oracle_mixtures_at_every_count():
     for batch, seed in _stacks(320):
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = [qcorr.selftest._separable_draws(rng) for _ in range(batch)]
-        for index, group in qcorr.selftest._shape_groups(draws):
-            weights, vectors = qcorr.selftest._separable_mixture(group)
-            for trial, w, v in zip(index, weights, vectors):
-                alone = qcorr.selftest._separable_mixture(draws[trial])
-                _same_bits(alone[0], w)
-                _same_bits(alone[1], v)
-        built = [qcorr.selftest._separable_mixture(draw) for draw in draws]
-        for got_weights, got_vectors in built:
+        # one stack padded to the largest count, and each trial alone
+        padded = qcorr.selftest._separable_mixtures(draws, validation_eps())
+        for trial, (weights, vectors, real) in enumerate(zip(*padded)):
             count = int(reference_rng.integers(1, 9))
             counts[batch].add(count)
-            _same_bits(got_weights, oracle._random_simplex(reference_rng, count, floor=0.02))
-            _same_bits(got_vectors, oracle._product_vectors(reference_rng, count))
+            want = oracle._random_simplex(reference_rng, count, floor=0.02)
+            _same_bits(weights[:count], want)
+            _same_bits(vectors[:count], oracle._product_vectors(reference_rng, count))
+            assert real.tolist() == [True] * count + [False] * (len(real) - count)
+            assert not weights[count:].any()
+            assert (vectors[count:] == qcorr.selftest._PAD_ROW).all()
+            alone = qcorr.selftest._separable_mixtures(draws[trial : trial + 1], validation_eps())
+            _same_bits(alone[0][0], want)
+            _same_bits(alone[1][0], vectors[:count])
         _same_stream(rng, reference_rng)
-    # every count at every stack size, so row sums of 8 too
+    # every count at every stack size, so row sums of 8 beside shorter rows
     assert counts == {batch: set(range(1, 9)) for batch in (1, 10, 128)}
 
 
@@ -303,6 +305,19 @@ def _reference_simplex(uniforms, floor):
     return weights / weights.sum()
 
 
+def _reference_simplex_rows(uniforms, floor, real=None):
+    """Each row alone, only its `real` entries when it is padded, zero past
+    them."""
+    if real is None:
+        return _per_trial(_reference_simplex, 1)(uniforms, floor)
+    real = np.broadcast_to(real, uniforms.shape)
+    rows = np.zeros(uniforms.shape)
+    for index in np.ndindex(uniforms.shape[:-1]):
+        if real[index].any():
+            rows[index][real[index]] = _reference_simplex(uniforms[index][real[index]], floor)
+    return rows
+
+
 def _reference_product_vectors(draws):
     units = [_reference_unit(pair) for pair in draws]
     return np.array([np.kron(left, right) for left, right in zip(units[0::2], units[1::2])])
@@ -314,14 +329,6 @@ def _reference_qubit_effects(units):
         np.array([pair[side] for pair in pairs]).reshape(units.shape[:-2] + (2, 4, 4))
         for side in (0, 1)
     )
-
-
-def _group_count(seed, suite, trials):
-    """How many shape groups the chunk of `trials` of suite number `suite`
-    holds in a run at `seed`."""
-    _, _, trial = qcorr.selftest._suites(validation_eps())[suite]
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(6)[suite])
-    return len({tuple(np.shape(array) for array in trial.draw(rng)) for _ in range(trials)})
 
 
 def test_selftest_reports_the_same_bits_with_the_reference_builders(
@@ -345,25 +352,24 @@ def test_selftest_reports_the_same_bits_with_the_reference_builders(
 
     counted("_ginibre_states", _per_trial(_reference_state, 3))
     counted("_units", _per_trial(_reference_unit, 2))
-    counted("_simplex_rows", _per_trial(_reference_simplex, 1))
+    counted("_simplex_rows", _reference_simplex_rows)
     counted("_product_vectors", _per_trial(_reference_product_vectors, 3))
     counted("_qubit_effects", _reference_qubit_effects)
     counted("spin_z_pair", _reference_spin_z_pair)
     assert [deviations(seed) for seed in seeds] == built
-    # every reference builder drove the run, once per chunk round: the three
-    # d = 4 quantum suites build their states together, and the product rule
-    # and the marginals suite their pairs' units and effects together; once
-    # per shape group: both kernels' rows and the weights in
-    # the classical product rule (suite 1), the mixture in the separable
-    # suite (3) and both kernels' rows in the Dirac suite (5); and the spin
-    # pair once for the eps in force
-    groups = {suite: sum(_group_count(seed, suite, 10) for seed in seeds) for suite in (1, 3, 5)}
+    # every reference builder drove the run, once per chunk round and
+    # padded stack: the three d = 4 quantum suites that draw states build
+    # them together, the product rule and the marginals suite their pairs'
+    # units and effects together, and the separable suite its product
+    # vectors; both kernels' rows and the weights in the classical product
+    # rule, the separable weights and both kernels' rows in the Dirac suite
+    # are six simplex stacks; and the spin pair once for the eps in force
     assert calls == {
         "_ginibre_states": len(seeds),
         "_units": len(seeds),
         "_qubit_effects": len(seeds),
-        "_product_vectors": groups[3],
-        "_simplex_rows": 3 * groups[1] + groups[3] + 2 * groups[5],
+        "_product_vectors": len(seeds),
+        "_simplex_rows": 6 * len(seeds),
         "spin_z_pair": 1,
     }
 

@@ -5,6 +5,9 @@ chunk replays through its kernel one trial at a time."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -25,6 +28,7 @@ from qcorr import (
     joint_from_commuting,
     spin_z_pair,
 )
+from qcorr.classical_frame import _pushed
 from qcorr.hilbert import _density_fault, _random_mixing, _spectral_split
 from qcorr.measure import _quotient, _weights_fault
 from qcorr.observable import (
@@ -137,19 +141,24 @@ def _corrupting(build, corrupt, at, seen):
     return builder
 
 
-def _corrupting_built(build, want, corrupt):
+def _corrupting_built(build, want, corrupt, landed):
     """`build` with each trial's input in its output, one trial's or a
-    stack's, replaced by `corrupt` of it where it equals `want`: the same
-    trial's input is corrupted on the stacks and on the replay path."""
+    stack's, where it may be padded past its own end, replaced by `corrupt`
+    of it where it equals `want`: the same trial's input is corrupted on
+    the stacks and on the replay path. Appends the number of trials in each
+    output it corrupted to `landed`."""
 
     def builder(*args, **kwargs):
         built = build(*args, **kwargs)
-        if built.shape[built.ndim - want.ndim :] != want.shape:
+        core = built.shape[built.ndim - want.ndim :]
+        if built.ndim < want.ndim or any(map(lambda b, w: b < w, core, want.shape)):
             return built
-        trials = built.reshape(-1, *want.shape).copy()
-        for trial, array in enumerate(trials):
-            if array.tobytes() == want.tobytes():
-                trials[trial] = corrupt(array)
+        trials = built.reshape(-1, *core).copy()
+        corner = tuple(map(slice, want.shape))  # a trial's own entries
+        for array in trials:
+            if array[corner].tobytes() == want.tobytes():
+                array[corner] = corrupt(array[corner])
+                landed.append(len(trials))
         return trials.reshape(built.shape)
 
     return builder
@@ -205,9 +214,10 @@ def _patched_runs(monkeypatch, name, corrupt, builder="_random_density", at=3):
     seed 4 with the output of call `at` of the oracle's input builder
     `builder` (by default the third state) corrupted, and that input
     corrupted wherever the package's helper builds it, on the stacks and on
-    the replay path, as (stacked outcome, oracle outcome, spy calls); an
-    outcome is the deviations or the exception."""
-    seen = []
+    the replay path, as (stacked outcome, oracle outcome, spy calls, the
+    number of trials in each build it was corrupted in); an outcome is the
+    deviations or the exception."""
+    seen, landed = [], []
     oracle_build = _corrupting(getattr(selftest_oracle, builder), corrupt, at, seen)
     monkeypatch.setattr(selftest_oracle, builder, oracle_build)
     _, trial, oracle = _suite(name)
@@ -223,10 +233,10 @@ def _patched_runs(monkeypatch, name, corrupt, builder="_random_density", at=3):
     want = outcome(lambda: [oracle(oracle_rng) for _ in range(10)])
     helper = BUILT_BY[builder]
     build = getattr(qcorr.selftest, helper)
-    monkeypatch.setattr(qcorr.selftest, helper, _corrupting_built(build, seen[0], corrupt))
+    monkeypatch.setattr(qcorr.selftest, helper, _corrupting_built(build, seen[0], corrupt, landed))
     rng = np.random.default_rng(4)
     got = outcome(lambda: _deviations(spied, rng, 10))
-    return got, want, calls
+    return got, want, calls, landed
 
 
 QUANTUM = ("quantum-product-rule", "total-correlation-invariance", "joint-marginal-consistency")
@@ -237,11 +247,12 @@ QUANTUM = ("quantum-product-rule", "total-correlation-invariance", "joint-margin
 def test_a_chunk_with_an_invalid_state_replays_to_the_oracle_error(
     any_eps, monkeypatch, name, corrupt
 ):
-    got, want, calls = _patched_runs(monkeypatch, name, corrupt)
+    got, want, calls, landed = _patched_runs(monkeypatch, name, corrupt)
     assert isinstance(want, tuple), "the oracle must reject the third state"
     assert got == want
     # replayed from the stored draws: trials 1 and 2 computed, 3 raised
     assert calls == [10, 1, 1, 1]
+    assert landed == [10, 1]  # corrupted in the chunk's stack, then alone
 
 
 # (suite, corruption, oracle builder, call): the third trial's input, at
@@ -262,23 +273,26 @@ CORRUPT_DRAWS = [
 def test_a_chunk_with_a_corrupted_draw_replays_to_the_oracle_error(
     any_eps, monkeypatch, name, corrupt, builder, at
 ):
-    got, want, calls = _patched_runs(monkeypatch, name, corrupt, builder, at)
+    got, want, calls, landed = _patched_runs(monkeypatch, name, corrupt, builder, at)
     assert isinstance(want, tuple), "the oracle must reject the third trial"
     assert issubclass(want[0], ValidationError)
     assert got == want
     assert calls == [10, 1, 1, 1]
+    assert landed == [10, 1]  # corrupted in the chunk's padded stack, then alone
 
 
 @pytest.mark.parametrize("name", QUANTUM)
 def test_a_rank_three_state_gives_the_oracle_bits(any_eps, monkeypatch, name):
-    got, want, calls = _patched_runs(monkeypatch, name, _rank_three)
+    got, want, calls, landed = _patched_runs(monkeypatch, name, _rank_three)
     assert isinstance(want, list) and got == want
     if name == "joint-marginal-consistency":
         # no spectral split: the stacks hold a rank-deficient state
         assert calls == [10]
+        assert landed == [10]
     else:
         # the split drops an eigenvalue, so the whole chunk replays
         assert calls == [10] + [1] * 10
+        assert landed == [10, 1]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -313,16 +327,11 @@ def test_a_chunks_draws_leave_the_generator_where_the_oracle_leaves_it(name, bat
     assert [d.hex() for d in trial.kernel(draws)] == [d.hex() for d in deviations]
 
 
-KERNELS = (
-    "_quantum_kernel",
-    "_classical_product_rule_kernel",
-    "_separable_kernel",
-    "_classical_dirac_kernel",
-)
+KERNELS = ("_quantum_kernel", "_classical_product_rule_kernel", "_classical_dirac_kernel")
 
 
 def _spied_kernels(monkeypatch):
-    """The package's four suite kernels, each recording the size of every
+    """The package's three suite kernels, each recording the size of every
     chunk of draws it is called on, as a tuple per call: the shared quantum
     kernel takes a chunk per suite by index."""
     calls = {name: [] for name in KERNELS}
@@ -348,11 +357,10 @@ def test_a_scaled_classical_product_fails_the_suites_that_pin_its_scale(monkeypa
     report = qcorr.selftest.run_selftest(1, 10)
     failed = {suite.name for suite in report.suites if not suite.passed}
     assert failed == {"separable-no-entanglement", "classical-dirac-triviality"}
-    # the three quantum suites' chunks in one call, and no chunk replayed
+    # the four quantum suites' chunks in one call, and no chunk replayed
     assert calls == {
-        "_quantum_kernel": [(10, 10, 10)],
+        "_quantum_kernel": [(10, 10, 10, 10)],
         "_classical_product_rule_kernel": [(10,)],
-        "_separable_kernel": [(10,)],
         "_classical_dirac_kernel": [(10,)],
     }
 
@@ -388,7 +396,7 @@ def test_a_tiny_eps_keeps_every_chunk_on_the_stacks(monkeypatch):
     calls = _spied_kernels(monkeypatch)
     assert qcorr.selftest.run_selftest(3, 200).suites == tuple(results)
     assert pairs == [256, 144]
-    assert calls["_quantum_kernel"] == [(128, 128, 128), (72, 72, 72)]
+    assert calls["_quantum_kernel"] == [(128,) * 4, (72,) * 4]
 
 
 def test_a_run_gives_each_suite_its_oracle_result():
@@ -443,7 +451,7 @@ def _run_error(monkeypatch, seed, faults):
         for want, corrupt, builder in faults:
             helper = BUILT_BY[builder]
             build = getattr(qcorr.selftest, helper)
-            patched.setattr(qcorr.selftest, helper, _corrupting_built(build, want, corrupt))
+            patched.setattr(qcorr.selftest, helper, _corrupting_built(build, want, corrupt, []))
         with pytest.raises(Exception) as excinfo:
             qcorr.selftest.run_selftest(seed, 200)
     return (type(excinfo.value), str(excinfo.value)), raised
@@ -479,15 +487,48 @@ def test_a_run_raises_the_first_error_of_the_lowest_suite_that_has_one(
     assert raised == [(number, at - 1, other[1])]
 
 
+@pytest.mark.parametrize("name", ["joint-marginal-consistency", "total-correlation-invariance"])
+def test_a_faulty_trial_replays_only_its_own_suite(monkeypatch, name):
+    # the suite's third state is faulty: the shared chunk fails, each
+    # suite's chunk up to the faulty suite's is computed alone on its
+    # stacks, and only the faulty suite, which fails there too, is replayed
+    # one trial at a time, up to its error; the suites after it wait for
+    # the run to raise
+    state, error = _oracle_error(monkeypatch, 4, name, _with_nan, "_random_density", 3)
+    kernel, calls = qcorr.selftest._quantum_kernel, []
+
+    def spy(spin, eps, chunks):
+        calls.append({index: len(chunk) for index, chunk in chunks.items()})
+        return kernel(spin, eps, chunks)
+
+    monkeypatch.setattr(qcorr.selftest, "_quantum_kernel", spy)
+    landed, build = [], qcorr.selftest._ginibre_states
+    corrupting = _corrupting_built(build, state, _with_nan, landed)
+    monkeypatch.setattr(qcorr.selftest, "_ginibre_states", corrupting)
+    with pytest.raises(ValidationError) as excinfo:
+        qcorr.selftest.run_selftest(4, 10)
+    assert (type(excinfo.value), str(excinfo.value)) == error
+    slot = SHARED.index(name)
+    alone = [{index: 10} for index in range(slot + 1)]
+    assert calls == [{0: 10, 1: 10, 2: 10, 3: 10}, *alone, *[{slot: 1}] * 3]
+    assert landed == [30, 10, 1]  # the shared stack, the suite's own, the trial
+
+
 # chunks of many shapes, padded to one stack --------------------------------
 
 
 def _every_shape(name, rng):
     """Draws of the named suite, one trial of every shape it draws, twice,
-    in a shuffled order: every Dirac (n, k1, k2), every separable count and
-    every mixing size."""
+    in a shuffled order: every Dirac (n, k1, k2), every phase-space size of
+    the classical product rule, every separable count and every mixing
+    size."""
     normal = rng.normal
-    if name == "classical-dirac-triviality":
+    if name == "classical-product-rule":
+        draws = [
+            (rng.random((n, 2)), rng.random((n, 2)), rng.random(n), rng.random(n))
+            for n in (2, 3, 4)
+        ]
+    elif name == "classical-dirac-triviality":
         draws = [
             (rng.random((n, k1)), rng.random((n, k2)), rng.integers(0, n))
             for n in (2, 3, 4)
@@ -509,10 +550,13 @@ def _every_shape(name, rng):
 
 PADDED = (
     "quantum-product-rule",
+    "classical-product-rule",
     "total-correlation-invariance",
     "separable-no-entanglement",
     "classical-dirac-triviality",
 )
+# the suites that share the quantum kernel, in the order of its slots
+SHARED = (*QUANTUM[:2], "separable-no-entanglement", QUANTUM[2])
 
 
 @pytest.mark.parametrize("name", PADDED)
@@ -531,14 +575,15 @@ def _pairs(rng):
 
 
 def test_a_shared_chunk_gives_each_trial_its_own_bits(any_eps):
-    # the three quantum suites in one call of the kernel they share: one
-    # stack of states, one of qubit pairs, and every mixing size of both
-    # decomposing suites in one QR batch per size and one padded stack
-    trials = [_suite(name)[1] for name in QUANTUM]
+    # the four quantum suites in one call of the kernel they share: one
+    # stack of states, one of qubit pairs, every mixing size of both
+    # decomposing suites in one QR batch per size and one padded stack, and
+    # every separable count beside them in the rebuilt states and the split
+    trials = [_suite(name)[1] for name in SHARED]
     shared = trials[0].kernel.shared
     for seed in range(12):
         rng = np.random.default_rng(seed)
-        chunks = [_every_shape(name, rng) for name in QUANTUM[:2]] + [_pairs(rng)]
+        chunks = [_every_shape(name, rng) for name in SHARED[:3]] + [_pairs(rng)]
         for trial, chunk, got in zip(trials, chunks, shared(dict(enumerate(chunks)))):
             want = [trial.kernel([draw])[0] for draw in chunk]
             assert [d.hex() for d in got] == [d.hex() for d in want]
@@ -546,9 +591,9 @@ def test_a_shared_chunk_gives_each_trial_its_own_bits(any_eps):
 
 @pytest.mark.parametrize("name", PADDED)
 def test_a_padded_suite_splits_each_chunk_once(monkeypatch, name):
-    # the invariance suite has no split; it rebuilds rho_t from both
-    # decompositions of the chunk, once each
-    step = "_rebuilt_rho_t" if name == "total-correlation-invariance" else "_split"
+    # the invariance suite has no split; it rebuilds its states from both
+    # decompositions of the chunk in one pass
+    step = "_rebuilt_statistics" if name == "total-correlation-invariance" else "_split"
     original, calls = getattr(qcorr.selftest, step), []
 
     def spy(*args, **kwargs):
@@ -562,7 +607,7 @@ def test_a_padded_suite_splits_each_chunk_once(monkeypatch, name):
         _deviations(spied, np.random.default_rng(seed), 10)
         trial.kernel(_every_shape(name, np.random.default_rng(seed)))
     assert chunks == [10] * 6
-    assert len(calls) == (2 if step == "_rebuilt_rho_t" else 1) * 12
+    assert len(calls) == 12
 
 
 def test_a_batch_of_mixtures_with_zero_tails_has_each_mixtures_bits():
@@ -585,6 +630,44 @@ def test_a_batch_of_mixtures_with_zero_tails_has_each_mixtures_bits():
         # and along two leading axes
         twice = (np.stack([array] * 2) for array in (weights, rows_1, rows_2))
         assert qcorr.measure.mix_rows(*twice).tobytes() == np.array([alone] * 2).tobytes()
+
+
+def _pushes_off_their_own(seed):
+    """How many states of batches padded to the largest phase size get other
+    bits from `_pushed` on the batch than from their own unpadded push, with
+    each state's size and without: 150 batches of every phase size 1-8
+    twice, in a shuffled order, each at a codomain of 2, 3 or 4 outcomes."""
+    rng = np.random.default_rng(seed)
+    off = {"sized": 0, "unsized": 0}
+    for batch in range(150):
+        sizes = rng.permutation(np.arange(1, 9).repeat(2))
+        codomain = 2 + batch % 3
+        weights, matrix = np.zeros((16, 8)), np.zeros((16, 8, codomain))
+        alone = []
+        for state, size in enumerate(sizes):
+            w = qcorr.selftest._simplex_rows(rng.random(size), 0.0)
+            rows = qcorr.selftest._simplex_rows(rng.random((size, codomain)), 0.05)
+            weights[state, :size], matrix[state, :size] = w, rows
+            alone.append(_pushed(w, rows))
+        alone = np.array(alone)
+        pushes = {"sized": _pushed(weights, matrix, sizes), "unsized": _pushed(weights, matrix)}
+        for key, got in pushes.items():
+            off[key] += int((got != alone).any(axis=1).sum())
+    return off
+
+
+def test_a_padded_push_gives_each_state_its_own_bits():
+    off = _pushes_off_their_own(0)
+    assert off["sized"] == 0
+    assert off["unsized"] > 0  # one product over the padded axis would not
+    # and at two BLAS threads, in a fresh interpreter
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import test_selftest_stacked as t; print(t._pushes_off_their_own(0)['sized'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, check=True, env=env,
+    )
+    assert done.stdout.split() == ["0"]
 
 
 # the helpers the stacks run through, with a leading batch axis -------------
