@@ -149,19 +149,11 @@ def apply(observable: ClassicalObservable, state: DiscreteMeasure) -> DiscreteMe
     return _derived(DiscreteMeasure, observable.codomain, statistics)
 
 
-def _pushed(weights: np.ndarray, matrix: np.ndarray, sizes=None) -> np.ndarray:
+def _pushed(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """The statistics `weights` (n,) @ `matrix` (n, k) of a kernel at a state,
     or of each of a batch, (B, n) and (B, n, k): one vector-matrix product
-    per state, as `matmul` takes a stack of them; of a batch padded with
-    zeros past each state's own `sizes` (B,) points, one size at a time on
-    the unpadded slices (a zero tail can change a BLAS product's bits)."""
-    if sizes is None:
-        return (weights[..., None, :] @ matrix)[..., 0, :]
-    pushed = np.empty(weights.shape[:1] + matrix.shape[-1:])
-    for size in set(sizes.tolist()):
-        at = sizes == size
-        pushed[at] = _pushed(weights[at, :size], matrix[at, :size])
-    return pushed
+    per state, as `matmul` takes a stack of them."""
+    return (weights[..., None, :] @ matrix)[..., 0, :]
 
 
 def is_deterministic(observable: ClassicalObservable) -> bool:

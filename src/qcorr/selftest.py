@@ -17,7 +17,7 @@ codomains, component count) are built once per chunk on draws padded with
 zeros to its largest shape (`_padded`): every step on a padded axis gives
 each trial its own bits, and the checks skip the pads. Only the random
 mixing runs once per size, and the classical product rule's pushes, BLAS
-sums over the phase axis, once per phase-space size (`_pushed`).
+sums over the phase axis, once per phase-space size (`_size_groups`).
 """
 
 from __future__ import annotations
@@ -122,13 +122,14 @@ def _simplex_rows(uniforms: np.ndarray, floor: float, real=None) -> np.ndarray:
     """Probability rows (..., n) of uniform draws (..., n) raised by `floor`:
     kernel rows and weights; the trial that draws them checks them. Rows of
     draws padded past their own entries, `real` (..., n), are zero there
-    and keep the bits of the row alone while n is at most 8."""
+    and keep the bits of the row alone; n is at most 8."""
     weights = uniforms + floor
     if real is None:
         return weights / weights.sum(axis=-1, keepdims=True)
+    assert weights.shape[-1] <= 8, "a padded row of more than 8 entries"
     weights = np.where(real, weights, 0.0)
-    # numpy sums a row shorter than 8 left to right, so a zero tail adds
-    # nothing, but a row of 8 pairwise: only a row that fills 8 sums them all
+    # numpy's pairwise sum (umath loops_utils.h.src) adds a row under 8 in order,
+    # zero tail or not, but a row of 8 in 8 unrolled sums: only a full row sums 8
     sums = weights.sum(axis=-1, keepdims=True), weights[..., :7].sum(axis=-1, keepdims=True)
     totals = np.where(np.broadcast_to(real, weights.shape)[..., -1:], *sums)
     return np.divide(weights, totals, out=np.zeros_like(weights), where=real)
@@ -354,13 +355,19 @@ def _within(lengths) -> np.ndarray:
     return np.arange(max(lengths)) < np.asarray(lengths)[:, None]
 
 
-def _shape_groups(arrays: list) -> list:
-    """The chunk's trials, one array each, grouped by its shape in order of
-    first appearance: (trial indices, their arrays stacked) per group."""
-    groups = {}
-    for trial, array in enumerate(arrays):
-        groups.setdefault(array.shape, []).append(trial)
-    return [(index, np.array([arrays[i] for i in index])) for index in groups.values()]
+def _size_groups(sizes) -> list:
+    """The chunk's trials grouped by their `sizes` (B,), in order of first
+    appearance, for the steps that run once per size: (size, trials) each."""
+    return [(size, [t for t, s in enumerate(sizes) if s == size]) for size in dict.fromkeys(sizes)]
+
+
+def _pushed_per_size(weights: np.ndarray, matrix: np.ndarray, sizes: list) -> np.ndarray:
+    """`_pushed` of a batch (B, n) and (B, n, k) padded with zeros past each
+    state's `sizes` (B,) points, one size at a time on the unpadded slices."""
+    pushed = np.empty(weights.shape[:1] + matrix.shape[-1:])
+    for size, group in _size_groups(sizes):
+        pushed[group] = _pushed(weights[group, :size], matrix[group, :size])
+    return pushed
 
 
 def _raise(fault: str | None) -> None:
@@ -399,7 +406,8 @@ def _mixtures(draws: list, spectral: tuple, matrices: np.ndarray, eps: float) ->
     `ConvexDecomposition._from_rows` takes each."""
     weights, rows = spectral
     index, groups = [], []
-    for group, normals in _shape_groups([draw[-1] for draw in draws]):
+    for _, group in _size_groups([draw[-1].shape[-1] for draw in draws]):
+        normals = np.array([draws[trial][-1] for trial in group])
         mixture = _random_mixing(normals, weights[group], rows[group])
         if mixture is None:
             raise _Replay
@@ -538,7 +546,7 @@ def _classical_product_rule_kernel(eps: float, draws: list) -> list:
     rows are checked as `ClassicalObservable.from_matrix`, the joint's as
     `ClassicalJoint.from_matrix` and the state as `DiscreteMeasure.from_array`
     check them. The phase points are padded with zero rows and weights."""
-    sizes = np.array([len(draw[-1]) for draw in draws])
+    sizes = [len(draw[-1]) for draw in draws]
     phase = _within(sizes)
     uniforms_1, uniforms_2, cells, uniforms = _padded_draws(draws, 0.0, 0.0, 0.0, 0.0)
     rows_1, rows_2 = (_simplex_rows(u, 0.05, phase[..., None]) for u in (uniforms_1, uniforms_2))
@@ -549,7 +557,7 @@ def _classical_product_rule_kernel(eps: float, draws: list) -> list:
     _checked_weights(_BINARY_PAIRS, joint[phase], eps)
     _checked_weights(PhaseSpace(_labels("p", phase.shape[-1])), weights, eps)
     # `classical_report`'s split, each state pushed at its own size
-    measures = (_pushed(weights, rows, sizes) for rows in (joint, rows_1, rows_2))
+    measures = (_pushed_per_size(weights, rows, sizes) for rows in (joint, rows_1, rows_2))
     residual = _split(*measures, weights, rows_1, rows_2, _BINARY_PAIRS.points)[-1]
     return [math.inf] * len(draws) if residual is None else residual.tolist()
 

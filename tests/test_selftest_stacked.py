@@ -634,13 +634,13 @@ def test_a_batch_of_mixtures_with_zero_tails_has_each_mixtures_bits():
 
 def _pushes_off_their_own(seed):
     """How many states of batches padded to the largest phase size get other
-    bits from `_pushed` on the batch than from their own unpadded push, with
-    each state's size and without: 150 batches of every phase size 1-8
-    twice, in a shuffled order, each at a codomain of 2, 3 or 4 outcomes."""
+    bits from `_pushed_per_size` on the batch than from their own unpadded
+    push: 150 batches of every phase size 1-8 twice, in a shuffled order,
+    each at a codomain of 2, 3 or 4 outcomes."""
     rng = np.random.default_rng(seed)
-    off = {"sized": 0, "unsized": 0}
+    off = 0
     for batch in range(150):
-        sizes = rng.permutation(np.arange(1, 9).repeat(2))
+        sizes = rng.permutation(np.arange(1, 9).repeat(2)).tolist()
         codomain = 2 + batch % 3
         weights, matrix = np.zeros((16, 8)), np.zeros((16, 8, codomain))
         alone = []
@@ -649,20 +649,16 @@ def _pushes_off_their_own(seed):
             rows = qcorr.selftest._simplex_rows(rng.random((size, codomain)), 0.05)
             weights[state, :size], matrix[state, :size] = w, rows
             alone.append(_pushed(w, rows))
-        alone = np.array(alone)
-        pushes = {"sized": _pushed(weights, matrix, sizes), "unsized": _pushed(weights, matrix)}
-        for key, got in pushes.items():
-            off[key] += int((got != alone).any(axis=1).sum())
+        got = qcorr.selftest._pushed_per_size(weights, matrix, sizes)
+        off += int((got != np.array(alone)).any(axis=1).sum())
     return off
 
 
 def test_a_padded_push_gives_each_state_its_own_bits():
-    off = _pushes_off_their_own(0)
-    assert off["sized"] == 0
-    assert off["unsized"] > 0  # one product over the padded axis would not
+    assert _pushes_off_their_own(0) == 0
     # and at two BLAS threads, in a fresh interpreter
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(sys.path)}
-    code = "import test_selftest_stacked as t; print(t._pushes_off_their_own(0)['sized'])"
+    code = "import test_selftest_stacked as t; print(t._pushes_off_their_own(0))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=120, check=True, env=env,
