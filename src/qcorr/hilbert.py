@@ -9,10 +9,7 @@ product basis is ordered (up,up), (up,down), (down,up), (down,down).
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections.abc import Callable, Iterable
-from functools import cache
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -228,92 +225,6 @@ _CHOLESKY_SLACK = 64 * np.finfo(float).eps
 # Below this much work (matrices x d^3) eigvalsh costs no more than the
 # certificate; every d = 4 object is such a stack.
 _CERTIFY_FROM_WORK = 1 << 10
-
-# From this much work (complex multiply-adds: matrices x d^3 for d x d
-# products) `_in_halves` runs its two halves on two threads. Handing a half
-# to the worker costs 0.1-0.3 ms. At one BLAS thread on 2 vCPUs, a split
-# step below it gained at most 6% and lost up to 14% (the d = 49 Born rows
-# of 98 vectors, 2^21.7, lost 9%), and every step from it gained 17-39% (the
-# d = 64 Born rows of 64 vectors, 2^22, gained 24%). No step of two
-# observables with sqrt(d) outcomes each reaches it at d <= 36.
-_SPLIT_FROM_WORK = 1 << 22
-
-# The one worker thread of `_in_halves` (a ThreadPoolExecutor), started at
-# its first split under the lock. A pool made before os.fork() never runs
-# work in the child, so the child drops it, and a fresh lock, as the parent
-# may have held the old one.
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _drop_pool() -> None:
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@cache
-def _one_blas_thread() -> bool:
-    """Whether numpy's bundled OpenBLAS runs on one thread, read once per
-    process. At more threads each product of a split step already runs on
-    several CPUs, and the worker's products compete with them; a BLAS that
-    reports no count (not the bundled OpenBLAS) counts as more than one."""
-    # imported here, at the first step large enough to split, so that no
-    # import of qcorr and no d <= 36 process pays for them
-    import ctypes
-    import glob
-
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in glob.glob(pattern):
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            threads = getattr(library, symbol, None)
-            if threads is not None:
-                threads.restype = ctypes.c_int
-                return threads() == 1
-    return False
-
-
-def _in_halves(first: Callable, second: Callable, work: int) -> tuple:
-    """(first(), second()): `second` on the worker thread while the caller
-    runs `first` when `work` reaches `_SPLIT_FROM_WORK`, the process may
-    run on two CPUs and the BLAS runs on one thread (`_one_blas_thread`),
-    otherwise one after the other. The halves must not write to the same
-    memory; each makes the same numpy calls on either path, so the results
-    are the same bits.
-
-    The caller returns or raises only after both halves have finished, and
-    an error keeps the serial order: one raised by `first` wins, as
-    `second` would not have run."""
-    global _POOL
-    if work < _SPLIT_FROM_WORK or _cpus() < 2 or not _one_blas_thread():
-        return first(), second()
-    # imported here, so that a process which never splits (any at d <= 36)
-    # does not pay for it and for logging at start-up
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max_workers=1)
-        pool = _POOL
-    future = pool.submit(second)
-    try:
-        one = first()
-    finally:
-        wait((future,))
-    return one, future.result()
 
 
 def _smallest_eigenvalues(stack: np.ndarray, eps: float) -> np.ndarray:

@@ -18,7 +18,6 @@ from .hilbert import (
     _as_complex_matrix,
     _eigensystem,
     _exceeds,
-    _in_halves,
     _kron,
     _max_abs,
     _smallest_eigenvalues,
@@ -287,17 +286,10 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
     on simple outcome spaces and every pair of effects must commute; a joint
     observable is not guaranteed to exist otherwise.
     """
-    def verdict(a):  # a joint is rejected below before its verdict is read
-        return lambda: isinstance(a._space, ProductSpace) or a.is_projective
-
-    # each verdict multiplies k (k + 1) / 2 pairs of effects
-    k1, k2 = len(a1._stack), len(a2._stack)
-    work = (k1 * (k1 + 1) * a1._dim**3 + k2 * (k2 + 1) * a2._dim**3) // 2
-    verdicts = _in_halves(verdict(a1), verdict(a2), work)
-    for name, a, projective in zip(("first", "second"), (a1, a2), verdicts):
+    for name, a in (("first", a1), ("second", a2)):
         if isinstance(a.space, ProductSpace):
             raise ValidationError(f"{name} observable must live on a simple outcome space")
-        if not projective:
+        if not a.is_projective:
             raise NotProjective(f"{name} observable is not projective")
     if a1.dim != a2.dim:
         raise DimensionMismatch(
@@ -316,7 +308,7 @@ def joint_from_commuting(a1: Povm, a2: Povm) -> Povm:
     # could only reject valid factors. Their marginals are E1(x) times the
     # sum of E2, which is within eps of the identity, so the joint keeps its
     # pair and `check_joint` does not re-sum it against that pair.
-    stack = products.reshape(k1 * k2, dim, dim)
+    stack = products.reshape(-1, dim, dim)
     stack.setflags(write=False)
     joint = Povm.__new__(Povm)
     joint._space = ProductSpace(a1.space, a2.space)
@@ -332,15 +324,10 @@ def _forward_products(stack1: np.ndarray, stack2: np.ndarray) -> np.ndarray:
     """E1(x) E2(y) (k1, k2, ..., d, d) of the effect stacks `stack1`
     (k1, ..., d, d) and `stack2` (k2, ..., d, d), where ... is an optional
     batch of pairs after the effect axis, one row E1(x) E2 of the grid at a
-    time: one product of the whole grid is slower at large d. The even rows
-    and the odd rows are the two halves of `_in_halves`."""
+    time: one product of the whole grid is slower at large d."""
     products = np.empty((len(stack1),) + stack2.shape, dtype=complex)
-
-    def rows(start):
-        for x in range(start, len(stack1), 2):
-            np.matmul(stack1[x], stack2, out=products[x])
-
-    _in_halves(lambda: rows(0), lambda: rows(1), len(stack1) * stack2.size * stack2.shape[-1])
+    for x, effect in enumerate(stack1):
+        np.matmul(effect, stack2, out=products[x])
     return products
 
 

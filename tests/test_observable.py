@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -109,6 +114,101 @@ def test_joint_from_commuting_rejects_nonprojective():
     half = Povm(BITS, {"0": np.eye(2) * 0.5, "1": np.eye(2) * 0.5})
     with pytest.raises(NotProjective):
         joint_from_commuting(half, half)
+
+
+def _haar_unitary(rng, n: int) -> np.ndarray:
+    ginibre = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(ginibre)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _haar_factor_pair(d: int, case: str) -> tuple[Povm, Povm]:
+    """A pair like the benchmark's large-d factors, d = m^2: the rank-one
+    projectors of a Haar basis of C^m on the first tensor factor and on the
+    second, spoilt as `case` says. A factor mixed with its neighbour outcome
+    is not projective; a second factor rotated on the whole space does not
+    commute with the first."""
+    m = math.isqrt(d)
+    rng = np.random.default_rng(d)
+    eye = np.eye(m)
+    stacks = []
+    for left in (True, False):
+        u = _haar_unitary(rng, m)
+        projectors = np.einsum("ai,bi->iab", u, u.conj())
+        stacks.append(np.stack([np.kron(p, eye) if left else np.kron(eye, p) for p in projectors]))
+    if case == "non-commuting":
+        w = _haar_unitary(rng, d)
+        stacks[1] = w @ stacks[1] @ w.conj().T
+    spoilt = {"first-not-projective": (0,), "second-not-projective": (1,), "neither-projective": (0, 1)}
+    for side in spoilt.get(case, ()):
+        stacks[side] = 0.9 * stacks[side] + 0.1 * np.roll(stacks[side], 1, axis=0)
+    pair = []
+    for prefix, stack in zip("ab", stacks):
+        labels = tuple(f"{prefix}{i}" for i in range(m))
+        pair.append(Povm(OutcomeSpace(labels), dict(zip(labels, stack))))
+    return tuple(pair)
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("first-not-projective", NotProjective, "first observable is not projective"),
+        ("second-not-projective", NotProjective, "second observable is not projective"),
+        ("neither-projective", NotProjective, "first observable is not projective"),
+        ("non-commuting", NonCommuting, None),
+    ],
+)
+@pytest.mark.parametrize("d", [4, 9, 16, 36, 64])
+@pytest.mark.parametrize("setting", [None, "1e-12"], ids=["eps-unset", "eps-1e-12"])
+def test_joint_from_commuting_rejects_the_first_failing_factor(
+    setting, d, case, error, message, monkeypatch
+):
+    if setting is None:
+        monkeypatch.delenv("QCORR_EPS", raising=False)
+    else:
+        monkeypatch.setenv("QCORR_EPS", setting)
+    a1, a2 = _haar_factor_pair(d, case)
+    with pytest.raises(error) as info:
+        joint_from_commuting(a1, a2)
+    if message is not None:
+        assert str(info.value) == message
+
+
+def test_a_large_d_report_runs_on_the_calling_thread():
+    """A d = 64 joint and two reports of it, at one BLAS thread on however
+    many CPUs, start no Python thread and no executor."""
+    code = """
+import sys, threading
+import numpy as np
+from qcorr import (
+    DensityOperator, OutcomeSpace, Povm, correlation_report, joint_from_commuting,
+    random_decomposition,
+)
+m = 8
+basis = np.eye(m)
+projectors = [np.outer(e, e) for e in basis]
+a1, a2 = (
+    Povm(OutcomeSpace(tuple(f"{p}{i}" for i in range(m))), {
+        f"{p}{i}": np.kron(q, basis) if p == "a" else np.kron(basis, q)
+        for i, q in enumerate(projectors)
+    })
+    for p in "ab"
+)
+rng = np.random.default_rng(64)
+ginibre = rng.normal(size=(m * m, m * m)) + 1j * rng.normal(size=(m * m, m * m))
+matrix = ginibre @ ginibre.conj().T
+state = DensityOperator(matrix / np.trace(matrix).real)
+joint = joint_from_commuting(a1, a2)
+for source in (random_decomposition(state, 2 * m * m, rng), state):
+    correlation_report(joint, a1, a2, source)
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, check=True, env=env,
+    )
+    assert done.stdout.split() == ["1", "False"]
 
 
 def test_joint_marginals_recover_the_factors(spin_pair):
