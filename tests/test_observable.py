@@ -20,6 +20,7 @@ from qcorr import (
     correlation_report,
     joint_from_commuting,
     outcome_measure,
+    random_decomposition,
     spin_z_pair,
     validation_eps,
 )
@@ -174,36 +175,28 @@ def test_joint_from_commuting_rejects_the_first_failing_factor(
         assert str(info.value) == message
 
 
+def _reports_at_d64() -> None:
+    """The commuting d = 64 pair's joint, reported from a 128-component and
+    from the spectral decomposition of a random full-rank state, as in the
+    benchmark's dsweep."""
+    a1, a2 = _haar_factor_pair(64, "commuting")
+    rng = np.random.default_rng(64)
+    ginibre = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    matrix = ginibre @ ginibre.conj().T
+    state = DensityOperator(matrix / np.trace(matrix).real)
+    joint = joint_from_commuting(a1, a2)
+    for source in (random_decomposition(state, 128, rng), state):
+        correlation_report(joint, a1, a2, source)
+
+
 def test_a_large_d_report_runs_on_the_calling_thread():
-    """A d = 64 joint and two reports of it, at one BLAS thread on however
-    many CPUs, start no Python thread and no executor."""
-    code = """
-import sys, threading
-import numpy as np
-from qcorr import (
-    DensityOperator, OutcomeSpace, Povm, correlation_report, joint_from_commuting,
-    random_decomposition,
-)
-m = 8
-basis = np.eye(m)
-projectors = [np.outer(e, e) for e in basis]
-a1, a2 = (
-    Povm(OutcomeSpace(tuple(f"{p}{i}" for i in range(m))), {
-        f"{p}{i}": np.kron(q, basis) if p == "a" else np.kron(basis, q)
-        for i, q in enumerate(projectors)
-    })
-    for p in "ab"
-)
-rng = np.random.default_rng(64)
-ginibre = rng.normal(size=(m * m, m * m)) + 1j * rng.normal(size=(m * m, m * m))
-matrix = ginibre @ ginibre.conj().T
-state = DensityOperator(matrix / np.trace(matrix).real)
-joint = joint_from_commuting(a1, a2)
-for source in (random_decomposition(state, 2 * m * m, rng), state):
-    correlation_report(joint, a1, a2, source)
-print(threading.active_count(), "concurrent.futures" in sys.modules)
-"""
+    """At one BLAS thread, on however many CPUs, a d = 64 joint and its
+    reports start no Python thread and no executor."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = (
+        "import sys, threading, test_observable as t; t._reports_at_d64(); "
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=120, check=True, env=env,
