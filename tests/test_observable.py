@@ -140,7 +140,11 @@ def _haar_factor_pair(d: int, case: str) -> tuple[Povm, Povm]:
     if case == "non-commuting":
         w = _haar_unitary(rng, d)
         stacks[1] = w @ stacks[1] @ w.conj().T
-    spoilt = {"first-not-projective": (0,), "second-not-projective": (1,), "neither-projective": (0, 1)}
+    spoilt = {
+        "first-not-projective": (0,),
+        "second-not-projective": (1,),
+        "neither-projective": (0, 1),
+    }
     for side in spoilt.get(case, ()):
         stacks[side] = 0.9 * stacks[side] + 0.1 * np.roll(stacks[side], 1, axis=0)
     pair = []
