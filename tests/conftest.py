@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from qcorr import (
     DensityOperator,
     OutcomeSpace,
+    Povm,
     PureState,
     spin_z_pair,
 )
@@ -25,6 +27,64 @@ def inexact_commuting_effects(eps):
     u = np.array([0.8, b, b, b])
     p, eye = np.outer(u, u), np.eye(4)
     return [p, eye - p], [eye + 0.9 * eps * np.ones((4, 4)), np.zeros((4, 4))]
+
+
+# the dimensions and QCORR_EPS settings (None: unset) the Haar-factor pairs run at
+HAAR_FACTOR_DIMS = (4, 9, 16, 36, 64)
+HAAR_FACTOR_EPS = (None, "1e-6", "1e-12")
+HAAR_FACTOR_EPS_IDS = ("eps-unset", "eps-1e-6", "eps-1e-12")
+
+
+def set_qcorr_eps(monkeypatch, setting) -> None:
+    """Unset QCORR_EPS for None, else set it to `setting`."""
+    if setting is None:
+        monkeypatch.delenv("QCORR_EPS", raising=False)
+    else:
+        monkeypatch.setenv("QCORR_EPS", setting)
+
+
+def full_rank_state(rng, d: int) -> DensityOperator:
+    """A random full-rank density operator G G* / Tr(G G*), G Ginibre d x d."""
+    ginibre = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    matrix = ginibre @ ginibre.conj().T
+    return DensityOperator(matrix / np.trace(matrix).real)
+
+
+def _haar_unitary(rng, n: int) -> np.ndarray:
+    ginibre = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(ginibre)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def haar_factor_pair(d: int, case: str) -> tuple[Povm, Povm]:
+    """A pair like the benchmark's large-d factors, d = m^2: the rank-one
+    projectors of a Haar basis of C^m on the first tensor factor and on the
+    second, spoilt as `case` says. A factor mixed with its neighbour outcome
+    is not projective; a second factor rotated on the whole space does not
+    commute with the first."""
+    m = math.isqrt(d)
+    rng = np.random.default_rng(d)
+    eye = np.eye(m)
+    stacks = []
+    for left in (True, False):
+        u = _haar_unitary(rng, m)
+        projectors = np.einsum("ai,bi->iab", u, u.conj())
+        stacks.append(np.stack([np.kron(p, eye) if left else np.kron(eye, p) for p in projectors]))
+    if case == "non-commuting":
+        w = _haar_unitary(rng, d)
+        stacks[1] = w @ stacks[1] @ w.conj().T
+    spoilt = {
+        "first-not-projective": (0,),
+        "second-not-projective": (1,),
+        "neither-projective": (0, 1),
+    }
+    for side in spoilt.get(case, ()):
+        stacks[side] = 0.9 * stacks[side] + 0.1 * np.roll(stacks[side], 1, axis=0)
+    pair = []
+    for prefix, stack in zip("ab", stacks):
+        labels = tuple(f"{prefix}{i}" for i in range(m))
+        pair.append(Povm(OutcomeSpace(labels), dict(zip(labels, stack))))
+    return tuple(pair)
 
 
 @pytest.fixture(scope="session")

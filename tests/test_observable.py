@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -24,7 +23,17 @@ from qcorr import (
     spin_z_pair,
     validation_eps,
 )
-from conftest import DOWN, UP, inexact_commuting_effects
+from conftest import (
+    DOWN,
+    HAAR_FACTOR_DIMS,
+    HAAR_FACTOR_EPS,
+    HAAR_FACTOR_EPS_IDS,
+    UP,
+    full_rank_state,
+    haar_factor_pair,
+    inexact_commuting_effects,
+    set_qcorr_eps,
+)
 
 BITS = OutcomeSpace(("0", "1"))
 
@@ -117,43 +126,6 @@ def test_joint_from_commuting_rejects_nonprojective():
         joint_from_commuting(half, half)
 
 
-def _haar_unitary(rng, n: int) -> np.ndarray:
-    ginibre = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(ginibre)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def _haar_factor_pair(d: int, case: str) -> tuple[Povm, Povm]:
-    """A pair like the benchmark's large-d factors, d = m^2: the rank-one
-    projectors of a Haar basis of C^m on the first tensor factor and on the
-    second, spoilt as `case` says. A factor mixed with its neighbour outcome
-    is not projective; a second factor rotated on the whole space does not
-    commute with the first."""
-    m = math.isqrt(d)
-    rng = np.random.default_rng(d)
-    eye = np.eye(m)
-    stacks = []
-    for left in (True, False):
-        u = _haar_unitary(rng, m)
-        projectors = np.einsum("ai,bi->iab", u, u.conj())
-        stacks.append(np.stack([np.kron(p, eye) if left else np.kron(eye, p) for p in projectors]))
-    if case == "non-commuting":
-        w = _haar_unitary(rng, d)
-        stacks[1] = w @ stacks[1] @ w.conj().T
-    spoilt = {
-        "first-not-projective": (0,),
-        "second-not-projective": (1,),
-        "neither-projective": (0, 1),
-    }
-    for side in spoilt.get(case, ()):
-        stacks[side] = 0.9 * stacks[side] + 0.1 * np.roll(stacks[side], 1, axis=0)
-    pair = []
-    for prefix, stack in zip("ab", stacks):
-        labels = tuple(f"{prefix}{i}" for i in range(m))
-        pair.append(Povm(OutcomeSpace(labels), dict(zip(labels, stack))))
-    return tuple(pair)
-
-
 @pytest.mark.parametrize(
     "case, error, message",
     [
@@ -163,31 +135,47 @@ def _haar_factor_pair(d: int, case: str) -> tuple[Povm, Povm]:
         ("non-commuting", NonCommuting, None),
     ],
 )
-@pytest.mark.parametrize("d", [4, 9, 16, 36, 64])
-@pytest.mark.parametrize("setting", [None, "1e-12"], ids=["eps-unset", "eps-1e-12"])
+@pytest.mark.parametrize("d", HAAR_FACTOR_DIMS)
+@pytest.mark.parametrize("setting", HAAR_FACTOR_EPS, ids=HAAR_FACTOR_EPS_IDS)
 def test_joint_from_commuting_rejects_the_first_failing_factor(
     setting, d, case, error, message, monkeypatch
 ):
-    if setting is None:
-        monkeypatch.delenv("QCORR_EPS", raising=False)
-    else:
-        monkeypatch.setenv("QCORR_EPS", setting)
-    a1, a2 = _haar_factor_pair(d, case)
+    set_qcorr_eps(monkeypatch, setting)
+    a1, a2 = haar_factor_pair(d, case)
     with pytest.raises(error) as info:
         joint_from_commuting(a1, a2)
     if message is not None:
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("d", HAAR_FACTOR_DIMS)
+@pytest.mark.parametrize("setting", HAAR_FACTOR_EPS, ids=HAAR_FACTOR_EPS_IDS)
+def test_joint_of_a_haar_factor_pair_is_the_product_of_its_projectors(setting, d, monkeypatch):
+    """Each joint effect is E1(x) E2(y), a rank-one projector, on the joint's
+    (x, y) outcome; the effects sum to the identity and the joint is
+    projective."""
+    set_qcorr_eps(monkeypatch, setting)
+    a1, a2 = haar_factor_pair(d, "commuting")
+    joint = joint_from_commuting(a1, a2)
+    assert joint.space.outcomes == tuple(
+        (x, y) for x in a1.space.labels for y in a2.space.labels
+    )
+    for (x, y), effect in joint.effects.items():
+        np.testing.assert_allclose(effect, a1.effect(x) @ a2.effect(y), atol=1e-12)
+        np.testing.assert_allclose(effect @ effect, effect, atol=1e-12)
+        assert abs(np.trace(effect) - 1.0) < 1e-12
+    np.testing.assert_allclose(sum(joint.effects.values()), np.eye(d), atol=1e-12)
+    assert joint.is_projective
+    assert check_joint(joint, a1, a2)
+
+
 def _reports_at_d64() -> None:
     """The commuting d = 64 pair's joint, reported from a 128-component and
     from the spectral decomposition of a random full-rank state, as in the
     benchmark's dsweep."""
-    a1, a2 = _haar_factor_pair(64, "commuting")
+    a1, a2 = haar_factor_pair(64, "commuting")
     rng = np.random.default_rng(64)
-    ginibre = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-    matrix = ginibre @ ginibre.conj().T
-    state = DensityOperator(matrix / np.trace(matrix).real)
+    state = full_rank_state(rng, 64)
     joint = joint_from_commuting(a1, a2)
     for source in (random_decomposition(state, 128, rng), state):
         correlation_report(joint, a1, a2, source)

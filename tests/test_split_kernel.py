@@ -36,7 +36,16 @@ from qcorr.correlation import split_report
 from qcorr.observable import Povm, joint_from_commuting
 from qcorr.scenario import ClassicalScenario, loads_scenario
 from qcorr.tolerance import EPS
-from conftest import DOWN, UP
+from conftest import (
+    DOWN,
+    HAAR_FACTOR_DIMS,
+    HAAR_FACTOR_EPS,
+    HAAR_FACTOR_EPS_IDS,
+    UP,
+    full_rank_state,
+    haar_factor_pair,
+    set_qcorr_eps,
+)
 import split_oracle
 
 TOL = 1e-12
@@ -203,6 +212,21 @@ def _random_quantum_case(rng):
 @pytest.mark.parametrize("seed", range(RANDOM_DRAWS))
 def test_random_quantum_draws_match_oracle(seed):
     check_quantum(*_random_quantum_case(np.random.default_rng([11, seed])))
+
+
+@pytest.mark.parametrize("d", HAAR_FACTOR_DIMS)
+@pytest.mark.parametrize("setting", HAAR_FACTOR_EPS, ids=HAAR_FACTOR_EPS_IDS)
+def test_haar_factor_pairs_match_oracle(setting, d, monkeypatch):
+    """The benchmark's large-d shape: a commuting Haar-factor pair reported
+    from a random 2d-component and from the spectral decomposition of a
+    random full-rank state."""
+    set_qcorr_eps(monkeypatch, setting)
+    a1, a2 = haar_factor_pair(d, "commuting")
+    rng = np.random.default_rng(d)
+    state = full_rank_state(rng, d)
+    joint = joint_from_commuting(a1, a2)
+    for decomposition in (random_decomposition(state, 2 * d, rng), spectral_decompose(state)):
+        check_quantum(joint, a1, a2, decomposition)
 
 
 def _random_row(rng, size: int) -> np.ndarray:
